@@ -66,6 +66,8 @@ from .circuits import (
     load_circuit,
 )
 from .single_copy import (
+    AdaptiveTest,
+    ParityTest,
     TestOutcome,
     adaptive_stabilizer_test,
     adaptive_test_exact_ppass,

@@ -10,8 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -44,7 +47,9 @@ from .hypergraphs import (
 )
 from .paulis import CapExceededError, DENSE_QUBIT_CAP, PauliString
 from .protocol import (
+    ProtocolParams,
     ProverModel,
+    VerdictReport,
     classically_correlated_prover,
     coherent_error_prover,
     desk_params,
@@ -64,9 +69,6 @@ from .single_copy import (
     stabilizer_test_exact_ppass,
 )
 from .states import DenseState, apply_pauli, maximally_mixed, mixed_state, to_density
-
-# Paper-schedule register counts explode; refuse to simulate beyond this.
-EXECUTABLE_REGISTER_CAP = 1_000_000
 
 
 def _fresh_seed() -> int:
@@ -130,11 +132,32 @@ def parse_state_spec(spec: str, ideal: DenseState) -> DenseState:
     raise ValueError(f"unknown state spec {spec!r}")
 
 
+def _config_number(cfg: dict, key: str, cast=float, default=None):
+    """``cfg[key]`` as a number; a missing, null or non-numeric value is a config error."""
+    value = cfg.get(key, default)
+    if value is None or isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {json.dumps(value)}") from None
+
+
+def check_run_sizes(k: int, m: int, runs: int) -> None:
+    """Reject run sizes that leave nothing to test or to average over."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if m < 0:
+        raise ValueError(f"m must be at least 0, got {m}")
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
+
+
 def _pauli_from_config(cfg: dict, n: int) -> PauliString:
     if "pauli" in cfg and len(cfg["pauli"]) == n:
         return PauliString.from_axes(cfg["pauli"])
     axis = cfg.get("pauli", "Z")
-    qubit = int(cfg.get("qubit", 0))
+    qubit = _config_number(cfg, "qubit", int, 0)
     axes = "".join(axis if j == qubit else "I" for j in range(n))
     return PauliString.from_axes(axes)
 
@@ -148,38 +171,43 @@ def prover_from_config(cfg: dict, ideal: DenseState) -> ProverModel:
         if eta_spec != "maximally_mixed":
             raise ValueError("only the maximally mixed eta is configurable here")
         return iid_deviated_prover(
-            ideal, float(cfg["epsilon_prime"]), maximally_mixed(ideal.n)
+            ideal, _config_number(cfg, "epsilon_prime"), maximally_mixed(ideal.n)
         )
     if kind == "coherent_error":
         return coherent_error_prover(ideal, _pauli_from_config(cfg, ideal.n))
     if kind == "classically_correlated":
         bad = apply_pauli(ideal, _pauli_from_config(cfg, ideal.n))
-        p_bad = float(cfg.get("p_bad", 0.5))
+        p_bad = _config_number(cfg, "p_bad", float, 0.5)
         return classically_correlated_prover([ideal, bad], [1 - p_bad, p_bad])
     if kind == "entangled_demo":
         bad = apply_pauli(ideal, _pauli_from_config(cfg, ideal.n))
-        return entangled_demo_prover(ideal, bad, float(cfg.get("weight", 0.5)))
+        return entangled_demo_prover(ideal, bad, _config_number(cfg, "weight", float, 0.5))
     raise ValueError(f"unknown prover kind {kind!r}")
 
 
-def params_from_config(protocol: str, n: int, cfg: dict, l1_norm: float | None):
+def params_from_config(
+    protocol: str, n: int, cfg: dict, l1_norm: float | None, runs: int = 1
+) -> ProtocolParams:
+    """Run parameters from the config's params block, with every size checked.
+
+    The register cap is checked by the protocol engine, before a run
+    allocates anything sized by it.
+    """
     mode = cfg.get("mode", "desk")
     if mode == "paper":
-        params = schedule_params(protocol, n, l1_norm=l1_norm, k=cfg.get("k"))
-        if params.n_registers > EXECUTABLE_REGISTER_CAP:
-            raise ValueError(
-                f"paper-mode run needs {params.n_registers} registers; "
-                "that is report-only (see the params subcommand) -- use desk mode"
-            )
+        k = _config_number(cfg, "k", int) if cfg.get("k") is not None else None
+        params = schedule_params(protocol, n, l1_norm=l1_norm, k=k)
+        check_run_sizes(params.k, params.m, runs)
         return params
     if mode != "desk":
         raise ValueError("params.mode must be 'desk' or 'paper'")
     if "k" not in cfg:
         raise ValueError("desk mode needs an explicit k")
-    k = int(cfg["k"])
-    m = int(cfg.get("m", 0))
+    k = _config_number(cfg, "k", int)
+    m = _config_number(cfg, "m", int, 0)
+    check_run_sizes(k, m, runs)
     eps = (
-        Fraction(str(float(cfg["epsilon"])))
+        Fraction(str(_config_number(cfg, "epsilon")))
         if "epsilon" in cfg
         else schedule_epsilon(protocol, n, k)
     )
@@ -337,19 +365,42 @@ def cmd_ppass(args) -> int:
     return 0
 
 
-def _run_one(kind, target, prover, params, seed, record_trials):
+@dataclass(frozen=True)
+class PreparedTarget:
+    """What every run of one target needs, computed once per verify call.
+
+    ``l1_norm`` is the norm the paper schedules scale with (None for
+    hypergraphs); ``run(prover, params, seed, record_trials)`` is one
+    protocol run.
+    """
+
+    ideal: DenseState
+    l1_norm: float | None
+    run: Callable[[ProverModel, ProtocolParams, int, bool], VerdictReport]
+
+
+def prepare_target(kind: str, target) -> PreparedTarget:
     if kind == "hamiltonian":
         rh = rescale(target)
         projector = (
             exact_diagonalize(target).projector if target.n <= DENSE_QUBIT_CAP else None
         )
-        return run_ground_protocol(rh, projector, prover, params, seed, record_trials)
+        return PreparedTarget(
+            ground_state(target), rh.l1_norm, partial(run_ground_protocol, rh, projector)
+        )
     if kind == "circuit":
         decomps = all_stabilizer_decompositions(target)
         ideal = build_circuit_state(target)
-        return run_circuit_protocol(decomps, ideal, prover, params, seed, record_trials)
-    forms = all_adaptive_forms(target)
-    return run_hypergraph_protocol(target, forms, prover, params, seed, record_trials)
+        return PreparedTarget(
+            ideal,
+            max(d.l1_norm for d in decomps),
+            partial(run_circuit_protocol, decomps, ideal),
+        )
+    return PreparedTarget(
+        build_state(target),
+        None,
+        partial(run_hypergraph_protocol, target, all_adaptive_forms(target)),
+    )
 
 
 _PROTOCOL_FOR_KIND = {
@@ -376,24 +427,20 @@ def cmd_verify(args) -> int:
             f"{_PROTOCOL_FOR_KIND[kind]} protocol, not {protocol!r}"
         )
 
-    l1_norm = None
-    if cfg.get("params", {}).get("mode", "desk") == "paper":
-        if kind == "hamiltonian":
-            l1_norm = rescale(target).l1_norm
-        elif kind == "circuit":
-            l1_norm = max(d.l1_norm for d in all_stabilizer_decompositions(target))
-    params = params_from_config(protocol, target.n, cfg.get("params", {}), l1_norm)
+    runs = args.runs
+    prepared = prepare_target(kind, target)
+    params = params_from_config(
+        protocol, target.n, cfg.get("params", {}), prepared.l1_norm, runs
+    )
 
-    ideal = ideal_state_of(kind, target)
-    prover = prover_from_config(cfg.get("prover", {"kind": "honest"}), ideal)
+    prover = prover_from_config(cfg.get("prover", {"kind": "honest"}), prepared.ideal)
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         seed = _fresh_seed()
-    runs = args.runs
     record = args.trials_csv is not None
 
     reports = [
-        _run_one(kind, target, prover, params, s, record)
+        prepared.run(prover, params, s, record)
         for s in (run_seeds(seed, runs) if runs > 1 else [seed])
     ]
     if args.trials_csv:
@@ -454,6 +501,7 @@ def cmd_robustness(args) -> int:
     seed = args.seed if args.seed is not None else _fresh_seed()
     eps_primes = [float(x) for x in args.eps_prime.split(",") if x != ""]
     k = args.trials
+    check_run_sizes(k, args.m, args.runs)
     eps = (
         Fraction(str(args.epsilon))
         if args.epsilon is not None

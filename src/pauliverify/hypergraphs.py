@@ -133,6 +133,7 @@ class AdaptiveStabilizerForm:
     cz_groups: tuple[tuple[int, ...], ...]
     projector_support: tuple[int, ...]
     _branches: dict = field(default_factory=dict, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def resolve(self, a) -> tuple[int, frozenset[int]]:
         """Branch sign exponent and residual Z-set for projector bits ``a``.
@@ -181,6 +182,37 @@ class AdaptiveStabilizerForm:
     def bases(self) -> str:
         """Measurement bases of the test: X on the vertex, Z everywhere else."""
         return "".join("X" if j == self.vertex else "Z" for j in range(self.n))
+
+    def outcome_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pass flag and projector bits ``a`` for every joint outcome of bases().
+
+        Both are indexed by the 2**n outcome index (qubit 0 most significant,
+        bit 1 for the -1 outcome).  They are built once from branch_for_bits
+        and kept on this instance.
+        """
+        cached = self._tables.get("outcome")
+        if cached is not None:
+            return cached
+        if self.n > PURE_QUBIT_CAP:
+            raise CapExceededError(f"outcome tables capped at {PURE_QUBIT_CAP} qubits")
+        idx = np.arange(1 << self.n, dtype=np.int64)
+        bits = np.zeros_like(idx)
+        for v in self.projector_support:
+            bits = (bits << 1) | ((idx >> (self.n - 1 - v)) & 1)
+        width = len(self.projector_support)
+        alpha = np.empty(1 << width, dtype=np.int64)
+        parity_mask = np.empty(1 << width, dtype=np.int64)
+        for key in range(1 << width):
+            alpha[key], residual = self.branch_for_bits(key)
+            mask = bit_for_qubit(self.n, self.vertex)
+            for v in residual:
+                mask |= bit_for_qubit(self.n, v)
+            parity_mask[key] = mask
+        # the outcome product over the vertex and the residual Z's is
+        # (-1)**popcount(idx & mask); the branch passes when it equals (-1)**alpha
+        odd = (np.bitwise_count(idx & parity_mask[bits]) + alpha[bits]) & 1
+        self._tables["outcome"] = (odd == 0, bits)
+        return self._tables["outcome"]
 
     def branch_table(self) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
         """All (a, alpha, residual-Z) branches; exponential in the support size."""

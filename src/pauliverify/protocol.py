@@ -5,14 +5,17 @@ random m of them, keeps one uniform random survivor as the target, and tests
 the rest.  Accept/reject thresholds are compared in exact rational
 arithmetic so boundary equalities never flip on floating-point noise.
 
-Registers are produced lazily, one per test; only the tiny entangled demo
-path tracks a joint state across registers (total qubits capped at 12),
-conditioning it on each measured outcome.
+Product provers fill every register with one state, so each group of k
+tests is sampled in one block of uniforms (see single_copy's group kernels).
+Only the tiny entangled demo path tracks a joint state across registers
+(total qubits capped at 12), conditioning it on each measured outcome, and
+runs trial by trial.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,7 +24,7 @@ from .circuits import StabilizerDecomposition
 from .hamiltonians import RescaledHamiltonian
 from .hypergraphs import AdaptiveStabilizerForm, HypergraphSpec, build_state
 from .paulis import CapExceededError, DENSE_QUBIT_CAP, PauliString
-from .single_copy import adaptive_predicate, draw_pauli_term, parity_passes
+from .single_copy import AdaptiveTest, ParityTest
 from .states import (
     BASIS_ROTATIONS,
     DenseState,
@@ -38,6 +41,9 @@ from .states import (
 PROTOCOLS = ("ground", "circuit", "hypergraph")
 
 ENTANGLED_TOTAL_QUBIT_CAP = 12
+
+# Paper-schedule register counts explode; runs above this are refused.
+EXECUTABLE_REGISTER_CAP = 1_000_000
 
 # ln(2) to 50 digits, as an exact rational, so the register-count schedules
 # evaluate to reproducible integers far beyond double precision.
@@ -226,24 +232,23 @@ def hypergraph_group_threshold(epsilon: Fraction) -> Fraction:
 
 
 class ProductRegisters:
-    """Lazy per-register states from a register-index -> state function."""
+    """Every register carries the same state, so tests sample it a group at a time."""
 
-    def __init__(self, n: int, n_registers: int, state_fn: Callable[[int], DenseState]):
+    def __init__(self, n: int, n_registers: int, state: DenseState):
+        if state.n != n:
+            raise ValueError("prover produced a register of the wrong width")
         self.n = n
         self.n_registers = n_registers
-        self._state_fn = state_fn
+        self.state = state
 
     def measure(
         self, register: int, bases: str, rng: np.random.Generator
     ) -> MeasurementRecord:
-        record, _ = measure_in_bases(self._state_fn(register), bases, rng)
+        record, _ = measure_in_bases(self.state, bases, rng)
         return record
 
     def register_state(self, register: int) -> DenseState:
-        state = self._state_fn(register)
-        if state.n != self.n:
-            raise ValueError("prover produced a register of the wrong width")
-        return state
+        return self.state
 
 
 class EntangledRegisters:
@@ -328,7 +333,7 @@ class ProverModel:
 
 def honest_prover(ideal: DenseState) -> ProverModel:
     def make(n_registers, rng):
-        return ProductRegisters(ideal.n, n_registers, lambda r: ideal)
+        return ProductRegisters(ideal.n, n_registers, ideal)
 
     return ProverModel("honest", make)
 
@@ -345,7 +350,7 @@ def iid_deviated_prover(
     state = ideal if epsilon_prime == 0.0 else rho
 
     def make(n_registers, rng):
-        return ProductRegisters(ideal.n, n_registers, lambda r: state)
+        return ProductRegisters(ideal.n, n_registers, state)
 
     return ProverModel("iid_deviated", make)
 
@@ -357,7 +362,7 @@ def coherent_error_prover(ideal: DenseState, error: PauliString) -> ProverModel:
     bad = apply_pauli(ideal, error)
 
     def make(n_registers, rng):
-        return ProductRegisters(ideal.n, n_registers, lambda r: bad)
+        return ProductRegisters(ideal.n, n_registers, bad)
 
     return ProverModel("coherent_error", make)
 
@@ -382,7 +387,7 @@ def classically_correlated_prover(
         pick = int(np.searchsorted(cum, rng.random(), side="right"))
         pick = min(pick, len(states) - 1)
         chosen = states[pick]
-        return ProductRegisters(chosen.n, n_registers, lambda r: chosen)
+        return ProductRegisters(chosen.n, n_registers, chosen)
 
     return ProverModel("classically_correlated", make)
 
@@ -400,6 +405,10 @@ def entangled_demo_prover(
         raise ValueError("weight must lie in [0, 1]")
 
     def make(n_registers, rng):
+        if ideal.n * n_registers > ENTANGLED_TOTAL_QUBIT_CAP:
+            raise CapExceededError(
+                f"entangled demo path capped at {ENTANGLED_TOTAL_QUBIT_CAP} total qubits"
+            )
         good = ideal.data
         worse = bad.data
         g = np.array([1.0], dtype=complex)
@@ -488,6 +497,94 @@ def _run_rngs(seed: int):
     return [np.random.default_rng(child) for child in ss.spawn(3)]
 
 
+def check_executable(params: ProtocolParams) -> None:
+    """Refuse a run with more registers than EXECUTABLE_REGISTER_CAP.
+
+    Every protocol run calls this before it allocates anything sized by the
+    register count.
+    """
+    if params.n_registers > EXECUTABLE_REGISTER_CAP:
+        raise ValueError(
+            f"{params.mode}-mode run needs {params.n_registers} registers, more "
+            f"than the {EXECUTABLE_REGISTER_CAP} that are simulated; a run that "
+            "large is report-only (see the params subcommand)"
+        )
+
+
+def _run_protocol(
+    protocol: str,
+    params: ProtocolParams,
+    prover: ProverModel,
+    seed: int,
+    tests: Sequence[ParityTest | AdaptiveTest],
+    thresholds: Sequence[Fraction],
+    comparison: str,
+    fidelity: Callable[[DenseState], float] | None,
+    record_trials: bool,
+) -> VerdictReport:
+    """The one protocol engine: layout, one group of k tests per kernel, verdicts.
+
+    Group i tests k registers with ``tests[i]`` and passes when its rate
+    compares to ``thresholds[i]`` by ``comparison``.  A product source is
+    sampled a whole group at a time; any other source (the entangled demo)
+    runs the scalar trial loop, because each measurement conditions its
+    joint state.  Both paths consume the test stream in the same order.
+    """
+    check_executable(params)
+    rng_layout, rng_prover, rng_tests = _run_rngs(seed)
+    n_reg = params.n_registers
+    source = prover.make_source(n_reg, rng_prover)
+    if source.n != params.n:
+        raise ValueError("prover register width does not match the protocol")
+    _, target, rest = choose_layout(n_reg, params.m, rng_layout)
+    groups = rest.reshape(len(tests), params.k)
+    state = source.state if isinstance(source, ProductRegisters) else None
+
+    results = []
+    records = [] if record_trials else None
+    for i, (test, threshold) in enumerate(zip(tests, thresholds)):
+        registers = groups[i]
+        if state is not None:
+            passed, branches = test.sample(state, rng_tests, params.k)
+        else:
+            trials = [test.trial(source, int(reg), rng_tests) for reg in registers]
+            passed = [ok for ok, _ in trials]
+            branches = [branch for _, branch in trials]
+        passes = int(np.count_nonzero(passed))
+        if records is not None:
+            records.extend(
+                TrialRecord(i, t, int(reg), test.branch_label(branch), bool(ok))
+                for t, (reg, ok, branch) in enumerate(zip(registers, passed, branches))
+            )
+        rate = Fraction(passes, params.k)
+        group_passed = rate <= threshold if comparison == "<=" else rate >= threshold
+        results.append(
+            GroupResult(
+                i,
+                passes,
+                params.k,
+                f"{threshold.numerator}/{threshold.denominator}",
+                comparison,
+                bool(group_passed),
+            )
+        )
+
+    return VerdictReport(
+        protocol=protocol,
+        accepted=all(g.passed for g in results),
+        groups=tuple(results),
+        target_register=target,
+        target_fidelity=(
+            fidelity(source.register_state(target)) if fidelity is not None else None
+        ),
+        n_registers=n_reg,
+        seed=seed,
+        params=params,
+        prover_kind=prover.kind,
+        trial_records=tuple(records) if records is not None else None,
+    )
+
+
 def run_ground_protocol(
     rh: RescaledHamiltonian,
     projector: np.ndarray | None,
@@ -496,7 +593,7 @@ def run_ground_protocol(
     seed: int,
     record_trials: bool = False,
 ) -> VerdictReport:
-    """Energy-test every surviving register; accept on a LOW pass rate.
+    """Energy-test every surviving register as one group; accept on a LOW pass rate.
 
     The pass rate estimates 1/2 + <H'>/(2*l1): low energy keeps it near 1/2,
     so the acceptance inequality is pass_rate <= 1/2 + eps/(2*l1).
@@ -505,102 +602,11 @@ def run_ground_protocol(
         raise ValueError("params are not for the ground protocol")
     if rh.n != params.n:
         raise ValueError("Hamiltonian width does not match the parameters")
-    rng_layout, rng_prover, rng_tests = _run_rngs(seed)
-    n_reg = params.n_registers
-    source = prover.make_source(n_reg, rng_prover)
-    if source.n != params.n:
-        raise ValueError("prover register width does not match the protocol")
-    _, target, tested = choose_layout(n_reg, params.m, rng_layout)
-
     threshold = ground_accept_threshold(params.epsilon, rh.l1_norm)
-    passes = 0
-    records = [] if record_trials else None
-    for t, reg in enumerate(tested):
-        draw = draw_pauli_term(rh.terms, rh.sampling_cum, rng_tests)
-        record = source.measure(int(reg), draw.bases, rng_tests)
-        ok = parity_passes(record, draw.sign)
-        passes += ok
-        if records is not None:
-            sign = "+" if draw.sign > 0 else "-"
-            records.append(TrialRecord(0, t, int(reg), f"{sign}{draw.bases}", ok))
-
-    accepted = Fraction(passes, params.k) <= threshold
-    fidelity = None
-    if projector is not None:
-        fidelity = projector_overlap(source.register_state(target), projector)
-    group = GroupResult(
-        0, passes, params.k, f"{threshold.numerator}/{threshold.denominator}", "<=", accepted
-    )
-    return VerdictReport(
-        protocol="ground",
-        accepted=bool(accepted),
-        groups=(group,),
-        target_register=target,
-        target_fidelity=fidelity,
-        n_registers=n_reg,
-        seed=seed,
-        params=params,
-        prover_kind=prover.kind,
-        trial_records=tuple(records) if records is not None else None,
-    )
-
-
-def _run_grouped_protocol(
-    protocol: str,
-    params: ProtocolParams,
-    prover: ProverModel,
-    seed: int,
-    group_threshold: Callable[[int], Fraction],
-    run_trial,
-    ideal: DenseState | None,
-    record_trials: bool,
-) -> VerdictReport:
-    rng_layout, rng_prover, rng_tests = _run_rngs(seed)
-    n_reg = params.n_registers
-    source = prover.make_source(n_reg, rng_prover)
-    if source.n != params.n:
-        raise ValueError("prover register width does not match the protocol")
-    _, target, rest = choose_layout(n_reg, params.m, rng_layout)
-    groups = rest.reshape(params.n, params.k)
-
-    results = []
-    records = [] if record_trials else None
-    all_passed = True
-    for i in range(params.n):
-        threshold = group_threshold(i)
-        passes = 0
-        for t, reg in enumerate(groups[i]):
-            ok, branch = run_trial(i, int(reg), source, rng_tests)
-            passes += ok
-            if records is not None:
-                records.append(TrialRecord(i, t, int(reg), branch, ok))
-        passed = Fraction(passes, params.k) >= threshold
-        all_passed &= passed
-        results.append(
-            GroupResult(
-                i,
-                passes,
-                params.k,
-                f"{threshold.numerator}/{threshold.denominator}",
-                ">=",
-                bool(passed),
-            )
-        )
-
-    fidelity = None
-    if ideal is not None:
-        fidelity = overlap(source.register_state(target), ideal)
-    return VerdictReport(
-        protocol=protocol,
-        accepted=bool(all_passed),
-        groups=tuple(results),
-        target_register=target,
-        target_fidelity=fidelity,
-        n_registers=n_reg,
-        seed=seed,
-        params=params,
-        prover_kind=prover.kind,
-        trial_records=tuple(records) if records is not None else None,
+    fidelity = None if projector is None else partial(projector_overlap, projector=projector)
+    return _run_protocol(
+        "ground", params, prover, seed, [ParityTest.of(rh)], [threshold], "<=",
+        fidelity, record_trials,
     )
 
 
@@ -618,23 +624,11 @@ def run_circuit_protocol(
     decomps = sorted(decomps, key=lambda d: d.qubit)
     if [d.qubit for d in decomps] != list(range(params.n)):
         raise ValueError("need one stabilizer decomposition per qubit")
-
-    def trial(i, reg, source, rng):
-        draw = draw_pauli_term(decomps[i].terms, decomps[i].sampling_cum, rng)
-        record = source.measure(reg, draw.bases, rng)
-        ok = parity_passes(record, draw.sign)
-        sign = "+" if draw.sign > 0 else "-"
-        return ok, f"{sign}{draw.bases}"
-
-    return _run_grouped_protocol(
-        "circuit",
-        params,
-        prover,
-        seed,
-        lambda i: circuit_group_threshold(params.epsilon, decomps[i].l1_norm),
-        trial,
-        ideal,
-        record_trials,
+    thresholds = [circuit_group_threshold(params.epsilon, d.l1_norm) for d in decomps]
+    fidelity = None if ideal is None else partial(overlap, reference=ideal)
+    return _run_protocol(
+        "circuit", params, prover, seed, [ParityTest.of(d) for d in decomps],
+        thresholds, ">=", fidelity, record_trials,
     )
 
 
@@ -654,23 +648,10 @@ def run_hypergraph_protocol(
         raise ValueError("need one adaptive form per vertex")
     ideal = build_state(g) if g.n <= DENSE_QUBIT_CAP else None
     threshold = hypergraph_group_threshold(params.epsilon)
-
-    def trial(i, reg, source, rng):
-        form = forms[i]
-        record = source.measure(reg, form.bases(), rng)
-        ok, a = adaptive_predicate(record, form)
-        width = len(form.projector_support)
-        return ok, (f"a={a:0{width}b}" if width else "a=")
-
-    return _run_grouped_protocol(
-        "hypergraph",
-        params,
-        prover,
-        seed,
-        lambda i: threshold,
-        trial,
-        ideal,
-        record_trials,
+    fidelity = None if ideal is None else partial(overlap, reference=ideal)
+    return _run_protocol(
+        "hypergraph", params, prover, seed, [AdaptiveTest(f) for f in forms],
+        [threshold] * params.n, ">=", fidelity, record_trials,
     )
 
 

@@ -23,6 +23,7 @@ from .states import (
     expectation,
     masked_pauli_expectation,
     measure_in_bases,
+    sample_outcome_indices,
 )
 
 
@@ -174,16 +175,109 @@ def adaptive_branch_sum_ppass(rho: DenseState, form: AdaptiveStabilizerForm) -> 
 
 
 # ---------------------------------------------------------------------------
+# Group kernels: many trials of one test on one state at a time
+#
+# A kernel samples a whole group from one block of uniforms, drawn in the
+# order the scalar path consumes them, so its results equal the scalar
+# path's trial for trial.  ``trial`` is that scalar path, kept for sources
+# that change state between measurements.
+
+
+class ParityTest:
+    """Parity test of one sampled Pauli sum (the energy and stabilizer tests).
+
+    A trial draws a term with probability |coefficient|/l1, measures its
+    bases and passes when the outcome parity equals the term sign.  It uses
+    two variates: the term, then the outcome.  The branch of a trial is the
+    index of its term.
+    """
+
+    def __init__(self, terms: tuple[PauliString, ...], cum_weights: np.ndarray):
+        self.terms = tuple(terms)
+        self.cum = cum_weights
+        self.bases = tuple(t.axes for t in self.terms)
+        # the sign of a vanishing coefficient is undefined, but such a term
+        # carries no sampling weight
+        self.signs = np.array([1 if t.coeff > 0 else -1 for t in self.terms])
+
+    @classmethod
+    def of(cls, pauli_sum: RescaledHamiltonian | StabilizerDecomposition) -> "ParityTest":
+        return cls(pauli_sum.terms, pauli_sum.sampling_cum)
+
+    def trial(self, source, register: int, rng: np.random.Generator) -> tuple[bool, int]:
+        draw = draw_pauli_term(self.terms, self.cum, rng)
+        record = source.measure(register, draw.bases, rng)
+        return parity_passes(record, draw.sign), draw.index
+
+    def sample(
+        self, state: DenseState, rng: np.random.Generator, n_trials: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Pass flags and term indices of ``n_trials`` trials on ``state``."""
+        u = rng.random(2 * n_trials)
+        term = np.searchsorted(self.cum, u[0::2], side="right")
+        term = np.minimum(term, len(self.terms) - 1)
+        u_outcome = u[1::2]
+        passed = np.empty(n_trials, dtype=bool)
+        order = np.argsort(term, kind="stable")
+        for trials in np.split(order, np.flatnonzero(np.diff(term[order])) + 1):
+            i = term[trials[0]]
+            idx = sample_outcome_indices(state, self.bases[i], u_outcome[trials])
+            # the outcome product is -1 exactly when the index has odd popcount
+            passed[trials] = ((np.bitwise_count(idx) & 1) == 1) == (self.signs[i] < 0)
+        return passed, term
+
+    def branch_label(self, term: int) -> str:
+        return f"{'+' if self.signs[term] > 0 else '-'}{self.bases[term]}"
+
+
+class AdaptiveTest:
+    """Adaptive stabilizer test of one hypergraph vertex.
+
+    A trial uses one variate.  Its branch is the projector bits ``a``; the
+    pass flag and ``a`` of every joint outcome come from the form's cached
+    outcome tables.
+    """
+
+    def __init__(self, form: AdaptiveStabilizerForm):
+        self.form = form
+        self.bases = form.bases()
+
+    def trial(self, source, register: int, rng: np.random.Generator) -> tuple[bool, int]:
+        record = source.measure(register, self.bases, rng)
+        return adaptive_predicate(record, self.form)
+
+    def sample(
+        self, state: DenseState, rng: np.random.Generator, n_trials: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Pass flags and projector bits of ``n_trials`` trials on ``state``."""
+        idx = sample_outcome_indices(state, self.bases, rng.random(n_trials))
+        passes, bits = self.form.outcome_tables()
+        return passes[idx], bits[idx]
+
+    def branch_label(self, a: int) -> str:
+        width = len(self.form.projector_support)
+        return f"a={int(a):0{width}b}" if width else "a="
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo helper
 
 
-def monte_carlo_pass_rate(test, n_trials: int, rng: np.random.Generator):
+def monte_carlo_pass_rate(
+    test, n_trials: int, rng: np.random.Generator, state: DenseState | None = None
+):
     """Run a single-copy test repeatedly; returns (rate, pass count).
 
-    ``test`` is a callable rng -> TestOutcome.  Each trial consumes a fixed
-    number of variates from ``rng``, so trial t is reproducible from the
-    generator seed and t alone.
+    ``test`` is a callable rng -> TestOutcome, run trial by trial, or, when
+    ``state`` is given, a group kernel (ParityTest, AdaptiveTest) that
+    samples every trial on ``state`` in one block.  Both consume the same
+    fixed number of variates per trial in the same order, so trial t is
+    reproducible from the generator seed and t alone, and the two forms
+    agree exactly.
     """
+    if state is not None:
+        passes = int(np.count_nonzero(test.sample(state, rng, n_trials)[0]))
+        return passes / n_trials, passes
     passes = 0
     for _ in range(n_trials):
         if test(rng).passed:

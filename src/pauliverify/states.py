@@ -329,3 +329,16 @@ def measure_in_bases(
         bit = (k >> (n_meas - 1 - t)) & 1
         outcomes[q] = 1 - 2 * bit
     return MeasurementRecord(tuple(outcomes), bases), float(table.probs[k])
+
+
+def sample_outcome_indices(state: DenseState, bases: str, u: np.ndarray) -> np.ndarray:
+    """Batched twin of measure_in_bases: one outcome index per uniform in ``u``.
+
+    Uses the same cached Born table, inverse-CDF search and clamp, so the
+    index for ``u[t]`` is the one measure_in_bases draws from the same
+    variate.  Index bits follow outcome_distribution (first measured qubit
+    most significant, bit 1 for the -1 outcome).
+    """
+    table = _measurement_table(state, bases)
+    k = np.searchsorted(table.cum, u, side="right")
+    return np.minimum(k, table.last_sampleable)

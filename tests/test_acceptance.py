@@ -49,12 +49,11 @@ from pauliverify.protocol import (
     schedule_params,
 )
 from pauliverify.single_copy import (
-    adaptive_stabilizer_test,
+    AdaptiveTest,
+    ParityTest,
     adaptive_test_exact_ppass,
-    energy_test,
     energy_test_exact_ppass,
     monte_carlo_pass_rate,
-    stabilizer_test,
     stabilizer_test_exact_ppass,
 )
 from pauliverify.states import (
@@ -137,7 +136,11 @@ def test_criterion_2_worked_example():
 
 
 def test_criterion_3_ppass_formula_agreement():
-    """Each kernel: 20 random mixed states, 1e5 trials inside 3-sigma, <5min."""
+    """Each kernel: 20 random mixed states, 1e5 trials inside 3-sigma, <5min.
+
+    The trials run through the group kernels, which consume the same
+    variates as the scalar tests (tests/test_batched.py checks that).
+    """
     with criterion(3, "pass-probability formula agreement"):
         start = time.perf_counter()
         trials = 100_000
@@ -164,23 +167,19 @@ def test_criterion_3_ppass_formula_agreement():
         for _ in range(20):
             rho = random_mixed_state(3, rng)
             p = energy_test_exact_ppass(rho, rh)
-            rate, _ = monte_carlo_pass_rate(lambda r: energy_test(rho, rh, r), trials, rng)
+            rate, _ = monte_carlo_pass_rate(ParityTest.of(rh), trials, rng, state=rho)
             assert abs(rate - p) <= 3 * np.sqrt(p * (1 - p) / trials)
 
         for _ in range(20):
             rho = random_mixed_state(3, rng)
             p = stabilizer_test_exact_ppass(rho, decomp)
-            rate, _ = monte_carlo_pass_rate(
-                lambda r: stabilizer_test(rho, decomp, r), trials, rng
-            )
+            rate, _ = monte_carlo_pass_rate(ParityTest.of(decomp), trials, rng, state=rho)
             assert abs(rate - p) <= 3 * np.sqrt(p * (1 - p) / trials)
 
         for _ in range(20):
             rho = random_mixed_state(4, rng)
             p = adaptive_test_exact_ppass(rho, form, g_dense)
-            rate, _ = monte_carlo_pass_rate(
-                lambda r: adaptive_stabilizer_test(rho, form, r), trials, rng
-            )
+            rate, _ = monte_carlo_pass_rate(AdaptiveTest(form), trials, rng, state=rho)
             assert abs(rate - p) <= 3 * np.sqrt(p * (1 - p) / trials)
 
         assert time.perf_counter() - start < 300.0

@@ -234,3 +234,122 @@ def test_error_paths(capsys, tmp_path):
     )
     assert code == 2
     assert json.loads(err)["kind"] == "cap_exceeded"
+
+# ---------------------------------------------------------------------------
+# Run sizes fail loudly: exit 1 with JSON on stderr, never a traceback
+
+
+def _hyper_config(tmp_path, **params) -> Path:
+    cfg = {
+        "protocol": "hypergraph",
+        "target": str((DATA / "triple.json").resolve()),
+        "params": {"mode": "desk", "k": 10, "m": 0, "epsilon": 0.1, **params},
+        "prover": {"kind": "honest"},
+        "seed": 5,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def assert_config_error(code, out, err, needle):
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["kind"] == "config"
+    assert needle in doc["error"]
+
+
+def test_verify_zero_runs_is_config_error(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["verify", "--config", str(_hyper_config(tmp_path)), "--runs", "0"], capsys
+    )
+    assert_config_error(code, out, err, "runs must be at least 1")
+
+
+def test_verify_negative_runs_is_config_error(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["verify", "--config", str(_hyper_config(tmp_path)), "--runs", "-3"], capsys
+    )
+    assert_config_error(code, out, err, "runs must be at least 1")
+
+
+def test_verify_null_k_is_config_error(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["verify", "--config", str(_hyper_config(tmp_path, k=None))], capsys
+    )
+    assert_config_error(code, out, err, "k must be a number")
+
+
+def test_robustness_zero_k_is_config_error(capsys):
+    code, out, err = run_cli(
+        [
+            "robustness", "--target", str(DATA / "triple.json"),
+            "--eps-prime", "0", "-k", "0", "--runs", "2", "--seed", "1",
+        ],
+        capsys,
+    )
+    assert_config_error(code, out, err, "k must be at least 1")
+
+
+def test_robustness_zero_runs_is_config_error(capsys):
+    code, out, err = run_cli(
+        [
+            "robustness", "--target", str(DATA / "triple.json"),
+            "--eps-prime", "0", "-k", "5", "--runs", "0", "--seed", "1",
+        ],
+        capsys,
+    )
+    assert_config_error(code, out, err, "runs must be at least 1")
+
+
+# The triple target has 3 vertices, so a desk run holds 3*k + m + 1 registers;
+# with m = 0 the smallest k over the cap of 1_000_000 is 333_334.
+SMALLEST_K_OVER_CAP = 333_334
+
+
+def test_verify_desk_mode_enforces_the_register_cap(tmp_path, capsys):
+    config = _hyper_config(tmp_path, k=SMALLEST_K_OVER_CAP)
+    code, out, err = run_cli(["verify", "--config", str(config)], capsys)
+    assert_config_error(code, out, err, "report-only")
+
+
+def test_robustness_enforces_the_register_cap(capsys):
+    code, out, err = run_cli(
+        [
+            "robustness", "--target", str(DATA / "triple.json"), "--eps-prime", "0",
+            "-k", str(SMALLEST_K_OVER_CAP), "--runs", "1", "--seed", "1",
+        ],
+        capsys,
+    )
+    assert_config_error(code, out, err, "report-only")
+
+
+def test_verify_prepares_the_target_once(tmp_path, capsys, monkeypatch):
+    from pauliverify import cli, hamiltonians
+
+    calls = []
+    original = hamiltonians.exact_diagonalize
+
+    def counting(h):
+        calls.append(h.n)
+        return original(h)
+
+    monkeypatch.setattr(hamiltonians, "exact_diagonalize", counting)
+    monkeypatch.setattr(cli, "exact_diagonalize", counting)
+    target = tmp_path / "ring.json"
+    target.write_text(json.dumps({
+        "n_qubits": 3,
+        "terms": [
+            {"pauli": "ZZI", "coeff": 1.0}, {"pauli": "IZZ", "coeff": 0.7},
+            {"pauli": "XII", "coeff": 0.4}, {"pauli": "IXI", "coeff": 0.3},
+        ],
+    }))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "target": str(target), "params": {"mode": "desk", "k": 20}, "seed": 3,
+    }))
+    code, out, _ = run_cli(["verify", "--config", str(config), "--runs", "6"], capsys)
+    assert code == 0
+    assert len(json.loads(out)["reports"]) == 6
+    assert len(calls) <= 2  # rescale and the ground projector, not once per run

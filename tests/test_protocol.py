@@ -9,8 +9,10 @@ from pauliverify.hamiltonians import HamiltonianSpec, exact_diagonalize, rescale
 from pauliverify.hypergraphs import adaptive_form, all_adaptive_forms, build_state, hypergraph
 from pauliverify.paulis import CapExceededError, PauliString
 from pauliverify.protocol import (
+    EXECUTABLE_REGISTER_CAP,
     EntangledRegisters,
     ProtocolParams,
+    check_executable,
     choose_layout,
     circuit_group_threshold,
     classically_correlated_prover,
@@ -311,6 +313,28 @@ def test_entangled_demo_collapses_to_branches():
 def test_entangled_cap_enforced():
     with pytest.raises(CapExceededError):
         EntangledRegisters(4, 4, np.zeros(1 << 16))
+
+
+def test_entangled_cap_checked_before_the_joint_state_is_built():
+    g = hypergraph(3, [(0, 1, 2)])
+    good = build_state(g)
+    prover = entangled_demo_prover(good, apply_pauli(good, PauliString.from_axes("ZII")), 0.5)
+    with pytest.raises(CapExceededError):
+        prover.make_source(5, np.random.default_rng(0))  # 15 qubits
+
+
+def test_register_cap_boundary():
+    at_cap = desk_params("hypergraph", 3, k=(EXECUTABLE_REGISTER_CAP - 1) // 3)
+    assert at_cap.n_registers == EXECUTABLE_REGISTER_CAP
+    check_executable(at_cap)
+    over = desk_params("hypergraph", 3, k=at_cap.k + 1)
+    with pytest.raises(ValueError, match="report-only"):
+        check_executable(over)
+    g = hypergraph(3, [(0, 1, 2)])
+    with pytest.raises(ValueError, match="report-only"):
+        run_hypergraph_protocol(
+            g, all_adaptive_forms(g), honest_prover(build_state(g)), over, seed=1
+        )
 
 
 def test_register_count_and_width_validation():
