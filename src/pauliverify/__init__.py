@@ -50,7 +50,6 @@ from .hypergraphs import (
     connectivity,
     hypergraph,
     load_hypergraph,
-    random_bms_hypergraph,
     random_bms_instance,
     stabilizer_dense,
 )
@@ -78,6 +77,7 @@ from .single_copy import (
     stabilizer_test_exact_ppass,
 )
 from .protocol import (
+    PreparedTarget,
     ProtocolParams,
     ProverModel,
     VerdictReport,
@@ -87,6 +87,7 @@ from .protocol import (
     entangled_demo_prover,
     honest_prover,
     iid_deviated_prover,
+    prepare,
     run_circuit_protocol,
     run_ground_protocol,
     run_hypergraph_protocol,

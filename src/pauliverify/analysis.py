@@ -6,43 +6,18 @@ closed-form value.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
-from .hypergraphs import AdaptiveStabilizerForm, HypergraphSpec, build_state
+from .hypergraphs import HypergraphSpec, build_state
 from .paulis import PauliString
-from .single_copy import adaptive_test_exact_ppass
-from .states import (
-    DenseState,
-    apply_pauli,
-    outcome_distribution,
-    overlap,
-    pure_state,
-    to_density,
-)
-from .protocol import (
-    ProtocolParams,
-    hypergraph_group_threshold,
-    iid_deviated_prover,
-    run_hypergraph_protocol,
-    run_seeds,
-)
+from .states import DenseState, apply_pauli, outcome_distribution, overlap, to_density
+from .protocol import PreparedTarget, ProtocolParams, iid_deviated_prover, run_seeds
 
 SAMPLING_HARDNESS_THRESHOLD = Fraction(1, 192)
-
-
-def max_workers() -> int:
-    """Worker cap for embarrassingly parallel sweeps (PAULIVERIFY_THREADS)."""
-    try:
-        return max(1, int(os.environ.get("PAULIVERIFY_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def quantity(value, mode: str, **extra) -> dict:
@@ -224,13 +199,18 @@ def binomial_tail_ge(k: int, p: float, threshold: Fraction) -> float:
     m = -((-threshold.numerator * k) // threshold.denominator)  # ceil(thr*k)
     if m > k:
         return 0.0
+    from scipy import stats  # imported here: scipy is most of the CLI's startup
+
     return float(stats.binom.sf(m - 1, k, p))
+
 
 def binomial_tail_le(k: int, p: float, threshold: Fraction) -> float:
     """P[K/k <= threshold] exactly."""
     m = (threshold.numerator * k) // threshold.denominator  # floor(thr*k)
     if m < 0:
         return 0.0
+    from scipy import stats  # imported here: scipy is most of the CLI's startup
+
     return float(stats.binom.cdf(m, k, p))
 
 
@@ -286,170 +266,49 @@ def acceptance_bound(n: int, k: int, epsilon: float, eps_prime: float) -> float:
     return 1.0 - n * float(np.exp(-2.0 * (eps_prime - epsilon) ** 2 * k))
 
 
-def _sweep_point(
-    g: HypergraphSpec,
-    forms: Sequence[AdaptiveStabilizerForm],
-    eta: DenseState,
-    eps_prime: float,
-    params: ProtocolParams,
-    runs: int,
-    seed: int,
-) -> SweepPoint:
-    ideal = build_state(g)
-    prover = iid_deviated_prover(ideal, eps_prime, eta)
-    accepted = 0
-    for s in run_seeds(seed, runs):
-        accepted += run_hypergraph_protocol(g, forms, prover, params, s).accepted
-    rate = accepted / runs
-
-    source = prover.make_source(1, np.random.default_rng(0))
-    rho = source.register_state(0)
-    ppass = tuple(adaptive_test_exact_ppass(rho, f) for f in forms)
-    threshold = hypergraph_group_threshold(params.epsilon)
-    predicted = 1.0
-    for p in ppass:
-        predicted *= binomial_tail_ge(params.k, p, threshold)
-    return SweepPoint(
-        eps_prime=eps_prime,
-        runs=runs,
-        accepted=accepted,
-        acceptance_rate=rate,
-        mc_sigma=float(np.sqrt(max(predicted * (1 - predicted), 0.0) / runs)),
-        per_group_ppass=ppass,
-        predicted_acceptance=predicted,
-        bound=acceptance_bound(params.n, params.k, float(params.epsilon), eps_prime),
-        bound_label="stated",
-        bound_valid=eps_prime <= float(params.epsilon),
-    )
-
-
-def _parallel_points(jobs, point_fn) -> list[SweepPoint]:
-    workers = min(max_workers(), max(len(jobs), 1))
-    if workers <= 1:
-        return [point_fn(*job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda job: point_fn(*job), jobs))
-
-
 def robustness_sweep(
-    g: HypergraphSpec,
-    forms: Sequence[AdaptiveStabilizerForm],
+    prepared: PreparedTarget,
     eta: DenseState,
     eps_primes: Sequence[float],
     params: ProtocolParams,
     runs: int,
     seed: int,
 ) -> list[SweepPoint]:
-    """Measured acceptance of deviated provers against the stated bound.
+    """Measured acceptance of i.i.d.-deviated provers against the acceptance bound.
 
-    Points are independent; PAULIVERIFY_THREADS parallelizes them without
-    changing any result (each point derives its own seed chain).
+    Each point derives its own seed chain from ``seed``.  The bound is stated
+    for hypergraph targets; for the others it reuses that functional form
+    over their groups and is labeled "extrapolated".
     """
-    point_seeds = run_seeds(seed, len(eps_primes))
-    jobs = [
-        (g, forms, eta, float(ep), params, runs, s)
-        for ep, s in zip(eps_primes, point_seeds)
-    ]
-    return _parallel_points(jobs, _sweep_point)
-
-
-def robustness_sweep_ground(
-    rh,
-    projector,
-    eta: DenseState,
-    eps_primes: Sequence[float],
-    params: ProtocolParams,
-    runs: int,
-    seed: int,
-) -> list[SweepPoint]:
-    """Deviated-prover sweep for the ground protocol.
-
-    The bound curve reuses the hypergraph functional form with one group; it
-    is labeled "extrapolated" because no closed form is stated for this case.
-    """
-    from .protocol import ground_accept_threshold, run_ground_protocol
-    from .single_copy import energy_test_exact_ppass
-
-    ideal = _ground_ideal(rh)
-
-    def point(eps_prime: float, point_seed: int) -> SweepPoint:
-        prover = iid_deviated_prover(ideal, eps_prime, eta)
+    thresholds = prepared.thresholds(params.epsilon)
+    tail = binomial_tail_le if prepared.comparison == "<=" else binomial_tail_ge
+    label = "stated" if prepared.protocol == "hypergraph" else "extrapolated"
+    points = []
+    for eps_prime, point_seed in zip(eps_primes, run_seeds(seed, len(eps_primes))):
+        eps_prime = float(eps_prime)
+        prover = iid_deviated_prover(prepared.ideal, eps_prime, eta)
         accepted = 0
         for s in run_seeds(point_seed, runs):
-            accepted += run_ground_protocol(rh, projector, prover, params, s).accepted
-        rate = accepted / runs
+            accepted += prepared.run(prover, params, s).accepted
         rho = prover.make_source(1, np.random.default_rng(0)).register_state(0)
-        p = energy_test_exact_ppass(rho, rh)
-        threshold = ground_accept_threshold(params.epsilon, rh.l1_norm)
-        predicted = binomial_tail_le(params.k, p, threshold)
-        return SweepPoint(
-            eps_prime=eps_prime,
-            runs=runs,
-            accepted=accepted,
-            acceptance_rate=rate,
-            mc_sigma=float(np.sqrt(max(predicted * (1 - predicted), 0.0) / runs)),
-            per_group_ppass=(p,),
-            predicted_acceptance=predicted,
-            bound=acceptance_bound(1, params.k, float(params.epsilon), eps_prime),
-            bound_label="extrapolated",
-            bound_valid=eps_prime <= float(params.epsilon),
-        )
-
-    point_seeds = run_seeds(seed, len(eps_primes))
-    return _parallel_points(
-        [(float(ep), s) for ep, s in zip(eps_primes, point_seeds)], point
-    )
-
-
-def robustness_sweep_circuit(
-    decomps,
-    ideal: DenseState,
-    eta: DenseState,
-    eps_primes: Sequence[float],
-    params: ProtocolParams,
-    runs: int,
-    seed: int,
-) -> list[SweepPoint]:
-    """Deviated-prover sweep for the circuit protocol (extrapolated bound)."""
-    from .protocol import circuit_group_threshold, run_circuit_protocol
-    from .single_copy import stabilizer_test_exact_ppass
-
-    def point(eps_prime: float, point_seed: int) -> SweepPoint:
-        prover = iid_deviated_prover(ideal, eps_prime, eta)
-        accepted = 0
-        for s in run_seeds(point_seed, runs):
-            accepted += run_circuit_protocol(
-                decomps, ideal, prover, params, s
-            ).accepted
-        rate = accepted / runs
-        rho = prover.make_source(1, np.random.default_rng(0)).register_state(0)
-        ppass = tuple(stabilizer_test_exact_ppass(rho, d) for d in decomps)
+        ppass = prepared.group_ppass(rho)
         predicted = 1.0
-        for p, d in zip(ppass, decomps):
-            predicted *= binomial_tail_ge(
-                params.k, p, circuit_group_threshold(params.epsilon, d.l1_norm)
+        for p, threshold in zip(ppass, thresholds):
+            predicted *= tail(params.k, p, threshold)
+        points.append(
+            SweepPoint(
+                eps_prime=eps_prime,
+                runs=runs,
+                accepted=accepted,
+                acceptance_rate=accepted / runs,
+                mc_sigma=float(np.sqrt(max(predicted * (1 - predicted), 0.0) / runs)),
+                per_group_ppass=ppass,
+                predicted_acceptance=predicted,
+                bound=acceptance_bound(
+                    len(thresholds), params.k, float(params.epsilon), eps_prime
+                ),
+                bound_label=label,
+                bound_valid=eps_prime <= float(params.epsilon),
             )
-        return SweepPoint(
-            eps_prime=eps_prime,
-            runs=runs,
-            accepted=accepted,
-            acceptance_rate=rate,
-            mc_sigma=float(np.sqrt(max(predicted * (1 - predicted), 0.0) / runs)),
-            per_group_ppass=ppass,
-            predicted_acceptance=predicted,
-            bound=acceptance_bound(params.n, params.k, float(params.epsilon), eps_prime),
-            bound_label="extrapolated",
-            bound_valid=eps_prime <= float(params.epsilon),
         )
-
-    point_seeds = run_seeds(seed, len(eps_primes))
-    return _parallel_points(
-        [(float(ep), s) for ep, s in zip(eps_primes, point_seeds)], point
-    )
-
-
-def _ground_ideal(rh) -> DenseState:
-    """A pure state in the kernel of the rescaled Hamiltonian."""
-    _, evecs = np.linalg.eigh(rh.dense())
-    vec = evecs[:, 0]
-    return pure_state(vec / np.linalg.norm(vec), rh.n)
+    return points

@@ -10,11 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -22,52 +19,37 @@ from . import analysis, reporting
 from .circuits import (
     CircuitSpec,
     all_stabilizer_decompositions,
-    build_circuit_state,
     check_circuit_conditions,
     load_circuit,
 )
-from .hamiltonians import (
-    HamiltonianSpec,
-    check_conditions,
-    exact_diagonalize,
-    ground_state,
-    load_hamiltonian,
-    rescale,
-)
+from .hamiltonians import HamiltonianSpec, check_conditions, load_hamiltonian, rescale
 from .hypergraphs import (
     HypergraphSpec,
     adaptive_form,
     all_adaptive_forms,
-    build_state,
     connectivity,
     hypergraph_to_jsonable,
     load_hypergraph,
     random_bms_instance,
     stabilizer_dense,
 )
-from .paulis import CapExceededError, DENSE_QUBIT_CAP, PauliString
+from .paulis import CapExceededError, PauliString
 from .protocol import (
+    PROTOCOL_FOR_KIND,
     ProtocolParams,
     ProverModel,
-    VerdictReport,
     classically_correlated_prover,
     coherent_error_prover,
     desk_params,
     entangled_demo_prover,
     honest_prover,
     iid_deviated_prover,
-    run_circuit_protocol,
-    run_ground_protocol,
-    run_hypergraph_protocol,
+    prepare,
     run_seeds,
     schedule_epsilon,
     schedule_params,
 )
-from .single_copy import (
-    adaptive_test_exact_ppass,
-    energy_test_exact_ppass,
-    stabilizer_test_exact_ppass,
-)
+from .single_copy import adaptive_test_exact_ppass
 from .states import DenseState, apply_pauli, maximally_mixed, mixed_state, to_density
 
 
@@ -100,14 +82,6 @@ def load_target(path: str | Path):
     raise ValueError(f"{path}: not a hypergraph, circuit, or Hamiltonian file")
 
 
-def ideal_state_of(kind: str, target) -> DenseState:
-    if kind == "hypergraph":
-        return build_state(target)
-    if kind == "circuit":
-        return build_circuit_state(target)
-    return ground_state(target)
-
-
 def parse_state_spec(spec: str, ideal: DenseState) -> DenseState:
     """State selectors for the ppass subcommand.
 
@@ -130,6 +104,14 @@ def parse_state_spec(spec: str, ideal: DenseState) -> DenseState:
     if spec.startswith("pauli:"):
         return apply_pauli(ideal, PauliString.from_axes(spec.split(":", 1)[1]))
     raise ValueError(f"unknown state spec {spec!r}")
+
+
+def _config_object(cfg: dict, key: str, default: dict) -> dict:
+    """``cfg[key]`` as a JSON object; any other value is a config error."""
+    value = cfg.get(key, default)
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be a JSON object, got {json.dumps(value)}")
+    return value
 
 
 def _config_number(cfg: dict, key: str, cast=float, default=None):
@@ -331,109 +313,62 @@ def cmd_inspect(args) -> int:
 
 def cmd_ppass(args) -> int:
     kind, target, _ = load_target(args.target)
-    ideal = ideal_state_of(kind, target)
-    state = parse_state_spec(args.state, ideal)
+    prepared = prepare(kind, target)
+    state = parse_state_spec(args.state, prepared.ideal)
     result = {
         "command": "ppass",
         "target": str(args.target),
         "kind": kind,
         "state": args.state,
     }
-    if kind == "hamiltonian":
-        rh = rescale(target)
-        result["p_pass"] = analysis.quantity(
-            energy_test_exact_ppass(state, rh), "exact"
-        )
-        result["l1_norm"] = rh.l1_norm
-    elif kind == "circuit":
-        decomps = all_stabilizer_decompositions(target)
-        result["p_pass_per_qubit"] = [
-            analysis.quantity(stabilizer_test_exact_ppass(state, d), "exact")
-            for d in decomps
-        ]
-        result["l1_per_qubit"] = [d.l1_norm for d in decomps]
-    else:
-        forms = all_adaptive_forms(target)
+    if kind == "hypergraph":
+        # <g> from the dense stabilizer, not the branch sum of group_ppass;
+        # the two can differ in the last bit
         result["p_pass_per_vertex"] = [
             analysis.quantity(
                 adaptive_test_exact_ppass(state, f, stabilizer_dense(target, f.vertex)),
                 "exact",
             )
-            for f in forms
+            for f in all_adaptive_forms(target)
         ]
+    else:
+        ppass = [analysis.quantity(p, "exact") for p in prepared.group_ppass(state)]
+        if kind == "hamiltonian":
+            result["p_pass"] = ppass[0]
+            result["l1_norm"] = prepared.l1_norm
+        else:
+            result["p_pass_per_qubit"] = ppass
+            result["l1_per_qubit"] = list(prepared.group_l1)
     _emit(result, args.out)
     return 0
-
-
-@dataclass(frozen=True)
-class PreparedTarget:
-    """What every run of one target needs, computed once per verify call.
-
-    ``l1_norm`` is the norm the paper schedules scale with (None for
-    hypergraphs); ``run(prover, params, seed, record_trials)`` is one
-    protocol run.
-    """
-
-    ideal: DenseState
-    l1_norm: float | None
-    run: Callable[[ProverModel, ProtocolParams, int, bool], VerdictReport]
-
-
-def prepare_target(kind: str, target) -> PreparedTarget:
-    if kind == "hamiltonian":
-        rh = rescale(target)
-        projector = (
-            exact_diagonalize(target).projector if target.n <= DENSE_QUBIT_CAP else None
-        )
-        return PreparedTarget(
-            ground_state(target), rh.l1_norm, partial(run_ground_protocol, rh, projector)
-        )
-    if kind == "circuit":
-        decomps = all_stabilizer_decompositions(target)
-        ideal = build_circuit_state(target)
-        return PreparedTarget(
-            ideal,
-            max(d.l1_norm for d in decomps),
-            partial(run_circuit_protocol, decomps, ideal),
-        )
-    return PreparedTarget(
-        build_state(target),
-        None,
-        partial(run_hypergraph_protocol, target, all_adaptive_forms(target)),
-    )
-
-
-_PROTOCOL_FOR_KIND = {
-    "hamiltonian": "ground",
-    "circuit": "circuit",
-    "hypergraph": "hypergraph",
-}
 
 
 def cmd_verify(args) -> int:
     config_path = Path(args.config)
     cfg = json.loads(config_path.read_text())
+    if not isinstance(cfg, dict):
+        raise ValueError(f"the config must be a JSON object, got {json.dumps(cfg)}")
+    params_cfg = _config_object(cfg, "params", {})
+    prover_cfg = _config_object(cfg, "prover", {"kind": "honest"})
     if args.mode is not None:
-        cfg.setdefault("params", {})["mode"] = args.mode
+        params_cfg["mode"] = args.mode
+        cfg["params"] = params_cfg
     target_ref = cfg["target"]
     target_path = Path(target_ref)
     if not target_path.is_absolute():
         target_path = config_path.parent / target_path
     kind, target, _ = load_target(target_path)
-    protocol = cfg.get("protocol", _PROTOCOL_FOR_KIND[kind])
-    if protocol != _PROTOCOL_FOR_KIND[kind]:
+    protocol = cfg.get("protocol", PROTOCOL_FOR_KIND[kind])
+    if protocol != PROTOCOL_FOR_KIND[kind]:
         raise ValueError(
             f"target file is a {kind}, which runs the "
-            f"{_PROTOCOL_FOR_KIND[kind]} protocol, not {protocol!r}"
+            f"{PROTOCOL_FOR_KIND[kind]} protocol, not {protocol!r}"
         )
 
     runs = args.runs
-    prepared = prepare_target(kind, target)
-    params = params_from_config(
-        protocol, target.n, cfg.get("params", {}), prepared.l1_norm, runs
-    )
-
-    prover = prover_from_config(cfg.get("prover", {"kind": "honest"}), prepared.ideal)
+    prepared = prepare(kind, target)
+    params = params_from_config(protocol, target.n, params_cfg, prepared.l1_norm, runs)
+    prover = prover_from_config(prover_cfg, prepared.ideal)
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         seed = _fresh_seed()
@@ -502,29 +437,17 @@ def cmd_robustness(args) -> int:
     eps_primes = [float(x) for x in args.eps_prime.split(",") if x != ""]
     k = args.trials
     check_run_sizes(k, args.m, args.runs)
+    protocol = PROTOCOL_FOR_KIND[kind]
     eps = (
         Fraction(str(args.epsilon))
         if args.epsilon is not None
-        else schedule_epsilon(_PROTOCOL_FOR_KIND[kind], target.n, k)
+        else schedule_epsilon(protocol, target.n, k)
     )
-    params = desk_params(_PROTOCOL_FOR_KIND[kind], target.n, k=k, m=args.m, epsilon=eps)
+    params = desk_params(protocol, target.n, k=k, m=args.m, epsilon=eps)
     eta = maximally_mixed(target.n)
-    if kind == "hypergraph":
-        points = analysis.robustness_sweep(
-            target, all_adaptive_forms(target), eta, eps_primes, params, args.runs, seed
-        )
-    elif kind == "hamiltonian":
-        rh = rescale(target)
-        projector = exact_diagonalize(target).projector
-        points = analysis.robustness_sweep_ground(
-            rh, projector, eta, eps_primes, params, args.runs, seed
-        )
-    else:
-        decomps = all_stabilizer_decompositions(target)
-        ideal = build_circuit_state(target)
-        points = analysis.robustness_sweep_circuit(
-            decomps, ideal, eta, eps_primes, params, args.runs, seed
-        )
+    points = analysis.robustness_sweep(
+        prepare(kind, target), eta, eps_primes, params, args.runs, seed
+    )
     out = {
         "command": "robustness",
         "target": str(args.target),

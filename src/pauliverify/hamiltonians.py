@@ -21,6 +21,7 @@ from .paulis import (
     merge_pauli_terms,
     pauli_sum_dense,
 )
+from .states import DenseState, pure_state
 
 # Eigenvalues closer than this are treated as one degenerate level.
 DEGENERACY_TOL = 1e-9
@@ -64,25 +65,25 @@ class DiagonalizationResult:
     e0: float
     e1: float | None  # None when the spectrum has a single level
     projector: np.ndarray  # onto the ground-energy eigenspace
+    ground: DenseState  # one deterministic ground-space eigenvector
 
 
 def exact_diagonalize(h: HamiltonianSpec) -> DiagonalizationResult:
-    """Ground energy, first excitation energy, and ground-space projector."""
+    """Ground energy, first excitation energy, ground-space projector and ground state."""
     evals, evecs = np.linalg.eigh(h.dense())
     e0 = float(evals[0])
     ground = evecs[:, evals <= e0 + DEGENERACY_TOL]
     above = evals[evals > e0 + DEGENERACY_TOL]
     e1 = float(above[0]) if above.size else None
-    return DiagonalizationResult(e0, e1, ground @ ground.conj().T)
-
-
-def ground_state(h: HamiltonianSpec):
-    """One deterministic ground-space eigenvector as a pure state."""
-    from .states import pure_state
-
-    _, evecs = np.linalg.eigh(h.dense())
     vec = evecs[:, 0]
-    return pure_state(vec / np.linalg.norm(vec), h.n)
+    return DiagonalizationResult(
+        e0, e1, ground @ ground.conj().T, pure_state(vec / np.linalg.norm(vec), h.n)
+    )
+
+
+def ground_state(h: HamiltonianSpec) -> DenseState:
+    """One deterministic ground-space eigenvector as a pure state."""
+    return exact_diagonalize(h).ground
 
 
 @dataclass(frozen=True)
@@ -112,22 +113,27 @@ class RescaledHamiltonian:
 
 
 def rescale(
-    h: HamiltonianSpec, drop_threshold: float = DROP_THRESHOLD
+    h: HamiltonianSpec,
+    drop_threshold: float = DROP_THRESHOLD,
+    diag: DiagonalizationResult | None = None,
 ) -> RescaledHamiltonian:
     """Build the rescaled form, diagonalizing first when E0 or the gap is absent.
 
-    Runs that had to compute E0/D themselves are marked ``oracle_assisted``.
+    A caller that has diagonalized ``h`` already passes the result as
+    ``diag``.  Runs that had to compute E0/D themselves are marked
+    ``oracle_assisted``.
     """
     e0 = h.ground_energy
     gap = h.gap_lower_bound
     oracle_assisted = False
     if e0 is None or gap is None:
-        if h.n > DENSE_QUBIT_CAP:
-            raise CapExceededError(
-                "E0 and the gap were not supplied and the register is too wide "
-                "to diagonalize"
-            )
-        diag = exact_diagonalize(h)
+        if diag is None:
+            if h.n > DENSE_QUBIT_CAP:
+                raise CapExceededError(
+                    "E0 and the gap were not supplied and the register is too wide "
+                    "to diagonalize"
+                )
+            diag = exact_diagonalize(h)
         if e0 is None:
             e0 = diag.e0
         if gap is None:

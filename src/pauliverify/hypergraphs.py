@@ -294,12 +294,6 @@ def random_bms_instance(
     return hypergraph(n, edges), z_layer
 
 
-def random_bms_hypergraph(
-    n: int, edge_prob: float, rng: np.random.Generator
-) -> HypergraphSpec:
-    return random_bms_instance(n, edge_prob, rng)[0]
-
-
 def load_hypergraph(source: str | Path | dict) -> tuple[HypergraphSpec, tuple[int, ...]]:
     """Read {"n_vertices": int, "edges": [[int,...]], "z_layer"?: [int,...]}."""
     if isinstance(source, dict):

@@ -20,11 +20,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuits import StabilizerDecomposition
-from .hamiltonians import RescaledHamiltonian
-from .hypergraphs import AdaptiveStabilizerForm, HypergraphSpec, build_state
+from .circuits import (
+    StabilizerDecomposition,
+    all_stabilizer_decompositions,
+    build_circuit_state,
+)
+from .hamiltonians import RescaledHamiltonian, exact_diagonalize, rescale
+from .hypergraphs import AdaptiveStabilizerForm, all_adaptive_forms, build_state
 from .paulis import CapExceededError, DENSE_QUBIT_CAP, PauliString
-from .single_copy import AdaptiveTest, ParityTest
+from .single_copy import (
+    AdaptiveTest,
+    ParityTest,
+    adaptive_test_exact_ppass,
+    energy_test_exact_ppass,
+    stabilizer_test_exact_ppass,
+)
 from .states import (
     BASIS_ROTATIONS,
     DenseState,
@@ -39,6 +49,16 @@ from .states import (
 )
 
 PROTOCOLS = ("ground", "circuit", "hypergraph")
+
+# The protocol each kind of target file runs.
+PROTOCOL_FOR_KIND = {
+    "hamiltonian": "ground",
+    "circuit": "circuit",
+    "hypergraph": "hypergraph",
+}
+
+# Ground accepts a LOW pass rate; the circuit and hypergraph groups a high one.
+COMPARISON = {"ground": "<=", "circuit": ">=", "hypergraph": ">="}
 
 ENTANGLED_TOTAL_QUBIT_CAP = 12
 
@@ -227,6 +247,21 @@ def hypergraph_group_threshold(epsilon: Fraction) -> Fraction:
     return 1 - epsilon
 
 
+def group_thresholds(
+    protocol: str, epsilon: Fraction, group_l1: Sequence[float]
+) -> list[Fraction]:
+    """Each group's exact pass-rate threshold, compared by ``COMPARISON[protocol]``.
+
+    ``group_l1[i]`` is the l1 norm of group i's sampled Pauli sum (1 for the
+    adaptive test, whose pass rate (1 + <g>)/2 is the unit-norm case).
+    """
+    if protocol == "ground":
+        return [ground_accept_threshold(epsilon, l1) for l1 in group_l1]
+    if protocol == "circuit":
+        return [circuit_group_threshold(epsilon, l1) for l1 in group_l1]
+    return [hypergraph_group_threshold(epsilon) for _ in group_l1]
+
+
 # ---------------------------------------------------------------------------
 # Register sources
 
@@ -341,13 +376,17 @@ def honest_prover(ideal: DenseState) -> ProverModel:
 def iid_deviated_prover(
     ideal: DenseState, epsilon_prime: float, eta: DenseState
 ) -> ProverModel:
-    """Every register carries (1 - eps') ideal + eps' eta."""
+    """Every register carries (1 - eps') ideal + eps' eta; at eps' = 0, the ideal itself."""
     if not 0.0 <= epsilon_prime <= 1.0:
         raise ValueError("epsilon_prime must lie in [0, 1]")
-    rho = mixed_state(
-        (1.0 - epsilon_prime) * to_density(ideal).data + epsilon_prime * to_density(eta).data
-    )
-    state = ideal if epsilon_prime == 0.0 else rho
+    if eta.n != ideal.n:
+        raise ValueError("eta and the ideal state differ in width")
+    state = ideal
+    if epsilon_prime > 0.0:
+        state = mixed_state(
+            (1.0 - epsilon_prime) * to_density(ideal).data
+            + epsilon_prime * to_density(eta).data
+        )
 
     def make(n_registers, rng):
         return ProductRegisters(ideal.n, n_registers, state)
@@ -517,18 +556,18 @@ def _run_protocol(
     prover: ProverModel,
     seed: int,
     tests: Sequence[ParityTest | AdaptiveTest],
-    thresholds: Sequence[Fraction],
-    comparison: str,
+    group_l1: Sequence[float],
     fidelity: Callable[[DenseState], float] | None,
     record_trials: bool,
 ) -> VerdictReport:
     """The one protocol engine: layout, one group of k tests per kernel, verdicts.
 
     Group i tests k registers with ``tests[i]`` and passes when its rate
-    compares to ``thresholds[i]`` by ``comparison``.  A product source is
-    sampled a whole group at a time; any other source (the entangled demo)
-    runs the scalar trial loop, because each measurement conditions its
-    joint state.  Both paths consume the test stream in the same order.
+    compares to its ``group_thresholds`` entry by ``COMPARISON``.  A product
+    source is sampled a whole group at a time; any other source (the
+    entangled demo) runs the scalar trial loop, because each measurement
+    conditions its joint state.  Both paths consume the test stream in the
+    same order.
     """
     check_executable(params)
     rng_layout, rng_prover, rng_tests = _run_rngs(seed)
@@ -539,6 +578,8 @@ def _run_protocol(
     _, target, rest = choose_layout(n_reg, params.m, rng_layout)
     groups = rest.reshape(len(tests), params.k)
     state = source.state if isinstance(source, ProductRegisters) else None
+    thresholds = group_thresholds(protocol, params.epsilon, group_l1)
+    comparison = COMPARISON[protocol]
 
     results = []
     records = [] if record_trials else None
@@ -602,11 +643,10 @@ def run_ground_protocol(
         raise ValueError("params are not for the ground protocol")
     if rh.n != params.n:
         raise ValueError("Hamiltonian width does not match the parameters")
-    threshold = ground_accept_threshold(params.epsilon, rh.l1_norm)
     fidelity = None if projector is None else partial(projector_overlap, projector=projector)
     return _run_protocol(
-        "ground", params, prover, seed, [ParityTest.of(rh)], [threshold], "<=",
-        fidelity, record_trials,
+        "ground", params, prover, seed, [ParityTest.of(rh)], [rh.l1_norm], fidelity,
+        record_trials,
     )
 
 
@@ -624,17 +664,16 @@ def run_circuit_protocol(
     decomps = sorted(decomps, key=lambda d: d.qubit)
     if [d.qubit for d in decomps] != list(range(params.n)):
         raise ValueError("need one stabilizer decomposition per qubit")
-    thresholds = [circuit_group_threshold(params.epsilon, d.l1_norm) for d in decomps]
     fidelity = None if ideal is None else partial(overlap, reference=ideal)
     return _run_protocol(
         "circuit", params, prover, seed, [ParityTest.of(d) for d in decomps],
-        thresholds, ">=", fidelity, record_trials,
+        [d.l1_norm for d in decomps], fidelity, record_trials,
     )
 
 
 def run_hypergraph_protocol(
-    g: HypergraphSpec,
     forms: Sequence[AdaptiveStabilizerForm],
+    ideal: DenseState | None,
     prover: ProverModel,
     params: ProtocolParams,
     seed: int,
@@ -644,14 +683,12 @@ def run_hypergraph_protocol(
     if params.protocol != "hypergraph":
         raise ValueError("params are not for the hypergraph protocol")
     forms = sorted(forms, key=lambda f: f.vertex)
-    if [f.vertex for f in forms] != list(range(params.n)) or g.n != params.n:
+    if [f.vertex for f in forms] != list(range(params.n)) or forms[0].n != params.n:
         raise ValueError("need one adaptive form per vertex")
-    ideal = build_state(g) if g.n <= DENSE_QUBIT_CAP else None
-    threshold = hypergraph_group_threshold(params.epsilon)
     fidelity = None if ideal is None else partial(overlap, reference=ideal)
     return _run_protocol(
         "hypergraph", params, prover, seed, [AdaptiveTest(f) for f in forms],
-        [threshold] * params.n, ">=", fidelity, record_trials,
+        [1.0] * params.n, fidelity, record_trials,
     )
 
 
@@ -659,3 +696,79 @@ def run_seeds(master_seed: int, n_runs: int) -> list[int]:
     """Per-run seeds derived reproducibly from one master seed."""
     rng = np.random.default_rng(master_seed)
     return [int(s) for s in rng.integers(0, 2**63 - 1, size=n_runs)]
+
+
+# ---------------------------------------------------------------------------
+# Prepared targets
+
+
+@dataclass(frozen=True)
+class PreparedTarget:
+    """What every run, sweep point and pass probability of one target needs.
+
+    Group i's test passes at rate 1/2 + <g_i>/(2 * group_l1[i]); the
+    adaptive test is the unit-norm case.  ``run(prover, params, seed, record_trials)`` is one protocol run, and
+    ``group_ppass(state)`` is each group's exact pass probability on
+    ``state``.
+    """
+
+    protocol: str
+    ideal: DenseState
+    group_l1: tuple[float, ...]
+    run: Callable[[ProverModel, ProtocolParams, int, bool], VerdictReport]
+    group_ppass: Callable[[DenseState], tuple[float, ...]]
+
+    @property
+    def l1_norm(self) -> float:
+        """The norm the paper schedules scale with: the largest group norm."""
+        return max(self.group_l1)
+
+    @property
+    def comparison(self) -> str:
+        return COMPARISON[self.protocol]
+
+    def thresholds(self, epsilon: Fraction) -> list[Fraction]:
+        return group_thresholds(self.protocol, epsilon, self.group_l1)
+
+
+def prepare(kind: str, target) -> PreparedTarget:
+    """Compute once what every use of a loaded target needs.
+
+    ``kind`` is "hamiltonian", "circuit" or "hypergraph".  A Hamiltonian is
+    diagonalized once: the rescaling, the ground projector and the ideal
+    state all come from that one ``eigh``.
+    """
+    if kind == "hamiltonian":
+        diag = exact_diagonalize(target)
+        rh = rescale(target, diag=diag)
+        return PreparedTarget(
+            "ground",
+            diag.ground,
+            (rh.l1_norm,),
+            partial(run_ground_protocol, rh, diag.projector),
+            lambda rho: (energy_test_exact_ppass(rho, rh),),
+        )
+    if kind == "circuit":
+        decomps = all_stabilizer_decompositions(target)
+        ideal = build_circuit_state(target)
+        return PreparedTarget(
+            "circuit",
+            ideal,
+            tuple(d.l1_norm for d in decomps),
+            partial(run_circuit_protocol, decomps, ideal),
+            lambda rho: tuple(stabilizer_test_exact_ppass(rho, d) for d in decomps),
+        )
+    if kind != "hypergraph":
+        raise ValueError(f"unknown target kind {kind!r}")
+    forms = all_adaptive_forms(target)
+    ideal = build_state(target)
+    # hypergraph reports carry a target fidelity only up to the dense cap
+    return PreparedTarget(
+        "hypergraph",
+        ideal,
+        (1.0,) * target.n,
+        partial(
+            run_hypergraph_protocol, forms, ideal if target.n <= DENSE_QUBIT_CAP else None
+        ),
+        lambda rho: tuple(adaptive_test_exact_ppass(rho, f) for f in forms),
+    )

@@ -42,12 +42,6 @@ def canonical_json(obj) -> str:
     return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
-def write_json(path: str | Path, obj) -> Path:
-    path = Path(path)
-    path.write_text(canonical_json(obj))
-    return path
-
-
 def trials_to_csv_rows(run_index: int, trial_records) -> list[tuple]:
     return [
         (run_index, t.group, t.trial, t.register, t.branch, int(t.passed))

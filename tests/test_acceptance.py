@@ -194,7 +194,7 @@ def test_criterion_4_completeness_at_desk_scale():
         params = desk_params("hypergraph", 4, k=500, m=3, epsilon=0.1)
         prover = honest_prover(build_state(g))
         for seed in run_seeds(MASTER_SEED + 3, 100):
-            rep = run_hypergraph_protocol(g, forms, prover, params, seed)
+            rep = run_hypergraph_protocol(forms, build_state(g), prover, params, seed)
             assert rep.accepted
             assert all(grp.passes == 500 for grp in rep.groups)
 
@@ -254,7 +254,7 @@ def test_criterion_5_soundness_behavior():
         ) == pytest.approx(0.0, abs=1e-12)
         params = desk_params("hypergraph", 4, k=100, m=2, epsilon=0.2)
         for seed in run_seeds(MASTER_SEED + 6, 100):
-            rep = run_hypergraph_protocol(g, forms, flipped, params, seed)
+            rep = run_hypergraph_protocol(forms, ideal, flipped, params, seed)
             assert not rep.accepted
             assert rep.groups[0].passes == 0
 
@@ -296,7 +296,7 @@ def test_criterion_6_robustness_bound():
         # eps' = 0 endpoint: acceptance is exactly 1
         honest = iid_deviated_prover(ideal, 0.0, eta)
         for seed in run_seeds(MASTER_SEED + 8, 20):
-            assert run_hypergraph_protocol(g, forms, honest, params, seed).accepted
+            assert run_hypergraph_protocol(forms, ideal, honest, params, seed).accepted
 
         prover = iid_deviated_prover(ideal, eps_prime, eta)
         rho = prover.make_source(1, np.random.default_rng(0)).register_state(0)
@@ -306,7 +306,7 @@ def test_criterion_6_robustness_bound():
 
         runs = 60
         accepted = sum(
-            run_hypergraph_protocol(g, forms, prover, params, s).accepted
+            run_hypergraph_protocol(forms, ideal, prover, params, s).accepted
             for s in run_seeds(MASTER_SEED + 9, runs)
         )
         measured = accepted / runs

@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -20,9 +19,9 @@ from pauliverify.analysis import (
     trace_distance_fidelity_bounds,
     x_basis_distribution,
 )
-from pauliverify.hypergraphs import all_adaptive_forms, build_state, hypergraph
+from pauliverify.hypergraphs import build_state, hypergraph
 from pauliverify.paulis import PauliString
-from pauliverify.protocol import desk_params, schedule_params
+from pauliverify.protocol import desk_params, prepare, schedule_params
 from pauliverify.states import (
     apply_pauli,
     computational_state,
@@ -192,10 +191,9 @@ def test_quantity_tags():
 
 def test_robustness_sweep_endpoint_and_bound(rng):
     g = hypergraph(3, [(0, 1, 2), (0, 2)])
-    forms = all_adaptive_forms(g)
     params = desk_params("hypergraph", 3, k=60, m=0, epsilon=0.05)
     pts = robustness_sweep(
-        g, forms, maximally_mixed(3), [0.0, 0.02], params, runs=12, seed=5
+        prepare("hypergraph", g), maximally_mixed(3), [0.0, 0.02], params, runs=12, seed=5
     )
     assert pts[0].acceptance_rate == 1.0  # honest endpoint accepts always
     assert pts[0].per_group_ppass == pytest.approx((1.0, 1.0, 1.0))
@@ -213,10 +211,9 @@ def test_robustness_bound_validity_regime(rng):
     # when eps' exceeds eps the formula stops being a lower bound: the point
     # is flagged; within the valid regime a non-vacuous bound really holds
     g = hypergraph(3, [(0, 1, 2), (0, 2)])
-    forms = all_adaptive_forms(g)
     params = desk_params("hypergraph", 3, k=400, m=0, epsilon=0.2)
     pts = robustness_sweep(
-        g, forms, maximally_mixed(3), [0.05, 0.5], params, runs=20, seed=17
+        prepare("hypergraph", g), maximally_mixed(3), [0.05, 0.5], params, runs=20, seed=17
     )
     assert pts[0].bound_valid
     assert pts[0].bound > 0.99  # (eps - eps')^2 * k = 9, so 1 - 3e^-18
@@ -225,19 +222,11 @@ def test_robustness_bound_validity_regime(rng):
     assert pts[1].acceptance_rate < pts[1].bound  # the formula is vacuous here
 
 
-def test_robustness_sweep_threads_do_not_change_results(rng):
+def test_robustness_sweep_is_deterministic():
     g = hypergraph(2, [(0, 1)])
-    forms = all_adaptive_forms(g)
     params = desk_params("hypergraph", 2, k=25, m=1, epsilon=0.1)
-    args = (g, forms, maximally_mixed(2), [0.0, 0.05, 0.1], params, 8, 99)
-    seq = robustness_sweep(*args)
-    saved = os.environ.get("PAULIVERIFY_THREADS")
-    os.environ["PAULIVERIFY_THREADS"] = "3"
-    try:
-        par = robustness_sweep(*args)
-    finally:
-        if saved is None:
-            del os.environ["PAULIVERIFY_THREADS"]
-        else:
-            os.environ["PAULIVERIFY_THREADS"] = saved
-    assert [p.to_jsonable() for p in seq] == [p.to_jsonable() for p in par]
+    args = ([0.0, 0.05, 0.1], params, 8, 99)
+    first = robustness_sweep(prepare("hypergraph", g), maximally_mixed(2), *args)
+    again = robustness_sweep(prepare("hypergraph", g), maximally_mixed(2), *args)
+    assert [p.to_jsonable() for p in first] == [p.to_jsonable() for p in again]
+    assert first[0].accepted == 8 and first[2].accepted < 8

@@ -107,11 +107,12 @@ def hypergraph_case():
     g = hypergraph(4, [(0, 1, 2), (1, 2, 3), (0, 3)])
     forms = all_adaptive_forms(g)
     params = desk_params("hypergraph", 4, k=40, m=2, epsilon=0.2)
+    ideal = build_state(g)
 
     def run(prover, seed):
-        return run_hypergraph_protocol(g, forms, prover, params, seed, record_trials=True)
+        return run_hypergraph_protocol(forms, ideal, prover, params, seed, record_trials=True)
 
-    return build_state(g), run
+    return ideal, run
 
 
 @pytest.mark.parametrize("case", [ground_case, circuit_case, hypergraph_case])
@@ -131,8 +132,9 @@ def test_every_product_prover_gives_identical_runs_on_both_paths(case):
 def test_records_are_only_built_when_asked():
     g = hypergraph(3, [(0, 1, 2)])
     params = desk_params("hypergraph", 3, k=10, m=0, epsilon=0.2)
+    ideal = build_state(g)
     rep = run_hypergraph_protocol(
-        g, all_adaptive_forms(g), honest_prover(build_state(g)), params, seed=3
+        all_adaptive_forms(g), ideal, honest_prover(ideal), params, seed=3
     )
     assert rep.trial_records is None
 

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pauliverify.cli import build_parser, main
@@ -326,17 +327,22 @@ def test_robustness_enforces_the_register_cap(capsys):
 
 
 def test_verify_prepares_the_target_once(tmp_path, capsys, monkeypatch):
-    from pauliverify import cli, hamiltonians
+    from pauliverify import hamiltonians, protocol
 
-    calls = []
-    original = hamiltonians.exact_diagonalize
+    diagonalized, eighs = [], []
+    original_diagonalize, original_eigh = hamiltonians.exact_diagonalize, np.linalg.eigh
 
-    def counting(h):
-        calls.append(h.n)
-        return original(h)
+    def counting_diagonalize(h):
+        diagonalized.append(h.n)
+        return original_diagonalize(h)
 
-    monkeypatch.setattr(hamiltonians, "exact_diagonalize", counting)
-    monkeypatch.setattr(cli, "exact_diagonalize", counting)
+    def counting_eigh(a, *args, **kwargs):
+        eighs.append(a.shape)
+        return original_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(hamiltonians, "exact_diagonalize", counting_diagonalize)
+    monkeypatch.setattr(protocol, "exact_diagonalize", counting_diagonalize)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     target = tmp_path / "ring.json"
     target.write_text(json.dumps({
         "n_qubits": 3,
@@ -352,4 +358,101 @@ def test_verify_prepares_the_target_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(["verify", "--config", str(config), "--runs", "6"], capsys)
     assert code == 0
     assert len(json.loads(out)["reports"]) == 6
-    assert len(calls) <= 2  # rescale and the ground projector, not once per run
+    # rescale, the ground projector and the ideal state share one eigh
+    assert diagonalized == [3]
+    assert eighs == [(8, 8)]
+
+
+# ---------------------------------------------------------------------------
+# Config blocks that are not JSON objects fail loudly
+
+
+@pytest.mark.parametrize(
+    "edit, extra_args, needle",
+    [
+        ({"params": None}, [], "params must be a JSON object, got null"),
+        ({"params": [1]}, [], "params must be a JSON object, got [1]"),
+        ({"params": None}, ["--mode", "desk"], "params must be a JSON object, got null"),
+        ({"prover": None}, [], "prover must be a JSON object, got null"),
+        ({"prover": "honest"}, [], 'prover must be a JSON object, got "honest"'),
+    ],
+)
+def test_verify_config_block_that_is_not_an_object_is_config_error(
+    tmp_path, capsys, edit, extra_args, needle
+):
+    path = _hyper_config(tmp_path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    code, out, err = run_cli(["verify", "--config", str(path), *extra_args], capsys)
+    assert_config_error(code, out, err, needle)
+
+
+@pytest.mark.parametrize("top", [[1], None])
+def test_verify_config_that_is_not_an_object_is_config_error(tmp_path, capsys, top):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(top))
+    code, out, err = run_cli(["verify", "--config", str(path)], capsys)
+    assert_config_error(code, out, err, "the config must be a JSON object")
+
+
+# ---------------------------------------------------------------------------
+# robustness, ppass and verify share one prepared target
+
+
+def _ring_hamiltonian(n: int, seed: int) -> dict:
+    """An XX/YY/ZZ ring with X fields and no stated ground energy or gap."""
+    rng = np.random.default_rng(seed)
+    terms = []
+    for i in range(n):
+        for axis in "XYZ":
+            pauli = ["I"] * n
+            pauli[i] = pauli[(i + 1) % n] = axis
+            terms.append({"pauli": "".join(pauli), "coeff": float(rng.uniform(0.5, 1.5))})
+    for i in range(n):
+        pauli = ["I"] * n
+        pauli[i] = "X"
+        terms.append({"pauli": "".join(pauli), "coeff": float(rng.uniform(0.2, 1.0))})
+    return {"n_qubits": n, "terms": terms}
+
+
+@pytest.mark.parametrize("n, seed", [(3, 1), (4, 0), (4, 2)])
+def test_robustness_honest_point_equals_ppass_of_the_ideal(tmp_path, capsys, n, seed):
+    target = tmp_path / "ring.json"
+    target.write_text(json.dumps(_ring_hamiltonian(n, seed)))
+    code, out, _ = run_cli(["ppass", "--target", str(target), "--state", "ideal"], capsys)
+    assert code == 0
+    ideal_ppass = json.loads(out)["p_pass"]["value"]
+    code, out, _ = run_cli(
+        [
+            "robustness", "--target", str(target), "--eps-prime", "0", "-k", "5",
+            "--runs", "1", "--seed", "1",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["points"][0]["per_group_ppass"][0]["value"] == ideal_ppass
+
+
+def test_robustness_circuit_ppass_matches_closed_form(capsys):
+    from pauliverify.circuits import all_stabilizer_decompositions, load_circuit
+
+    eps_primes = [0.0, 0.1, 0.5]
+    code, out, _ = run_cli(
+        [
+            "robustness", "--target", str(DATA / "ccz.json"),
+            "--eps-prime", ",".join(map(str, eps_primes)), "-k", "10", "--runs", "2",
+            "--seed", "4",
+        ],
+        capsys,
+    )
+    assert code == 0
+    points = json.loads(out)["points"]
+    decomps = all_stabilizer_decompositions(load_circuit(DATA / "ccz.json"))
+    for e, point in zip(eps_primes, points):
+        got = [q["value"] for q in point["per_group_ppass"]]
+        # (1 - e) ideal + e I/d: <g> = (1 - e) + e * c, with c the identity coefficient
+        want = []
+        for d in decomps:
+            c = sum(t.coeff for t in d.terms if t.is_identity)
+            l1 = d.l1_norm
+            want.append((1 - e) * (0.5 + 1 / (2 * l1)) + e * (0.5 + c / (2 * l1)))
+        assert got == pytest.approx(want, abs=1e-12)

@@ -178,7 +178,7 @@ def test_hypergraph_honest_accepts_every_trial():
     params = desk_params("hypergraph", 4, k=50, m=3, epsilon=0.1)
     prover = honest_prover(build_state(g))
     for seed in run_seeds(23, 10):
-        rep = run_hypergraph_protocol(g, forms, prover, params, seed)
+        rep = run_hypergraph_protocol(forms, build_state(g), prover, params, seed)
         assert rep.accepted
         assert all(grp.passes == 50 for grp in rep.groups)
         assert rep.target_fidelity == pytest.approx(1.0)
@@ -200,7 +200,7 @@ def test_hypergraph_honest_accepts_at_larger_widths(n):
     params = desk_params("hypergraph", n, k=20, m=1, epsilon=0.1)
     prover = honest_prover(build_state(g))
     for seed in run_seeds(n, 3):
-        rep = run_hypergraph_protocol(g, forms, prover, params, seed)
+        rep = run_hypergraph_protocol(forms, build_state(g), prover, params, seed)
         assert rep.accepted
         assert all(grp.passes == 20 for grp in rep.groups)
 
@@ -223,7 +223,7 @@ def test_hypergraph_phase_flip_rejected_always():
     params = desk_params("hypergraph", 3, k=40, m=0, epsilon=0.3)
     prover = coherent_error_prover(build_state(g), PauliString.from_axes("ZII"))
     for seed in run_seeds(31, 10):
-        rep = run_hypergraph_protocol(g, forms, prover, params, seed)
+        rep = run_hypergraph_protocol(forms, build_state(g), prover, params, seed)
         assert not rep.accepted
         assert rep.groups[0].passes == 0  # stabilized by the negated operator
         assert rep.target_fidelity == pytest.approx(0.0, abs=1e-12)
@@ -254,7 +254,7 @@ def test_iid_group_rates_match_binomial_prediction():
     runs = 25
     totals = np.zeros(3)
     for seed in run_seeds(67, runs):
-        rep = run_hypergraph_protocol(g, forms, prover, params, seed)
+        rep = run_hypergraph_protocol(forms, ideal, prover, params, seed)
         for grp in rep.groups:
             totals[grp.group] += grp.passes
     n_trials = runs * params.k
@@ -272,7 +272,7 @@ def test_classically_correlated_prover_mixes_runs():
     prover = classically_correlated_prover([good, bad], [0.5, 0.5])
     params = desk_params("hypergraph", 3, k=20, m=0, epsilon=0.2)
     verdicts = [
-        run_hypergraph_protocol(g, forms, prover, params, seed).accepted
+        run_hypergraph_protocol(forms, good, prover, params, seed).accepted
         for seed in run_seeds(41, 30)
     ]
     rate = sum(verdicts) / len(verdicts)
@@ -287,11 +287,11 @@ def test_entangled_demo_extreme_weights():
     params = desk_params("hypergraph", 2, k=2, m=1, epsilon=0.3)  # 6 registers = 12 qubits
     for seed in run_seeds(13, 5):
         rep = run_hypergraph_protocol(
-            g, forms, entangled_demo_prover(good, bad, 0.0), params, seed
+            forms, good, entangled_demo_prover(good, bad, 0.0), params, seed
         )
         assert rep.accepted and rep.target_fidelity == pytest.approx(1.0)
         rep = run_hypergraph_protocol(
-            g, forms, entangled_demo_prover(good, bad, 1.0), params, seed
+            forms, good, entangled_demo_prover(good, bad, 1.0), params, seed
         )
         assert not rep.accepted
 
@@ -304,7 +304,7 @@ def test_entangled_demo_collapses_to_branches():
     params = desk_params("hypergraph", 2, k=2, m=1, epsilon=0.3)
     prover = entangled_demo_prover(good, bad, 0.5)
     outcomes = {
-        run_hypergraph_protocol(g, forms, prover, params, seed).accepted
+        run_hypergraph_protocol(forms, good, prover, params, seed).accepted
         for seed in run_seeds(101, 24)
     }
     assert outcomes == {True, False}
@@ -332,8 +332,9 @@ def test_register_cap_boundary():
         check_executable(over)
     g = hypergraph(3, [(0, 1, 2)])
     with pytest.raises(ValueError, match="report-only"):
+        ideal = build_state(g)
         run_hypergraph_protocol(
-            g, all_adaptive_forms(g), honest_prover(build_state(g)), over, seed=1
+            all_adaptive_forms(g), ideal, honest_prover(ideal), over, seed=1
         )
 
 
@@ -343,7 +344,7 @@ def test_register_count_and_width_validation():
     params = desk_params("hypergraph", 2, k=5, m=0, epsilon=0.2)
     wrong_width = honest_prover(build_state(hypergraph(3, [(0, 1, 2)])))
     with pytest.raises(ValueError):
-        run_hypergraph_protocol(g, forms, wrong_width, params, seed=1)
+        run_hypergraph_protocol(forms, build_state(g), wrong_width, params, seed=1)
     rh, proj = minus_z_setup()
     with pytest.raises(ValueError):
         run_ground_protocol(rh, proj, honest_prover(computational_state(1, 0)), params, 1)
@@ -352,13 +353,14 @@ def test_register_count_and_width_validation():
 def test_replay_is_bit_identical():
     g = hypergraph(3, [(0, 1, 2), (0, 2)])
     forms = all_adaptive_forms(g)
-    prover = iid_deviated_prover(build_state(g), 0.2, maximally_mixed(3))
+    ideal = build_state(g)
+    prover = iid_deviated_prover(ideal, 0.2, maximally_mixed(3))
     params = desk_params("hypergraph", 3, k=25, m=2, epsilon=0.15)
-    a = run_hypergraph_protocol(g, forms, prover, params, seed=777, record_trials=True)
-    b = run_hypergraph_protocol(g, forms, prover, params, seed=777, record_trials=True)
+    a = run_hypergraph_protocol(forms, ideal, prover, params, seed=777, record_trials=True)
+    b = run_hypergraph_protocol(forms, ideal, prover, params, seed=777, record_trials=True)
     assert a.to_jsonable() == b.to_jsonable()
     assert a.trial_records == b.trial_records
-    c = run_hypergraph_protocol(g, forms, prover, params, seed=778)
+    c = run_hypergraph_protocol(forms, ideal, prover, params, seed=778)
     assert c.to_jsonable() != a.to_jsonable()
 
 
