@@ -50,7 +50,7 @@ from .protocol import (
     schedule_params,
 )
 from .single_copy import adaptive_test_exact_ppass
-from .states import DenseState, apply_pauli, maximally_mixed, mixed_state, to_density
+from .states import DenseState, apply_pauli, maximally_mixed, mixture
 
 
 def _fresh_seed() -> int:
@@ -95,8 +95,7 @@ def parse_state_spec(spec: str, ideal: DenseState) -> DenseState:
         eps = float(spec.split(":", 1)[1])
         if not 0.0 <= eps <= 1.0:
             raise ValueError("deviation must lie in [0, 1]")
-        mm = maximally_mixed(ideal.n)
-        return mixed_state((1 - eps) * to_density(ideal).data + eps * mm.data)
+        return mixture(ideal, maximally_mixed(ideal.n), eps)
     if spec.startswith("phaseflip:"):
         qubit = int(spec.split(":", 1)[1])
         axes = "".join("Z" if j == qubit else "I" for j in range(ideal.n))
@@ -125,6 +124,15 @@ def _config_number(cfg: dict, key: str, cast=float, default=None):
         raise ValueError(f"{key} must be a number, got {json.dumps(value)}") from None
 
 
+def _config_typed(cfg: dict, key: str, kind: type, default=None):
+    """``cfg[key]`` as a ``kind`` (str or int; a bool is not an int), else a config error."""
+    value = cfg.get(key, default)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        name = "a string" if kind is str else "an integer"
+        raise ValueError(f"{key} must be {name}, got {json.dumps(value)}")
+    return value
+
+
 def check_run_sizes(k: int, m: int, runs: int) -> None:
     """Reject run sizes that leave nothing to test or to average over."""
     if k < 1:
@@ -136,9 +144,9 @@ def check_run_sizes(k: int, m: int, runs: int) -> None:
 
 
 def _pauli_from_config(cfg: dict, n: int) -> PauliString:
-    if "pauli" in cfg and len(cfg["pauli"]) == n:
-        return PauliString.from_axes(cfg["pauli"])
-    axis = cfg.get("pauli", "Z")
+    axis = _config_typed(cfg, "pauli", str, "Z")
+    if len(axis) == n:
+        return PauliString.from_axes(axis)
     qubit = _config_number(cfg, "qubit", int, 0)
     axes = "".join(axis if j == qubit else "I" for j in range(n))
     return PauliString.from_axes(axes)
@@ -353,10 +361,12 @@ def cmd_verify(args) -> int:
     if args.mode is not None:
         params_cfg["mode"] = args.mode
         cfg["params"] = params_cfg
-    target_ref = cfg["target"]
-    target_path = Path(target_ref)
+    target_path = Path(_config_typed(cfg, "target", str))
     if not target_path.is_absolute():
         target_path = config_path.parent / target_path
+    seed = args.seed
+    if seed is None:
+        seed = _fresh_seed() if cfg.get("seed") is None else _config_typed(cfg, "seed", int)
     kind, target, _ = load_target(target_path)
     protocol = cfg.get("protocol", PROTOCOL_FOR_KIND[kind])
     if protocol != PROTOCOL_FOR_KIND[kind]:
@@ -369,9 +379,6 @@ def cmd_verify(args) -> int:
     prepared = prepare(kind, target)
     params = params_from_config(protocol, target.n, params_cfg, prepared.l1_norm, runs)
     prover = prover_from_config(prover_cfg, prepared.ideal)
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is None:
-        seed = _fresh_seed()
     record = args.trials_csv is not None
 
     reports = [

@@ -36,16 +36,15 @@ from .single_copy import (
     stabilizer_test_exact_ppass,
 )
 from .states import (
-    BASIS_ROTATIONS,
     DenseState,
     MeasurementRecord,
     apply_pauli,
     measure_in_bases,
-    mixed_state,
+    mixture,
     overlap,
     partial_trace,
     projector_overlap,
-    to_density,
+    rotate_to_computational,
 )
 
 PROTOCOLS = ("ground", "circuit", "hypergraph")
@@ -316,37 +315,20 @@ class EntangledRegisters:
     def measure(
         self, register: int, bases: str, rng: np.random.Generator
     ) -> MeasurementRecord:
+        lo = self._qubit(register, 0)
+        joint_bases = "I" * lo + bases + "I" * (self.total - lo - self.n)
+        record, prob = measure_in_bases(DenseState(self.total, self._psi), joint_bases, rng)
+        outcomes = record.outcomes[lo : lo + self.n]
+        # project the rotated joint state onto the observed outcome
         psi = self._psi.reshape([2] * self.total)
-        measured = [j for j, b in enumerate(bases) if b != "I"]
-        for j in measured:
-            rot = BASIS_ROTATIONS[bases[j]]
-            if rot is not None:
-                q = self._qubit(register, j)
-                psi = np.moveaxis(np.tensordot(rot, psi, axes=(1, q)), 0, q)
-        full = np.abs(psi) ** 2
-        axes = tuple(
-            q for q in range(self.total)
-            if q not in {self._qubit(register, j) for j in measured}
-        )
-        probs = full.sum(axis=axes).reshape(-1) if axes else full.reshape(-1)
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        cum = np.cumsum(probs)
-        u = rng.random()
-        kidx = int(np.searchsorted(cum, u, side="right"))
-        kidx = min(kidx, int(np.nonzero(probs > 0.0)[0][-1]))
-        # project the joint state onto the observed outcome
-        outcomes = [1] * self.n
-        sel = np.ones_like(psi, dtype=bool)
-        for t, j in enumerate(measured):
-            bit = (kidx >> (len(measured) - 1 - t)) & 1
-            outcomes[j] = 1 - 2 * bit
-            index = [slice(None)] * self.total
-            index[self._qubit(register, j)] = 1 - bit
-            sel[tuple(index)] = False
-        psi = np.where(sel, psi, 0.0)
-        self._psi = (psi / np.sqrt(probs[kidx])).reshape(-1)
-        return MeasurementRecord(tuple(outcomes), bases)
+        psi = np.array(rotate_to_computational(psi, joint_bases))
+        for j, (b, m) in enumerate(zip(bases, outcomes)):
+            if b != "I":
+                index = [slice(None)] * self.total
+                index[lo + j] = (1 + m) // 2  # the bit of the outcome not seen
+                psi[tuple(index)] = 0.0
+        self._psi = (psi / np.sqrt(prob)).reshape(-1)
+        return MeasurementRecord(outcomes, bases)
 
     def register_state(self, register: int) -> DenseState:
         joint = DenseState(self.total, self._psi)
@@ -381,12 +363,7 @@ def iid_deviated_prover(
         raise ValueError("epsilon_prime must lie in [0, 1]")
     if eta.n != ideal.n:
         raise ValueError("eta and the ideal state differ in width")
-    state = ideal
-    if epsilon_prime > 0.0:
-        state = mixed_state(
-            (1.0 - epsilon_prime) * to_density(ideal).data
-            + epsilon_prime * to_density(eta).data
-        )
+    state = mixture(ideal, eta, epsilon_prime) if epsilon_prime > 0.0 else ideal
 
     def make(n_registers, rng):
         return ProductRegisters(ideal.n, n_registers, state)

@@ -1,9 +1,20 @@
 """Dense pure/mixed states, Pauli expectations, and Born sampling.
 
-States are immutable after construction.  Per-state measurement tables
-(rotated outcome distributions, keyed by the basis string) are memoized on
-the instance, which makes repeated single-shot sampling of the same state in
-the same bases cheap.
+States are immutable after construction.  ``pure_state`` and ``mixed_state``
+validate what a caller supplies; states built from validated ones (a pure
+state's density matrix, the maximally mixed state, a reduced density matrix,
+a convex mixture) are Hermitian, unit-trace and PSD by construction and skip
+the eigenvalue check.
+
+Per-state measurement tables (outcome distributions over the measured
+qubits, keyed by the basis string) are memoized on the instance, which makes
+repeated single-shot sampling of the same state in the same bases cheap.  A
+pure state's table rotates the amplitudes into the computational basis and
+squares them.  A density matrix's table is contracted qubit by qubit: each
+qubit's row and column axes are merged into its Born weights (traced out for
+I, the diagonal for Z, sum_ab u[s,a] conj(u[s,b]) rho[a,b] for X and Y), so
+the tensor halves at every step and one table costs about two passes over
+the 4**n entries whatever the letters are.
 """
 from __future__ import annotations
 
@@ -79,7 +90,13 @@ def mixed_state(rho, n: int | None = None) -> DenseState:
         raise ValueError("density matrix is not Hermitian within tolerance")
     if np.min(np.linalg.eigvalsh(rho)) < EIGENVALUE_FLOOR:
         raise ValueError("density matrix has a negative eigenvalue")
-    rho = rho.copy()
+    return _density(rho.copy(), n)
+
+
+def _density(rho: np.ndarray, n: int) -> DenseState:
+    """Wrap a density matrix that is valid by construction, without re-checking it."""
+    if n > DENSE_QUBIT_CAP:
+        raise CapExceededError(f"density matrices capped at {DENSE_QUBIT_CAP} qubits")
     rho.flags.writeable = False
     return DenseState(n, rho)
 
@@ -96,7 +113,7 @@ def computational_state(n: int, index: int) -> DenseState:
 
 def maximally_mixed(n: int) -> DenseState:
     dim = 1 << n
-    return mixed_state(np.eye(dim, dtype=complex) / dim, n)
+    return _density(np.eye(dim, dtype=complex) / dim, n)
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> DenseState:
@@ -119,7 +136,21 @@ def to_density(state: DenseState) -> DenseState:
         return state
     if state.n > DENSE_QUBIT_CAP:
         raise CapExceededError(f"density matrices capped at {DENSE_QUBIT_CAP} qubits")
-    return mixed_state(np.outer(state.data, state.data.conj()), state.n)
+    return _density(np.outer(state.data, state.data.conj()), state.n)
+
+
+def mixture(state: DenseState, other: DenseState, weight: float) -> DenseState:
+    """(1 - weight) * state + weight * other, as a density matrix.
+
+    Both states must be valid (built by the constructors above), so the
+    convex mixture is one too and is not re-checked.
+    """
+    if not 0.0 <= weight <= 1.0:
+        raise ValueError("the mixture weight must lie in [0, 1]")
+    if other.n != state.n:
+        raise ValueError(f"cannot mix states on {state.n} and {other.n} qubits")
+    rho = (1.0 - weight) * to_density(state).data + weight * to_density(other).data
+    return _density(rho, state.n)
 
 
 def _check_width(state: DenseState, n: int):
@@ -216,7 +247,7 @@ def partial_trace(state: DenseState, keep: tuple[int, ...]) -> DenseState:
     psi = state.data.reshape([2] * state.n)
     psi = np.transpose(psi, list(keep) + drop)
     mat = psi.reshape(1 << len(keep), -1)
-    return mixed_state(mat @ mat.conj().T, len(keep))
+    return _density(mat @ mat.conj().T, len(keep))
 
 
 @dataclass(frozen=True)
@@ -253,8 +284,58 @@ class _MeasurementTable:
     last_sampleable: int
 
 
-def _apply_single(mat: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
-    return np.moveaxis(np.tensordot(mat, tensor, axes=(1, axis)), 0, axis)
+def rotate_to_computational(psi: np.ndarray, bases: str) -> np.ndarray:
+    """Amplitude tensor (one axis per qubit) rotated so every letter reads as Z."""
+    for j, b in enumerate(bases):
+        rot = BASIS_ROTATIONS[b]
+        if rot is not None:
+            psi = np.moveaxis(np.tensordot(rot, psi, axes=(1, j)), 0, j)
+    return psi
+
+
+# Coherence weights of the rotated letters.  Outcome s of a qubit measured
+# in the basis u reads sum_ab u[s,a] conj(u[s,b]) rho[a,b] off that qubit's
+# 2x2 block.  X and Y are unbiased to Z (|u[s,a]|^2 = 1/2) and u is unitary,
+# so outcome 0 reads (rho00 + rho11)/2 + c and outcome 1 reads
+# (rho00 + rho11)/2 - c, with c = w01 rho01 + w10 rho10 from these weights.
+_COHERENCE_WEIGHTS = {
+    b: (u[0, 0] * u[0, 1].conj(), u[0, 1] * u[0, 0].conj())
+    for b, u in BASIS_ROTATIONS.items()
+    if u is not None
+}
+
+
+def _density_outcome_probs(rho: np.ndarray, bases: str) -> np.ndarray:
+    """diag(U rho U^dag) marginalized onto the measured qubits, U = (x) rotations.
+
+    Qubits are contracted in order 0..n-1.  The tensor is (rows, cols,
+    outcomes); qubit j's row and column axes are merged (traced out for I,
+    the diagonal for Z, the weights above for X and Y), and a measured
+    qubit's outcome bit is appended as the least significant bit, so the
+    first measured qubit ends up the most significant.
+    """
+    dim = rho.shape[0]
+    t = rho.reshape(dim, dim, 1)
+    for b in bases:
+        r = t.shape[0] // 2
+        t = t.reshape(2, r, 2, r, -1)
+        if b == "I":
+            t = t[0, :, 0] + t[1, :, 1]
+            continue
+        out = np.empty((r, r, t.shape[-1], 2), dtype=complex)
+        if b == "Z":
+            out[..., 0] = t[0, :, 0]
+            out[..., 1] = t[1, :, 1]
+        else:
+            w01, w10 = _COHERENCE_WEIGHTS[b]
+            diag = t[0, :, 0] + t[1, :, 1]
+            diag *= 0.5
+            coherence = w01 * t[0, :, 1]
+            coherence += w10 * t[1, :, 0]
+            np.add(diag, coherence, out=out[..., 0])
+            np.subtract(diag, coherence, out=out[..., 1])
+        t = out.reshape(r, r, -1)
+    return t.reshape(-1).real
 
 
 def _measurement_table(state: DenseState, bases: str) -> _MeasurementTable:
@@ -269,26 +350,12 @@ def _measurement_table(state: DenseState, bases: str) -> _MeasurementTable:
             raise ValueError(f"unknown measurement basis {b!r}")
 
     if state.is_pure:
-        psi = state.data.reshape([2] * state.n)
-        for j in measured:
-            rot = BASIS_ROTATIONS[bases[j]]
-            if rot is not None:
-                psi = _apply_single(rot, psi, j)
+        psi = rotate_to_computational(state.data.reshape([2] * state.n), bases)
         full = np.abs(psi) ** 2
+        unmeasured = tuple(j for j in range(state.n) if j not in measured)
+        probs = full.sum(axis=unmeasured) if unmeasured else full
     else:
-        rho = state.data.reshape([2] * (2 * state.n))
-        for j in measured:
-            rot = BASIS_ROTATIONS[bases[j]]
-            if rot is not None:
-                rho = _apply_single(rot, rho, j)
-                rho = _apply_single(rot.conj(), rho, state.n + j)
-        diag = np.diagonal(
-            rho.reshape(state.dim, state.dim)
-        ).real.reshape([2] * state.n)
-        full = diag
-
-    unmeasured = tuple(j for j in range(state.n) if j not in measured)
-    probs = full.sum(axis=unmeasured) if unmeasured else full
+        probs = _density_outcome_probs(state.data, bases)
     probs = np.clip(probs.reshape(-1), 0.0, None)
     probs = probs / probs.sum()
     cum = np.cumsum(probs)

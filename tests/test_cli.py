@@ -253,6 +253,12 @@ def _hyper_config(tmp_path, **params) -> Path:
     return path
 
 
+def _edited_config(tmp_path, **edit) -> Path:
+    path = _hyper_config(tmp_path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    return path
+
+
 def assert_config_error(code, out, err, needle):
     assert code == 1
     assert out == ""
@@ -380,8 +386,7 @@ def test_verify_prepares_the_target_once(tmp_path, capsys, monkeypatch):
 def test_verify_config_block_that_is_not_an_object_is_config_error(
     tmp_path, capsys, edit, extra_args, needle
 ):
-    path = _hyper_config(tmp_path)
-    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    path = _edited_config(tmp_path, **edit)
     code, out, err = run_cli(["verify", "--config", str(path), *extra_args], capsys)
     assert_config_error(code, out, err, needle)
 
@@ -392,6 +397,27 @@ def test_verify_config_that_is_not_an_object_is_config_error(tmp_path, capsys, t
     path.write_text(json.dumps(top))
     code, out, err = run_cli(["verify", "--config", str(path)], capsys)
     assert_config_error(code, out, err, "the config must be a JSON object")
+
+
+@pytest.mark.parametrize("target", [None, 5])
+def test_verify_non_string_target_is_config_error(tmp_path, capsys, target):
+    config = _edited_config(tmp_path, target=target)
+    code, out, err = run_cli(["verify", "--config", str(config)], capsys)
+    assert_config_error(code, out, err, f"target must be a string, got {json.dumps(target)}")
+
+
+@pytest.mark.parametrize("seed", ["x", 1.5, True])
+def test_verify_non_integer_seed_is_config_error(tmp_path, capsys, seed):
+    config = _edited_config(tmp_path, seed=seed)
+    code, out, err = run_cli(["verify", "--config", str(config)], capsys)
+    assert_config_error(code, out, err, f"seed must be an integer, got {json.dumps(seed)}")
+
+
+@pytest.mark.parametrize("kind", ["coherent_error", "classically_correlated"])
+def test_verify_non_string_pauli_is_config_error(tmp_path, capsys, kind):
+    config = _edited_config(tmp_path, prover={"kind": kind, "pauli": 5})
+    code, out, err = run_cli(["verify", "--config", str(config)], capsys)
+    assert_config_error(code, out, err, "pauli must be a string, got 5")
 
 
 # ---------------------------------------------------------------------------

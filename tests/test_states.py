@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pauliverify.paulis import CapExceededError, PauliString
 from pauliverify.states import (
@@ -11,6 +14,7 @@ from pauliverify.states import (
     maximally_mixed,
     measure_in_bases,
     mixed_state,
+    mixture,
     outcome_distribution,
     overlap,
     partial_trace,
@@ -18,10 +22,11 @@ from pauliverify.states import (
     pure_state,
     random_mixed_state,
     random_pure_state,
+    sample_outcome_indices,
     to_density,
 )
 
-from conftest import dense_from_axes, random_hermitian
+from conftest import I2, dense_from_axes, kron_chain, random_hermitian
 
 
 def three_qubit_triple_state() -> DenseState:
@@ -212,3 +217,113 @@ def test_overlap_and_partial_trace(rng):
     bell = pure_state(np.array([1, 0, 0, 1]) / np.sqrt(2))
     red = partial_trace(bell, (0,))
     assert np.allclose(red.data, np.eye(2) / 2, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Density-matrix Born tables against an independent reference
+
+H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+# rows are the +1 / -1 eigenvectors (conjugated), so U maps them to |0>, |1>
+REFERENCE_ROTATIONS = {
+    "I": I2,
+    "Z": I2,
+    "X": H2,
+    "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / np.sqrt(2),
+}
+
+
+def reference_born_probs(rho: np.ndarray, bases: str) -> np.ndarray:
+    """diag(U rho U^dag) for U = (x) rotations, summed over the I qubits."""
+    u = kron_chain(*(REFERENCE_ROTATIONS[b] for b in bases))
+    full = np.diagonal(u @ rho @ u.conj().T).real.reshape([2] * len(bases))
+    unmeasured = tuple(j for j, b in enumerate(bases) if b == "I")
+    return full.sum(axis=unmeasured).reshape(-1) if unmeasured else full.reshape(-1)
+
+
+def reference_indices(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    probs = np.clip(probs, 0.0, None)
+    probs = probs / probs.sum()
+    k = np.searchsorted(np.cumsum(probs), u, side="right")
+    return np.minimum(k, np.nonzero(probs > 0.0)[0][-1])
+
+
+UNIFORMS = np.random.default_rng(99).random(512)
+
+
+def assert_born_table_matches_reference(state: DenseState, bases: str):
+    want = reference_born_probs(state.data, bases)
+    got = outcome_distribution(state, bases)
+    assert np.max(np.abs(got - want)) <= 1e-13
+    np.testing.assert_array_equal(
+        sample_outcome_indices(state, bases, UNIFORMS), reference_indices(want, UNIFORMS)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("rank", [1, 2, None])
+def test_density_born_table_matches_reference_on_every_basis(n, rank):
+    rng = np.random.default_rng(1000 * n + (rank or 0))
+    rho = random_mixed_state(n, rng, rank=min(rank or 1 << n, 1 << n))
+    for letters in itertools.product("IXYZ", repeat=n):
+        assert_born_table_matches_reference(rho, "".join(letters))
+
+
+@given(
+    data=st.data(),
+    n=st.integers(1, 6),
+    rank=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_density_born_table_matches_reference(data, n, rank, seed):
+    bases = data.draw(st.text("IXYZ", min_size=n, max_size=n))
+    rho = random_mixed_state(n, np.random.default_rng(seed), rank=min(rank, 1 << n))
+    assert_born_table_matches_reference(rho, bases)
+
+
+@given(data=st.data(), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_rank_one_density_table_equals_the_pure_table(data, n, seed):
+    bases = data.draw(st.text("IXYZ", min_size=n, max_size=n))
+    psi = random_pure_state(n, np.random.default_rng(seed))
+    got = outcome_distribution(to_density(psi), bases)
+    assert np.max(np.abs(got - outcome_distribution(psi, bases))) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# States built from validated ones skip the eigenvalue check; they must pass it
+
+
+def assert_passes_every_density_check(state: DenseState):
+    assert not state.is_pure and not state.data.flags.writeable
+    checked = mixed_state(state.data)  # trace, Hermiticity, eigenvalue floor
+    np.testing.assert_array_equal(checked.data, state.data)
+
+
+@given(
+    n=st.integers(1, 6),
+    keep_bits=st.integers(1, 2**6 - 1),
+    weight=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_constructed_density_matrices_pass_every_check(n, keep_bits, weight, seed):
+    rng = np.random.default_rng(seed)
+    psi = random_pure_state(n, rng)
+    assert_passes_every_density_check(to_density(psi))
+    assert_passes_every_density_check(maximally_mixed(n))
+    keep = tuple(q for q in range(n) if keep_bits >> q & 1) or (0,)
+    assert_passes_every_density_check(partial_trace(psi, keep))
+    assert_passes_every_density_check(mixture(psi, random_mixed_state(n, rng), weight))
+    assert_passes_every_density_check(mixture(psi, maximally_mixed(n), weight))
+
+
+def test_mixed_state_rejects_a_negative_eigenvalue():
+    rho = np.diag([1.2, -0.2]).astype(complex)  # unit trace, Hermitian
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        mixed_state(rho)
+
+
+def test_mixture_checks_its_arguments(rng):
+    psi = random_pure_state(2, rng)
+    with pytest.raises(ValueError):
+        mixture(psi, maximally_mixed(3), 0.5)
+    with pytest.raises(ValueError):
+        mixture(psi, maximally_mixed(2), 1.5)
