@@ -10,6 +10,7 @@ from .paulis import (
     DENSE_QUBIT_CAP,
     PURE_QUBIT_CAP,
     PauliString,
+    PauliSum,
     decompose_in_pauli_basis,
     merge_pauli_terms,
     pauli_sum_dense,
@@ -56,7 +57,6 @@ from .hypergraphs import (
 from .circuits import (
     CircuitSpec,
     Gate,
-    StabilizerDecomposition,
     all_stabilizer_decompositions,
     build_circuit_state,
     check_circuit_conditions,
@@ -70,11 +70,10 @@ from .single_copy import (
     TestOutcome,
     adaptive_stabilizer_test,
     adaptive_test_exact_ppass,
-    energy_test,
     energy_test_exact_ppass,
     monte_carlo_pass_rate,
-    stabilizer_test,
-    stabilizer_test_exact_ppass,
+    parity_test,
+    parity_test_exact_ppass,
 )
 from .protocol import (
     PreparedTarget,

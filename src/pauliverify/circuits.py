@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -25,9 +26,10 @@ from .paulis import (
     PURE_QUBIT_CAP,
     PAULI_MATRICES,
     PauliString,
+    PauliSum,
     decompose_in_pauli_basis,
-    pauli_sum_dense,
 )
+from .hamiltonians import default_budget
 from .states import DenseState, plus_state, pure_state
 
 TERM_CAP_DEFAULT = 1 << 18
@@ -164,25 +166,6 @@ def build_circuit_state(c: CircuitSpec) -> DenseState:
     return pure_state(psi.reshape(-1), c.n)
 
 
-@dataclass(frozen=True)
-class StabilizerDecomposition:
-    """Pauli expansion of one generalized stabilizer U X_i U^dag."""
-
-    n: int
-    qubit: int
-    terms: tuple[PauliString, ...]
-    l1_norm: float
-    sampling_weights: np.ndarray
-    sampling_cum: np.ndarray
-
-    def __post_init__(self):
-        if abs(float(np.sum(self.sampling_weights)) - 1.0) > 1e-12:
-            raise ValueError("sampling weights do not sum to 1")
-
-    def dense(self) -> np.ndarray:
-        return pauli_sum_dense(self.terms)
-
-
 def _axes_at(xmask: int, zmask: int, n: int, qubits: tuple[int, ...]) -> tuple[str, ...]:
     out = []
     for q in qubits:
@@ -211,13 +194,9 @@ def conjugate_through_circuit(
     qubit: int,
     term_cap: int = TERM_CAP_DEFAULT,
     drop_threshold: float = DROP_THRESHOLD,
-) -> StabilizerDecomposition:
-    """Push X on ``qubit`` through the gate list and collect merged terms."""
-    if not 0 <= qubit < c.n:
-        raise ValueError(f"qubit {qubit} out of range")
-    terms: dict[tuple[int, int], float] = {
-        (1 << (c.n - 1 - qubit), 0): 1.0
-    }
+) -> PauliSum:
+    """Push X on ``qubit`` through the gate list: the Pauli sum of U X_qubit U^dag."""
+    terms = {PauliString.on_qubit(c.n, qubit, "X").key: 1.0}
     for gate in c.gates:
         rule = (
             None
@@ -239,26 +218,18 @@ def conjugate_through_circuit(
             raise DecompositionIntractableError(
                 f"stabilizer for qubit {qubit} exceeded {term_cap} Pauli terms"
             )
-    ordered = sorted(
-        (PauliString(c.n, x, z, v) for (x, z), v in terms.items()),
-        key=lambda t: t.axes,
-    )
-    coeffs = np.array([t.coeff for t in ordered])
-    l1 = float(np.sum(np.abs(coeffs)))
-    weights = np.abs(coeffs) / l1
-    return StabilizerDecomposition(
-        n=c.n,
-        qubit=qubit,
-        terms=tuple(ordered),
-        l1_norm=l1,
-        sampling_weights=weights,
-        sampling_cum=np.cumsum(weights),
+    return PauliSum.of(
+        sorted(
+            (PauliString(c.n, x, z, v) for (x, z), v in terms.items()),
+            key=lambda t: t.axes,
+        )
     )
 
 
 def all_stabilizer_decompositions(
     c: CircuitSpec, term_cap: int = TERM_CAP_DEFAULT
-) -> list[StabilizerDecomposition]:
+) -> list[PauliSum]:
+    """The stabilizer of every qubit; list index i holds U X_i U^dag."""
     return [conjugate_through_circuit(c, i, term_cap) for i in range(c.n)]
 
 
@@ -284,16 +255,21 @@ class CircuitConditionReport:
         }
 
 
+def check_one_sum_per_qubit(decomps: Sequence[PauliSum], n: int) -> None:
+    """Require exactly ``n`` stabilizer sums of width ``n``, sum i for qubit i."""
+    if len(decomps) != n or any(d.n != n for d in decomps):
+        raise ValueError(f"need one stabilizer decomposition of width {n} per qubit")
+
+
 def check_circuit_conditions(
-    decomps: list[StabilizerDecomposition], budget: float | None = None
+    decomps: Sequence[PauliSum], budget: float | None = None
 ) -> CircuitConditionReport:
     if not decomps:
         raise ValueError("no stabilizer decompositions supplied")
     n = decomps[0].n
-    if sorted(d.qubit for d in decomps) != list(range(n)):
-        raise ValueError("need one decomposition per qubit")
-    per = tuple(d.l1_norm for d in sorted(decomps, key=lambda d: d.qubit))
-    budget_value = 10.0 * n**3 if budget is None else float(budget)
+    check_one_sum_per_qubit(decomps, n)
+    per = tuple(d.l1_norm for d in decomps)
+    budget_value = default_budget(n) if budget is None else float(budget)
     l1_max = max(per)
     return CircuitConditionReport(
         n=n,

@@ -98,8 +98,7 @@ def parse_state_spec(spec: str, ideal: DenseState) -> DenseState:
         return mixture(ideal, maximally_mixed(ideal.n), eps)
     if spec.startswith("phaseflip:"):
         qubit = int(spec.split(":", 1)[1])
-        axes = "".join("Z" if j == qubit else "I" for j in range(ideal.n))
-        return apply_pauli(ideal, PauliString.from_axes(axes))
+        return apply_pauli(ideal, PauliString.on_qubit(ideal.n, qubit, "Z"))
     if spec.startswith("pauli:"):
         return apply_pauli(ideal, PauliString.from_axes(spec.split(":", 1)[1]))
     raise ValueError(f"unknown state spec {spec!r}")
@@ -144,12 +143,11 @@ def check_run_sizes(k: int, m: int, runs: int) -> None:
 
 
 def _pauli_from_config(cfg: dict, n: int) -> PauliString:
+    """One letter on ``qubit`` (default 0), or a full axis string."""
     axis = _config_typed(cfg, "pauli", str, "Z")
-    if len(axis) == n:
-        return PauliString.from_axes(axis)
-    qubit = _config_number(cfg, "qubit", int, 0)
-    axes = "".join(axis if j == qubit else "I" for j in range(n))
-    return PauliString.from_axes(axes)
+    if len(axis) == 1:
+        return PauliString.on_qubit(n, _config_number(cfg, "qubit", int, 0), axis)
+    return PauliString.from_axes(axis)
 
 
 def prover_from_config(cfg: dict, ideal: DenseState) -> ProverModel:
@@ -288,9 +286,9 @@ def _inspect_circuit(c: CircuitSpec, budget) -> dict:
     decomps = all_stabilizer_decompositions(c)
     report = check_circuit_conditions(decomps, budget)
     stabilizers = []
-    for d in decomps:
+    for qubit, d in enumerate(decomps):
         entry = {
-            "qubit": d.qubit,
+            "qubit": qubit,
             "l1_norm": d.l1_norm,
             "n_terms": len(d.terms),
         }
@@ -442,6 +440,8 @@ def cmd_robustness(args) -> int:
     kind, target, _ = load_target(args.target)
     seed = args.seed if args.seed is not None else _fresh_seed()
     eps_primes = [float(x) for x in args.eps_prime.split(",") if x != ""]
+    if not eps_primes:
+        raise ValueError("--eps-prime needs at least one deviation")
     k = args.trials
     check_run_sizes(k, args.m, args.runs)
     protocol = PROTOCOL_FOR_KIND[kind]

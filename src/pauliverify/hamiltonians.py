@@ -2,8 +2,8 @@
 
 A Hamiltonian H with ground energy E0 and a gap lower bound D is rescaled to
 (H - E0*I)/D, whose ground energy is 0 and whose spectral gap is at least 1.
-The rescaled operator is kept as a merged Pauli-term list together with the
-l1 norm of its coefficients and the induced sampling distribution.
+The rescaled operator is kept as a sampled Pauli sum: merged terms, the l1
+norm of their coefficients and the induced sampling distribution.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from .paulis import (
     DENSE_QUBIT_CAP,
     DROP_THRESHOLD,
     PauliString,
+    PauliSum,
     merge_pauli_terms,
     pauli_sum_dense,
 )
@@ -87,29 +88,12 @@ def ground_state(h: HamiltonianSpec) -> DenseState:
 
 
 @dataclass(frozen=True)
-class RescaledHamiltonian:
-    """(H - E0*I)/D as merged Pauli terms plus its sampling distribution."""
+class RescaledHamiltonian(PauliSum):
+    """(H - E0*I)/D as a sampled Pauli sum, with the E0 and gap it used."""
 
-    n: int
-    terms: tuple[PauliString, ...]
-    l1_norm: float  # sum of |coefficient| over retained terms
-    sampling_weights: np.ndarray
-    sampling_cum: np.ndarray
-    identity_coeff: float
     e0_used: float
     gap_used: float
     oracle_assisted: bool
-
-    def __post_init__(self):
-        if abs(float(np.sum(self.sampling_weights)) - 1.0) > 1e-12:
-            raise ValueError("sampling weights do not sum to 1")
-        if self.identity_coeff < -1e-10:
-            raise ValueError("identity coefficient of the rescaled form is negative")
-
-    def dense(self) -> np.ndarray:
-        if self.n > DENSE_QUBIT_CAP:
-            raise CapExceededError(f"dense form beyond {DENSE_QUBIT_CAP} qubits")
-        return pauli_sum_dense(self.terms)
 
 
 def rescale(
@@ -144,29 +128,16 @@ def rescale(
 
     shifted = [t.with_coeff(t.coeff / gap) for t in h.terms]
     shifted.append(PauliString.identity(h.n, -e0 / gap))
-    terms = tuple(merge_pauli_terms(shifted, drop_threshold))
+    terms = merge_pauli_terms(shifted, drop_threshold)
     if not terms:
         raise ValueError("rescaled Hamiltonian vanished entirely")
 
-    coeffs = np.array([t.coeff for t in terms])
-    l1 = float(np.sum(np.abs(coeffs)))
-    weights = np.abs(coeffs) / l1
-    ident = 0.0
-    for t in terms:
-        if t.is_identity:
-            ident = t.coeff
-            break
-    return RescaledHamiltonian(
-        n=h.n,
-        terms=terms,
-        l1_norm=l1,
-        sampling_weights=weights,
-        sampling_cum=np.cumsum(weights),
-        identity_coeff=ident,
-        e0_used=float(e0),
-        gap_used=float(gap),
-        oracle_assisted=oracle_assisted,
+    rh = RescaledHamiltonian.of(
+        terms, e0_used=float(e0), gap_used=float(gap), oracle_assisted=oracle_assisted
     )
+    if rh.identity_coeff < -1e-10:
+        raise ValueError("identity coefficient of the rescaled form is negative")
+    return rh
 
 
 def default_budget(n: int) -> float:

@@ -97,6 +97,14 @@ class PauliString:
     def identity(cls, n: int, coeff: float = 1.0) -> "PauliString":
         return cls(n, 0, 0, coeff)
 
+    @classmethod
+    def on_qubit(cls, n: int, qubit: int, axis: str) -> "PauliString":
+        """``axis`` on ``qubit`` of an ``n``-qubit register, I everywhere else."""
+        if len(axis) != 1 or axis not in AXES:
+            raise ValueError(f"unknown Pauli axis {axis!r}")
+        bit = bit_for_qubit(n, qubit)
+        return cls(n, bit if axis in "XY" else 0, bit if axis in "ZY" else 0)
+
     @property
     def axes(self) -> str:
         out = []
@@ -235,3 +243,49 @@ def pauli_sum_dense(terms: Iterable[PauliString]) -> np.ndarray:
     for t in terms[1:]:
         out += t.dense()
     return out
+
+
+@dataclass(frozen=True)
+class PauliSum:
+    """A real sum of Pauli strings, sampled term by term with probability |c|/l1.
+
+    This is the operator behind both parity tests: the rescaled Hamiltonian of
+    the ground protocol and each stabilizer U X_i U^dag of the circuit
+    protocol.  Build it with ``PauliSum.of``.
+    """
+
+    n: int
+    terms: tuple[PauliString, ...]
+    l1_norm: float  # sum of |coefficient| over the terms
+    cum: np.ndarray  # cumulative sampling weights |c|/l1, in term order
+
+    @classmethod
+    def of(cls, terms: Iterable[PauliString], **fields) -> "PauliSum":
+        """The sum of ``terms`` with its l1 norm and sampling CDF.
+
+        ``fields`` are the extra fields of a subclass.
+        """
+        terms = tuple(terms)
+        if not terms:
+            raise ValueError("a Pauli sum needs at least one term")
+        n = terms[0].n
+        if any(t.n != n for t in terms):
+            raise ValueError("term width does not match the register")
+        coeffs = np.abs(np.array([t.coeff for t in terms]))
+        l1 = float(np.sum(coeffs))
+        if not l1 > 0.0:
+            raise ValueError("a Pauli sum with no weight cannot be sampled")
+        weights = coeffs / l1
+        if abs(float(np.sum(weights)) - 1.0) > 1e-12:
+            raise ValueError("sampling weights do not sum to 1")
+        return cls(n=n, terms=terms, l1_norm=l1, cum=np.cumsum(weights), **fields)
+
+    @property
+    def identity_coeff(self) -> float:
+        """Coefficient of the identity string, 0 when the sum has none."""
+        return next((t.coeff for t in self.terms if t.is_identity), 0.0)
+
+    def dense(self) -> np.ndarray:
+        if self.n > DENSE_QUBIT_CAP:
+            raise CapExceededError(f"dense Pauli sum beyond {DENSE_QUBIT_CAP} qubits")
+        return pauli_sum_dense(self.terms)

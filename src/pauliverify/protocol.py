@@ -13,6 +13,7 @@ runs trial by trial.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -21,19 +22,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circuits import (
-    StabilizerDecomposition,
     all_stabilizer_decompositions,
     build_circuit_state,
+    check_one_sum_per_qubit,
 )
-from .hamiltonians import RescaledHamiltonian, exact_diagonalize, rescale
+from .hamiltonians import exact_diagonalize, rescale
 from .hypergraphs import AdaptiveStabilizerForm, all_adaptive_forms, build_state
-from .paulis import CapExceededError, DENSE_QUBIT_CAP, PauliString
+from .paulis import CapExceededError, DENSE_QUBIT_CAP, PauliString, PauliSum
 from .single_copy import (
     AdaptiveTest,
     ParityTest,
     adaptive_test_exact_ppass,
-    energy_test_exact_ppass,
-    stabilizer_test_exact_ppass,
+    parity_test_exact_ppass,
 )
 from .states import (
     DenseState,
@@ -178,6 +178,8 @@ def schedule_params(
         raise ValueError(f"unknown protocol {protocol!r}")
     if n < 1:
         raise ValueError("n must be positive")
+    if l1_norm is not None and not 0.0 < l1_norm < math.inf:
+        raise ValueError(f"the l1 norm must be finite and positive, got {l1_norm}")
     notes = []
     if protocol == "ground":
         if l1_norm is None:
@@ -604,7 +606,7 @@ def _run_protocol(
 
 
 def run_ground_protocol(
-    rh: RescaledHamiltonian,
+    rh: PauliSum,
     projector: np.ndarray | None,
     prover: ProverModel,
     params: ProtocolParams,
@@ -622,28 +624,29 @@ def run_ground_protocol(
         raise ValueError("Hamiltonian width does not match the parameters")
     fidelity = None if projector is None else partial(projector_overlap, projector=projector)
     return _run_protocol(
-        "ground", params, prover, seed, [ParityTest.of(rh)], [rh.l1_norm], fidelity,
+        "ground", params, prover, seed, [ParityTest(rh)], [rh.l1_norm], fidelity,
         record_trials,
     )
 
 
 def run_circuit_protocol(
-    decomps: Sequence[StabilizerDecomposition],
+    decomps: Sequence[PauliSum],
     ideal: DenseState | None,
     prover: ProverModel,
     params: ProtocolParams,
     seed: int,
     record_trials: bool = False,
 ) -> VerdictReport:
-    """Per-qubit stabilizer tests on N groups of k registers each."""
+    """Per-qubit stabilizer tests on N groups of k registers each.
+
+    ``decomps[i]`` is the Pauli sum of qubit i's stabilizer U X_i U^dag.
+    """
     if params.protocol != "circuit":
         raise ValueError("params are not for the circuit protocol")
-    decomps = sorted(decomps, key=lambda d: d.qubit)
-    if [d.qubit for d in decomps] != list(range(params.n)):
-        raise ValueError("need one stabilizer decomposition per qubit")
+    check_one_sum_per_qubit(decomps, params.n)
     fidelity = None if ideal is None else partial(overlap, reference=ideal)
     return _run_protocol(
-        "circuit", params, prover, seed, [ParityTest.of(d) for d in decomps],
+        "circuit", params, prover, seed, [ParityTest(d) for d in decomps],
         [d.l1_norm for d in decomps], fidelity, record_trials,
     )
 
@@ -715,37 +718,33 @@ def prepare(kind: str, target) -> PreparedTarget:
     diagonalized once: the rescaling, the ground projector and the ideal
     state all come from that one ``eigh``.
     """
+    if kind == "hypergraph":
+        forms = all_adaptive_forms(target)
+        ideal = build_state(target)
+        # hypergraph reports carry a target fidelity only up to the dense cap
+        reported = ideal if target.n <= DENSE_QUBIT_CAP else None
+        return PreparedTarget(
+            "hypergraph",
+            ideal,
+            (1.0,) * target.n,
+            partial(run_hypergraph_protocol, forms, reported),
+            lambda rho: tuple(adaptive_test_exact_ppass(rho, f) for f in forms),
+        )
+    # the ground and circuit protocols run the parity test of one Pauli sum per group
     if kind == "hamiltonian":
         diag = exact_diagonalize(target)
         rh = rescale(target, diag=diag)
-        return PreparedTarget(
-            "ground",
-            diag.ground,
-            (rh.l1_norm,),
-            partial(run_ground_protocol, rh, diag.projector),
-            lambda rho: (energy_test_exact_ppass(rho, rh),),
-        )
-    if kind == "circuit":
-        decomps = all_stabilizer_decompositions(target)
-        ideal = build_circuit_state(target)
-        return PreparedTarget(
-            "circuit",
-            ideal,
-            tuple(d.l1_norm for d in decomps),
-            partial(run_circuit_protocol, decomps, ideal),
-            lambda rho: tuple(stabilizer_test_exact_ppass(rho, d) for d in decomps),
-        )
-    if kind != "hypergraph":
+        sums, ideal = [rh], diag.ground
+        run = partial(run_ground_protocol, rh, diag.projector)
+    elif kind == "circuit":
+        sums, ideal = all_stabilizer_decompositions(target), build_circuit_state(target)
+        run = partial(run_circuit_protocol, sums, ideal)
+    else:
         raise ValueError(f"unknown target kind {kind!r}")
-    forms = all_adaptive_forms(target)
-    ideal = build_state(target)
-    # hypergraph reports carry a target fidelity only up to the dense cap
     return PreparedTarget(
-        "hypergraph",
+        PROTOCOL_FOR_KIND[kind],
         ideal,
-        (1.0,) * target.n,
-        partial(
-            run_hypergraph_protocol, forms, ideal if target.n <= DENSE_QUBIT_CAP else None
-        ),
-        lambda rho: tuple(adaptive_test_exact_ppass(rho, f) for f in forms),
+        tuple(s.l1_norm for s in sums),
+        run,
+        lambda rho: tuple(parity_test_exact_ppass(rho, s) for s in sums),
     )

@@ -1,11 +1,14 @@
-"""The three destructive single-copy tests, sampled and in closed form.
+"""The destructive single-copy tests, sampled and in closed form.
 
-Each test measures every qubit of one register exactly once.  The sampled
-path draws a Pauli term (or reads adaptive branch bits), takes one joint Born
-sample, and applies an exact integer pass predicate; the closed-form path
-returns the expected pass probability from dense expectations.  Both paths
-are split so a protocol engine can drive the measurement itself (e.g. on an
-entangled multi-register state) and reuse the same predicates.
+The parity test of a sampled Pauli sum serves the ground protocol (the
+rescaled Hamiltonian) and the circuit protocol (each stabilizer); the
+adaptive stabilizer test serves hypergraph states.  Each test measures every
+qubit of one register exactly once.  The sampled path draws a Pauli term (or
+reads adaptive branch bits), takes one joint Born sample, and applies an
+exact integer pass predicate; the closed-form path returns the expected pass
+probability from dense expectations.  Both paths are split so a protocol
+engine can drive the measurement itself (e.g. on an entangled multi-register
+state) and reuse the same predicates.
 """
 from __future__ import annotations
 
@@ -13,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import RescaledHamiltonian
 from .hypergraphs import AdaptiveStabilizerForm
-from .circuits import StabilizerDecomposition
-from .paulis import PauliString
+from .paulis import PauliString, PauliSum
 from .states import (
     DenseState,
     MeasurementRecord,
@@ -43,14 +44,12 @@ class TermDraw:
     sign: int
 
 
-def draw_pauli_term(
-    terms: tuple[PauliString, ...], cum_weights: np.ndarray, rng: np.random.Generator
-) -> TermDraw:
+def draw_pauli_term(pauli_sum: PauliSum, rng: np.random.Generator) -> TermDraw:
     """Sample one term index from the |coefficient|/l1 distribution."""
-    i = int(np.searchsorted(cum_weights, rng.random(), side="right"))
-    if i >= len(terms):
-        i = len(terms) - 1
-    t = terms[i]
+    i = int(np.searchsorted(pauli_sum.cum, rng.random(), side="right"))
+    if i >= len(pauli_sum.terms):
+        i = len(pauli_sum.terms) - 1
+    t = pauli_sum.terms[i]
     return TermDraw(i, t.axes, t.sign)
 
 
@@ -59,48 +58,32 @@ def parity_passes(record: MeasurementRecord, sign: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Energy test
+# Parity test (the energy test of the ground protocol and the stabilizer test
+# of the circuit protocol)
 
 
-def energy_test(
-    rho: DenseState, rh: RescaledHamiltonian, rng: np.random.Generator
+def parity_test(
+    rho: DenseState, pauli_sum: PauliSum, rng: np.random.Generator
 ) -> TestOutcome:
-    """Draw a term of the rescaled Hamiltonian, measure it, compare parities.
+    """Draw a term of the sum, measure it, compare its parity with the term sign.
 
-    The identity term is part of the draw (it always passes); that is what
-    ties the pass probability to the full energy expectation.
+    An identity term is part of the draw (it always passes); that is what
+    ties the pass probability to the full expectation of the sum.
     """
-    draw = draw_pauli_term(rh.terms, rh.sampling_cum, rng)
+    draw = draw_pauli_term(pauli_sum, rng)
     record, _ = measure_in_bases(rho, draw.bases, rng)
     passed = parity_passes(record, draw.sign)
     return TestOutcome(passed, f"{'+' if draw.sign > 0 else '-'}{draw.bases}", record)
 
 
-def energy_test_exact_ppass(rho: DenseState, rh: RescaledHamiltonian) -> float:
-    """1/2 + <H'>/(2 * l1)."""
-    energy = sum(expectation(rho, t) for t in rh.terms)
-    return 0.5 + energy / (2.0 * rh.l1_norm)
+def parity_test_exact_ppass(rho: DenseState, pauli_sum: PauliSum) -> float:
+    """1/2 + <H>/(2 * l1), with H the rescaled Hamiltonian or a stabilizer."""
+    value = sum(expectation(rho, t) for t in pauli_sum.terms)
+    return 0.5 + value / (2.0 * pauli_sum.l1_norm)
 
 
-# ---------------------------------------------------------------------------
-# Stabilizer test (circuit-generated states)
-
-
-def stabilizer_test(
-    rho: DenseState, decomp: StabilizerDecomposition, rng: np.random.Generator
-) -> TestOutcome:
-    draw = draw_pauli_term(decomp.terms, decomp.sampling_cum, rng)
-    record, _ = measure_in_bases(rho, draw.bases, rng)
-    passed = parity_passes(record, draw.sign)
-    return TestOutcome(passed, f"{'+' if draw.sign > 0 else '-'}{draw.bases}", record)
-
-
-def stabilizer_test_exact_ppass(
-    rho: DenseState, decomp: StabilizerDecomposition
-) -> float:
-    """1/2 + <g_i>/(2 * l1_i)."""
-    g_exp = sum(expectation(rho, t) for t in decomp.terms)
-    return 0.5 + g_exp / (2.0 * decomp.l1_norm)
+# the ground protocol's name for the same closed form
+energy_test_exact_ppass = parity_test_exact_ppass
 
 
 # ---------------------------------------------------------------------------
@@ -192,20 +175,15 @@ class ParityTest:
     index of its term.
     """
 
-    def __init__(self, terms: tuple[PauliString, ...], cum_weights: np.ndarray):
-        self.terms = tuple(terms)
-        self.cum = cum_weights
-        self.bases = tuple(t.axes for t in self.terms)
+    def __init__(self, pauli_sum: PauliSum):
+        self.pauli_sum = pauli_sum
+        self.bases = tuple(t.axes for t in pauli_sum.terms)
         # the sign of a vanishing coefficient is undefined, but such a term
         # carries no sampling weight
-        self.signs = np.array([1 if t.coeff > 0 else -1 for t in self.terms])
-
-    @classmethod
-    def of(cls, pauli_sum: RescaledHamiltonian | StabilizerDecomposition) -> "ParityTest":
-        return cls(pauli_sum.terms, pauli_sum.sampling_cum)
+        self.signs = np.array([1 if t.coeff > 0 else -1 for t in pauli_sum.terms])
 
     def trial(self, source, register: int, rng: np.random.Generator) -> tuple[bool, int]:
-        draw = draw_pauli_term(self.terms, self.cum, rng)
+        draw = draw_pauli_term(self.pauli_sum, rng)
         record = source.measure(register, draw.bases, rng)
         return parity_passes(record, draw.sign), draw.index
 
@@ -214,8 +192,8 @@ class ParityTest:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Pass flags and term indices of ``n_trials`` trials on ``state``."""
         u = rng.random(2 * n_trials)
-        term = np.searchsorted(self.cum, u[0::2], side="right")
-        term = np.minimum(term, len(self.terms) - 1)
+        term = np.searchsorted(self.pauli_sum.cum, u[0::2], side="right")
+        term = np.minimum(term, len(self.bases) - 1)
         u_outcome = u[1::2]
         passed = np.empty(n_trials, dtype=bool)
         order = np.argsort(term, kind="stable")

@@ -54,7 +54,7 @@ from pauliverify.single_copy import (
     adaptive_test_exact_ppass,
     energy_test_exact_ppass,
     monte_carlo_pass_rate,
-    stabilizer_test_exact_ppass,
+    parity_test_exact_ppass,
 )
 from pauliverify.states import (
     computational_state,
@@ -167,13 +167,13 @@ def test_criterion_3_ppass_formula_agreement():
         for _ in range(20):
             rho = random_mixed_state(3, rng)
             p = energy_test_exact_ppass(rho, rh)
-            rate, _ = monte_carlo_pass_rate(ParityTest.of(rh), trials, rng, state=rho)
+            rate, _ = monte_carlo_pass_rate(ParityTest(rh), trials, rng, state=rho)
             assert abs(rate - p) <= 3 * np.sqrt(p * (1 - p) / trials)
 
         for _ in range(20):
             rho = random_mixed_state(3, rng)
-            p = stabilizer_test_exact_ppass(rho, decomp)
-            rate, _ = monte_carlo_pass_rate(ParityTest.of(decomp), trials, rng, state=rho)
+            p = parity_test_exact_ppass(rho, decomp)
+            rate, _ = monte_carlo_pass_rate(ParityTest(decomp), trials, rng, state=rho)
             assert abs(rate - p) <= 3 * np.sqrt(p * (1 - p) / trials)
 
         for _ in range(20):
@@ -226,7 +226,7 @@ def test_criterion_4_completeness_at_desk_scale():
         predicted_c = 1.0
         for d in decomps:
             thr_i = Fraction(1, 2) + (1 - params_c.epsilon) / (2 * Fraction(d.l1_norm))
-            p_i = stabilizer_test_exact_ppass(ideal, d)
+            p_i = parity_test_exact_ppass(ideal, d)
             predicted_c *= binomial_tail_ge(200, p_i, thr_i)
             # completeness chain, exact tail under the Hoeffding bound
             tail = 1 - binomial_tail_ge(200, p_i, thr_i)

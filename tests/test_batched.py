@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 from pauliverify.circuits import all_stabilizer_decompositions, build_circuit_state, circuit
 from pauliverify.hamiltonians import HamiltonianSpec, exact_diagonalize, ground_state, rescale
 from pauliverify.hypergraphs import adaptive_form, all_adaptive_forms, build_state, hypergraph
-from pauliverify.paulis import PauliString, merge_pauli_terms
+from pauliverify.paulis import PauliString, PauliSum, merge_pauli_terms
 from pauliverify.protocol import (
     ProductRegisters,
     ProverModel,
@@ -185,8 +185,7 @@ def test_parity_kernel_equals_scalar_trials(n, terms, pure, seed):
     merged = merge_pauli_terms(PauliString.from_axes(a[:n], c) for a, c in terms)
     if not merged:
         return
-    weights = np.abs([t.coeff for t in merged])
-    test = ParityTest(tuple(merged), np.cumsum(weights / weights.sum()))
+    test = ParityTest(PauliSum.of(merged))
     state = _state(n, seed, pure)
     passed, branches = test.sample(state, np.random.default_rng(seed), 50)
     ok, scalar_branches = _scalar_trials(test, state, seed, 50)

@@ -153,6 +153,12 @@ def test_condition_report():
         check_circuit_conditions([])
     with pytest.raises(ValueError):
         check_circuit_conditions(decomps[:1])
+    # list index i is qubit i: one sum of width n per qubit, no more
+    with pytest.raises(ValueError):
+        check_circuit_conditions(decomps + decomps[:1])
+    wider = all_stabilizer_decompositions(circuit(3, [("CZ", (0, 1))]))
+    with pytest.raises(ValueError):
+        check_circuit_conditions([decomps[0], wider[1]])
 
 
 def test_build_state_examples():

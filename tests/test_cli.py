@@ -482,3 +482,82 @@ def test_robustness_circuit_ppass_matches_closed_form(capsys):
             l1 = d.l1_norm
             want.append((1 - e) * (0.5 + 1 / (2 * l1)) + e * (0.5 + c / (2 * l1)))
         assert got == pytest.approx(want, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Goldens of the parity-test protocols: a Hamiltonian ground-state target (the
+# n=3, seed-1 ring above) and a Clifford+T circuit with T, H and CCZ gates.
+# Targets are passed relative to tests/data, so the bytes hold in any checkout.
+
+PARITY_VERIFY_GOLDENS = ["verify_ring3", "verify_clifford_t"]
+PARITY_TARGET_GOLDENS = [
+    (["ppass", "--target", "ring3.json", "--state", "deviated:0.1"], "ppass_ring3_deviated"),
+    (["ppass", "--target", "clifford_t.json", "--state", "deviated:0.1"],
+     "ppass_clifford_t_deviated"),
+    (["inspect", "ring3.json"], "inspect_ring3"),
+    (["inspect", "clifford_t.json"], "inspect_clifford_t"),
+]
+
+
+@pytest.mark.parametrize("name", PARITY_VERIFY_GOLDENS)
+def test_parity_verify_golden_and_trials_csv(name, tmp_path, capsys):
+    csv_path = tmp_path / "trials.csv"
+    code, out, _ = run_cli(
+        [
+            "verify", "--config", str(DATA / f"{name}.json"), "--runs", "3",
+            "--trials-csv", str(csv_path),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert out == (GOLDEN / f"{name}_runs3.json").read_text()
+    assert csv_path.read_bytes() == (GOLDEN / f"{name}_runs3.csv").read_bytes()
+
+
+@pytest.mark.parametrize("args, golden", PARITY_TARGET_GOLDENS)
+def test_parity_target_golden(args, golden, capsys, monkeypatch):
+    monkeypatch.chdir(DATA)
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert out == (GOLDEN / f"{golden}.json").read_text()
+
+
+# ---------------------------------------------------------------------------
+# Out-of-range qubits, l1 norms and empty sweeps fail loudly
+
+
+@pytest.mark.parametrize("qubit", ["9", "3", "-1"])
+def test_ppass_phaseflip_out_of_range_is_config_error(capsys, qubit):
+    code, out, err = run_cli(
+        ["ppass", "--target", str(DATA / "triple.json"), "--state", f"phaseflip:{qubit}"],
+        capsys,
+    )
+    assert_config_error(code, out, err, f"qubit {qubit} out of range for 3 qubits")
+
+
+@pytest.mark.parametrize("kind", ["coherent_error", "classically_correlated"])
+@pytest.mark.parametrize("qubit", [9, -1])
+def test_verify_prover_qubit_out_of_range_is_config_error(tmp_path, capsys, kind, qubit):
+    config = _edited_config(tmp_path, prover={"kind": kind, "pauli": "Z", "qubit": qubit})
+    code, out, err = run_cli(["verify", "--config", str(config)], capsys)
+    assert_config_error(code, out, err, f"qubit {qubit} out of range for 3 qubits")
+
+
+@pytest.mark.parametrize("l1", ["inf", "-inf", "nan", "-1", "0"])
+@pytest.mark.parametrize("protocol", ["ground", "circuit"])
+def test_params_l1_that_is_not_finite_and_positive_is_config_error(capsys, l1, protocol):
+    code, out, err = run_cli(
+        ["params", "--protocol", protocol, "--n", "2", f"--l1={l1}"], capsys
+    )
+    assert_config_error(code, out, err, "l1 norm must be finite and positive")
+
+
+def test_robustness_without_deviations_is_config_error(capsys):
+    code, out, err = run_cli(
+        [
+            "robustness", "--target", str(DATA / "triple.json"),
+            "--eps-prime", ",", "-k", "5", "--runs", "2", "--seed", "1",
+        ],
+        capsys,
+    )
+    assert_config_error(code, out, err, "eps-prime needs at least one deviation")

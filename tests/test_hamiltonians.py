@@ -104,7 +104,7 @@ def test_rescaled_spectrum_normalized(rng):
         if above.size:
             assert above[0] >= 1.0 - 1e-8
         assert rh.identity_coeff >= -1e-10
-        assert np.sum(rh.sampling_weights) == pytest.approx(1.0, abs=1e-12)
+        assert rh.cum[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_condition_report_budget():

@@ -3,7 +3,9 @@ import pytest
 
 from pauliverify.paulis import (
     CapExceededError,
+    DENSE_QUBIT_CAP,
     PauliString,
+    PauliSum,
     decompose_in_pauli_basis,
     merge_pauli_terms,
     pauli_sum_dense,
@@ -110,3 +112,40 @@ def test_decompose_rejects_non_hermitian_and_caps():
     big = np.eye(1 << 9, dtype=complex)
     with pytest.raises(CapExceededError):
         decompose_in_pauli_basis(big)
+
+
+def test_on_qubit_places_one_letter():
+    assert PauliString.on_qubit(3, 0, "X") == PauliString.from_axes("XII")
+    assert PauliString.on_qubit(3, 2, "Y") == PauliString.from_axes("IIY")
+    assert PauliString.on_qubit(3, 1, "I").is_identity
+    for qubit in (3, -1):
+        with pytest.raises(ValueError, match=f"qubit {qubit} out of range for 3 qubits"):
+            PauliString.on_qubit(3, qubit, "Z")
+    for axis in ("", "ZZ", "Q"):
+        with pytest.raises(ValueError, match="unknown Pauli axis"):
+            PauliString.on_qubit(3, 0, axis)
+
+
+def test_pauli_sum_of_terms():
+    terms = [
+        PauliString.from_axes(a, c) for a, c in [("II", 0.5), ("XZ", -1.0), ("YY", 0.5)]
+    ]
+    s = PauliSum.of(terms)
+    assert s.n == 2 and s.terms == tuple(terms)
+    assert s.l1_norm == 2.0
+    assert s.cum.tolist() == [0.25, 0.75, 1.0]
+    assert s.identity_coeff == 0.5
+    assert PauliSum.of(terms[1:]).identity_coeff == 0.0
+    assert np.allclose(s.dense(), pauli_sum_dense(terms))
+
+
+def test_pauli_sum_rejects_what_cannot_be_sampled():
+    with pytest.raises(ValueError, match="at least one term"):
+        PauliSum.of([])
+    with pytest.raises(ValueError, match="width"):
+        PauliSum.of([PauliString.from_axes("X"), PauliString.from_axes("XX")])
+    with pytest.raises(ValueError, match="no weight"):
+        PauliSum.of([PauliString.from_axes("X", 0.0)])
+    wide = PauliSum.of([PauliString.identity(DENSE_QUBIT_CAP + 1)])
+    with pytest.raises(CapExceededError):
+        wide.dense()

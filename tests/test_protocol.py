@@ -159,6 +159,17 @@ def test_circuit_honest_clifford_always_accepts():
         assert rep.target_fidelity == pytest.approx(1.0)
 
 
+def test_circuit_protocol_needs_one_sum_of_width_n_per_qubit():
+    c = circuit(2, [("CZ", (0, 1))])
+    decomps = all_stabilizer_decompositions(c)
+    ideal = build_circuit_state(c)
+    params = desk_params("circuit", 2, k=5)
+    wider = all_stabilizer_decompositions(circuit(3, [("CZ", (0, 1))]))
+    for bad in (decomps[:1], decomps + decomps[:1], [decomps[0], wider[1]]):
+        with pytest.raises(ValueError, match="one stabilizer decomposition of width 2"):
+            run_circuit_protocol(bad, ideal, honest_prover(ideal), params, 1)
+
+
 def test_circuit_orthogonal_prover_rejected():
     c = circuit(3, [("CCZ", (0, 1, 2))])
     decomps = all_stabilizer_decompositions(c)

@@ -10,11 +10,10 @@ from pauliverify.single_copy import (
     adaptive_stabilizer_test,
     adaptive_test_exact_ppass,
     binomial_sigma,
-    energy_test,
     energy_test_exact_ppass,
     monte_carlo_pass_rate,
-    stabilizer_test,
-    stabilizer_test_exact_ppass,
+    parity_test,
+    parity_test_exact_ppass,
 )
 from pauliverify.states import (
     apply_pauli,
@@ -74,7 +73,7 @@ def test_energy_monte_carlo_matches_exact(rng):
     rho = random_mixed_state(1, rng)
     p = energy_test_exact_ppass(rho, rh)
     trials = 40_000
-    rate, _ = monte_carlo_pass_rate(lambda r: energy_test(rho, rh, r), trials, rng)
+    rate, _ = monte_carlo_pass_rate(lambda r: parity_test(rho, rh, r), trials, rng)
     assert abs(rate - p) < 3 * binomial_sigma(p, trials)
 
 
@@ -82,15 +81,15 @@ def test_stabilizer_ppass_ideal_and_clifford(rng):
     ccz = circuit(3, [("CCZ", (0, 1, 2))])
     psi = build_circuit_state(ccz)
     for d in all_stabilizer_decompositions(ccz):
-        assert stabilizer_test_exact_ppass(psi, d) == pytest.approx(
+        assert parity_test_exact_ppass(psi, d) == pytest.approx(
             0.5 + 1 / (2 * d.l1_norm)
         )
     cz = circuit(2, [("CZ", (0, 1))])
     psi2 = build_circuit_state(cz)
     for d in all_stabilizer_decompositions(cz):
         assert d.l1_norm == pytest.approx(1.0)
-        assert stabilizer_test_exact_ppass(psi2, d) == pytest.approx(1.0)
-        out = stabilizer_test(psi2, d, rng)
+        assert parity_test_exact_ppass(psi2, d) == pytest.approx(1.0)
+        out = parity_test(psi2, d, rng)
         assert out.passed
 
 
@@ -100,7 +99,7 @@ def test_stabilizer_ppass_phase_flipped():
     flipped = apply_pauli(psi, PauliString.from_axes("ZII"))
     d0 = all_stabilizer_decompositions(ccz)[0]
     # the flipped state is stabilized by -g_1
-    assert stabilizer_test_exact_ppass(flipped, d0) == pytest.approx(
+    assert parity_test_exact_ppass(flipped, d0) == pytest.approx(
         0.5 - 1 / (2 * d0.l1_norm)
     )
     assert d0.l1_norm == pytest.approx(2.0)
@@ -110,12 +109,12 @@ def test_stabilizer_monte_carlo_matches_exact(rng):
     ccz = circuit(3, [("CCZ", (0, 1, 2))])
     d0 = all_stabilizer_decompositions(ccz)[0]
     rho = random_mixed_state(3, rng)
-    p = stabilizer_test_exact_ppass(rho, d0)
+    p = parity_test_exact_ppass(rho, d0)
     g_dense = d0.dense()
     want = 0.5 + np.trace(rho.data @ g_dense).real / (2 * d0.l1_norm)
     assert p == pytest.approx(want, abs=1e-10)
     trials = 40_000
-    rate, _ = monte_carlo_pass_rate(lambda r: stabilizer_test(rho, d0, r), trials, rng)
+    rate, _ = monte_carlo_pass_rate(lambda r: parity_test(rho, d0, r), trials, rng)
     assert abs(rate - p) < 3 * binomial_sigma(p, trials)
 
 
@@ -203,7 +202,7 @@ def test_adaptive_on_graph_state_equals_plain_stabilizer(rng):
     assert form.projector_support == ()
     assert adaptive_test_exact_ppass(
         rho, form, stabilizer_dense(g, 1)
-    ) == pytest.approx(stabilizer_test_exact_ppass(rho, d), abs=1e-10)
+    ) == pytest.approx(parity_test_exact_ppass(rho, d), abs=1e-10)
 
 
 def test_exact_ppass_stays_in_unit_interval(rng):
@@ -218,11 +217,11 @@ def test_exact_ppass_stays_in_unit_interval(rng):
 def test_outcome_reproducible_from_seed():
     rh = minus_z_rescaled()
     rho = maximally_mixed(1)
-    a = [energy_test(rho, rh, np.random.default_rng(7)).branch for _ in range(3)]
+    a = [parity_test(rho, rh, np.random.default_rng(7)).branch for _ in range(3)]
     assert len(set(a)) == 1
     r1 = np.random.default_rng(11)
     r2 = np.random.default_rng(11)
-    outs1 = [energy_test(rho, rh, r1) for _ in range(50)]
-    outs2 = [energy_test(rho, rh, r2) for _ in range(50)]
+    outs1 = [parity_test(rho, rh, r1) for _ in range(50)]
+    outs2 = [parity_test(rho, rh, r2) for _ in range(50)]
     assert [o.passed for o in outs1] == [o.passed for o in outs2]
     assert [o.record.outcomes for o in outs1] == [o.record.outcomes for o in outs2]
