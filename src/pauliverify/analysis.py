@@ -6,6 +6,7 @@ closed-form value.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -135,8 +136,10 @@ def supremacy_margin(fidelity: float, sampler_error: float) -> MarginReport:
     """Total l1 bound 2*sqrt(1-F) + sampler_error against the 1/192 line."""
     if not 0.0 <= fidelity <= 1.0:
         raise ValueError("fidelity must lie in [0, 1]")
-    if sampler_error < 0.0:
-        raise ValueError("sampler error cannot be negative")
+    if not 0.0 <= sampler_error < math.inf:
+        raise ValueError(
+            f"sampler error must be finite and non-negative, got {sampler_error}"
+        )
     state_term = 2.0 * float(np.sqrt(max(1.0 - fidelity, 0.0)))
     total = state_term + sampler_error
     threshold = float(SAMPLING_HARDNESS_THRESHOLD)

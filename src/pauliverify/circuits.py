@@ -21,15 +21,13 @@ import numpy as np
 
 from .paulis import (
     AXES,
-    CapExceededError,
     DROP_THRESHOLD,
-    PURE_QUBIT_CAP,
     PAULI_MATRICES,
     PauliString,
     PauliSum,
     decompose_in_pauli_basis,
 )
-from .hamiltonians import default_budget
+from .hamiltonians import budget_value
 from .states import DenseState, plus_state, pure_state
 
 TERM_CAP_DEFAULT = 1 << 18
@@ -155,8 +153,6 @@ def circuit(n: int, gates) -> CircuitSpec:
 
 def build_circuit_state(c: CircuitSpec) -> DenseState:
     """Apply the gate list to |+>^n with dense amplitudes."""
-    if c.n > PURE_QUBIT_CAP:
-        raise CapExceededError(f"pure states capped at {PURE_QUBIT_CAP} qubits")
     psi = plus_state(c.n).data.reshape([2] * c.n).copy()
     for gate in c.gates:
         mat = gate.matrix().reshape([2] * (2 * len(gate.qubits)))
@@ -269,14 +265,14 @@ def check_circuit_conditions(
     n = decomps[0].n
     check_one_sum_per_qubit(decomps, n)
     per = tuple(d.l1_norm for d in decomps)
-    budget_value = default_budget(n) if budget is None else float(budget)
+    budget = budget_value(n, budget)
     l1_max = max(per)
     return CircuitConditionReport(
         n=n,
         l1_max=l1_max,
         l1_per_qubit=per,
-        budget_value=budget_value,
-        within_budget=l1_max <= budget_value,
+        budget_value=budget,
+        within_budget=l1_max <= budget,
         distribution_materialized=True,
         l1_exactly_known=True,
     )

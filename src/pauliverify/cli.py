@@ -113,10 +113,15 @@ def _config_object(cfg: dict, key: str, default: dict) -> dict:
 
 
 def _config_number(cfg: dict, key: str, cast=float, default=None):
-    """``cfg[key]`` as a number; a missing, null or non-numeric value is a config error."""
+    """``cfg[key]`` as a number; a missing, null or non-numeric value is a config error.
+
+    With ``cast=int``, a float that is not a whole number is one too.
+    """
     value = cfg.get(key, default)
     if value is None or isinstance(value, bool):
         raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
+    if cast is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be a whole number, got {json.dumps(value)}")
     try:
         return cast(value)
     except (TypeError, ValueError):

@@ -8,14 +8,13 @@ norm of their coefficients and the induced sampling distribution.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .paulis import (
-    CapExceededError,
-    DENSE_QUBIT_CAP,
     DROP_THRESHOLD,
     PauliString,
     PauliSum,
@@ -56,8 +55,6 @@ class HamiltonianSpec:
             raise ValueError("stated gap bound exceeds E1 - E0")
 
     def dense(self) -> np.ndarray:
-        if self.n > DENSE_QUBIT_CAP:
-            raise CapExceededError(f"dense Hamiltonian beyond {DENSE_QUBIT_CAP} qubits")
         return pauli_sum_dense(self.terms)
 
 
@@ -112,11 +109,6 @@ def rescale(
     oracle_assisted = False
     if e0 is None or gap is None:
         if diag is None:
-            if h.n > DENSE_QUBIT_CAP:
-                raise CapExceededError(
-                    "E0 and the gap were not supplied and the register is too wide "
-                    "to diagonalize"
-                )
             diag = exact_diagonalize(h)
         if e0 is None:
             e0 = diag.e0
@@ -143,6 +135,15 @@ def rescale(
 def default_budget(n: int) -> float:
     """Reporting budget for the coefficient l1 norm; never blocks execution."""
     return 10.0 * n**3
+
+
+def budget_value(n: int, budget: float | None) -> float:
+    """The l1 budget to report against: ``budget``, or the default for ``n`` qubits."""
+    if budget is None:
+        return default_budget(n)
+    if not 0.0 <= float(budget) < math.inf:
+        raise ValueError(f"the l1 budget must be finite and non-negative, got {budget}")
+    return float(budget)
 
 
 @dataclass(frozen=True)
@@ -179,19 +180,19 @@ class ConditionReport:
 def check_conditions(
     rh: RescaledHamiltonian, budget: float | None = None
 ) -> ConditionReport:
-    budget_value = default_budget(rh.n) if budget is None else float(budget)
-    within = rh.l1_norm <= budget_value
+    budget = budget_value(rh.n, budget)
+    within = rh.l1_norm <= budget
     warning = None
     if not within:
         warning = (
-            f"l1 norm {rh.l1_norm:g} exceeds the budget {budget_value:g}; "
+            f"l1 norm {rh.l1_norm:g} exceeds the budget {budget:g}; "
             f"a small gap ({rh.gap_used:g}) inflates the sampling cost "
             "exponentially in the worst case"
         )
     return ConditionReport(
         n=rh.n,
         l1_norm=rh.l1_norm,
-        budget_value=budget_value,
+        budget_value=budget,
         within_budget=within,
         distribution_materialized=True,
         l1_exactly_known=True,

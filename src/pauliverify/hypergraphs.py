@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .paulis import (
-    CapExceededError,
     DENSE_QUBIT_CAP,
     PURE_QUBIT_CAP,
     bit_for_qubit,
+    capped_dim,
     sign_vector,
 )
 from .states import DenseState, pure_state
@@ -87,7 +87,7 @@ def _edge_masks(g: HypergraphSpec) -> list[int]:
 
 def cz_phase_vector(g: HypergraphSpec) -> np.ndarray:
     """Diagonal of the product of all generalized-CZ gates, as +-1 entries."""
-    dim = 1 << g.n
+    dim = capped_dim(g.n, PURE_QUBIT_CAP, "pure state")
     idx = np.arange(dim, dtype=np.int64)
     phases = np.ones(dim, dtype=np.int64)
     for m in _edge_masks(g):
@@ -97,18 +97,15 @@ def cz_phase_vector(g: HypergraphSpec) -> np.ndarray:
 
 def build_state(g: HypergraphSpec) -> DenseState:
     """The hypergraph state: phase flips of |+>^n on each edge's all-ones set."""
-    if g.n > PURE_QUBIT_CAP:
-        raise CapExceededError(f"pure states capped at {PURE_QUBIT_CAP} qubits")
-    amps = cz_phase_vector(g) / np.sqrt(1 << g.n)
+    phases = cz_phase_vector(g)
+    amps = phases / np.sqrt(phases.size)
     return pure_state(amps.astype(complex), g.n)
 
 
 def stabilizer_dense(g: HypergraphSpec, vertex: int) -> np.ndarray:
     """Dense matrix of the vertex stabilizer (CZ product) X_v (CZ product)."""
-    if g.n > DENSE_QUBIT_CAP:
-        raise CapExceededError(f"dense stabilizers capped at {DENSE_QUBIT_CAP} qubits")
+    dim = capped_dim(g.n, DENSE_QUBIT_CAP, "dense stabilizer")
     xbit = bit_for_qubit(g.n, vertex)
-    dim = 1 << g.n
     idx = np.arange(dim, dtype=np.int64)
     d = cz_phase_vector(g)
     mat = np.zeros((dim, dim), dtype=complex)
@@ -193,9 +190,7 @@ class AdaptiveStabilizerForm:
         cached = self._tables.get("outcome")
         if cached is not None:
             return cached
-        if self.n > PURE_QUBIT_CAP:
-            raise CapExceededError(f"outcome tables capped at {PURE_QUBIT_CAP} qubits")
-        idx = np.arange(1 << self.n, dtype=np.int64)
+        idx = np.arange(capped_dim(self.n, PURE_QUBIT_CAP, "outcome table"), dtype=np.int64)
         bits = np.zeros_like(idx)
         for v in self.projector_support:
             bits = (bits << 1) | ((idx >> (self.n - 1 - v)) & 1)
@@ -226,9 +221,7 @@ class AdaptiveStabilizerForm:
 
     def dense(self) -> np.ndarray:
         """Stabilizer rebuilt from the branch sum (for cross-validation)."""
-        if self.n > DENSE_QUBIT_CAP:
-            raise CapExceededError(f"dense form capped at {DENSE_QUBIT_CAP} qubits")
-        dim = 1 << self.n
+        dim = capped_dim(self.n, DENSE_QUBIT_CAP, "dense form")
         idx = np.arange(dim, dtype=np.int64)
         xbit = bit_for_qubit(self.n, self.vertex)
         out = np.zeros((dim, dim), dtype=complex)

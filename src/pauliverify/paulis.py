@@ -44,6 +44,18 @@ class CapExceededError(ValueError):
     """Raised when an operation would exceed the dense-simulation caps."""
 
 
+def capped_dim(n: int, cap: int, what: str) -> int:
+    """2**n for ``what`` on ``n`` qubits; raises CapExceededError when n > cap.
+
+    This is the one place the caps are enforced.  Every dense allocation
+    takes its size from the value returned here, so the check always runs
+    before anything of that size exists.
+    """
+    if n > cap:
+        raise CapExceededError(f"{what} on {n} qubits exceeds the {cap}-qubit cap")
+    return 1 << n
+
+
 def bit_for_qubit(n: int, qubit: int) -> int:
     """Mask bit of ``qubit`` within an ``n``-qubit basis index."""
     if not 0 <= qubit < n:
@@ -141,9 +153,7 @@ class PauliString:
 
     def dense(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix, coefficient included."""
-        if self.n > DENSE_QUBIT_CAP:
-            raise CapExceededError(f"dense Pauli matrix beyond {DENSE_QUBIT_CAP} qubits")
-        dim = 1 << self.n
+        dim = capped_dim(self.n, DENSE_QUBIT_CAP, "dense Pauli matrix")
         idx = np.arange(dim, dtype=np.int64)
         mat = np.zeros((dim, dim), dtype=complex)
         phase = self.coeff * (1j) ** self.y_count
@@ -204,10 +214,8 @@ def decompose_in_pauli_basis(
         raise ValueError("expected a square matrix")
     dim = matrix.shape[0]
     n = dim.bit_length() - 1
-    if 1 << n != dim:
+    if capped_dim(n, DENSE_QUBIT_CAP, "Pauli transform") != dim:
         raise ValueError("matrix dimension is not a power of two")
-    if n > DENSE_QUBIT_CAP:
-        raise CapExceededError(f"Pauli transform beyond {DENSE_QUBIT_CAP} qubits")
     if np.max(np.abs(matrix - matrix.conj().T)) > hermitian_tol:
         raise ValueError("matrix is not Hermitian within tolerance")
 
@@ -286,6 +294,4 @@ class PauliSum:
         return next((t.coeff for t in self.terms if t.is_identity), 0.0)
 
     def dense(self) -> np.ndarray:
-        if self.n > DENSE_QUBIT_CAP:
-            raise CapExceededError(f"dense Pauli sum beyond {DENSE_QUBIT_CAP} qubits")
         return pauli_sum_dense(self.terms)

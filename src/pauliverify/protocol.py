@@ -28,7 +28,7 @@ from .circuits import (
 )
 from .hamiltonians import exact_diagonalize, rescale
 from .hypergraphs import AdaptiveStabilizerForm, all_adaptive_forms, build_state
-from .paulis import CapExceededError, DENSE_QUBIT_CAP, PauliString, PauliSum
+from .paulis import DENSE_QUBIT_CAP, PauliString, PauliSum, capped_dim
 from .single_copy import (
     AdaptiveTest,
     ParityTest,
@@ -296,12 +296,9 @@ class EntangledRegisters:
 
     def __init__(self, n: int, n_registers: int, joint_amplitudes: np.ndarray):
         total = n * n_registers
-        if total > ENTANGLED_TOTAL_QUBIT_CAP:
-            raise CapExceededError(
-                f"entangled demo path capped at {ENTANGLED_TOTAL_QUBIT_CAP} total qubits"
-            )
+        dim = capped_dim(total, ENTANGLED_TOTAL_QUBIT_CAP, "entangled demo path")
         psi = np.asarray(joint_amplitudes, dtype=complex).reshape(-1)
-        if psi.size != 1 << total:
+        if psi.size != dim:
             raise ValueError("joint amplitude count mismatch")
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-9:
@@ -397,7 +394,7 @@ def classically_correlated_prover(
     w = np.asarray(weights, dtype=float)
     if len(states) != w.size or w.size == 0:
         raise ValueError("need one weight per state")
-    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+    if not np.all(w >= 0) or not abs(w.sum() - 1.0) <= 1e-9:
         raise ValueError("weights must be a probability vector")
     cum = np.cumsum(w)
 
@@ -423,10 +420,7 @@ def entangled_demo_prover(
         raise ValueError("weight must lie in [0, 1]")
 
     def make(n_registers, rng):
-        if ideal.n * n_registers > ENTANGLED_TOTAL_QUBIT_CAP:
-            raise CapExceededError(
-                f"entangled demo path capped at {ENTANGLED_TOTAL_QUBIT_CAP} total qubits"
-            )
+        capped_dim(ideal.n * n_registers, ENTANGLED_TOTAL_QUBIT_CAP, "entangled demo path")
         good = ideal.data
         worse = bad.data
         g = np.array([1.0], dtype=complex)

@@ -39,7 +39,7 @@ def to_jsonable(obj):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def trials_to_csv_rows(run_index: int, trial_records) -> list[tuple]:

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .paulis import (
-    CapExceededError,
     DENSE_QUBIT_CAP,
     PURE_QUBIT_CAP,
     PauliString,
+    capped_dim,
     sign_vector,
 )
 
@@ -62,10 +62,8 @@ def pure_state(amplitudes, n: int | None = None) -> DenseState:
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if n is None:
         n = amps.size.bit_length() - 1
-    if 1 << n != amps.size:
+    if capped_dim(n, PURE_QUBIT_CAP, "pure state") != amps.size:
         raise ValueError("amplitude count is not 2**n")
-    if n > PURE_QUBIT_CAP:
-        raise CapExceededError(f"pure states capped at {PURE_QUBIT_CAP} qubits")
     norm = np.linalg.norm(amps)
     if abs(norm - 1.0) > PURE_NORM_TOL:
         raise ValueError(f"state norm {norm} is not 1 within {PURE_NORM_TOL}")
@@ -80,10 +78,8 @@ def mixed_state(rho, n: int | None = None) -> DenseState:
         raise ValueError("density matrix must be square")
     if n is None:
         n = rho.shape[0].bit_length() - 1
-    if 1 << n != rho.shape[0]:
+    if capped_dim(n, DENSE_QUBIT_CAP, "density matrix") != rho.shape[0]:
         raise ValueError("matrix dimension is not 2**n")
-    if n > DENSE_QUBIT_CAP:
-        raise CapExceededError(f"density matrices capped at {DENSE_QUBIT_CAP} qubits")
     if abs(np.trace(rho) - 1.0) > TRACE_TOL:
         raise ValueError("trace is not 1 within tolerance")
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
@@ -94,37 +90,40 @@ def mixed_state(rho, n: int | None = None) -> DenseState:
 
 
 def _density(rho: np.ndarray, n: int) -> DenseState:
-    """Wrap a density matrix that is valid by construction, without re-checking it."""
-    if n > DENSE_QUBIT_CAP:
-        raise CapExceededError(f"density matrices capped at {DENSE_QUBIT_CAP} qubits")
+    """Wrap a density matrix that is valid by construction, without re-checking it.
+
+    Callers sized ``rho`` through ``capped_dim``; the cap is not checked again.
+    """
     rho.flags.writeable = False
     return DenseState(n, rho)
 
 
 def plus_state(n: int) -> DenseState:
-    return pure_state(np.full(1 << n, 1.0 / np.sqrt(1 << n), dtype=complex), n)
+    dim = capped_dim(n, PURE_QUBIT_CAP, "pure state")
+    return pure_state(np.full(dim, 1.0 / np.sqrt(dim), dtype=complex), n)
 
 
 def computational_state(n: int, index: int) -> DenseState:
-    amps = np.zeros(1 << n, dtype=complex)
+    amps = np.zeros(capped_dim(n, PURE_QUBIT_CAP, "pure state"), dtype=complex)
     amps[index] = 1.0
     return pure_state(amps, n)
 
 
 def maximally_mixed(n: int) -> DenseState:
-    dim = 1 << n
+    dim = capped_dim(n, DENSE_QUBIT_CAP, "density matrix")
     return _density(np.eye(dim, dtype=complex) / dim, n)
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> DenseState:
-    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    dim = capped_dim(n, PURE_QUBIT_CAP, "pure state")
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return pure_state(amps / np.linalg.norm(amps), n)
 
 
 def random_mixed_state(
     n: int, rng: np.random.Generator, rank: int | None = None
 ) -> DenseState:
-    dim = 1 << n
+    dim = capped_dim(n, DENSE_QUBIT_CAP, "density matrix")
     rank = dim if rank is None else rank
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = g @ g.conj().T
@@ -134,8 +133,7 @@ def random_mixed_state(
 def to_density(state: DenseState) -> DenseState:
     if not state.is_pure:
         return state
-    if state.n > DENSE_QUBIT_CAP:
-        raise CapExceededError(f"density matrices capped at {DENSE_QUBIT_CAP} qubits")
+    capped_dim(state.n, DENSE_QUBIT_CAP, "density matrix")
     return _density(np.outer(state.data, state.data.conj()), state.n)
 
 
@@ -246,7 +244,7 @@ def partial_trace(state: DenseState, keep: tuple[int, ...]) -> DenseState:
     drop = [q for q in range(state.n) if q not in keep]
     psi = state.data.reshape([2] * state.n)
     psi = np.transpose(psi, list(keep) + drop)
-    mat = psi.reshape(1 << len(keep), -1)
+    mat = psi.reshape(capped_dim(len(keep), DENSE_QUBIT_CAP, "density matrix"), -1)
     return _density(mat @ mat.conj().T, len(keep))
 
 

@@ -1,0 +1,156 @@
+"""The dense-simulation caps: one check, made before every dense allocation.
+
+``paulis.capped_dim`` is the only place that raises CapExceededError.  These
+tests read the package source with ``ast`` to keep it that way, and measure
+with tracemalloc that a request over a cap is refused before anything of its
+size is allocated.
+"""
+import ast
+import json
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from pauliverify import (
+    DENSE_QUBIT_CAP,
+    PURE_QUBIT_CAP,
+    CapExceededError,
+    HamiltonianSpec,
+    PauliString,
+    computational_state,
+    maximally_mixed,
+    partial_trace,
+    plus_state,
+    random_mixed_state,
+    random_pure_state,
+    rescale,
+    to_density,
+)
+from pauliverify.circuits import build_circuit_state, circuit
+from pauliverify.cli import main
+from pauliverify.hypergraphs import adaptive_form, build_state, hypergraph, stabilizer_dense
+from pauliverify.protocol import EntangledRegisters
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pauliverify"
+MIB = 1 << 20
+
+
+def _cap_raise_sites() -> list[str]:
+    """The module of every ``raise CapExceededError(...)`` in the package."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(exc, "id", None) or getattr(exc, "attr", None)
+            if name == "CapExceededError":
+                found.append(path.name)
+    return found
+
+
+def test_one_place_raises_the_cap_error():
+    assert _cap_raise_sites() == ["paulis.py"]
+
+
+def _peak_bytes(fn) -> int:
+    """Peak traced allocation while ``fn()`` runs."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fn()
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    return peak
+
+
+# A 12-qubit density matrix would take 4**12 * 16 bytes = 256 MiB.
+WIDE = 12
+
+
+def _wide_hypergraph(tmp_path) -> Path:
+    path = tmp_path / "wide.json"
+    edges = [[v, v + 1] for v in range(WIDE - 1)] + [[0, 1, 2]]
+    path.write_text(json.dumps({"n_vertices": WIDE, "edges": edges}))
+    return path
+
+
+def _iid_deviated_config(tmp_path, target: Path) -> Path:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "target": str(target),
+        "params": {"mode": "desk", "k": 5},
+        "prover": {"kind": "iid_deviated", "epsilon_prime": 0.1},
+        "seed": 1,
+    }))
+    return path
+
+
+@pytest.mark.parametrize("command", ["robustness", "ppass", "verify"])
+def test_wide_deviated_run_exits_2_before_allocating(tmp_path, capsys, command):
+    target = _wide_hypergraph(tmp_path)
+    args = {
+        "robustness": [
+            "robustness", "--target", str(target), "--eps-prime", "0.1",
+            "-k", "5", "--runs", "1", "--seed", "1",
+        ],
+        "ppass": ["ppass", "--target", str(target), "--state", "deviated:0.1"],
+        "verify": ["verify", "--config", str(_iid_deviated_config(tmp_path, target))],
+    }[command]
+    codes = []
+    peak = _peak_bytes(lambda: codes.append(main(args)))
+    captured = capsys.readouterr()
+    assert codes == [2]
+    assert captured.out == ""
+    assert json.loads(captured.err)["kind"] == "cap_exceeded"
+    assert peak < 8 * MIB
+
+
+def test_states_at_the_caps_still_build():
+    assert maximally_mixed(DENSE_QUBIT_CAP).data.shape == (256, 256)
+    assert plus_state(PURE_QUBIT_CAP).data.size == 1 << 16
+
+
+# Each allocator a few qubits over its cap, where the array it would build
+# holds up to 16 MiB.
+OVER_DENSE = DENSE_QUBIT_CAP + 2
+OVER_PURE = PURE_QUBIT_CAP + 4
+ALLOCATORS = {
+    "plus_state": lambda: plus_state(OVER_PURE),
+    "computational_state": lambda: computational_state(OVER_PURE, 0),
+    "random_pure_state": lambda: random_pure_state(OVER_PURE, np.random.default_rng(0)),
+    "random_mixed_state": lambda: random_mixed_state(
+        OVER_DENSE, np.random.default_rng(0)
+    ),
+    "maximally_mixed": lambda: maximally_mixed(OVER_DENSE),
+    "to_density": lambda: to_density(plus_state(OVER_DENSE)),
+    "partial_trace": lambda: partial_trace(
+        plus_state(OVER_DENSE), tuple(range(OVER_DENSE))
+    ),
+    "build_state": lambda: build_state(hypergraph(OVER_PURE, [(0, 1)])),
+    "stabilizer_dense": lambda: stabilizer_dense(hypergraph(OVER_DENSE, [(0, 1)]), 0),
+    "outcome_tables": lambda: adaptive_form(
+        hypergraph(OVER_PURE, [(0, 1, 2)]), 0
+    ).outcome_tables(),
+    "adaptive_form.dense": lambda: adaptive_form(
+        hypergraph(OVER_DENSE, [(0, 1)]), 0
+    ).dense(),
+    "PauliString.dense": lambda: PauliString.identity(OVER_DENSE).dense(),
+    "build_circuit_state": lambda: build_circuit_state(circuit(OVER_PURE, [])),
+    "rescale": lambda: rescale(
+        HamiltonianSpec(OVER_DENSE, (PauliString.identity(OVER_DENSE),))
+    ),
+    "EntangledRegisters": lambda: EntangledRegisters(4, 4, np.zeros(1)),
+}
+
+
+@pytest.mark.parametrize("build", ALLOCATORS.values(), ids=ALLOCATORS.keys())
+def test_allocator_over_its_cap_refuses_before_allocating(build):
+    def refused():
+        with pytest.raises(CapExceededError, match="exceeds the .*-qubit cap"):
+            build()
+
+    assert _peak_bytes(refused) < 1 * MIB

@@ -561,3 +561,73 @@ def test_robustness_without_deviations_is_config_error(capsys):
         capsys,
     )
     assert_config_error(code, out, err, "eps-prime needs at least one deviation")
+
+
+# ---------------------------------------------------------------------------
+# NaN, infinite and fractional inputs exit 1; no report carries NaN or Infinity
+
+
+def test_verify_nan_p_bad_is_config_error(tmp_path, capsys):
+    prover = {"kind": "classically_correlated", "pauli": "Z", "p_bad": float("nan")}
+    config = _edited_config(tmp_path, prover=prover)
+    code, out, err = run_cli(["verify", "--config", str(config)], capsys)
+    assert_config_error(code, out, err, "weights must be a probability vector")
+
+
+@pytest.mark.parametrize("target", ["ring3.json", "clifford_t.json"])
+@pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
+def test_inspect_budget_that_is_not_finite_and_non_negative_is_config_error(
+    capsys, target, budget
+):
+    code, out, err = run_cli(
+        ["inspect", str(DATA / target), f"--budget={budget}"], capsys
+    )
+    assert_config_error(code, out, err, "l1 budget must be finite and non-negative")
+
+
+@pytest.mark.parametrize("error", ["nan", "inf", "-0.1"])
+def test_iqp_margin_sampler_error_that_is_not_finite_and_non_negative_is_config_error(
+    capsys, error
+):
+    code, out, err = run_cli(
+        ["iqp-margin", "--fidelity", "0.9999", f"--sampler-error={error}"], capsys
+    )
+    assert_config_error(code, out, err, "sampler error must be finite and non-negative")
+
+
+def test_canonical_json_refuses_nan_and_infinity():
+    from pauliverify.reporting import canonical_json
+
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            canonical_json({"x": value})
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        ({"params": {"mode": "desk", "k": 10.7}}, "k must be a whole number, got 10.7"),
+        (
+            {"params": {"mode": "desk", "k": float("inf")}},
+            "k must be a whole number, got Infinity",
+        ),
+        ({"params": {"mode": "desk", "k": 10, "m": 1.5}}, "m must be a whole number, got 1.5"),
+        (
+            {"prover": {"kind": "coherent_error", "pauli": "Z", "qubit": 0.5}},
+            "qubit must be a whole number, got 0.5",
+        ),
+    ],
+)
+def test_verify_fractional_whole_number_field_is_config_error(
+    tmp_path, capsys, edit, needle
+):
+    config = _edited_config(tmp_path, **edit)
+    code, out, err = run_cli(["verify", "--config", str(config)], capsys)
+    assert_config_error(code, out, err, needle)
+
+
+def test_verify_whole_float_k_still_runs(tmp_path, capsys):
+    config = _edited_config(tmp_path, params={"mode": "desk", "k": 10.0, "epsilon": 0.1})
+    code, out, _ = run_cli(["verify", "--config", str(config)], capsys)
+    assert code == 0
+    assert all(g["trials"] == 10 for g in json.loads(out)["report"]["groups"])
