@@ -36,6 +36,7 @@ from .hypergraphs import (
 from .paulis import CapExceededError, PauliString
 from .protocol import (
     PROTOCOL_FOR_KIND,
+    RUN_COUNT_CAP,
     ProtocolParams,
     ProverModel,
     classically_correlated_prover,
@@ -138,13 +139,18 @@ def _config_typed(cfg: dict, key: str, kind: type, default=None):
 
 
 def check_run_sizes(k: int, m: int, runs: int) -> None:
-    """Reject run sizes that leave nothing to test or to average over."""
+    """Reject run sizes that leave nothing to test or to average over.
+
+    Runs above RUN_COUNT_CAP are refused here, before any per-run seed is drawn.
+    """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if m < 0:
         raise ValueError(f"m must be at least 0, got {m}")
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
+    if runs > RUN_COUNT_CAP:
+        raise ValueError(f"runs must be at most {RUN_COUNT_CAP}, got {runs}")
 
 
 def _pauli_from_config(cfg: dict, n: int) -> PauliString:

@@ -184,8 +184,12 @@ class AdaptiveStabilizerForm:
         """Pass flag and projector bits ``a`` for every joint outcome of bases().
 
         Both are indexed by the 2**n outcome index (qubit 0 most significant,
-        bit 1 for the -1 outcome).  They are built once from branch_for_bits
-        and kept on this instance.
+        bit 1 for the -1 outcome).  They are built once and kept on this
+        instance.  The branch of every key comes from the same rule as
+        branch_for_bits, evaluated on bit arrays over all 2**width keys: a
+        vertex carries a Z when an odd number of the neighbor edges and fired
+        groups put one on it; a Z on a projector vertex turns into its bit of
+        the sign alpha, any other joins the parity mask.
         """
         cached = self._tables.get("outcome")
         if cached is not None:
@@ -195,14 +199,25 @@ class AdaptiveStabilizerForm:
         for v in self.projector_support:
             bits = (bits << 1) | ((idx >> (self.n - 1 - v)) & 1)
         width = len(self.projector_support)
-        alpha = np.empty(1 << width, dtype=np.int64)
-        parity_mask = np.empty(1 << width, dtype=np.int64)
-        for key in range(1 << width):
-            alpha[key], residual = self.branch_for_bits(key)
-            mask = bit_for_qubit(self.n, self.vertex)
-            for v in residual:
-                mask |= bit_for_qubit(self.n, v)
-            parity_mask[key] = mask
+        keys = np.arange(1 << width, dtype=np.int64)
+        key_bit = {
+            v: (keys >> (width - 1 - t)) & 1 for t, v in enumerate(self.projector_support)
+        }
+        z_odd: dict[int, np.ndarray | int] = {}
+        for v in self.z_neighbors:
+            z_odd[v] = z_odd.get(v, 0) ^ 1
+        for grp in self.cz_groups:
+            fired = np.ones_like(keys)
+            for v in grp[:-1]:
+                fired &= key_bit[v]
+            z_odd[grp[-1]] = z_odd.get(grp[-1], 0) ^ fired
+        alpha = np.zeros_like(keys)
+        parity_mask = np.full_like(keys, bit_for_qubit(self.n, self.vertex))
+        for v, odd in z_odd.items():
+            if v in key_bit:
+                alpha ^= odd & key_bit[v]
+            else:
+                parity_mask |= odd * bit_for_qubit(self.n, v)
         # the outcome product over the vertex and the residual Z's is
         # (-1)**popcount(idx & mask); the branch passes when it equals (-1)**alpha
         odd = (np.bitwise_count(idx & parity_mask[bits]) + alpha[bits]) & 1

@@ -5,8 +5,8 @@ random m of them, keeps one uniform random survivor as the target, and tests
 the rest.  Accept/reject thresholds are compared in exact rational
 arithmetic so boundary equalities never flip on floating-point noise.
 
-Product provers fill every register with one state, so each group of k
-tests is sampled in one block of uniforms (see single_copy's group kernels).
+Product provers fill every register with one state, so a run samples all
+its groups' tests from one block of uniforms (see single_copy's run kernels).
 Only the tiny entangled demo path tracks a joint state across registers
 (total qubits capped at 12), conditioning it on each measured outcome, and
 runs trial by trial.
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,6 +63,10 @@ ENTANGLED_TOTAL_QUBIT_CAP = 12
 
 # Paper-schedule register counts explode; runs above this are refused.
 EXECUTABLE_REGISTER_CAP = 1_000_000
+
+# Protocol runs per verify or robustness call; more are refused before any
+# per-run seed is drawn.
+RUN_COUNT_CAP = 100_000
 
 # ln(2) to 50 digits, as an exact rational, so the register-count schedules
 # evaluate to reproducible integers far beyond double precision.
@@ -178,6 +182,8 @@ def schedule_params(
         raise ValueError(f"unknown protocol {protocol!r}")
     if n < 1:
         raise ValueError("n must be positive")
+    if k is not None and k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if l1_norm is not None and not 0.0 < l1_norm < math.inf:
         raise ValueError(f"the l1 norm must be finite and positive, got {l1_norm}")
     notes = []
@@ -248,19 +254,21 @@ def hypergraph_group_threshold(epsilon: Fraction) -> Fraction:
     return 1 - epsilon
 
 
+@lru_cache(maxsize=64)
 def group_thresholds(
-    protocol: str, epsilon: Fraction, group_l1: Sequence[float]
-) -> list[Fraction]:
+    protocol: str, epsilon: Fraction, group_l1: tuple[float, ...]
+) -> tuple[Fraction, ...]:
     """Each group's exact pass-rate threshold, compared by ``COMPARISON[protocol]``.
 
     ``group_l1[i]`` is the l1 norm of group i's sampled Pauli sum (1 for the
-    adaptive test, whose pass rate (1 + <g>)/2 is the unit-norm case).
+    adaptive test, whose pass rate (1 + <g>)/2 is the unit-norm case).  The
+    result is memoized, so the runs of one target and epsilon compute it once.
     """
     if protocol == "ground":
-        return [ground_accept_threshold(epsilon, l1) for l1 in group_l1]
+        return tuple(ground_accept_threshold(epsilon, l1) for l1 in group_l1)
     if protocol == "circuit":
-        return [circuit_group_threshold(epsilon, l1) for l1 in group_l1]
-    return [hypergraph_group_threshold(epsilon) for _ in group_l1]
+        return tuple(circuit_group_threshold(epsilon, l1) for l1 in group_l1)
+    return tuple(hypergraph_group_threshold(epsilon) for _ in group_l1)
 
 
 # ---------------------------------------------------------------------------
@@ -528,17 +536,16 @@ def _run_protocol(
     params: ProtocolParams,
     prover: ProverModel,
     seed: int,
-    tests: Sequence[ParityTest | AdaptiveTest],
-    group_l1: Sequence[float],
+    test: ParityTest | AdaptiveTest,
     fidelity: Callable[[DenseState], float] | None,
     record_trials: bool,
 ) -> VerdictReport:
-    """The one protocol engine: layout, one group of k tests per kernel, verdicts.
+    """The one protocol engine: layout, k tests per group of the kernel, verdicts.
 
-    Group i tests k registers with ``tests[i]`` and passes when its rate
-    compares to its ``group_thresholds`` entry by ``COMPARISON``.  A product
-    source is sampled a whole group at a time; any other source (the
-    entangled demo) runs the scalar trial loop, because each measurement
+    Group i tests k registers with the kernel's i-th test and passes when its
+    rate compares to its ``group_thresholds`` entry by ``COMPARISON``.  A
+    product source is sampled in one kernel call per run; any other source
+    (the entangled demo) runs the scalar trial loop, because each measurement
     conditions its joint state.  Both paths consume the test stream in the
     same order.
     """
@@ -549,26 +556,30 @@ def _run_protocol(
     if source.n != params.n:
         raise ValueError("prover register width does not match the protocol")
     _, target, rest = choose_layout(n_reg, params.m, rng_layout)
-    groups = rest.reshape(len(tests), params.k)
-    state = source.state if isinstance(source, ProductRegisters) else None
-    thresholds = group_thresholds(protocol, params.epsilon, group_l1)
+    thresholds = group_thresholds(protocol, params.epsilon, test.group_l1)
+    groups = rest.reshape(len(thresholds), params.k)
     comparison = COMPARISON[protocol]
+    if isinstance(source, ProductRegisters):
+        passed, branches = test.sample(source.state, rng_tests, params.k)
+    else:
+        trials = [
+            test.trial(source, int(reg), rng_tests, i)
+            for i, registers in enumerate(groups)
+            for reg in registers
+        ]
+        passed = np.array([ok for ok, _ in trials])
+        branches = np.array([branch for _, branch in trials])
+    passed = passed.reshape(groups.shape)
+    branches = branches.reshape(groups.shape)
 
     results = []
     records = [] if record_trials else None
-    for i, (test, threshold) in enumerate(zip(tests, thresholds)):
-        registers = groups[i]
-        if state is not None:
-            passed, branches = test.sample(state, rng_tests, params.k)
-        else:
-            trials = [test.trial(source, int(reg), rng_tests) for reg in registers]
-            passed = [ok for ok, _ in trials]
-            branches = [branch for _, branch in trials]
-        passes = int(np.count_nonzero(passed))
+    for i, threshold in enumerate(thresholds):
+        passes = int(np.count_nonzero(passed[i]))
         if records is not None:
             records.extend(
-                TrialRecord(i, t, int(reg), test.branch_label(branch), bool(ok))
-                for t, (reg, ok, branch) in enumerate(zip(registers, passed, branches))
+                TrialRecord(i, t, int(reg), test.branch_label(i, branch), bool(ok))
+                for t, (reg, ok, branch) in enumerate(zip(groups[i], passed[i], branches[i]))
             )
         rate = Fraction(passes, params.k)
         group_passed = rate <= threshold if comparison == "<=" else rate >= threshold
@@ -600,7 +611,7 @@ def _run_protocol(
 
 
 def run_ground_protocol(
-    rh: PauliSum,
+    rh: PauliSum | ParityTest,
     projector: np.ndarray | None,
     prover: ProverModel,
     params: ProtocolParams,
@@ -610,21 +621,20 @@ def run_ground_protocol(
     """Energy-test every surviving register as one group; accept on a LOW pass rate.
 
     The pass rate estimates 1/2 + <H'>/(2*l1): low energy keeps it near 1/2,
-    so the acceptance inequality is pass_rate <= 1/2 + eps/(2*l1).
+    so the acceptance inequality is pass_rate <= 1/2 + eps/(2*l1).  ``rh`` is
+    the rescaled Hamiltonian or its one-group kernel.
     """
     if params.protocol != "ground":
         raise ValueError("params are not for the ground protocol")
-    if rh.n != params.n:
+    test = rh if isinstance(rh, ParityTest) else ParityTest(rh)
+    if test.n != params.n:
         raise ValueError("Hamiltonian width does not match the parameters")
     fidelity = None if projector is None else partial(projector_overlap, projector=projector)
-    return _run_protocol(
-        "ground", params, prover, seed, [ParityTest(rh)], [rh.l1_norm], fidelity,
-        record_trials,
-    )
+    return _run_protocol("ground", params, prover, seed, test, fidelity, record_trials)
 
 
 def run_circuit_protocol(
-    decomps: Sequence[PauliSum],
+    decomps: Sequence[PauliSum] | ParityTest,
     ideal: DenseState | None,
     prover: ProverModel,
     params: ProtocolParams,
@@ -633,37 +643,40 @@ def run_circuit_protocol(
 ) -> VerdictReport:
     """Per-qubit stabilizer tests on N groups of k registers each.
 
-    ``decomps[i]`` is the Pauli sum of qubit i's stabilizer U X_i U^dag.
+    ``decomps[i]`` is the Pauli sum of qubit i's stabilizer U X_i U^dag;
+    ``decomps`` may also be their kernel, ``ParityTest(*decomps)``.
     """
     if params.protocol != "circuit":
         raise ValueError("params are not for the circuit protocol")
-    check_one_sum_per_qubit(decomps, params.n)
+    test = decomps if isinstance(decomps, ParityTest) else ParityTest(*decomps)
+    check_one_sum_per_qubit(test.sums, params.n)
     fidelity = None if ideal is None else partial(overlap, reference=ideal)
-    return _run_protocol(
-        "circuit", params, prover, seed, [ParityTest(d) for d in decomps],
-        [d.l1_norm for d in decomps], fidelity, record_trials,
-    )
+    return _run_protocol("circuit", params, prover, seed, test, fidelity, record_trials)
 
 
 def run_hypergraph_protocol(
-    forms: Sequence[AdaptiveStabilizerForm],
+    forms: Sequence[AdaptiveStabilizerForm] | AdaptiveTest,
     ideal: DenseState | None,
     prover: ProverModel,
     params: ProtocolParams,
     seed: int,
     record_trials: bool = False,
 ) -> VerdictReport:
-    """Adaptive stabilizer tests on N groups of k registers each."""
+    """Adaptive stabilizer tests on N groups of k registers each.
+
+    ``forms`` holds one form per vertex, in any order, or is their kernel,
+    ``AdaptiveTest`` of the forms in vertex order.
+    """
     if params.protocol != "hypergraph":
         raise ValueError("params are not for the hypergraph protocol")
-    forms = sorted(forms, key=lambda f: f.vertex)
-    if [f.vertex for f in forms] != list(range(params.n)) or forms[0].n != params.n:
+    if isinstance(forms, AdaptiveTest):
+        test = forms
+    else:
+        test = AdaptiveTest(*sorted(forms, key=lambda f: f.vertex))
+    if [f.vertex for f in test.forms] != list(range(params.n)) or test.forms[0].n != params.n:
         raise ValueError("need one adaptive form per vertex")
     fidelity = None if ideal is None else partial(overlap, reference=ideal)
-    return _run_protocol(
-        "hypergraph", params, prover, seed, [AdaptiveTest(f) for f in forms],
-        [1.0] * params.n, fidelity, record_trials,
-    )
+    return _run_protocol("hypergraph", params, prover, seed, test, fidelity, record_trials)
 
 
 def run_seeds(master_seed: int, n_runs: int) -> list[int]:
@@ -701,7 +714,7 @@ class PreparedTarget:
     def comparison(self) -> str:
         return COMPARISON[self.protocol]
 
-    def thresholds(self, epsilon: Fraction) -> list[Fraction]:
+    def thresholds(self, epsilon: Fraction) -> tuple[Fraction, ...]:
         return group_thresholds(self.protocol, epsilon, self.group_l1)
 
 
@@ -710,7 +723,8 @@ def prepare(kind: str, target) -> PreparedTarget:
 
     ``kind`` is "hamiltonian", "circuit" or "hypergraph".  A Hamiltonian is
     diagonalized once: the rescaling, the ground projector and the ideal
-    state all come from that one ``eigh``.
+    state all come from that one ``eigh``.  The run kernel (every group's
+    test) is built once here and serves every run.
     """
     if kind == "hypergraph":
         forms = all_adaptive_forms(target)
@@ -721,7 +735,7 @@ def prepare(kind: str, target) -> PreparedTarget:
             "hypergraph",
             ideal,
             (1.0,) * target.n,
-            partial(run_hypergraph_protocol, forms, reported),
+            partial(run_hypergraph_protocol, AdaptiveTest(*forms), reported),
             lambda rho: tuple(adaptive_test_exact_ppass(rho, f) for f in forms),
         )
     # the ground and circuit protocols run the parity test of one Pauli sum per group
@@ -729,10 +743,10 @@ def prepare(kind: str, target) -> PreparedTarget:
         diag = exact_diagonalize(target)
         rh = rescale(target, diag=diag)
         sums, ideal = [rh], diag.ground
-        run = partial(run_ground_protocol, rh, diag.projector)
+        run = partial(run_ground_protocol, ParityTest(rh), diag.projector)
     elif kind == "circuit":
         sums, ideal = all_stabilizer_decompositions(target), build_circuit_state(target)
-        run = partial(run_circuit_protocol, sums, ideal)
+        run = partial(run_circuit_protocol, ParityTest(*sums), ideal)
     else:
         raise ValueError(f"unknown target kind {kind!r}")
     return PreparedTarget(

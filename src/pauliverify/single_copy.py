@@ -13,6 +13,7 @@ state) and reuse the same predicates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,9 @@ from .states import (
     expectation,
     masked_pauli_expectation,
     measure_in_bases,
-    sample_outcome_indices,
+    sample_stacked_outcomes,
+    search_segments,
+    stack_segments,
 )
 
 
@@ -158,82 +161,110 @@ def adaptive_branch_sum_ppass(rho: DenseState, form: AdaptiveStabilizerForm) -> 
 
 
 # ---------------------------------------------------------------------------
-# Group kernels: many trials of one test on one state at a time
+# Run kernels: k trials of each group's test on one state
 #
-# A kernel samples a whole group from one block of uniforms, drawn in the
-# order the scalar path consumes them, so its results equal the scalar
-# path's trial for trial.  ``trial`` is that scalar path, kept for sources
-# that change state between measurements.
+# A kernel holds the tests of every group of a protocol run and samples all
+# of them from one block of uniforms.  The block is drawn in the order the
+# scalar path consumes variates (group by group, trial by trial), and
+# rng.random(a) followed by rng.random(b) equals rng.random(a + b), so the
+# kernel's results equal the scalar path's trial for trial.  ``trial`` is
+# that scalar path, kept for sources that change state between measurements.
+# ``sample`` returns flat arrays in the same group-major order.
 
 
 class ParityTest:
-    """Parity test of one sampled Pauli sum (the energy and stabilizer tests).
+    """Parity tests of sampled Pauli sums, one sum per group.
 
-    A trial draws a term with probability |coefficient|/l1, measures its
-    bases and passes when the outcome parity equals the term sign.  It uses
-    two variates: the term, then the outcome.  The branch of a trial is the
-    index of its term.
+    A trial draws a term of its group's sum with probability |coefficient|/l1,
+    measures its bases and passes when the outcome parity equals the term
+    sign.  It uses two variates: the term, then the outcome.  The branch of a
+    trial is the index of its term among all groups' terms.
     """
 
-    def __init__(self, pauli_sum: PauliSum):
-        self.pauli_sum = pauli_sum
-        self.bases = tuple(t.axes for t in pauli_sum.terms)
+    def __init__(self, *sums: PauliSum):
+        if not sums:
+            raise ValueError("a parity test needs at least one Pauli sum")
+        self.sums = sums
+        self.n = sums[0].n
+        self.group_l1 = tuple(s.l1_norm for s in sums)
+        terms = [t for s in sums for t in s.terms]
+        self.bases = tuple(t.axes for t in terms)
         # the sign of a vanishing coefficient is undefined, but such a term
         # carries no sampling weight
-        self.signs = np.array([1 if t.coeff > 0 else -1 for t in pauli_sum.terms])
+        self.signs = np.array([1 if t.coeff > 0 else -1 for t in terms])
+        # each distinct basis gets one Born table per state
+        self.distinct_bases = tuple(dict.fromkeys(self.bases))
+        basis_id = {b: i for i, b in enumerate(self.distinct_bases)}
+        self.basis_id = np.array([basis_id[b] for b in self.bases], dtype=np.int64)
+        # the groups' term CDFs, stacked
+        self.term_cum, self.term_width = stack_segments([s.cum for s in sums])
+        self.term_count = np.array([len(s.terms) for s in sums], dtype=np.int64)
+        self.term_offset = np.cumsum(self.term_count) - self.term_count
 
-    def trial(self, source, register: int, rng: np.random.Generator) -> tuple[bool, int]:
-        draw = draw_pauli_term(self.pauli_sum, rng)
+    def trial(
+        self, source, register: int, rng: np.random.Generator, group: int = 0
+    ) -> tuple[bool, int]:
+        draw = draw_pauli_term(self.sums[group], rng)
         record = source.measure(register, draw.bases, rng)
-        return parity_passes(record, draw.sign), draw.index
+        return parity_passes(record, draw.sign), int(self.term_offset[group]) + draw.index
 
     def sample(
         self, state: DenseState, rng: np.random.Generator, n_trials: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Pass flags and term indices of ``n_trials`` trials on ``state``."""
-        u = rng.random(2 * n_trials)
-        term = np.searchsorted(self.pauli_sum.cum, u[0::2], side="right")
-        term = np.minimum(term, len(self.bases) - 1)
-        u_outcome = u[1::2]
-        passed = np.empty(n_trials, dtype=bool)
-        order = np.argsort(term, kind="stable")
-        for trials in np.split(order, np.flatnonzero(np.diff(term[order])) + 1):
-            i = term[trials[0]]
-            idx = sample_outcome_indices(state, self.bases[i], u_outcome[trials])
-            # the outcome product is -1 exactly when the index has odd popcount
-            passed[trials] = ((np.bitwise_count(idx) & 1) == 1) == (self.signs[i] < 0)
+        """Pass flags and term indices of ``n_trials`` trials per group on ``state``."""
+        group = np.repeat(np.arange(len(self.sums)), n_trials)
+        u = rng.random(2 * group.size)
+        local = search_segments(self.term_cum, self.term_width, group, u[0::2])
+        term = self.term_offset[group] + np.minimum(local, self.term_count[group] - 1)
+        idx = sample_stacked_outcomes(
+            state, self.distinct_bases, self.basis_id[term], u[1::2]
+        )
+        # the outcome product is -1 exactly when the index has odd popcount
+        passed = ((np.bitwise_count(idx) & 1) == 1) == (self.signs[term] < 0)
         return passed, term
 
-    def branch_label(self, term: int) -> str:
+    def branch_label(self, group: int, term: int) -> str:
         return f"{'+' if self.signs[term] > 0 else '-'}{self.bases[term]}"
 
 
 class AdaptiveTest:
-    """Adaptive stabilizer test of one hypergraph vertex.
+    """Adaptive stabilizer tests of hypergraph vertices, one form per group.
 
     A trial uses one variate.  Its branch is the projector bits ``a``; the
-    pass flag and ``a`` of every joint outcome come from the form's cached
+    pass flag and ``a`` of every joint outcome come from the forms' cached
     outcome tables.
     """
 
-    def __init__(self, form: AdaptiveStabilizerForm):
-        self.form = form
-        self.bases = form.bases()
+    def __init__(self, *forms: AdaptiveStabilizerForm):
+        if not forms:
+            raise ValueError("an adaptive test needs at least one form")
+        self.forms = forms
+        self.bases = tuple(f.bases() for f in forms)
+        self.group_l1 = (1.0,) * len(forms)
 
-    def trial(self, source, register: int, rng: np.random.Generator) -> tuple[bool, int]:
-        record = source.measure(register, self.bases, rng)
-        return adaptive_predicate(record, self.form)
+    def trial(
+        self, source, register: int, rng: np.random.Generator, group: int = 0
+    ) -> tuple[bool, int]:
+        record = source.measure(register, self.bases[group], rng)
+        return adaptive_predicate(record, self.forms[group])
 
     def sample(
         self, state: DenseState, rng: np.random.Generator, n_trials: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Pass flags and projector bits of ``n_trials`` trials on ``state``."""
-        idx = sample_outcome_indices(state, self.bases, rng.random(n_trials))
-        passes, bits = self.form.outcome_tables()
-        return passes[idx], bits[idx]
+        """Pass flags and projector bits of ``n_trials`` trials per group on ``state``."""
+        group = np.repeat(np.arange(len(self.forms)), n_trials)
+        idx = sample_stacked_outcomes(state, self.bases, group, rng.random(group.size))
+        passes, bits = self._outcome_tables
+        return passes[group, idx], bits[group, idx]
 
-    def branch_label(self, a: int) -> str:
-        width = len(self.form.projector_support)
+    @cached_property
+    def _outcome_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every form's outcome tables, one row per group."""
+        tables = [f.outcome_tables() for f in self.forms]
+        return np.stack([p for p, _ in tables]), np.stack([a for _, a in tables])
+
+    def branch_label(self, group: int, a: int) -> str:
+        width = len(self.forms[group].projector_support)
         return f"a={int(a):0{width}b}" if width else "a="
 
 
@@ -247,7 +278,7 @@ def monte_carlo_pass_rate(
     """Run a single-copy test repeatedly; returns (rate, pass count).
 
     ``test`` is a callable rng -> TestOutcome, run trial by trial, or, when
-    ``state`` is given, a group kernel (ParityTest, AdaptiveTest) that
+    ``state`` is given, a one-group kernel (ParityTest, AdaptiveTest) that
     samples every trial on ``state`` in one block.  Both consume the same
     fixed number of variates per trial in the same order, so trial t is
     reproducible from the generator seed and t alone, and the two forms

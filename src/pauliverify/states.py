@@ -8,13 +8,25 @@ the eigenvalue check.
 
 Per-state measurement tables (outcome distributions over the measured
 qubits, keyed by the basis string) are memoized on the instance, which makes
-repeated single-shot sampling of the same state in the same bases cheap.  A
-pure state's table rotates the amplitudes into the computational basis and
-squares them.  A density matrix's table is contracted qubit by qubit: each
-qubit's row and column axes are merged into its Born weights (traced out for
-I, the diagonal for Z, sum_ab u[s,a] conj(u[s,b]) rho[a,b] for X and Y), so
-the tensor halves at every step and one table costs about two passes over
-the 4**n entries whatever the letters are.
+repeated single-shot sampling of the same state in the same bases cheap.
+How a table is built follows from how the state was built:
+
+* a pure state's table rotates the amplitudes into the computational basis
+  and squares them;
+* the maximally mixed state's table is uniform, 2**-m over m measured qubits;
+* a convex mixture's table is the same mixture of its two components'
+  tables, because Born probabilities are linear in rho;
+* any other density matrix (a caller-supplied one, a random mixed state, a
+  reduced density matrix) is contracted qubit by qubit: each qubit's row and
+  column axes are merged into its Born weights (traced out for I, the
+  diagonal for Z, sum_ab u[s,a] conj(u[s,b]) rho[a,b] for X and Y), so the
+  tensor halves at every step and one table costs about two passes over the
+  4**n entries whatever the letters are.
+
+Every table is then clipped at 0, normalized and summed into its CDF the
+same way.  A group of bases sampled together gets its CDFs stacked into one
+flat array (also memoized), so one vectorized search serves a whole run.
+The target fidelity ``overlap(state, reference)`` is memoized the same way.
 """
 from __future__ import annotations
 
@@ -48,6 +60,10 @@ class DenseState:
     n: int
     data: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False)
+    # How a density matrix was built, when its tables follow from that:
+    # ((weight, component), (weight, component)) for a convex mixture and ()
+    # for the maximally mixed state.  None means its tables come from rho.
+    _parts: tuple | None = field(default=None, repr=False)
 
     @property
     def is_pure(self) -> bool:
@@ -89,13 +105,13 @@ def mixed_state(rho, n: int | None = None) -> DenseState:
     return _density(rho.copy(), n)
 
 
-def _density(rho: np.ndarray, n: int) -> DenseState:
+def _density(rho: np.ndarray, n: int, parts: tuple | None = None) -> DenseState:
     """Wrap a density matrix that is valid by construction, without re-checking it.
 
     Callers sized ``rho`` through ``capped_dim``; the cap is not checked again.
     """
     rho.flags.writeable = False
-    return DenseState(n, rho)
+    return DenseState(n, rho, _parts=parts)
 
 
 def plus_state(n: int) -> DenseState:
@@ -111,7 +127,7 @@ def computational_state(n: int, index: int) -> DenseState:
 
 def maximally_mixed(n: int) -> DenseState:
     dim = capped_dim(n, DENSE_QUBIT_CAP, "density matrix")
-    return _density(np.eye(dim, dtype=complex) / dim, n)
+    return _density(np.eye(dim, dtype=complex) / dim, n, parts=())
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> DenseState:
@@ -148,7 +164,7 @@ def mixture(state: DenseState, other: DenseState, weight: float) -> DenseState:
     if other.n != state.n:
         raise ValueError(f"cannot mix states on {state.n} and {other.n} qubits")
     rho = (1.0 - weight) * to_density(state).data + weight * to_density(other).data
-    return _density(rho, state.n)
+    return _density(rho, state.n, parts=((1.0 - weight, state), (weight, other)))
 
 
 def _check_width(state: DenseState, n: int):
@@ -220,13 +236,19 @@ def masked_pauli_expectation(
 
 
 def overlap(state: DenseState, reference: DenseState) -> float:
-    """<ref|rho|ref> for a pure reference state."""
+    """<ref|rho|ref> for a pure reference state, memoized on ``state``."""
     if not reference.is_pure:
         raise ValueError("reference must be pure")
     _check_width(state, reference.n)
-    if state.is_pure:
-        return float(abs(np.vdot(reference.data, state.data)) ** 2)
-    return float(np.real(reference.data.conj() @ state.data @ reference.data))
+    key = ("overlap", reference)  # states hash by identity
+    value = state._cache.get(key)
+    if value is None:
+        if state.is_pure:
+            value = float(abs(np.vdot(reference.data, state.data)) ** 2)
+        else:
+            value = float(np.real(reference.data.conj() @ state.data @ reference.data))
+        state._cache[key] = value
+    return value
 
 
 def projector_overlap(state: DenseState, projector: np.ndarray) -> float:
@@ -352,8 +374,14 @@ def _measurement_table(state: DenseState, bases: str) -> _MeasurementTable:
         full = np.abs(psi) ** 2
         unmeasured = tuple(j for j in range(state.n) if j not in measured)
         probs = full.sum(axis=unmeasured) if unmeasured else full
-    else:
+    elif state._parts is None:
         probs = _density_outcome_probs(state.data, bases)
+    elif state._parts:
+        (w0, s0), (w1, s1) = state._parts
+        probs = w0 * _measurement_table(s0, bases).probs
+        probs += w1 * _measurement_table(s1, bases).probs
+    else:
+        probs = np.full(1 << len(measured), 2.0 ** -len(measured))
     probs = np.clip(probs.reshape(-1), 0.0, None)
     probs = probs / probs.sum()
     cum = np.cumsum(probs)
@@ -407,3 +435,74 @@ def sample_outcome_indices(state: DenseState, bases: str, u: np.ndarray) -> np.n
     table = _measurement_table(state, bases)
     k = np.searchsorted(table.cum, u, side="right")
     return np.minimum(k, table.last_sampleable)
+
+
+def stack_segments(segments) -> tuple[np.ndarray, int]:
+    """Sorted 1-d arrays laid end to end, each padded with +inf to one width.
+
+    The width is the smallest power of two that holds the longest segment;
+    segment i starts at ``i * width``.  Returns (flat array, width).
+    """
+    width = 1 << (max(len(seg) for seg in segments) - 1).bit_length()
+    flat = np.full((len(segments), width), np.inf)
+    for row, seg in zip(flat, segments):
+        row[: len(seg)] = seg
+    return flat.reshape(-1), width
+
+
+def search_segments(
+    flat: np.ndarray, width: int, segment: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """For each t, how many entries of segment ``segment[t]`` of ``flat`` are <= u[t].
+
+    ``flat`` and ``width`` come from stack_segments.  Every segment is
+    nondecreasing, so this is the index that
+    ``np.searchsorted(segment, u[t], side="right")`` returns; it is found by
+    the same ``<=`` comparisons, ties included, and the +inf padding is never
+    counted.  All searches run together, one power-of-two step at a time.
+    """
+    start = segment * width
+    last = start - 1  # the last entry known to be <= u (none yet)
+    step = width >> 1
+    while step:
+        probe = last + step
+        last = np.where(flat[probe] <= u, probe, last)
+        step >>= 1
+    # at most width - 1 entries are counted so far; the next one is still in
+    # the segment, and it is <= u only if every entry before it was too
+    last += flat[last + 1] <= u
+    return last + 1 - start
+
+
+@dataclass(frozen=True)
+class _TableStack:
+    """The CDFs of a tuple of bases on one state, stacked by stack_segments."""
+
+    cum: np.ndarray
+    width: int
+    last_sampleable: np.ndarray  # per basis
+
+
+def _table_stack(state: DenseState, bases: tuple[str, ...]) -> _TableStack:
+    cached = state._cache.get(bases)
+    if cached is not None:
+        return cached
+    tables = [_measurement_table(state, b) for b in bases]
+    cum, width = stack_segments([t.cum for t in tables])
+    last = np.array([t.last_sampleable for t in tables], dtype=np.int64)
+    state._cache[bases] = _TableStack(cum, width, last)
+    return state._cache[bases]
+
+
+def sample_stacked_outcomes(
+    state: DenseState, bases: tuple[str, ...], which: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """sample_outcome_indices for many bases at once: trial t measures bases[which[t]].
+
+    The CDFs of ``bases`` on ``state`` are stacked once and memoized on the
+    state; the index for ``u[t]`` equals
+    ``sample_outcome_indices(state, bases[which[t]], u[t:t+1])[0]``.
+    """
+    stack = _table_stack(state, bases)
+    k = search_segments(stack.cum, stack.width, which, u)
+    return np.minimum(k, stack.last_sampleable[which])

@@ -6,12 +6,15 @@ Every check here replays the same seed through the scalar reference path
 demands identical results, not statistically close ones.
 """
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pauliverify import states
 from pauliverify.circuits import all_stabilizer_decompositions, build_circuit_state, circuit
+from pauliverify.cli import main
 from pauliverify.hamiltonians import HamiltonianSpec, exact_diagonalize, ground_state, rescale
 from pauliverify.hypergraphs import adaptive_form, all_adaptive_forms, build_state, hypergraph
 from pauliverify.paulis import PauliString, PauliSum, merge_pauli_terms
@@ -34,10 +37,16 @@ from pauliverify.states import (
     apply_pauli,
     maximally_mixed,
     measure_in_bases,
+    pure_state,
     random_mixed_state,
     random_pure_state,
     sample_outcome_indices,
+    sample_stacked_outcomes,
+    search_segments,
+    stack_segments,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 class TrialByTrial:
@@ -210,7 +219,7 @@ def test_adaptive_kernel_equals_scalar_trials(n, edge_bits, vertex, pure, seed):
     passes, bits = form.outcome_tables()
     for idx in range(1 << n):
         outcomes = tuple(1 - 2 * ((idx >> (n - 1 - j)) & 1) for j in range(n))
-        assert adaptive_predicate(MeasurementRecord(outcomes, test.bases), form) == (
+        assert adaptive_predicate(MeasurementRecord(outcomes, test.bases[0]), form) == (
             passes[idx],
             bits[idx],
         )
@@ -220,3 +229,148 @@ def test_adaptive_kernel_equals_scalar_trials(n, edge_bits, vertex, pure, seed):
     ok, scalar_branches = _scalar_trials(test, state, seed, 50)
     assert passed.tolist() == ok
     assert branches.tolist() == scalar_branches
+
+
+# ---------------------------------------------------------------------------
+# One block of uniforms and one stacked search per run
+
+
+@given(
+    sizes=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_consecutive_uniform_blocks_equal_one_block(sizes, seed):
+    # a run draws its groups' uniforms as one block; the scalar path draws
+    # them group by group
+    split = np.random.default_rng(seed)
+    parts = [split.random(size) for size in sizes]
+    whole = np.random.default_rng(seed).random(sum(sizes))
+    np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+
+def _segment_cdfs(weights):
+    """Normalized CDFs, as Born tables and Pauli sums build them."""
+    out = []
+    for w in weights:
+        w = np.asarray(w, dtype=float)
+        out.append(np.cumsum(w / w.sum()))
+    return out
+
+
+# weights with repeats and zeros give CDFs with ties and flat stretches
+WEIGHTS = st.lists(
+    st.sampled_from([0.0, 0.5, 1.0, 1e-300, 0.3]) | st.floats(0, 1), min_size=1, max_size=20
+).filter(lambda w: sum(w) > 0)
+
+
+@given(
+    weights=st.lists(WEIGHTS, min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_search_equals_searchsorted_per_segment(weights, seed):
+    cdfs = _segment_cdfs(weights)
+    flat, width = stack_segments(cdfs)
+    rng = np.random.default_rng(seed)
+    # uniforms exactly on CDF entries (ties), past the last entry, and random
+    for b, cdf in enumerate(cdfs):
+        u = np.concatenate(
+            [cdf, [0.0, np.nextafter(cdf[-1], 2.0), np.nextafter(cdf[0], -1.0)], rng.random(20)]
+        )
+        u = u[(u >= 0.0) & (u < 1.0)]
+        got = search_segments(flat, width, np.full(u.size, b), u)
+        np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="right"))
+    # and all segments interleaved in one call
+    which = rng.integers(0, len(cdfs), 200)
+    u = rng.random(200)
+    want = [np.searchsorted(cdfs[b], x, side="right") for b, x in zip(which, u)]
+    np.testing.assert_array_equal(search_segments(flat, width, which, u), want)
+
+
+@given(
+    n=st.integers(1, 4),
+    zeros=st.integers(0, 2**16 - 1),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_outcomes_equal_per_basis_sampling_with_the_clamp(n, zeros, data, seed):
+    # zeroed amplitudes leave zero tails, so some uniforms land past last_sampleable
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    amps[[i for i in range(1, 1 << n) if zeros >> i & 1]] = 0.0
+    state = pure_state(amps / np.linalg.norm(amps), n)
+    letters = st.text("IXYZ", min_size=n, max_size=n)
+    bases = tuple(dict.fromkeys(data.draw(st.lists(letters, min_size=1, max_size=5))))
+    tables = [states._measurement_table(state, b) for b in bases]
+    for b, table in enumerate(tables):
+        u = np.concatenate([table.cum, [np.nextafter(table.cum[-1], 2.0)], rng.random(30)])
+        u = u[u < 1.0]
+        got = sample_stacked_outcomes(state, bases, np.full(u.size, b), u)
+        np.testing.assert_array_equal(got, sample_outcome_indices(state, bases[b], u))
+        np.testing.assert_array_equal(
+            got, np.minimum(np.searchsorted(table.cum, u, side="right"), table.last_sampleable)
+        )
+
+
+def test_deviated_circuit_runs_are_identical_on_both_paths():
+    c = circuit(
+        4,
+        [("H", (0,)), ("T", (0,)), ("CNOT", (0, 1)), ("CCZ", (1, 2, 3)), ("T", (2,)),
+         ("H", (3,)), ("CZ", (0, 3)), ("T", (1,))],
+    )
+    decomps = all_stabilizer_decompositions(c)
+    ideal = build_circuit_state(c)
+    params = desk_params("circuit", 4, k=30, m=3, epsilon=0.2)
+    for eps_prime in (0.05, 0.3, 1.0):
+        prover = iid_deviated_prover(ideal, eps_prime, maximally_mixed(4))
+        for seed in run_seeds(99, 3):
+            batched = run_circuit_protocol(decomps, ideal, prover, params, seed, True)
+            scalar = run_circuit_protocol(decomps, ideal, scalar_twin(prover), params, seed, True)
+            assert len(batched.groups) == 4
+            assert batched.trial_records == scalar.trial_records
+            assert batched.to_jsonable() == scalar.to_jsonable()
+
+
+# ---------------------------------------------------------------------------
+# Work counts of a robustness sweep, taken by wrapping the functions that do it
+
+
+def test_robustness_builds_each_table_once_and_never_contracts_a_mixture(
+    tmp_path, monkeypatch
+):
+    kernel_calls, builds, axes_calls = [], [], []
+    kernel, table = states._density_outcome_probs, states._measurement_table
+    axes = PauliString.axes
+
+    def counted_kernel(rho, bases):
+        kernel_calls.append(bases)
+        return kernel(rho, bases)
+
+    def counted_table(state, bases):
+        if bases not in state._cache:
+            builds.append((state, bases))  # holding the state keeps its id unique
+        return table(state, bases)
+
+    monkeypatch.setattr(states, "_density_outcome_probs", counted_kernel)
+    monkeypatch.setattr(states, "_measurement_table", counted_table)
+    monkeypatch.setattr(
+        PauliString, "axes", property(lambda p: axes_calls.append(1) or axes.fget(p))
+    )
+
+    def sweep(runs):
+        for counted in (kernel_calls, builds, axes_calls):
+            counted.clear()
+        argv = [
+            "robustness", "--target", str(DATA / "clifford_t.json"),
+            "--eps-prime", "0,0.05,0.2", "-k", "10", "--runs", str(runs),
+            "--seed", "5", "--out", str(tmp_path / f"runs{runs}.json"),
+        ]
+        assert main(argv) == 0
+        keys = [(id(state), bases) for state, bases in builds]
+        assert builds and len(set(keys)) == len(keys)
+        assert kernel_calls == []
+        return len(keys), len(axes_calls)
+
+    tables_2, axes_2 = sweep(2)
+    tables_6, axes_6 = sweep(6)
+    assert axes_2 == axes_6
+    assert tables_2 == tables_6

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pauliverify.cli import build_parser, main
+from pauliverify.cli import build_parser, check_run_sizes, main
+from pauliverify.protocol import RUN_COUNT_CAP
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -631,3 +633,50 @@ def test_verify_whole_float_k_still_runs(tmp_path, capsys):
     code, out, _ = run_cli(["verify", "--config", str(config)], capsys)
     assert code == 0
     assert all(g["trials"] == 10 for g in json.loads(out)["report"]["groups"])
+
+
+@pytest.mark.parametrize("k", ["0", "-5"])
+@pytest.mark.parametrize("protocol", ["ground", "circuit", "hypergraph"])
+def test_params_k_below_one_is_config_error(capsys, k, protocol):
+    # schedule_params took max(k_min, k), so a k below 1 reported the minimum
+    code, out, err = run_cli(
+        ["params", "--protocol", protocol, "--n", "2", f"--k={k}"], capsys
+    )
+    assert_config_error(code, out, err, f"k must be at least 1, got {k}")
+
+
+def _peak_bytes(fn) -> int:
+    """Peak traced allocation while ``fn()`` runs."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fn()
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    return peak
+
+
+def _refused_runs(argv, capsys) -> None:
+    # run_seeds(1, 10**6) alone peaked at 50 MiB before the first run
+    result = []
+    peak = _peak_bytes(lambda: result.append(run_cli(argv, capsys)))
+    assert_config_error(*result[0], f"runs must be at most {RUN_COUNT_CAP}")
+    assert peak < 1 << 20
+
+
+def test_verify_runs_over_cap_is_refused_before_any_allocation(tmp_path, capsys):
+    config = str(_hyper_config(tmp_path))
+    _refused_runs(["verify", "--config", config, "--runs", str(RUN_COUNT_CAP + 1)], capsys)
+
+
+def test_robustness_runs_over_cap_is_refused_before_any_allocation(capsys):
+    argv = [
+        "robustness", "--target", str(DATA / "triple.json"), "--eps-prime", "0",
+        "-k", "5", "--runs", str(RUN_COUNT_CAP + 1), "--seed", "1",
+    ]
+    _refused_runs(argv, capsys)
+
+
+def test_runs_at_the_cap_are_accepted():
+    check_run_sizes(1, 0, RUN_COUNT_CAP)

@@ -1,8 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pauliverify.hypergraphs import (
     adaptive_form,
+    bit_for_qubit,
     build_state,
     connectivity,
     hypergraph,
@@ -223,3 +227,26 @@ def test_json_roundtrip(tmp_path):
     assert back == g and z == (2,)
     back, z = load_hypergraph({"n_vertices": 2, "edges": [[1, 0]]})
     assert back.edges == ((0, 1),) and z == ()
+
+
+@given(
+    n=st.integers(2, 7),
+    edge_bits=st.integers(0, 2**56 - 1),
+    vertex=st.integers(0, 6),
+)
+def test_outcome_tables_follow_branch_for_bits_on_every_outcome(n, edge_bits, vertex):
+    candidates = [e for size in (2, 3) for e in combinations(range(n), size)]
+    edges = [e for i, e in enumerate(candidates) if edge_bits >> i & 1]
+    form = adaptive_form(hypergraph(n, edges), vertex % n)
+    passes, bits = form.outcome_tables()
+    width = len(form.projector_support)
+    for idx in range(1 << n):
+        key = 0
+        for v in form.projector_support:
+            key = (key << 1) | (idx & bit_for_qubit(n, v) != 0)
+        alpha, residual = form.branch_for_bits(key)
+        mask = bit_for_qubit(n, form.vertex)
+        for v in residual:
+            mask |= bit_for_qubit(n, v)
+        assert bits[idx] == key and key < 1 << width
+        assert passes[idx] == (((idx & mask).bit_count() + alpha) % 2 == 0)

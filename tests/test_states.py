@@ -25,6 +25,7 @@ from pauliverify.states import (
     sample_outcome_indices,
     to_density,
 )
+from pauliverify.states import _measurement_table
 
 from conftest import I2, dense_from_axes, kron_chain, random_hermitian
 
@@ -327,3 +328,69 @@ def test_mixture_checks_its_arguments(rng):
         mixture(psi, maximally_mixed(3), 0.5)
     with pytest.raises(ValueError):
         mixture(psi, maximally_mixed(2), 1.5)
+
+
+# ---------------------------------------------------------------------------
+# Tables that follow from how a state was built: I/2**n and convex mixtures
+
+
+def kernel_twin(state: DenseState) -> DenseState:
+    """The same density matrix as a caller-supplied one, tabled by the kernel."""
+    return DenseState(state.n, state.data)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_maximally_mixed_table_is_the_kernel_table_bit_for_bit(n):
+    eta = maximally_mixed(n)
+    twin = kernel_twin(eta)
+    for letters in itertools.product("IXYZ", repeat=n):
+        bases = "".join(letters)
+        got, want = _measurement_table(eta, bases), _measurement_table(twin, bases)
+        np.testing.assert_array_equal(got.probs, want.probs)
+        np.testing.assert_array_equal(got.cum, want.cum)
+        assert got.last_sampleable == want.last_sampleable
+
+
+UNIFORM_BLOCK = np.random.default_rng(4096).random(4096)
+
+
+@given(
+    data=st.data(),
+    n=st.integers(1, 8),
+    weight=st.floats(0.0, 1.0),
+    other=st.sampled_from(["maximally_mixed", "mixed", "pure"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mixture_table_is_the_kernel_table_within_1e_15(data, n, weight, other, seed):
+    rng = np.random.default_rng(seed)
+    psi = random_pure_state(n, rng)
+    eta = {
+        "maximally_mixed": maximally_mixed,
+        "mixed": lambda n: random_mixed_state(n, rng, rank=2),
+        "pure": lambda n: random_pure_state(n, rng),
+    }[other](n)
+    rho = mixture(psi, eta, weight)
+    bases = data.draw(st.text("IXYZ", min_size=n, max_size=n))
+    got, want = _measurement_table(rho, bases), _measurement_table(kernel_twin(rho), bases)
+    assert np.max(np.abs(got.probs - want.probs)) <= 1e-15
+    assert np.max(np.abs(got.cum - want.cum)) <= 1e-15
+    np.testing.assert_array_equal(
+        sample_outcome_indices(rho, bases, UNIFORM_BLOCK),
+        sample_outcome_indices(kernel_twin(rho), bases, UNIFORM_BLOCK),
+    )
+
+
+def test_mixture_tables_reuse_their_components_tables(rng):
+    psi, eta = random_pure_state(3, rng), maximally_mixed(3)
+    for weight in (0.1, 0.2):
+        outcome_distribution(mixture(psi, eta, weight), "XIY")
+    assert list(psi._cache) == ["XIY"] and list(eta._cache) == ["XIY"]
+
+
+def test_overlap_is_memoized_per_reference(rng):
+    psi, other = random_pure_state(3, rng), random_pure_state(3, rng)
+    rho = mixture(psi, maximally_mixed(3), 0.3)
+    first = overlap(rho, psi)
+    assert first == float(np.real(psi.data.conj() @ rho.data @ psi.data))
+    assert overlap(rho, psi) == first
+    assert overlap(rho, other) == float(np.real(other.data.conj() @ rho.data @ other.data))
