@@ -10,7 +10,6 @@ gate matrices.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -28,6 +27,7 @@ from .paulis import (
     decompose_in_pauli_basis,
 )
 from .hamiltonians import budget_value
+from .reporting import field, read_object
 from .states import DenseState, plus_state, pure_state
 
 TERM_CAP_DEFAULT = 1 << 18
@@ -280,19 +280,16 @@ def check_circuit_conditions(
 
 def load_circuit(source: str | Path | dict) -> CircuitSpec:
     """Read {"n_qubits": int, "gates": [{"name", "qubits", "angle"?}]}."""
-    if isinstance(source, dict):
-        obj = source
-    else:
-        obj = json.loads(Path(source).read_text())
+    obj = read_object(source, "the circuit")
     gates = [
         Gate(
-            entry["name"],
-            tuple(int(q) for q in entry["qubits"]),
-            float(entry["angle"]) if entry.get("angle") is not None else None,
+            field(entry, "name", str),
+            tuple(field(entry, "qubits", list[int])),
+            field(entry, "angle", float, None),
         )
-        for entry in obj["gates"]
+        for entry in field(obj, "gates", list[dict])
     ]
-    return CircuitSpec(int(obj["n_qubits"]), tuple(gates))
+    return CircuitSpec(field(obj, "n_qubits", int), tuple(gates))
 
 
 def circuit_to_jsonable(c: CircuitSpec) -> dict:

@@ -8,8 +8,8 @@ exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,6 +50,7 @@ from .protocol import (
     schedule_epsilon,
     schedule_params,
 )
+from .reporting import field, read_object
 from .single_copy import adaptive_test_exact_ppass
 from .states import DenseState, apply_pauli, maximally_mixed, mixture
 
@@ -72,10 +73,9 @@ def _emit(obj, out: str | None) -> None:
 
 def load_target(path: str | Path):
     """Detect and load a hypergraph, Hamiltonian, or circuit JSON file."""
-    obj = json.loads(Path(path).read_text())
+    obj = read_object(path, "the target file")
     if "n_vertices" in obj:
-        g, z_layer = load_hypergraph(obj)
-        return "hypergraph", g, z_layer
+        return ("hypergraph", *load_hypergraph(obj))
     if "gates" in obj:
         return "circuit", load_circuit(obj), None
     if "terms" in obj:
@@ -105,48 +105,8 @@ def parse_state_spec(spec: str, ideal: DenseState) -> DenseState:
     raise ValueError(f"unknown state spec {spec!r}")
 
 
-def _config_object(cfg: dict, key: str, default: dict) -> dict:
-    """``cfg[key]`` as a JSON object; any other value is a config error."""
-    value = cfg.get(key, default)
-    if not isinstance(value, dict):
-        raise ValueError(f"{key} must be a JSON object, got {json.dumps(value)}")
-    return value
-
-
-def _config_number(cfg: dict, key: str, cast=float, default=None):
-    """``cfg[key]`` as a number; a missing, null or non-numeric value is a config error.
-
-    With ``cast=int``, a float that is not a whole number is one too.
-    """
-    value = cfg.get(key, default)
-    if value is None or isinstance(value, bool):
-        raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
-    if cast is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key} must be a whole number, got {json.dumps(value)}")
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be a number, got {json.dumps(value)}") from None
-
-
-def _config_typed(cfg: dict, key: str, kind: type, default=None):
-    """``cfg[key]`` as a ``kind`` (str or int; a bool is not an int), else a config error."""
-    value = cfg.get(key, default)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        name = "a string" if kind is str else "an integer"
-        raise ValueError(f"{key} must be {name}, got {json.dumps(value)}")
-    return value
-
-
-def check_run_sizes(k: int, m: int, runs: int) -> None:
-    """Reject run sizes that leave nothing to test or to average over.
-
-    Runs above RUN_COUNT_CAP are refused here, before any per-run seed is drawn.
-    """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if m < 0:
-        raise ValueError(f"m must be at least 0, got {m}")
+def check_run_sizes(runs: int) -> None:
+    """Refuse a run count below 1 or above RUN_COUNT_CAP, before any per-run seed is drawn."""
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     if runs > RUN_COUNT_CAP:
@@ -155,62 +115,53 @@ def check_run_sizes(k: int, m: int, runs: int) -> None:
 
 def _pauli_from_config(cfg: dict, n: int) -> PauliString:
     """One letter on ``qubit`` (default 0), or a full axis string."""
-    axis = _config_typed(cfg, "pauli", str, "Z")
+    axis = field(cfg, "pauli", str, "Z")
     if len(axis) == 1:
-        return PauliString.on_qubit(n, _config_number(cfg, "qubit", int, 0), axis)
+        return PauliString.on_qubit(n, field(cfg, "qubit", int, 0), axis)
     return PauliString.from_axes(axis)
 
 
 def prover_from_config(cfg: dict, ideal: DenseState) -> ProverModel:
-    kind = cfg.get("kind", "honest")
+    kind = field(cfg, "kind", str, "honest")
     if kind == "honest":
         return honest_prover(ideal)
     if kind == "iid_deviated":
-        eta_spec = cfg.get("eta", "maximally_mixed")
-        if eta_spec != "maximally_mixed":
+        if field(cfg, "eta", str, "maximally_mixed") != "maximally_mixed":
             raise ValueError("only the maximally mixed eta is configurable here")
         return iid_deviated_prover(
-            ideal, _config_number(cfg, "epsilon_prime"), maximally_mixed(ideal.n)
+            ideal, field(cfg, "epsilon_prime", float), maximally_mixed(ideal.n)
         )
     if kind == "coherent_error":
         return coherent_error_prover(ideal, _pauli_from_config(cfg, ideal.n))
     if kind == "classically_correlated":
         bad = apply_pauli(ideal, _pauli_from_config(cfg, ideal.n))
-        p_bad = _config_number(cfg, "p_bad", float, 0.5)
+        p_bad = field(cfg, "p_bad", float, 0.5)
         return classically_correlated_prover([ideal, bad], [1 - p_bad, p_bad])
     if kind == "entangled_demo":
         bad = apply_pauli(ideal, _pauli_from_config(cfg, ideal.n))
-        return entangled_demo_prover(ideal, bad, _config_number(cfg, "weight", float, 0.5))
+        return entangled_demo_prover(ideal, bad, field(cfg, "weight", float, 0.5))
     raise ValueError(f"unknown prover kind {kind!r}")
 
 
 def params_from_config(
     protocol: str, n: int, cfg: dict, l1_norm: float | None, runs: int = 1
 ) -> ProtocolParams:
-    """Run parameters from the config's params block, with every size checked.
+    """Run parameters from a params block: paper schedule or desk sizes.
 
-    The register cap is checked by the protocol engine, before a run
-    allocates anything sized by it.
+    ProtocolParams checks the ranges of k and m; the register cap is checked
+    by the protocol engine, before a run allocates anything sized by it.
     """
-    mode = cfg.get("mode", "desk")
+    check_run_sizes(runs)
+    mode = field(cfg, "mode", str, "desk")
     if mode == "paper":
-        k = _config_number(cfg, "k", int) if cfg.get("k") is not None else None
-        params = schedule_params(protocol, n, l1_norm=l1_norm, k=k)
-        check_run_sizes(params.k, params.m, runs)
-        return params
+        return schedule_params(protocol, n, l1_norm=l1_norm, k=field(cfg, "k", int, None))
     if mode != "desk":
         raise ValueError("params.mode must be 'desk' or 'paper'")
-    if "k" not in cfg:
-        raise ValueError("desk mode needs an explicit k")
-    k = _config_number(cfg, "k", int)
-    m = _config_number(cfg, "m", int, 0)
-    check_run_sizes(k, m, runs)
-    eps = (
-        Fraction(str(_config_number(cfg, "epsilon")))
-        if "epsilon" in cfg
-        else schedule_epsilon(protocol, n, k)
-    )
-    return desk_params(protocol, n, k=k, m=m, epsilon=eps)
+    params = desk_params(protocol, n, k=field(cfg, "k", int), m=field(cfg, "m", int, 0))
+    eps = field(cfg, "epsilon", float, None)
+    # the schedule epsilon divides by a power of k, so it waits for the k check
+    eps = schedule_epsilon(protocol, n, params.k) if eps is None else Fraction(str(eps))
+    return replace(params, epsilon=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -362,22 +313,18 @@ def cmd_ppass(args) -> int:
 
 def cmd_verify(args) -> int:
     config_path = Path(args.config)
-    cfg = json.loads(config_path.read_text())
-    if not isinstance(cfg, dict):
-        raise ValueError(f"the config must be a JSON object, got {json.dumps(cfg)}")
-    params_cfg = _config_object(cfg, "params", {})
-    prover_cfg = _config_object(cfg, "prover", {"kind": "honest"})
+    cfg = read_object(config_path, "the config")
+    params_cfg = field(cfg, "params", dict, {})
+    prover_cfg = field(cfg, "prover", dict, {"kind": "honest"})
     if args.mode is not None:
         params_cfg["mode"] = args.mode
         cfg["params"] = params_cfg
-    target_path = Path(_config_typed(cfg, "target", str))
-    if not target_path.is_absolute():
-        target_path = config_path.parent / target_path
-    seed = args.seed
+    target_path = config_path.parent / field(cfg, "target", str)
+    seed = field(cfg, "seed", int, None) if args.seed is None else args.seed
     if seed is None:
-        seed = _fresh_seed() if cfg.get("seed") is None else _config_typed(cfg, "seed", int)
+        seed = _fresh_seed()
     kind, target, _ = load_target(target_path)
-    protocol = cfg.get("protocol", PROTOCOL_FOR_KIND[kind])
+    protocol = field(cfg, "protocol", str, PROTOCOL_FOR_KIND[kind])
     if protocol != PROTOCOL_FOR_KIND[kind]:
         raise ValueError(
             f"target file is a {kind}, which runs the "
@@ -425,15 +372,13 @@ def cmd_params(args) -> int:
 def cmd_iqp_margin(args) -> int:
     if (args.fidelity is None) == (args.report is None):
         raise ValueError("give exactly one of --fidelity or --report")
+    fidelity = args.fidelity
     if args.report is not None:
-        rep = json.loads(Path(args.report).read_text())
-        node = rep.get("report", rep)
-        fidelity = node.get("target_fidelity")
+        rep = read_object(args.report, "the report")
+        fidelity = field(field(rep, "report", dict, rep), "target_fidelity", float, None)
         if fidelity is None:
             raise ValueError("the report carries no target fidelity")
-    else:
-        fidelity = args.fidelity
-    margin = analysis.supremacy_margin(float(fidelity), args.sampler_error)
+    margin = analysis.supremacy_margin(fidelity, args.sampler_error)
     out = {
         "command": "iqp-margin",
         "margin": margin.to_jsonable(),
@@ -453,15 +398,8 @@ def cmd_robustness(args) -> int:
     eps_primes = [float(x) for x in args.eps_prime.split(",") if x != ""]
     if not eps_primes:
         raise ValueError("--eps-prime needs at least one deviation")
-    k = args.trials
-    check_run_sizes(k, args.m, args.runs)
-    protocol = PROTOCOL_FOR_KIND[kind]
-    eps = (
-        Fraction(str(args.epsilon))
-        if args.epsilon is not None
-        else schedule_epsilon(protocol, target.n, k)
-    )
-    params = desk_params(protocol, target.n, k=k, m=args.m, epsilon=eps)
+    desk = {"mode": "desk", "k": args.trials, "m": args.m, "epsilon": args.epsilon}
+    params = params_from_config(PROTOCOL_FOR_KIND[kind], target.n, desk, None, args.runs)
     eta = maximally_mixed(target.n)
     points = analysis.robustness_sweep(
         prepare(kind, target), eta, eps_primes, params, args.runs, seed
@@ -489,8 +427,15 @@ def cmd_selftest(args) -> int:
 # Parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so ``main`` reports them like any config error."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pauliverify",
         description=(
             "Verify many-qubit states (hypergraph, circuit-generated, or "
@@ -566,18 +511,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CapExceededError as exc:
-        sys.stderr.write(
-            reporting.canonical_json({"error": str(exc), "kind": "cap_exceeded"})
-        )
-        return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(reporting.canonical_json({"error": str(exc), "kind": "config"}))
-        return 1
+        code, kind, error = 2, "cap_exceeded", str(exc)
+    except (ValueError, KeyError, OSError) as exc:
+        code, kind, error = 1, "config", str(exc)
+    sys.stderr.write(reporting.canonical_json({"error": error, "kind": kind}))
+    return code
 
 
 if __name__ == "__main__":

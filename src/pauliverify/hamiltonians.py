@@ -7,13 +7,13 @@ norm of their coefficients and the induced sampling distribution.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .reporting import field, read_object
 from .paulis import (
     DROP_THRESHOLD,
     PauliString,
@@ -207,25 +207,16 @@ def load_hamiltonian(source: str | Path | dict) -> HamiltonianSpec:
     Schema: {"n_qubits": int, "terms": [{"pauli": str over IXYZ, "coeff": float}],
     "ground_energy"?: float, "gap"?: float}.  Qubit 0 is the leftmost character.
     """
-    if isinstance(source, dict):
-        obj = source
-    else:
-        obj = json.loads(Path(source).read_text())
-    n = int(obj["n_qubits"])
+    obj = read_object(source, "the Hamiltonian")
+    n = field(obj, "n_qubits", int)
     terms = []
-    for entry in obj["terms"]:
-        axes = entry["pauli"]
+    for entry in field(obj, "terms", list[dict]):
+        axes = field(entry, "pauli", str)
         if len(axes) != n:
             raise ValueError(f"term {axes!r} does not span {n} qubits")
-        terms.append(PauliString.from_axes(axes, float(entry["coeff"])))
-    return HamiltonianSpec(
-        n=n,
-        terms=tuple(terms),
-        ground_energy=(
-            float(obj["ground_energy"]) if obj.get("ground_energy") is not None else None
-        ),
-        gap_lower_bound=float(obj["gap"]) if obj.get("gap") is not None else None,
-    )
+        terms.append(PauliString.from_axes(axes, field(entry, "coeff", float)))
+    energy, gap = field(obj, "ground_energy", float, None), field(obj, "gap", float, None)
+    return HamiltonianSpec(n, tuple(terms), ground_energy=energy, gap_lower_bound=gap)
 
 
 def hamiltonian_to_jsonable(h: HamiltonianSpec) -> dict:

@@ -15,7 +15,6 @@ vertex turns into the sign (-1)**a of that vertex).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -29,6 +28,7 @@ from .paulis import (
     capped_dim,
     sign_vector,
 )
+from . import reporting
 from .states import DenseState, pure_state
 
 
@@ -293,6 +293,8 @@ def random_bms_instance(
     """
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
+    # the draws grow as n**3; no instance wider than the pure-state cap can be verified
+    capped_dim(n, PURE_QUBIT_CAP, "random hypergraph")
     edges = []
     for size in (2, 3):
         for combo in combinations(range(n), size):
@@ -304,12 +306,10 @@ def random_bms_instance(
 
 def load_hypergraph(source: str | Path | dict) -> tuple[HypergraphSpec, tuple[int, ...]]:
     """Read {"n_vertices": int, "edges": [[int,...]], "z_layer"?: [int,...]}."""
-    if isinstance(source, dict):
-        obj = source
-    else:
-        obj = json.loads(Path(source).read_text())
-    g = hypergraph(int(obj["n_vertices"]), obj["edges"])
-    z_layer = tuple(sorted(int(v) for v in obj.get("z_layer", ())))
+    obj = reporting.read_object(source, "the hypergraph")
+    edges = reporting.field(obj, "edges", list[list[int]])
+    g = hypergraph(reporting.field(obj, "n_vertices", int), edges)
+    z_layer = tuple(sorted(reporting.field(obj, "z_layer", list[int], ())))
     for v in z_layer:
         if not 0 <= v < g.n:
             raise ValueError(f"z-layer vertex {v} out of range")

@@ -122,8 +122,9 @@ class ProtocolParams:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.mode not in ("desk", "paper"):
             raise ValueError("mode must be 'desk' or 'paper'")
-        if self.n < 1 or self.k < 1 or self.m < 0:
-            raise ValueError("need n >= 1, k >= 1, m >= 0")
+        for name, value, low in (("n", self.n, 1), ("k", self.k, 1), ("m", self.m, 0)):
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value}")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie strictly between 0 and 1")
 
@@ -724,11 +725,12 @@ def prepare(kind: str, target) -> PreparedTarget:
     ``kind`` is "hamiltonian", "circuit" or "hypergraph".  A Hamiltonian is
     diagonalized once: the rescaling, the ground projector and the ideal
     state all come from that one ``eigh``.  The run kernel (every group's
-    test) is built once here and serves every run.
+    test) is built once here and serves every run.  The capped ideal state
+    comes first, so a target over the cap is refused before the per-group work.
     """
     if kind == "hypergraph":
-        forms = all_adaptive_forms(target)
         ideal = build_state(target)
+        forms = all_adaptive_forms(target)
         # hypergraph reports carry a target fidelity only up to the dense cap
         reported = ideal if target.n <= DENSE_QUBIT_CAP else None
         return PreparedTarget(
@@ -745,7 +747,8 @@ def prepare(kind: str, target) -> PreparedTarget:
         sums, ideal = [rh], diag.ground
         run = partial(run_ground_protocol, ParityTest(rh), diag.projector)
     elif kind == "circuit":
-        sums, ideal = all_stabilizer_decompositions(target), build_circuit_state(target)
+        ideal = build_circuit_state(target)
+        sums = all_stabilizer_decompositions(target)
         run = partial(run_circuit_protocol, ParityTest(*sums), ideal)
     else:
         raise ValueError(f"unknown target kind {kind!r}")

@@ -1,12 +1,20 @@
-"""Deterministic JSON and CSV emission.
+"""JSON in and out.
 
-Identical inputs must produce identical bytes: keys are sorted, separators
-fixed, floats rendered by repr, and nothing time- or path-dependent is ever
-written.
+In: every JSON value from outside the program (configs, target files,
+reports) is read by ``read_object`` and ``field`` under one typing rule.  A
+bool is never a number; a number must be finite; an int may be written as a
+whole float (``10.0``) but not as ``10.7`` or ``"10"``; null stands for a
+missing value only where the default is None.  A refusal reads "<key> must
+be <type>, got <json>"; ranges are checked by the constructors.
+
+Out: identical inputs must produce identical bytes: keys are sorted,
+separators fixed, floats rendered by repr, no NaN or Infinity, and nothing
+time- or path-dependent is ever written.
 """
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
@@ -14,6 +22,61 @@ from typing import Iterable
 import numpy as np
 
 TRIAL_CSV_HEADER = ("run", "group", "trial", "register", "branch", "passed")
+
+_REQUIRED = object()
+_NAMES = {dict: "a JSON object", list: "a list", str: "a string"}
+
+
+def _refuse(key: str, type_name: str, value) -> ValueError:
+    shown = "nothing" if value is _REQUIRED else json.dumps(value)
+    return ValueError(f"{key} must be {type_name}, got {shown}")
+
+
+def read_object(source, name: str) -> dict:
+    """The JSON object in the file at path ``source``, or ``source`` if already parsed."""
+    obj = source
+    if isinstance(source, (str, Path)):
+        try:
+            obj = json.loads(Path(source).read_text())
+        except RecursionError:  # nested past the parser's recursion limit
+            raise ValueError(f"{name} is nested too deeply to parse") from None
+    if not isinstance(obj, dict):
+        raise _refuse(name, "a JSON object", obj)
+    return obj
+
+
+def field(obj: dict, key: str, kind, default=_REQUIRED):
+    """``obj[key]`` as ``kind``: dict, list, str, int, float, or ``list[kind]``.
+
+    Without a default the key is required.  Whole floats read as ints and ints
+    as floats; list elements are checked and converted the same way.
+    """
+    if key not in obj and default is not _REQUIRED:
+        return default
+    value = obj.get(key, _REQUIRED)
+    return None if value is None and default is None else _typed(key, value, kind)
+
+
+def _typed(key: str, value, kind):
+    if type(value) is kind and kind is not float:  # a well-typed int, str, dict or list
+        return value
+    origin = getattr(kind, "__origin__", kind)  # list for list[int]
+    if origin in (int, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise _refuse(key, "an integer" if origin is int else "a number", value)
+        if origin is float:
+            if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints past float range
+                raise _refuse(key, "a finite number", value)
+            return float(value)
+        if isinstance(value, float) and not value.is_integer():
+            raise _refuse(key, "a whole number", value)
+        return int(value)
+    if not isinstance(value, origin):
+        raise _refuse(key, _NAMES[origin], value)
+    if origin is list and kind is not list:
+        (item,) = kind.__args__
+        return [_typed(f"{key}[{i}]", v, item) for i, v in enumerate(value)]
+    return value
 
 
 def to_jsonable(obj):

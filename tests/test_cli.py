@@ -287,7 +287,7 @@ def test_verify_null_k_is_config_error(tmp_path, capsys):
     code, out, err = run_cli(
         ["verify", "--config", str(_hyper_config(tmp_path, k=None))], capsys
     )
-    assert_config_error(code, out, err, "k must be a number")
+    assert_config_error(code, out, err, "k must be an integer, got null")
 
 
 def test_robustness_zero_k_is_config_error(capsys):
@@ -412,7 +412,8 @@ def test_verify_non_string_target_is_config_error(tmp_path, capsys, target):
 def test_verify_non_integer_seed_is_config_error(tmp_path, capsys, seed):
     config = _edited_config(tmp_path, seed=seed)
     code, out, err = run_cli(["verify", "--config", str(config)], capsys)
-    assert_config_error(code, out, err, f"seed must be an integer, got {json.dumps(seed)}")
+    expected = "a whole number" if seed == 1.5 else "an integer"
+    assert_config_error(code, out, err, f"seed must be {expected}, got {json.dumps(seed)}")
 
 
 @pytest.mark.parametrize("kind", ["coherent_error", "classically_correlated"])
@@ -573,7 +574,7 @@ def test_verify_nan_p_bad_is_config_error(tmp_path, capsys):
     prover = {"kind": "classically_correlated", "pauli": "Z", "p_bad": float("nan")}
     config = _edited_config(tmp_path, prover=prover)
     code, out, err = run_cli(["verify", "--config", str(config)], capsys)
-    assert_config_error(code, out, err, "weights must be a probability vector")
+    assert_config_error(code, out, err, "p_bad must be a finite number, got NaN")
 
 
 @pytest.mark.parametrize("target", ["ring3.json", "clifford_t.json"])
@@ -679,4 +680,4 @@ def test_robustness_runs_over_cap_is_refused_before_any_allocation(capsys):
 
 
 def test_runs_at_the_cap_are_accepted():
-    check_run_sizes(1, 0, RUN_COUNT_CAP)
+    check_run_sizes(RUN_COUNT_CAP)
