@@ -197,24 +197,43 @@ def hoeffding_tail(k: int, t: float) -> float:
     return float(np.exp(-2.0 * float(t) ** 2 * k))
 
 
-def binomial_tail_ge(k: int, p: float, threshold: Fraction) -> float:
-    """P[K/k >= threshold] exactly, threshold compared as a rational."""
-    m = -((-threshold.numerator * k) // threshold.denominator)  # ceil(thr*k)
-    if m > k:
-        return 0.0
-    from scipy import stats  # imported here: scipy is most of the CLI's startup
+def _binomial_tail(kernel, count: int, k: int, p: float, below: float, above: float) -> float:
+    """``kernel`` at ``count`` behind the scalar branches of scipy.stats.binom.sf/cdf.
 
-    return float(stats.binom.sf(m - 1, k, p))
+    binom calls the same boost kernels, so the bits match, without importing
+    scipy.stats (about 45 MB) or paying its argument handling on every call.
+    NaN for an invalid (k, p), ``below`` under the support, ``above`` at or
+    past k, else the kernel clipped to [0, 1].
+    """
+    if not (k >= 0 and 0.0 <= p <= 1.0):
+        return math.nan
+    if count < 0:
+        return below
+    if count >= k:
+        return above
+    return min(max(float(kernel(float(count), k, p)), 0.0), 1.0)
+
+
+def binomial_tail_ge(k: int, p: float, threshold: Fraction) -> float:
+    """P[K/k >= threshold] exactly, threshold compared as a rational.
+
+    Bit for bit ``scipy.stats.binom.sf(ceil(threshold*k) - 1, k, p)``.
+    """
+    from scipy.special._ufuncs import _binom_sf  # on first use: verify needs no scipy
+
+    m = -((-threshold.numerator * k) // threshold.denominator)  # ceil(thr*k)
+    return _binomial_tail(_binom_sf, m - 1, k, p, below=1.0, above=0.0)
 
 
 def binomial_tail_le(k: int, p: float, threshold: Fraction) -> float:
-    """P[K/k <= threshold] exactly."""
-    m = (threshold.numerator * k) // threshold.denominator  # floor(thr*k)
-    if m < 0:
-        return 0.0
-    from scipy import stats  # imported here: scipy is most of the CLI's startup
+    """P[K/k <= threshold] exactly.
 
-    return float(stats.binom.cdf(m, k, p))
+    Bit for bit ``scipy.stats.binom.cdf(floor(threshold*k), k, p)``.
+    """
+    from scipy.special._ufuncs import _binom_cdf  # on first use: verify needs no scipy
+
+    m = (threshold.numerator * k) // threshold.denominator  # floor(thr*k)
+    return _binomial_tail(_binom_cdf, m, k, p, below=0.0, above=1.0)
 
 
 def hoeffding_calculator(p: float, k: int, t: float) -> TailBounds:

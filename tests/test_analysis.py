@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy import stats
 
 from pauliverify.analysis import (
     DistributionPair,
@@ -180,6 +183,69 @@ def test_binomial_tail_rational_thresholds():
     assert binomial_tail_ge(4, 0.5, Fraction(3, 4)) == pytest.approx(5 / 16)
     assert binomial_tail_le(4, 0.5, Fraction(1, 4)) == pytest.approx(5 / 16)
     assert binomial_tail_ge(4, 0.5, Fraction(5, 4)) == 0.0
+
+
+def _same_bits(got: float, want: float) -> bool:
+    return math.isnan(got) and math.isnan(want) or got.hex() == want.hex()
+
+
+ORACLE_PS = [0.0, 5e-324, 0.3, 0.5, 1 - 2**-53, 1.0, 1 + 2**-52, -1e-300, math.nan]
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 50, 200, 500, 1000])
+def test_binomial_tails_equal_scipy_stats_bit_for_bit(k):
+    # the tails call scipy.special's private boost kernels; scipy.stats.binom
+    # is the public oracle, so a renamed or changed kernel fails here
+    thresholds = [
+        Fraction(j, k) + Fraction(d, 3 * k)
+        for j in sorted({-1, 0, 1, k // 2, k - 1, k, k + 1})
+        for d in (-1, 0, 1)
+    ]
+    for threshold in thresholds:
+        m_ge, m_le = math.ceil(threshold * k), math.floor(threshold * k)
+        for p in ORACLE_PS:
+            want_ge = float(stats.binom.sf(m_ge - 1, k, p))
+            want_le = float(stats.binom.cdf(m_le, k, p))
+            got_ge = binomial_tail_ge(k, p, threshold)
+            got_le = binomial_tail_le(k, p, threshold)
+            assert _same_bits(got_ge, want_ge), (threshold, p, got_ge, want_ge)
+            assert _same_bits(got_le, want_le), (threshold, p, got_le, want_le)
+
+
+unit_floats = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@given(
+    k=st.integers(1, 200),
+    p=unit_floats,
+    j=st.integers(-1, 201),
+    inside=st.fractions(0, 1).filter(lambda f: f > 0),
+)
+def test_tail_ge_is_constant_between_rational_boundaries(k, p, j, inside):
+    # every threshold in ((j-1)/k, j/k] asks for at least j passes
+    threshold = Fraction(j - 1, k) + inside / k
+    assert binomial_tail_ge(k, p, threshold) == binomial_tail_ge(k, p, Fraction(j, k))
+
+
+@given(
+    k=st.integers(1, 200),
+    p=unit_floats,
+    q=unit_floats,
+    t1=st.fractions(-1, 2),
+    t2=st.fractions(-1, 2),
+)
+def test_tail_ge_is_monotone_in_threshold_and_p(k, p, q, t1, t2):
+    (p, q), (t1, t2) = sorted((p, q)), sorted((t1, t2))
+    assert binomial_tail_ge(k, p, t1) >= binomial_tail_ge(k, p, t2)
+    # the kernel rounds differently at neighbouring p: up to about 3e-15
+    # downward between adjacent doubles, so p is compared within 1e-12
+    assert binomial_tail_ge(k, q, t1) >= binomial_tail_ge(k, p, t1) - 1e-12
+
+
+@given(k=st.integers(1, 200), p=unit_floats, j=st.integers(-1, 201))
+def test_tail_ge_and_tail_le_below_it_sum_to_one(k, p, j):
+    total = binomial_tail_ge(k, p, Fraction(j, k)) + binomial_tail_le(k, p, Fraction(j - 1, k))
+    assert abs(total - 1.0) <= 1e-12
 
 
 def test_quantity_tags():

@@ -1,12 +1,21 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
 import tracemalloc
+from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import stats
 
-from pauliverify.cli import build_parser, check_run_sizes, main
-from pauliverify.protocol import RUN_COUNT_CAP
+from pauliverify.cli import build_parser, check_run_sizes, load_target, main
+from pauliverify.protocol import RUN_COUNT_CAP, prepare
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -681,3 +690,115 @@ def test_robustness_runs_over_cap_is_refused_before_any_allocation(capsys):
 
 def test_runs_at_the_cap_are_accepted():
     check_run_sizes(RUN_COUNT_CAP)
+
+
+# ---------------------------------------------------------------------------
+# What a fresh process loads, and same seed, same bytes for robustness
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+MODULES_AFTER_MAIN = """
+import json, sys
+from pauliverify import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def _modules_after_main(argv, cwd) -> set[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_AFTER_MAIN, *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0, proc.stderr
+    return set(result["modules"])
+
+
+@pytest.mark.parametrize("target", ["clifford_t.json", "ring3.json"])
+def test_robustness_never_loads_scipy_stats(target, tmp_path):
+    argv = [
+        "robustness", "--target", str(DATA / target), "--eps-prime", "0,0.05",
+        "-k", "10", "--runs", "2", "--seed", "3", "--out", str(tmp_path / "out.json"),
+    ]
+    modules = _modules_after_main(argv, tmp_path)
+    assert "scipy.special" in modules  # the tails did run
+    assert "scipy.stats" not in modules
+
+
+def test_verify_never_loads_scipy(tmp_path):
+    argv = ["verify", "--config", str(DATA / "verify_hyper_honest.json"),
+            "--out", str(tmp_path / "out.json")]
+    assert not any(m == "scipy" or m.startswith("scipy.") for m in _modules_after_main(argv, tmp_path))
+
+
+@st.composite
+def small_circuits(draw) -> dict:
+    n = draw(st.integers(2, 4))
+    gates = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            gates.append({"name": draw(st.sampled_from("HST")), "qubits": [draw(st.integers(0, n - 1))]})
+        else:
+            pair = draw(st.permutations(range(n)))[:2]
+            gates.append({"name": draw(st.sampled_from(["CNOT", "CZ"])), "qubits": pair})
+    return {"n_qubits": n, "gates": gates}
+
+
+@st.composite
+def small_hypergraphs(draw) -> dict:
+    n = draw(st.integers(2, 4))
+    candidates = [list(e) for size in (2, 3) for e in combinations(range(n), size)]
+    edges = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=4, unique_by=tuple))
+    return {"n_vertices": n, "edges": edges}
+
+
+@st.composite
+def small_rings(draw) -> dict:
+    n = draw(st.integers(2, 4))
+    pairs = sorted({tuple(sorted((i, (i + 1) % n))) for i in range(n)})
+    terms = []
+    for pair in pairs:
+        for axis in "XZ":
+            pauli = ["I"] * n
+            for q in pair:
+                pauli[q] = axis
+            terms.append({"pauli": "".join(pauli), "coeff": draw(st.floats(0.25, 2.0))})
+    return {"n_qubits": n, "terms": terms}
+
+
+@settings(max_examples=30)
+@given(
+    target=st.one_of(small_circuits(), small_hypergraphs(), small_rings()),
+    eps_primes=st.lists(st.sampled_from([0.0, 0.01, 0.05, 0.2]), min_size=1, max_size=3),
+    k=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_robustness_replays_and_predicts_from_scipy_stats_tails(target, eps_primes, k, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "target.json"
+        path.write_text(json.dumps(target))
+        outs = [Path(tmp) / "a.json", Path(tmp) / "b.json"]
+        for out in outs:
+            argv = [
+                "robustness", "--target", str(path), "--eps-prime",
+                ",".join(map(str, eps_primes)), "-k", str(k), "--runs", "3",
+                "--seed", str(seed), "--out", str(out),
+            ]
+            assert main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        doc = json.loads(outs[0].read_text())
+        kind, spec, _ = load_target(path)
+    prepared = prepare(kind, spec)
+    thresholds = prepared.thresholds(Fraction(doc["params"]["epsilon"]))
+    for point in doc["points"]:
+        predicted = 1.0
+        for q, threshold in zip(point["per_group_ppass"], thresholds, strict=True):
+            p = q["value"]
+            if prepared.comparison == "<=":
+                predicted *= float(stats.binom.cdf(math.floor(threshold * k), k, p))
+            else:
+                predicted *= float(stats.binom.sf(math.ceil(threshold * k) - 1, k, p))
+        assert point["predicted_acceptance"]["value"] == predicted
