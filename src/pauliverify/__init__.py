@@ -67,12 +67,9 @@ from .circuits import (
 from .single_copy import (
     AdaptiveTest,
     ParityTest,
-    TestOutcome,
-    adaptive_stabilizer_test,
     adaptive_test_exact_ppass,
     energy_test_exact_ppass,
     monte_carlo_pass_rate,
-    parity_test,
     parity_test_exact_ppass,
 )
 from .protocol import (

@@ -312,7 +312,7 @@ def robustness_sweep(
         accepted = 0
         for s in run_seeds(point_seed, runs):
             accepted += prepared.run(prover, params, s).accepted
-        rho = prover.make_source(1, np.random.default_rng(0)).register_state(0)
+        rho = prover.make_source(1, np.random.default_rng(0))
         ppass = prepared.group_ppass(rho)
         predicted = 1.0
         for p, threshold in zip(ppass, thresholds):

@@ -186,10 +186,7 @@ def _write_axes(
 
 
 def conjugate_through_circuit(
-    c: CircuitSpec,
-    qubit: int,
-    term_cap: int = TERM_CAP_DEFAULT,
-    drop_threshold: float = DROP_THRESHOLD,
+    c: CircuitSpec, qubit: int, term_cap: int = TERM_CAP_DEFAULT
 ) -> PauliSum:
     """Push X on ``qubit`` through the gate list: the Pauli sum of U X_qubit U^dag."""
     terms = {PauliString.on_qubit(c.n, qubit, "X").key: 1.0}
@@ -209,7 +206,7 @@ def conjugate_through_circuit(
             for new_axes, factor in expansion:
                 key = _write_axes(xm, zm, c.n, gate.qubits, new_axes)
                 nxt[key] = nxt.get(key, 0.0) + coeff * factor
-        terms = {k: v for k, v in nxt.items() if abs(v) > drop_threshold}
+        terms = {k: v for k, v in nxt.items() if abs(v) > DROP_THRESHOLD}
         if len(terms) > term_cap:
             raise DecompositionIntractableError(
                 f"stabilizer for qubit {qubit} exceeded {term_cap} Pauli terms"

@@ -15,7 +15,6 @@ import numpy as np
 
 from .reporting import field, read_object
 from .paulis import (
-    DROP_THRESHOLD,
     PauliString,
     PauliSum,
     merge_pauli_terms,
@@ -94,9 +93,7 @@ class RescaledHamiltonian(PauliSum):
 
 
 def rescale(
-    h: HamiltonianSpec,
-    drop_threshold: float = DROP_THRESHOLD,
-    diag: DiagonalizationResult | None = None,
+    h: HamiltonianSpec, diag: DiagonalizationResult | None = None
 ) -> RescaledHamiltonian:
     """Build the rescaled form, diagonalizing first when E0 or the gap is absent.
 
@@ -120,7 +117,7 @@ def rescale(
 
     shifted = [t.with_coeff(t.coeff / gap) for t in h.terms]
     shifted.append(PauliString.identity(h.n, -e0 / gap))
-    terms = merge_pauli_terms(shifted, drop_threshold)
+    terms = merge_pauli_terms(shifted)
     if not terms:
         raise ValueError("rescaled Hamiltonian vanished entirely")
 

@@ -32,25 +32,25 @@ from . import reporting
 from .states import DenseState, pure_state
 
 
+MAX_EDGE_SIZE = 3
+
+
 @dataclass(frozen=True)
 class HypergraphSpec:
-    """Vertices plus hyperedges of size 2..max_edge_size."""
+    """Vertices plus hyperedges of size 2..MAX_EDGE_SIZE."""
 
     n: int
     edges: tuple[tuple[int, ...], ...]
-    max_edge_size: int = 3
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one vertex")
-        if self.max_edge_size < 3:
-            raise ValueError("max edge size is a constant >= 3")
         seen = set()
         for e in self.edges:
             if tuple(sorted(e)) != tuple(e):
                 raise ValueError("edges must be stored sorted ascending")
-            if not 2 <= len(e) <= self.max_edge_size:
-                raise ValueError(f"edge {e} has size outside [2, {self.max_edge_size}]")
+            if not 2 <= len(e) <= MAX_EDGE_SIZE:
+                raise ValueError(f"edge {e} has size outside [2, {MAX_EDGE_SIZE}]")
             if len(set(e)) != len(e):
                 raise ValueError(f"edge {e} repeats a vertex")
             if min(e) < 0 or max(e) >= self.n:
@@ -60,10 +60,10 @@ class HypergraphSpec:
             seen.add(e)
 
 
-def hypergraph(n: int, edges, max_edge_size: int = 3) -> HypergraphSpec:
+def hypergraph(n: int, edges) -> HypergraphSpec:
     """Normalize edge containers into a canonical HypergraphSpec."""
     canon = tuple(sorted(tuple(sorted(e)) for e in edges))
-    return HypergraphSpec(n, canon, max_edge_size)
+    return HypergraphSpec(n, canon)
 
 
 def connectivity(g: HypergraphSpec) -> tuple[int, list[int]]:

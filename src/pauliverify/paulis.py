@@ -32,6 +32,10 @@ DENSE_QUBIT_CAP = 8
 # never sampled.
 DROP_THRESHOLD = 1e-12
 
+# Largest deviation from Hermiticity, in the matrix and in its Pauli
+# coefficients' imaginary parts, that the Pauli transform accepts.
+HERMITIAN_TOL = 1e-8
+
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -131,10 +135,6 @@ class PauliString:
         return (self.xmask & self.zmask).bit_count()
 
     @property
-    def weight(self) -> int:
-        return (self.xmask | self.zmask).bit_count()
-
-    @property
     def is_identity(self) -> bool:
         return self.xmask == 0 and self.zmask == 0
 
@@ -164,10 +164,8 @@ class PauliString:
         return f"{self.coeff:+g}*{self.axes}"
 
 
-def merge_pauli_terms(
-    terms: Iterable[PauliString], drop_threshold: float = DROP_THRESHOLD
-) -> list[PauliString]:
-    """Sum like strings, drop vanishing coefficients, sort by axis string.
+def merge_pauli_terms(terms: Iterable[PauliString]) -> list[PauliString]:
+    """Sum like strings, drop coefficients up to DROP_THRESHOLD, sort by axis string.
 
     The identity string sorts first, which keeps sampling indices stable
     across runs for any fixed operator.
@@ -183,7 +181,7 @@ def merge_pauli_terms(
     if n is None:
         raise ValueError("no terms to merge")
     kept = [
-        PauliString(n, x, z, c) for (x, z), c in acc.items() if abs(c) > drop_threshold
+        PauliString(n, x, z, c) for (x, z), c in acc.items() if abs(c) > DROP_THRESHOLD
     ]
     return sorted(kept, key=lambda t: t.axes)
 
@@ -199,14 +197,10 @@ _AXIS_MASKS = {  # axis index -> (x bit?, z bit?)
 }
 
 
-def decompose_in_pauli_basis(
-    matrix: np.ndarray,
-    drop_threshold: float = DROP_THRESHOLD,
-    hermitian_tol: float = 1e-8,
-) -> list[PauliString]:
+def decompose_in_pauli_basis(matrix: np.ndarray) -> list[PauliString]:
     """All Pauli-basis coefficients Tr[M tau] / 2^n of a Hermitian matrix.
 
-    Returns one PauliString per coefficient above ``drop_threshold``, ordered
+    Returns one PauliString per coefficient above DROP_THRESHOLD, ordered
     with the identity first and then lexicographically in I < X < Y < Z.
     """
     matrix = np.asarray(matrix, dtype=complex)
@@ -216,7 +210,7 @@ def decompose_in_pauli_basis(
     n = dim.bit_length() - 1
     if capped_dim(n, DENSE_QUBIT_CAP, "Pauli transform") != dim:
         raise ValueError("matrix dimension is not a power of two")
-    if np.max(np.abs(matrix - matrix.conj().T)) > hermitian_tol:
+    if np.max(np.abs(matrix - matrix.conj().T)) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
 
     # Contract each qubit's (row, column) index pair with the Pauli tensor;
@@ -226,12 +220,12 @@ def decompose_in_pauli_basis(
         arr = np.tensordot(_PAULI_BASIS, arr, axes=([2, 1], [j, n]))
         arr = np.moveaxis(arr, 0, j)
     coeffs = arr / dim
-    if np.max(np.abs(coeffs.imag)) > hermitian_tol:
+    if np.max(np.abs(coeffs.imag)) > HERMITIAN_TOL:
         raise ValueError("Pauli coefficients acquired an imaginary part")
     coeffs = coeffs.real
 
     out = []
-    for pvec in np.argwhere(np.abs(coeffs) > drop_threshold):
+    for pvec in np.argwhere(np.abs(coeffs) > DROP_THRESHOLD):
         xmask = zmask = 0
         for j, p in enumerate(pvec):
             xb, zb = _AXIS_MASKS[int(p)]

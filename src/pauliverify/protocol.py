@@ -5,11 +5,12 @@ random m of them, keeps one uniform random survivor as the target, and tests
 the rest.  Accept/reject thresholds are compared in exact rational
 arithmetic so boundary equalities never flip on floating-point noise.
 
-Product provers fill every register with one state, so a run samples all
-its groups' tests from one block of uniforms (see single_copy's run kernels).
-Only the tiny entangled demo path tracks a joint state across registers
-(total qubits capped at 12), conditioning it on each measured outcome, and
-runs trial by trial.
+A prover's source is either the one DenseState that every register
+carries, or a joint source over all registers.  A product source is sampled
+with each test's batched ``sample``: all of a run's groups from one block of
+uniforms (see single_copy's run kernels).  Only the tiny entangled demo
+returns a joint source (total qubits capped at 12); each measurement
+conditions its joint state, so it runs the scalar ``trial`` loop.
 """
 from __future__ import annotations
 
@@ -127,10 +128,6 @@ class ProtocolParams:
                 raise ValueError(f"{name} must be at least {low}, got {value}")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie strictly between 0 and 1")
-
-    @property
-    def epsilon_float(self) -> float:
-        return float(self.epsilon)
 
     @property
     def n_registers(self) -> int:
@@ -273,27 +270,7 @@ def group_thresholds(
 
 
 # ---------------------------------------------------------------------------
-# Register sources
-
-
-class ProductRegisters:
-    """Every register carries the same state, so tests sample it a group at a time."""
-
-    def __init__(self, n: int, n_registers: int, state: DenseState):
-        if state.n != n:
-            raise ValueError("prover produced a register of the wrong width")
-        self.n = n
-        self.n_registers = n_registers
-        self.state = state
-
-    def measure(
-        self, register: int, bases: str, rng: np.random.Generator
-    ) -> MeasurementRecord:
-        record, _ = measure_in_bases(self.state, bases, rng)
-        return record
-
-    def register_state(self, register: int) -> DenseState:
-        return self.state
+# Joint register sources
 
 
 class EntangledRegisters:
@@ -350,7 +327,11 @@ class EntangledRegisters:
 
 @dataclass(frozen=True)
 class ProverModel:
-    """How the registers are produced: the honest case or an adversary."""
+    """How the registers are produced: the honest case or an adversary.
+
+    ``make_source(n_registers, rng)`` returns the DenseState that every
+    register carries, or a joint source (EntangledRegisters).
+    """
 
     kind: str
     make_source: Callable[[int, np.random.Generator], object]
@@ -358,7 +339,7 @@ class ProverModel:
 
 def honest_prover(ideal: DenseState) -> ProverModel:
     def make(n_registers, rng):
-        return ProductRegisters(ideal.n, n_registers, ideal)
+        return ideal
 
     return ProverModel("honest", make)
 
@@ -374,7 +355,7 @@ def iid_deviated_prover(
     state = mixture(ideal, eta, epsilon_prime) if epsilon_prime > 0.0 else ideal
 
     def make(n_registers, rng):
-        return ProductRegisters(ideal.n, n_registers, state)
+        return state
 
     return ProverModel("iid_deviated", make)
 
@@ -386,7 +367,7 @@ def coherent_error_prover(ideal: DenseState, error: PauliString) -> ProverModel:
     bad = apply_pauli(ideal, error)
 
     def make(n_registers, rng):
-        return ProductRegisters(ideal.n, n_registers, bad)
+        return bad
 
     return ProverModel("coherent_error", make)
 
@@ -409,9 +390,7 @@ def classically_correlated_prover(
 
     def make(n_registers, rng):
         pick = int(np.searchsorted(cum, rng.random(), side="right"))
-        pick = min(pick, len(states) - 1)
-        chosen = states[pick]
-        return ProductRegisters(chosen.n, n_registers, chosen)
+        return states[min(pick, len(states) - 1)]
 
     return ProverModel("classically_correlated", make)
 
@@ -545,7 +524,7 @@ def _run_protocol(
 
     Group i tests k registers with the kernel's i-th test and passes when its
     rate compares to its ``group_thresholds`` entry by ``COMPARISON``.  A
-    product source is sampled in one kernel call per run; any other source
+    DenseState source is sampled in one kernel call per run; a joint source
     (the entangled demo) runs the scalar trial loop, because each measurement
     conditions its joint state.  Both paths consume the test stream in the
     same order.
@@ -560,8 +539,9 @@ def _run_protocol(
     thresholds = group_thresholds(protocol, params.epsilon, test.group_l1)
     groups = rest.reshape(len(thresholds), params.k)
     comparison = COMPARISON[protocol]
-    if isinstance(source, ProductRegisters):
-        passed, branches = test.sample(source.state, rng_tests, params.k)
+    if isinstance(source, DenseState):
+        passed, branches = test.sample(source, rng_tests, params.k)
+        target_state = source
     else:
         trials = [
             test.trial(source, int(reg), rng_tests, i)
@@ -570,6 +550,7 @@ def _run_protocol(
         ]
         passed = np.array([ok for ok, _ in trials])
         branches = np.array([branch for _, branch in trials])
+        target_state = source.register_state(target)
     passed = passed.reshape(groups.shape)
     branches = branches.reshape(groups.shape)
 
@@ -600,9 +581,7 @@ def _run_protocol(
         accepted=all(g.passed for g in results),
         groups=tuple(results),
         target_register=target,
-        target_fidelity=(
-            fidelity(source.register_state(target)) if fidelity is not None else None
-        ),
+        target_fidelity=fidelity(target_state) if fidelity is not None else None,
         n_registers=n_reg,
         seed=seed,
         params=params,

@@ -3,12 +3,17 @@
 The parity test of a sampled Pauli sum serves the ground protocol (the
 rescaled Hamiltonian) and the circuit protocol (each stabilizer); the
 adaptive stabilizer test serves hypergraph states.  Each test measures every
-qubit of one register exactly once.  The sampled path draws a Pauli term (or
-reads adaptive branch bits), takes one joint Born sample, and applies an
-exact integer pass predicate; the closed-form path returns the expected pass
-probability from dense expectations.  Both paths are split so a protocol
-engine can drive the measurement itself (e.g. on an entangled multi-register
-state) and reuse the same predicates.
+qubit of one register exactly once, in Pauli bases, and applies an exact
+integer pass predicate.
+
+Each test runs one of two ways.  ``ParityTest.trial`` and
+``AdaptiveTest.trial`` are the scalar path: one trial on one register of a
+source, built on draw_pauli_term, measure_in_bases, parity_passes and
+adaptive_predicate.  It is the reference the batched path is checked
+against, and the path of the entangled demo, whose joint state changes with
+every measurement.  ``.sample`` is the batched path: k trials per group on
+one state, drawn through sample_stacked_outcomes.  The closed-form
+functions return the expected pass probability from dense expectations.
 """
 from __future__ import annotations
 
@@ -24,20 +29,11 @@ from .states import (
     MeasurementRecord,
     expectation,
     masked_pauli_expectation,
-    measure_in_bases,
+    projector_overlap,
     sample_stacked_outcomes,
     search_segments,
     stack_segments,
 )
-
-
-@dataclass(frozen=True)
-class TestOutcome:
-    """Result of one single-copy test round."""
-
-    passed: bool
-    branch: str  # sampled Pauli term, or the observed adaptive bits
-    record: MeasurementRecord
 
 
 @dataclass(frozen=True)
@@ -65,20 +61,6 @@ def parity_passes(record: MeasurementRecord, sign: int) -> bool:
 # of the circuit protocol)
 
 
-def parity_test(
-    rho: DenseState, pauli_sum: PauliSum, rng: np.random.Generator
-) -> TestOutcome:
-    """Draw a term of the sum, measure it, compare its parity with the term sign.
-
-    An identity term is part of the draw (it always passes); that is what
-    ties the pass probability to the full expectation of the sum.
-    """
-    draw = draw_pauli_term(pauli_sum, rng)
-    record, _ = measure_in_bases(rho, draw.bases, rng)
-    passed = parity_passes(record, draw.sign)
-    return TestOutcome(passed, f"{'+' if draw.sign > 0 else '-'}{draw.bases}", record)
-
-
 def parity_test_exact_ppass(rho: DenseState, pauli_sum: PauliSum) -> float:
     """1/2 + <H>/(2 * l1), with H the rescaled Hamiltonian or a stabilizer."""
     value = sum(expectation(rho, t) for t in pauli_sum.terms)
@@ -93,21 +75,17 @@ energy_test_exact_ppass = parity_test_exact_ppass
 # Adaptive stabilizer test (hypergraph states)
 
 
-def adaptive_bits_from_record(
-    record: MeasurementRecord, form: AdaptiveStabilizerForm
-) -> int:
-    """Projector bits read off the Z outcomes: +1 -> 0, -1 -> 1."""
-    a = 0
-    for v in form.projector_support:
-        a = (a << 1) | (record.outcomes[v] == -1)
-    return a
-
-
 def adaptive_predicate(
     record: MeasurementRecord, form: AdaptiveStabilizerForm
 ) -> tuple[bool, int]:
-    """Evaluate the branch rule chosen by the observed projector bits."""
-    a = adaptive_bits_from_record(record, form)
+    """Evaluate the branch rule chosen by the observed projector bits.
+
+    The projector bits ``a`` are read off the Z outcomes (+1 -> 0, -1 -> 1);
+    returns (passed, a).
+    """
+    a = 0
+    for v in form.projector_support:
+        a = (a << 1) | (record.outcomes[v] == -1)
     alpha, residual = form.branch_for_bits(a)
     prod = record.outcomes[form.vertex]
     for v in residual:
@@ -115,26 +93,12 @@ def adaptive_predicate(
     return prod == (-1 if alpha else 1), a
 
 
-def adaptive_stabilizer_test(
-    rho: DenseState, form: AdaptiveStabilizerForm, rng: np.random.Generator
-) -> TestOutcome:
-    """X on the tested vertex, Z everywhere else, branch rule after the fact."""
-    record, _ = measure_in_bases(rho, form.bases(), rng)
-    passed, a = adaptive_predicate(record, form)
-    width = len(form.projector_support)
-    return TestOutcome(passed, f"a={a:0{width}b}" if width else "a=", record)
-
-
 def adaptive_test_exact_ppass(
     rho: DenseState, form: AdaptiveStabilizerForm, g_dense: np.ndarray | None = None
 ) -> float:
     """(1 + <g_i>)/2, from a supplied dense stabilizer or from the branches."""
     if g_dense is not None:
-        if rho.is_pure:
-            val = float(np.real(np.vdot(rho.data, g_dense @ rho.data)))
-        else:
-            val = float(np.real(np.trace(g_dense @ rho.data)))
-        return 0.5 * (1.0 + val)
+        return 0.5 * (1.0 + projector_overlap(rho, g_dense))
     return adaptive_branch_sum_ppass(rho, form)
 
 
@@ -168,7 +132,8 @@ def adaptive_branch_sum_ppass(rho: DenseState, form: AdaptiveStabilizerForm) -> 
 # scalar path consumes variates (group by group, trial by trial), and
 # rng.random(a) followed by rng.random(b) equals rng.random(a + b), so the
 # kernel's results equal the scalar path's trial for trial.  ``trial`` is
-# that scalar path, kept for sources that change state between measurements.
+# that scalar path: the reference ``sample`` is checked against, and the path
+# of sources that change state between measurements.
 # ``sample`` returns flat arrays in the same group-major order.
 
 
@@ -177,8 +142,10 @@ class ParityTest:
 
     A trial draws a term of its group's sum with probability |coefficient|/l1,
     measures its bases and passes when the outcome parity equals the term
-    sign.  It uses two variates: the term, then the outcome.  The branch of a
-    trial is the index of its term among all groups' terms.
+    sign.  An identity term is part of the draw and always passes, which ties
+    the pass rate to the full expectation of the sum.  A trial uses two
+    variates: the term, then the outcome.  The branch of a trial is the index
+    of its term among all groups' terms.
     """
 
     def __init__(self, *sums: PauliSum):
@@ -230,9 +197,10 @@ class ParityTest:
 class AdaptiveTest:
     """Adaptive stabilizer tests of hypergraph vertices, one form per group.
 
-    A trial uses one variate.  Its branch is the projector bits ``a``; the
-    pass flag and ``a`` of every joint outcome come from the forms' cached
-    outcome tables.
+    A trial measures X on the tested vertex and Z everywhere else, then
+    applies the branch rule the observed projector bits ``a`` choose.  It uses
+    one variate, and its branch is ``a``.  ``sample`` reads the pass flag and
+    ``a`` of every joint outcome off the forms' cached outcome tables.
     """
 
     def __init__(self, *forms: AdaptiveStabilizerForm):
@@ -273,24 +241,14 @@ class AdaptiveTest:
 
 
 def monte_carlo_pass_rate(
-    test, n_trials: int, rng: np.random.Generator, state: DenseState | None = None
-):
-    """Run a single-copy test repeatedly; returns (rate, pass count).
+    kernel, n_trials: int, rng: np.random.Generator, state: DenseState
+) -> tuple[float, int]:
+    """Sample a one-group kernel (ParityTest, AdaptiveTest) on ``state``; returns (rate, pass count).
 
-    ``test`` is a callable rng -> TestOutcome, run trial by trial, or, when
-    ``state`` is given, a one-group kernel (ParityTest, AdaptiveTest) that
-    samples every trial on ``state`` in one block.  Both consume the same
-    fixed number of variates per trial in the same order, so trial t is
-    reproducible from the generator seed and t alone, and the two forms
-    agree exactly.
+    Every trial consumes a fixed number of variates in a fixed order, so
+    trial t is reproducible from the generator seed and t alone.
     """
-    if state is not None:
-        passes = int(np.count_nonzero(test.sample(state, rng, n_trials)[0]))
-        return passes / n_trials, passes
-    passes = 0
-    for _ in range(n_trials):
-        if test(rng).passed:
-            passes += 1
+    passes = int(np.count_nonzero(kernel.sample(state, rng, n_trials)[0]))
     return passes / n_trials, passes
 
 

@@ -252,7 +252,7 @@ def overlap(state: DenseState, reference: DenseState) -> float:
 
 
 def projector_overlap(state: DenseState, projector: np.ndarray) -> float:
-    """Tr[Pi rho] for a dense projector."""
+    """Tr[Pi rho] for a dense projector, or <A> for any dense Hermitian A."""
     if state.is_pure:
         return float(np.real(np.vdot(state.data, projector @ state.data)))
     return float(np.real(np.trace(projector @ state.data)))
@@ -424,19 +424,6 @@ def measure_in_bases(
     return MeasurementRecord(tuple(outcomes), bases), float(table.probs[k])
 
 
-def sample_outcome_indices(state: DenseState, bases: str, u: np.ndarray) -> np.ndarray:
-    """Batched twin of measure_in_bases: one outcome index per uniform in ``u``.
-
-    Uses the same cached Born table, inverse-CDF search and clamp, so the
-    index for ``u[t]`` is the one measure_in_bases draws from the same
-    variate.  Index bits follow outcome_distribution (first measured qubit
-    most significant, bit 1 for the -1 outcome).
-    """
-    table = _measurement_table(state, bases)
-    k = np.searchsorted(table.cum, u, side="right")
-    return np.minimum(k, table.last_sampleable)
-
-
 def stack_segments(segments) -> tuple[np.ndarray, int]:
     """Sorted 1-d arrays laid end to end, each padded with +inf to one width.
 
@@ -497,11 +484,14 @@ def _table_stack(state: DenseState, bases: tuple[str, ...]) -> _TableStack:
 def sample_stacked_outcomes(
     state: DenseState, bases: tuple[str, ...], which: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
-    """sample_outcome_indices for many bases at once: trial t measures bases[which[t]].
+    """Batched twin of measure_in_bases: trial t measures bases[which[t]] with u[t].
 
-    The CDFs of ``bases`` on ``state`` are stacked once and memoized on the
-    state; the index for ``u[t]`` equals
-    ``sample_outcome_indices(state, bases[which[t]], u[t:t+1])[0]``.
+    Returns one outcome index per trial.  It uses the same cached Born tables,
+    inverse-CDF search and clamp to the last sampleable outcome, so the index
+    for ``u[t]`` is the one measure_in_bases draws from the same variate.
+    Index bits follow outcome_distribution (first measured qubit most
+    significant, bit 1 for the -1 outcome).  The CDFs of ``bases`` on
+    ``state`` are stacked once and memoized on the state.
     """
     stack = _table_stack(state, bases)
     k = search_segments(stack.cum, stack.width, which, u)

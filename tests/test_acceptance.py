@@ -248,7 +248,7 @@ def test_criterion_5_soundness_behavior():
         forms = all_adaptive_forms(g)
         ideal = build_state(g)
         flipped = coherent_error_prover(ideal, PauliString.from_axes("ZIII"))
-        bad_state = flipped.make_source(1, np.random.default_rng(0)).register_state(0)
+        bad_state = flipped.make_source(1, np.random.default_rng(0))
         assert adaptive_test_exact_ppass(
             bad_state, forms[0], stabilizer_dense(g, 0)
         ) == pytest.approx(0.0, abs=1e-12)
@@ -299,7 +299,7 @@ def test_criterion_6_robustness_bound():
             assert run_hypergraph_protocol(forms, ideal, honest, params, seed).accepted
 
         prover = iid_deviated_prover(ideal, eps_prime, eta)
-        rho = prover.make_source(1, np.random.default_rng(0)).register_state(0)
+        rho = prover.make_source(1, np.random.default_rng(0))
         for v in range(4):
             p = adaptive_test_exact_ppass(rho, forms[v], stabilizer_dense(g, v))
             assert p == pytest.approx(1 - eps_prime / 2, abs=1e-10)

@@ -1,6 +1,6 @@
 """Group sampling against the scalar trial loop, uniform for uniform.
 
-Product sources are sampled a group at a time by the single-copy kernels.
+A DenseState source is sampled a group at a time by the single-copy kernels.
 Every check here replays the same seed through the scalar reference path
 (draw_pauli_term, measure_in_bases, parity_passes, adaptive_predicate) and
 demands identical results, not statistically close ones.
@@ -19,7 +19,6 @@ from pauliverify.hamiltonians import HamiltonianSpec, exact_diagonalize, ground_
 from pauliverify.hypergraphs import adaptive_form, all_adaptive_forms, build_state, hypergraph
 from pauliverify.paulis import PauliString, PauliSum, merge_pauli_terms
 from pauliverify.protocol import (
-    ProductRegisters,
     ProverModel,
     classically_correlated_prover,
     coherent_error_prover,
@@ -33,6 +32,7 @@ from pauliverify.protocol import (
 )
 from pauliverify.single_copy import AdaptiveTest, ParityTest, adaptive_predicate
 from pauliverify.states import (
+    DenseState,
     MeasurementRecord,
     apply_pauli,
     maximally_mixed,
@@ -40,7 +40,6 @@ from pauliverify.states import (
     pure_state,
     random_mixed_state,
     random_pure_state,
-    sample_outcome_indices,
     sample_stacked_outcomes,
     search_segments,
     stack_segments,
@@ -50,17 +49,21 @@ DATA = Path(__file__).parent / "data"
 
 
 class TrialByTrial:
-    """A product source the engine does not recognise, so it runs the scalar loop."""
+    """One state in every register, held so that the engine runs the scalar loop.
 
-    def __init__(self, inner: ProductRegisters):
-        self.inner = inner
-        self.n = inner.n
+    The engine samples a source in one block only when it is a DenseState.
+    """
+
+    def __init__(self, state: DenseState):
+        self.state = state
+        self.n = state.n
 
     def measure(self, register, bases, rng):
-        return self.inner.measure(register, bases, rng)
+        record, _ = measure_in_bases(self.state, bases, rng)
+        return record
 
     def register_state(self, register):
-        return self.inner.register_state(register)
+        return self.state
 
 
 def scalar_twin(prover: ProverModel) -> ProverModel:
@@ -152,7 +155,8 @@ def test_sample_outcome_indices_matches_measure_in_bases(rng):
     state = random_mixed_state(3, rng)
     for bases in ("XYZ", "IZX", "III", "YIY"):
         u_rng = np.random.default_rng(11)
-        idx = sample_outcome_indices(state, bases, u_rng.random(200))
+        u = u_rng.random(200)
+        idx = sample_stacked_outcomes(state, (bases,), np.zeros(u.size, dtype=np.int64), u)
         s_rng = np.random.default_rng(11)
         measured = [j for j, b in enumerate(bases) if b != "I"]
         for k in idx:
@@ -166,7 +170,7 @@ def test_sample_outcome_indices_matches_measure_in_bases(rng):
 
 
 def _scalar_trials(test, state, seed, n_trials):
-    source = ProductRegisters(state.n, 1, state)
+    source = TrialByTrial(state)
     rng = np.random.default_rng(seed)
     trials = [test.trial(source, 0, rng) for _ in range(n_trials)]
     return [ok for ok, _ in trials], [branch for _, branch in trials]
@@ -305,7 +309,6 @@ def test_stacked_outcomes_equal_per_basis_sampling_with_the_clamp(n, zeros, data
         u = np.concatenate([table.cum, [np.nextafter(table.cum[-1], 2.0)], rng.random(30)])
         u = u[u < 1.0]
         got = sample_stacked_outcomes(state, bases, np.full(u.size, b), u)
-        np.testing.assert_array_equal(got, sample_outcome_indices(state, bases[b], u))
         np.testing.assert_array_equal(
             got, np.minimum(np.searchsorted(table.cum, u, side="right"), table.last_sampleable)
         )

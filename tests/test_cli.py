@@ -11,11 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 from pauliverify.cli import build_parser, check_run_sizes, load_target, main
-from pauliverify.protocol import RUN_COUNT_CAP, prepare
+from pauliverify.protocol import ENTANGLED_TOTAL_QUBIT_CAP, RUN_COUNT_CAP, prepare
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -802,3 +802,77 @@ def test_robustness_replays_and_predicts_from_scipy_stats_tails(target, eps_prim
             else:
                 predicted *= float(stats.binom.sf(math.ceil(threshold * k) - 1, k, p))
         assert point["predicted_acceptance"]["value"] == predicted
+
+
+PROVER_KINDS = [
+    "honest", "iid_deviated", "coherent_error", "classically_correlated", "entangled_demo",
+]
+
+
+@st.composite
+def verify_cases(draw, kind: str) -> tuple[dict, dict]:
+    target = draw(st.one_of(small_circuits(), small_hypergraphs(), small_rings()))
+    n = target.get("n_qubits", target.get("n_vertices"))
+    groups = 1 if "terms" in target else n
+    qubit = draw(st.integers(0, n - 1))
+    prover = {
+        "honest": {"kind": "honest"},
+        "iid_deviated": {
+            "kind": "iid_deviated", "epsilon_prime": draw(st.sampled_from([0.0, 0.05, 0.3])),
+        },
+        "coherent_error": {"kind": "coherent_error", "pauli": "Z", "qubit": qubit},
+        "classically_correlated": {
+            "kind": "classically_correlated", "pauli": "Z", "qubit": qubit, "p_bad": 0.5,
+        },
+        "entangled_demo": {
+            "kind": "entangled_demo", "pauli": "Z", "qubit": qubit,
+            "weight": draw(st.sampled_from([0.0, 0.3, 1.0])),
+        },
+    }[kind]
+    m = draw(st.integers(0, 2))
+    if kind == "entangled_demo":
+        # the joint state holds n * (groups * k + m + 1) qubits
+        k_max = (ENTANGLED_TOTAL_QUBIT_CAP // n - m - 1) // groups
+        assume(k_max >= 1)
+        k = draw(st.integers(1, k_max))
+    else:
+        k = draw(st.integers(1, 30))
+    config = {
+        "target": "target.json",
+        "params": {"mode": "desk", "k": k, "m": m, "epsilon": 0.1},
+        "prover": prover,
+    }
+    return target, config
+
+
+@pytest.mark.parametrize("kind", PROVER_KINDS)
+@settings(max_examples=15)
+@given(data=st.data(), runs=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_verify_replays_the_same_report_and_trials_csv(kind, data, runs, seed):
+    target, config = data.draw(verify_cases(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "target.json").write_text(json.dumps(target))
+        (tmp / "config.json").write_text(json.dumps(config))
+        outputs = []
+        for replay in "ab":
+            out, csv = tmp / f"{replay}.json", tmp / f"{replay}.csv"
+            argv = [
+                "verify", "--config", str(tmp / "config.json"), "--seed", str(seed),
+                "--runs", str(runs), "--out", str(out), "--trials-csv", str(csv),
+            ]
+            assert main(argv) == 0
+            outputs.append((out.read_bytes(), csv.read_bytes()))
+    assert outputs[0] == outputs[1]
+    # the trial records add up to each group's pass count
+    doc = json.loads(outputs[0][0])
+    reports = [doc["report"]] if runs == 1 else doc["reports"]
+    rows = outputs[0][1].decode().splitlines()[1:]
+    passes = {}
+    for row in rows:
+        run, group, _, _, _, passed = row.split(",")
+        passes[int(run), int(group)] = passes.get((int(run), int(group)), 0) + int(passed)
+    for r, rep in enumerate(reports):
+        assert rep["prover_kind"] == config["prover"]["kind"]
+        for g in rep["groups"]:
+            assert passes[r, g["group"]] == g["passes"]

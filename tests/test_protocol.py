@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 from scipy import stats
 
 from pauliverify.circuits import all_stabilizer_decompositions, build_circuit_state, circuit
@@ -9,6 +11,7 @@ from pauliverify.hamiltonians import HamiltonianSpec, exact_diagonalize, rescale
 from pauliverify.hypergraphs import adaptive_form, all_adaptive_forms, build_state, hypergraph
 from pauliverify.paulis import CapExceededError, PauliString
 from pauliverify.protocol import (
+    COMPARISON,
     EXECUTABLE_REGISTER_CAP,
     EntangledRegisters,
     ProtocolParams,
@@ -26,6 +29,8 @@ from pauliverify.protocol import (
     run_circuit_protocol,
     run_ground_protocol,
     run_hypergraph_protocol,
+    _run_protocol,
+    group_thresholds,
     run_seeds,
     schedule_params,
 )
@@ -245,8 +250,7 @@ def test_iid_deviated_per_test_rate_formula():
     ideal = build_state(g)
     eps_prime = 0.3
     prover = iid_deviated_prover(ideal, eps_prime, maximally_mixed(4))
-    source = prover.make_source(3, np.random.default_rng(0))
-    rho = source.register_state(0)
+    rho = prover.make_source(3, np.random.default_rng(0))
     for v in range(4):
         p = adaptive_test_exact_ppass(rho, adaptive_form(g, v))
         # eta maximally mixed makes <g_i> vanish: p = 1 - eps'/2
@@ -260,7 +264,7 @@ def test_iid_group_rates_match_binomial_prediction():
     forms = all_adaptive_forms(g)
     ideal = build_state(g)
     prover = iid_deviated_prover(ideal, 0.15, maximally_mixed(3))
-    rho = prover.make_source(1, np.random.default_rng(0)).register_state(0)
+    rho = prover.make_source(1, np.random.default_rng(0))
     params = desk_params("hypergraph", 3, k=400, m=0, epsilon=0.2)
     runs = 25
     totals = np.zeros(3)
@@ -378,3 +382,52 @@ def test_replay_is_bit_identical():
 def test_run_seeds_deterministic():
     assert run_seeds(5, 4) == run_seeds(5, 4)
     assert run_seeds(5, 4) != run_seeds(6, 4)
+
+
+# ---------------------------------------------------------------------------
+# The verdict at exact rational boundaries
+
+
+class ExactPassCount:
+    """A run kernel stub: every group passes exactly ``passes`` of its k trials."""
+
+    def __init__(self, group_l1: tuple[float, ...], passes: int):
+        self.group_l1 = group_l1
+        self.passes = passes
+
+    def sample(self, state, rng, n_trials):
+        flags = np.arange(n_trials) < self.passes
+        groups = len(self.group_l1)
+        return np.tile(flags, groups), np.zeros(groups * n_trials, dtype=np.int64)
+
+
+@given(
+    protocol=st.sampled_from(["ground", "circuit", "hypergraph"]),
+    n=st.integers(1, 3),
+    eps=st.fractions(min_value=Fraction(1, 64), max_value=Fraction(63, 64), max_denominator=64),
+    l1=st.one_of(st.integers(8, 400).map(lambda j: j / 8), st.floats(1.0, 50.0)),
+    k=st.integers(1, 300),
+    on_boundary=st.booleans(),
+)
+def test_verdict_flips_at_the_exact_pass_count(protocol, n, eps, l1, k, on_boundary):
+    groups = 1 if protocol == "ground" else n
+    group_l1 = (1.0 if protocol == "hypergraph" else l1,) * groups
+    (thr,) = set(group_thresholds(protocol, eps, group_l1))
+    if on_boundary:
+        # a k at which thr * k is a whole number, so a rate equal to thr is reachable
+        k = thr.denominator * (k % 4 + 1)
+        assume(k <= 20_000)
+    if COMPARISON[protocol] == ">=":
+        boundary, other = math.ceil(thr * k), math.ceil(thr * k) - 1  # pass, fail
+    else:
+        boundary, other = math.floor(thr * k), math.floor(thr * k) + 1
+    assert 0 <= min(boundary, other) and max(boundary, other) <= k
+    params = desk_params(protocol, n, k=k, m=0, epsilon=eps)
+    prover = honest_prover(computational_state(n, 0))
+    for passes, verdict in ((boundary, True), (other, False)):
+        rep = _run_protocol(
+            protocol, params, prover, 5, ExactPassCount(group_l1, passes), None, False
+        )
+        assert [g.passes for g in rep.groups] == [passes] * groups
+        assert [g.passed for g in rep.groups] == [verdict] * groups
+        assert rep.accepted == verdict

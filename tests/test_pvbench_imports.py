@@ -1,8 +1,9 @@
-"""The benchmark under pvbench/ imports pauliverify names; keep each one alive.
+"""The benchmark under pvbench/ imports and traces pauliverify names; keep each one alive.
 
 pvbench is not run by the tier-1 suite, so a rename in the package would only
 show up when the benchmark runs.  These tests read its source with ``ast`` and
-resolve every name it imports from pauliverify.
+resolve every name it imports from pauliverify and every name its per-layer
+tracer wraps.
 """
 import ast
 import importlib
@@ -46,6 +47,35 @@ def test_pvbench_import_resolves(module, name):
     assert hasattr(importlib.import_module(module), name) or importlib.util.find_spec(
         f"{module}.{name}"
     )
+
+
+def _traced_names() -> list[tuple[str, str]]:
+    """(module, attribute) of every entry of ``TRACED`` in pvbench/tracer.py."""
+    for node in ast.parse((ROOT / "pvbench" / "tracer.py").read_text()).body:
+        if [getattr(t, "id", None) for t in getattr(node, "targets", [])] == ["TRACED"]:
+            return [(module, attr) for _, module, attr, _ in ast.literal_eval(node.value)]
+    raise AssertionError("pvbench/tracer.py assigns no TRACED list")
+
+
+# Deleted from the package while the tracer still lists them; the tracer
+# reports a missing name as absent instead of tracing it.
+DELETED_TRACED = {
+    ("analysis", "robustness_sweep_ground"),
+    ("analysis", "robustness_sweep_circuit"),
+    ("single_copy", "stabilizer_test_exact_ppass"),
+}
+
+
+def test_every_traced_name_resolves():
+    # a name that stops resolving silently drops out of the per-layer trace
+    missing = set()
+    for module, attr in _traced_names():
+        obj = importlib.import_module(f"pauliverify.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.add((module, attr))
+    assert missing <= DELETED_TRACED
 
 
 def test_energy_test_exact_ppass_of_a_rescaled_hamiltonian():

@@ -6,19 +6,23 @@ from pauliverify.hamiltonians import HamiltonianSpec, rescale
 from pauliverify.hypergraphs import adaptive_form, build_state, hypergraph, stabilizer_dense
 from pauliverify.paulis import PauliString
 from pauliverify.single_copy import (
+    AdaptiveTest,
+    ParityTest,
     adaptive_branch_sum_ppass,
-    adaptive_stabilizer_test,
+    adaptive_predicate,
     adaptive_test_exact_ppass,
     binomial_sigma,
+    draw_pauli_term,
     energy_test_exact_ppass,
     monte_carlo_pass_rate,
-    parity_test,
+    parity_passes,
     parity_test_exact_ppass,
 )
 from pauliverify.states import (
     apply_pauli,
     computational_state,
     maximally_mixed,
+    measure_in_bases,
     random_mixed_state,
 )
 
@@ -73,7 +77,7 @@ def test_energy_monte_carlo_matches_exact(rng):
     rho = random_mixed_state(1, rng)
     p = energy_test_exact_ppass(rho, rh)
     trials = 40_000
-    rate, _ = monte_carlo_pass_rate(lambda r: parity_test(rho, rh, r), trials, rng)
+    rate, _ = monte_carlo_pass_rate(ParityTest(rh), trials, rng, state=rho)
     assert abs(rate - p) < 3 * binomial_sigma(p, trials)
 
 
@@ -89,8 +93,9 @@ def test_stabilizer_ppass_ideal_and_clifford(rng):
     for d in all_stabilizer_decompositions(cz):
         assert d.l1_norm == pytest.approx(1.0)
         assert parity_test_exact_ppass(psi2, d) == pytest.approx(1.0)
-        out = parity_test(psi2, d, rng)
-        assert out.passed
+        draw = draw_pauli_term(d, rng)
+        record, _ = measure_in_bases(psi2, draw.bases, rng)
+        assert parity_passes(record, draw.sign)
 
 
 def test_stabilizer_ppass_phase_flipped():
@@ -114,7 +119,7 @@ def test_stabilizer_monte_carlo_matches_exact(rng):
     want = 0.5 + np.trace(rho.data @ g_dense).real / (2 * d0.l1_norm)
     assert p == pytest.approx(want, abs=1e-10)
     trials = 40_000
-    rate, _ = monte_carlo_pass_rate(lambda r: parity_test(rho, d0, r), trials, rng)
+    rate, _ = monte_carlo_pass_rate(ParityTest(d0), trials, rng, state=rho)
     assert abs(rate - p) < 3 * binomial_sigma(p, trials)
 
 
@@ -125,7 +130,8 @@ def test_adaptive_ideal_state_always_passes(rng):
         form = adaptive_form(g, v)
         assert adaptive_test_exact_ppass(st, form) == pytest.approx(1.0)
         for _ in range(200):
-            assert adaptive_stabilizer_test(st, form, rng).passed
+            record, _ = measure_in_bases(st, form.bases(), rng)
+            assert adaptive_predicate(record, form)[0]
 
 
 def test_adaptive_worked_example_branch_rule(rng):
@@ -133,14 +139,14 @@ def test_adaptive_worked_example_branch_rule(rng):
     form = adaptive_form(g, 0)
     st = build_state(g)
     for _ in range(100):
-        out = adaptive_stabilizer_test(st, form, rng)
-        rec = out.record
+        rec, _ = measure_in_bases(st, form.bases(), rng)
+        passed, _ = adaptive_predicate(rec, form)
         # the written-out acceptance rule of the three-qubit example
         if rec.outcomes[1] == 1:
             expected = rec.outcomes[0] == 1
         else:
             expected = rec.outcomes[0] * rec.outcomes[2] == 1
-        assert out.passed == expected
+        assert passed == expected
 
 
 def test_adaptive_maximally_mixed_is_half():
@@ -186,9 +192,7 @@ def test_adaptive_monte_carlo_matches_exact(rng):
     form = adaptive_form(g, 0)
     p = adaptive_test_exact_ppass(rho, form, stabilizer_dense(g, 0))
     trials = 40_000
-    rate, _ = monte_carlo_pass_rate(
-        lambda r: adaptive_stabilizer_test(rho, form, r), trials, rng
-    )
+    rate, _ = monte_carlo_pass_rate(AdaptiveTest(form), trials, rng, state=rho)
     assert abs(rate - p) < 3 * binomial_sigma(p, trials)
 
 
@@ -214,14 +218,22 @@ def test_exact_ppass_stays_in_unit_interval(rng):
             assert -1e-10 <= p <= 1 + 1e-10
 
 
+def parity_trial(rho, pauli_sum, rng):
+    draw = draw_pauli_term(pauli_sum, rng)
+    record, _ = measure_in_bases(rho, draw.bases, rng)
+    return draw, record
+
+
 def test_outcome_reproducible_from_seed():
     rh = minus_z_rescaled()
     rho = maximally_mixed(1)
-    a = [parity_test(rho, rh, np.random.default_rng(7)).branch for _ in range(3)]
+    a = [parity_trial(rho, rh, np.random.default_rng(7))[0] for _ in range(3)]
     assert len(set(a)) == 1
     r1 = np.random.default_rng(11)
     r2 = np.random.default_rng(11)
-    outs1 = [parity_test(rho, rh, r1) for _ in range(50)]
-    outs2 = [parity_test(rho, rh, r2) for _ in range(50)]
-    assert [o.passed for o in outs1] == [o.passed for o in outs2]
-    assert [o.record.outcomes for o in outs1] == [o.record.outcomes for o in outs2]
+    outs1 = [parity_trial(rho, rh, r1) for _ in range(50)]
+    outs2 = [parity_trial(rho, rh, r2) for _ in range(50)]
+    assert [parity_passes(r, d.sign) for d, r in outs1] == [
+        parity_passes(r, d.sign) for d, r in outs2
+    ]
+    assert [r.outcomes for _, r in outs1] == [r.outcomes for _, r in outs2]

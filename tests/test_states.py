@@ -22,7 +22,7 @@ from pauliverify.states import (
     pure_state,
     random_mixed_state,
     random_pure_state,
-    sample_outcome_indices,
+    sample_stacked_outcomes,
     to_density,
 )
 from pauliverify.states import _measurement_table
@@ -251,12 +251,17 @@ def reference_indices(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 UNIFORMS = np.random.default_rng(99).random(512)
 
 
+def sampled_indices(state: DenseState, bases: str, u: np.ndarray) -> np.ndarray:
+    """The outcome index of each uniform in ``u``, all measured in ``bases``."""
+    return sample_stacked_outcomes(state, (bases,), np.zeros(u.size, dtype=np.int64), u)
+
+
 def assert_born_table_matches_reference(state: DenseState, bases: str):
     want = reference_born_probs(state.data, bases)
     got = outcome_distribution(state, bases)
     assert np.max(np.abs(got - want)) <= 1e-13
     np.testing.assert_array_equal(
-        sample_outcome_indices(state, bases, UNIFORMS), reference_indices(want, UNIFORMS)
+        sampled_indices(state, bases, UNIFORMS), reference_indices(want, UNIFORMS)
     )
 
 
@@ -375,8 +380,8 @@ def test_mixture_table_is_the_kernel_table_within_1e_15(data, n, weight, other, 
     assert np.max(np.abs(got.probs - want.probs)) <= 1e-15
     assert np.max(np.abs(got.cum - want.cum)) <= 1e-15
     np.testing.assert_array_equal(
-        sample_outcome_indices(rho, bases, UNIFORM_BLOCK),
-        sample_outcome_indices(kernel_twin(rho), bases, UNIFORM_BLOCK),
+        sampled_indices(rho, bases, UNIFORM_BLOCK),
+        sampled_indices(kernel_twin(rho), bases, UNIFORM_BLOCK),
     )
 
 
