@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .hypergraphs import HypergraphSpec, build_state
-from .paulis import PauliString
+from .paulis import PauliString, qubit_mask
 from .states import DenseState, apply_pauli, outcome_distribution, overlap, to_density
 from .protocol import PreparedTarget, ProtocolParams, iid_deviated_prover, run_seeds
 
@@ -49,9 +49,7 @@ def iqp_output_distribution(
     """X-basis distribution of the hypergraph state with a local-Z layer."""
     state = build_state(g)
     if z_layer:
-        zmask = 0
-        for v in z_layer:
-            zmask |= 1 << (g.n - 1 - v)
+        zmask = qubit_mask(g.n, z_layer)
         state = apply_pauli(state, PauliString(g.n, 0, zmask, 1.0))
     return x_basis_distribution(state)
 

@@ -7,24 +7,31 @@ bounded set.  The per-gate rules are not transcribed by hand; they are
 derived once at import time by dense conjugation of every 1-, 2-, or 3-qubit
 Pauli and an exact Pauli-basis read-off, so the table cannot drift from the
 gate matrices.
+
+A rule maps a Pauli's gate-local ``(x, z)`` masks (gate qubit 0 the most
+significant bit) to local masks and factors; a circuit lifts each rule onto
+its qubits once, and the push-through works on masks alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .paulis import (
-    AXES,
     DROP_THRESHOLD,
     PAULI_MATRICES,
     PauliString,
     PauliSum,
+    bit_for_qubit,
     decompose_in_pauli_basis,
+    qubit_mask,
 )
 from .hamiltonians import budget_value
 from .reporting import field, read_object
@@ -75,35 +82,29 @@ def rz_matrix(angle: float) -> np.ndarray:
     return np.diag([1.0, np.exp(1j * angle)]).astype(complex)
 
 
-def _conjugation_rule(gate: np.ndarray, axes: tuple[str, ...]):
-    """Exact expansion of  G P G^dag  over local Pauli strings."""
-    p = PauliString.from_axes("".join(axes)).dense()
-    conj = gate @ p @ gate.conj().T
-    return [(t.axes, t.coeff) for t in decompose_in_pauli_basis(conj)]
+def _conjugation_table(gate: np.ndarray, arity: int) -> dict:
+    """Exact expansion of  G P G^dag  over local Pauli strings, for every local P."""
+    table = {}
+    for x, z in product(range(1 << arity), repeat=2):
+        conj = gate @ PauliString(arity, x, z).dense() @ gate.conj().T
+        table[x, z] = [(t.key, t.coeff) for t in decompose_in_pauli_basis(conj)]
+    return table
 
 
-def _build_tables():
-    tables = {}
-    for name, mat in GATE_MATRICES.items():
-        arity = GATE_ARITY[name]
-        table = {}
-        for axes in product(AXES, repeat=arity):
-            table[axes] = _conjugation_rule(mat, axes)
-        tables[name] = table
-    return tables
+CONJUGATION_TABLES = {
+    name: _conjugation_table(mat, GATE_ARITY[name]) for name, mat in GATE_MATRICES.items()
+}
 
 
-CONJUGATION_TABLES = _build_tables()
-
-
-def rz_conjugation(axis: str, angle: float) -> list[tuple[str, float]]:
+def rz_conjugation(angle: float) -> dict:
     """diag(1, e^{i*angle}) conjugation: X and Y rotate into each other."""
     c, s = math.cos(angle), math.sin(angle)
-    if axis in ("I", "Z"):
-        return [(axis, 1.0)]
-    if axis == "X":
-        return [("X", c), ("Y", s)]
-    return [("Y", c), ("X", -s)]
+    return {
+        (0, 0): [((0, 0), 1.0)],
+        (0, 1): [((0, 1), 1.0)],
+        (1, 0): [((1, 0), c), ((1, 1), s)],
+        (1, 1): [((1, 1), c), ((1, 0), -s)],
+    }
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,19 @@ class Gate:
     def matrix(self) -> np.ndarray:
         return rz_matrix(self.angle) if self.name == "RZ" else GATE_MATRICES[self.name]
 
+    def rule_on(self, n: int) -> dict:
+        """The gate's rule with keys and images moved onto ``n``-qubit masks."""
+        arity = len(self.qubits)
+        lift = [  # local mask -> register mask
+            qubit_mask(n, (q for t, q in enumerate(self.qubits) if m & bit_for_qubit(arity, t)))
+            for m in range(1 << arity)
+        ]
+        rule = CONJUGATION_TABLES.get(self.name) or rz_conjugation(self.angle)
+        return {
+            (lift[x], lift[z]): [(lift[gx], lift[gz], f) for (gx, gz), f in images]
+            for (x, z), images in rule.items()
+        }
+
 
 @dataclass(frozen=True)
 class CircuitSpec:
@@ -137,6 +151,11 @@ class CircuitSpec:
         for gate in self.gates:
             if min(gate.qubits, default=0) < 0 or max(gate.qubits, default=0) >= self.n:
                 raise ValueError(f"gate {gate} leaves the register")
+
+    @cached_property
+    def rules(self) -> tuple[dict, ...]:
+        """Every gate's rule on the register, lifted once for all stabilizers."""
+        return tuple(gate.rule_on(self.n) for gate in self.gates)
 
 
 def circuit(n: int, gates) -> CircuitSpec:
@@ -162,49 +181,18 @@ def build_circuit_state(c: CircuitSpec) -> DenseState:
     return pure_state(psi.reshape(-1), c.n)
 
 
-def _axes_at(xmask: int, zmask: int, n: int, qubits: tuple[int, ...]) -> tuple[str, ...]:
-    out = []
-    for q in qubits:
-        bit = 1 << (n - 1 - q)
-        x, z = bool(xmask & bit), bool(zmask & bit)
-        out.append("Y" if x and z else "X" if x else "Z" if z else "I")
-    return tuple(out)
-
-
-def _write_axes(
-    xmask: int, zmask: int, n: int, qubits: tuple[int, ...], axes: str
-) -> tuple[int, int]:
-    for q, ax in zip(qubits, axes):
-        bit = 1 << (n - 1 - q)
-        xmask &= ~bit
-        zmask &= ~bit
-        if ax in "XY":
-            xmask |= bit
-        if ax in "ZY":
-            zmask |= bit
-    return xmask, zmask
-
-
 def conjugate_through_circuit(
     c: CircuitSpec, qubit: int, term_cap: int = TERM_CAP_DEFAULT
 ) -> PauliSum:
     """Push X on ``qubit`` through the gate list: the Pauli sum of U X_qubit U^dag."""
     terms = {PauliString.on_qubit(c.n, qubit, "X").key: 1.0}
-    for gate in c.gates:
-        rule = (
-            None
-            if gate.name == "RZ"
-            else CONJUGATION_TABLES[gate.name]
-        )
+    for gate, rule in zip(c.gates, c.rules):
+        on = qubit_mask(c.n, gate.qubits)
         nxt: dict[tuple[int, int], float] = {}
         for (xm, zm), coeff in terms.items():
-            local = _axes_at(xm, zm, c.n, gate.qubits)
-            if gate.name == "RZ":
-                expansion = rz_conjugation(local[0], gate.angle)
-            else:
-                expansion = rule[local]
-            for new_axes, factor in expansion:
-                key = _write_axes(xm, zm, c.n, gate.qubits, new_axes)
+            x_off, z_off = xm & ~on, zm & ~on
+            for gx, gz, factor in rule[xm & on, zm & on]:
+                key = (x_off | gx, z_off | gz)
                 nxt[key] = nxt.get(key, 0.0) + coeff * factor
         terms = {k: v for k, v in nxt.items() if abs(v) > DROP_THRESHOLD}
         if len(terms) > term_cap:
@@ -214,7 +202,7 @@ def conjugate_through_circuit(
     return PauliSum.of(
         sorted(
             (PauliString(c.n, x, z, v) for (x, z), v in terms.items()),
-            key=lambda t: t.axes,
+            key=attrgetter("sort_key"),
         )
     )
 

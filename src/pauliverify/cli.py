@@ -33,7 +33,7 @@ from .hypergraphs import (
     random_bms_instance,
     stabilizer_dense,
 )
-from .paulis import CapExceededError, PauliString
+from .paulis import INSPECT_QUBIT_CAP, CapExceededError, PauliString, capped_dim
 from .protocol import (
     PROTOCOL_FOR_KIND,
     RUN_COUNT_CAP,
@@ -245,6 +245,7 @@ def _inspect_hamiltonian(h: HamiltonianSpec, budget) -> dict:
 
 
 def _inspect_circuit(c: CircuitSpec, budget) -> dict:
+    capped_dim(c.n, INSPECT_QUBIT_CAP, "circuit inspection")
     decomps = all_stabilizer_decompositions(c)
     report = check_circuit_conditions(decomps, budget)
     stabilizers = []

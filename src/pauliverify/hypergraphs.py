@@ -26,6 +26,7 @@ from .paulis import (
     PURE_QUBIT_CAP,
     bit_for_qubit,
     capped_dim,
+    qubit_mask,
     sign_vector,
 )
 from . import reporting
@@ -76,13 +77,7 @@ def connectivity(g: HypergraphSpec) -> tuple[int, list[int]]:
 
 
 def _edge_masks(g: HypergraphSpec) -> list[int]:
-    masks = []
-    for e in g.edges:
-        m = 0
-        for v in e:
-            m |= bit_for_qubit(g.n, v)
-        masks.append(m)
-    return masks
+    return [qubit_mask(g.n, e) for e in g.edges]
 
 
 def cz_phase_vector(g: HypergraphSpec) -> np.ndarray:
@@ -241,14 +236,9 @@ class AdaptiveStabilizerForm:
         xbit = bit_for_qubit(self.n, self.vertex)
         out = np.zeros((dim, dim), dtype=complex)
         for a, alpha, residual in self.branch_table():
-            keep = np.ones(dim, dtype=bool)
-            for t, v in enumerate(self.projector_support):
-                bit = bit_for_qubit(self.n, v)
-                keep &= ((idx & bit) != 0) == bool(a[t])
-            zmask = 0
-            for v in residual:
-                zmask |= bit_for_qubit(self.n, v)
-            signs = sign_vector(dim, zmask)
+            ones = qubit_mask(self.n, (v for v, b in zip(self.projector_support, a) if b))
+            keep = (idx & qubit_mask(self.n, self.projector_support)) == ones
+            signs = sign_vector(dim, qubit_mask(self.n, residual))
             sel = idx[keep]
             out[sel ^ xbit, sel] += (-1) ** alpha * signs[keep]
         return out

@@ -12,10 +12,19 @@ Conventions used throughout the package:
       P|b> = coeff * i**y_count * (-1)**popcount(b & zmask) |b ^ xmask>
 
   which keeps every operation a gather plus a sign vector.
+
+* Inside the package a Pauli operator is its ``(xmask, zmask)`` pair, the
+  symplectic form of Aaronson and Gottesman (PRA 70, 052328, 2004).  Axis
+  strings exist only at the edges: target files, reports, branch labels and
+  one string per distinct measurement basis for the Born tables.
+* Terms sort by ``PauliString.sort_key``: one octal digit ``2z + (x ^ z)``
+  per qubit (I=0, X=1, Y=2, Z=3), qubit 0 first.  That is the I < X < Y < Z
+  order of the axis strings, computed without rendering them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,6 +35,9 @@ AXES = "IXYZ"
 # matrices and 4**n Pauli transforms up to 8.
 PURE_QUBIT_CAP = 16
 DENSE_QUBIT_CAP = 8
+# `inspect` lists up to 16 terms of n letters for each of a circuit's n
+# qubits, so 2 048 qubits keep its report under about 67 MB.
+INSPECT_QUBIT_CAP = 2048
 
 # Coefficients at or below this magnitude are treated as exactly zero, so the
 # sign of a vanishing coefficient is never taken and zero-weight terms are
@@ -67,6 +79,20 @@ def bit_for_qubit(n: int, qubit: int) -> int:
     return 1 << (n - 1 - qubit)
 
 
+def qubit_mask(n: int, qubits: Iterable[int]) -> int:
+    """Mask with the bit of every one of ``qubits`` set, within ``n`` qubits."""
+    mask = 0
+    for q in qubits:
+        mask |= bit_for_qubit(n, q)
+    return mask
+
+
+# octal digit 2z + (x ^ z) of a qubit -> its axis letter
+_DIGIT_AXES = str.maketrans("0123", AXES)
+_X_DIGITS = str.maketrans(AXES, "0110")
+_Z_DIGITS = str.maketrans(AXES, "0011")
+
+
 def parity_bits(values: np.ndarray, mask: int) -> np.ndarray:
     """Parity of ``popcount(values & mask)`` for an integer array."""
     return (np.bitwise_count(np.bitwise_and(values, mask)) & 1).astype(np.int64)
@@ -97,16 +123,12 @@ class PauliString:
     @classmethod
     def from_axes(cls, axes: str | Sequence[str], coeff: float = 1.0) -> "PauliString":
         axes = "".join(axes)
+        unknown = axes.translate(dict.fromkeys(map(ord, AXES)))
+        if unknown:
+            raise ValueError(f"unknown Pauli axis {unknown[0]!r}")
         n = len(axes)
-        xmask = zmask = 0
-        for j, ax in enumerate(axes):
-            if ax not in AXES:
-                raise ValueError(f"unknown Pauli axis {ax!r}")
-            bit = 1 << (n - 1 - j)
-            if ax in "XY":
-                xmask |= bit
-            if ax in "ZY":
-                zmask |= bit
+        xmask = int("0" + axes.translate(_X_DIGITS), 2)
+        zmask = int("0" + axes.translate(_Z_DIGITS), 2)
         return cls(n, xmask, zmask, coeff)
 
     @classmethod
@@ -122,13 +144,15 @@ class PauliString:
         return cls(n, bit if axis in "XY" else 0, bit if axis in "ZY" else 0)
 
     @property
+    def sort_key(self) -> int:
+        """The term order: one octal digit 2z + (x ^ z) per qubit, qubit 0 first."""
+        # reading a mask's binary digits as octal gives each qubit its own digit
+        z, x_xor_z = (int(format(m, "b"), 8) for m in (self.zmask, self.xmask ^ self.zmask))
+        return 2 * z + x_xor_z
+
+    @property
     def axes(self) -> str:
-        out = []
-        for j in range(self.n):
-            bit = 1 << (self.n - 1 - j)
-            x, z = bool(self.xmask & bit), bool(self.zmask & bit)
-            out.append("Y" if x and z else "X" if x else "Z" if z else "I")
-        return "".join(out)
+        return format(self.sort_key, f"0{self.n}o").translate(_DIGIT_AXES)
 
     @property
     def y_count(self) -> int:
@@ -165,10 +189,11 @@ class PauliString:
 
 
 def merge_pauli_terms(terms: Iterable[PauliString]) -> list[PauliString]:
-    """Sum like strings, drop coefficients up to DROP_THRESHOLD, sort by axis string.
+    """Sum like strings, drop coefficients up to DROP_THRESHOLD, sort by sort_key.
 
-    The identity string sorts first, which keeps sampling indices stable
-    across runs for any fixed operator.
+    The mask key orders terms as their axis strings would sort in
+    I < X < Y < Z, without rendering them.  The identity string sorts first,
+    which keeps sampling indices stable across runs for any fixed operator.
     """
     acc: dict[tuple[int, int], float] = {}
     n = None
@@ -183,25 +208,19 @@ def merge_pauli_terms(terms: Iterable[PauliString]) -> list[PauliString]:
     kept = [
         PauliString(n, x, z, c) for (x, z), c in acc.items() if abs(c) > DROP_THRESHOLD
     ]
-    return sorted(kept, key=lambda t: t.axes)
+    return sorted(kept, key=attrgetter("sort_key"))
 
 
 # Pauli-transform tensor: _PAULI_BASIS[p] is the matrix of axis AXES[p].
 _PAULI_BASIS = np.stack([PAULI_MATRICES[a] for a in AXES])
 
-_AXIS_MASKS = {  # axis index -> (x bit?, z bit?)
-    0: (0, 0),
-    1: (1, 0),
-    2: (1, 1),
-    3: (0, 1),
-}
-
-
 def decompose_in_pauli_basis(matrix: np.ndarray) -> list[PauliString]:
     """All Pauli-basis coefficients Tr[M tau] / 2^n of a Hermitian matrix.
 
     Returns one PauliString per coefficient above DROP_THRESHOLD, ordered
-    with the identity first and then lexicographically in I < X < Y < Z.
+    with the identity first and then lexicographically in I < X < Y < Z,
+    which is the sort_key order.  The masks come straight from the
+    coefficient tensor's indices; no axis string is built.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -224,16 +243,16 @@ def decompose_in_pauli_basis(matrix: np.ndarray) -> list[PauliString]:
         raise ValueError("Pauli coefficients acquired an imaginary part")
     coeffs = coeffs.real
 
-    out = []
-    for pvec in np.argwhere(np.abs(coeffs) > DROP_THRESHOLD):
-        xmask = zmask = 0
-        for j, p in enumerate(pvec):
-            xb, zb = _AXIS_MASKS[int(p)]
-            bit = 1 << (n - 1 - j)
-            xmask |= xb * bit
-            zmask |= zb * bit
-        out.append(PauliString(n, xmask, zmask, float(coeffs[tuple(pvec)])))
-    return out
+    # a qubit's index into AXES is its sort_key digit 2z + (x ^ z)
+    kept = np.abs(coeffs) > DROP_THRESHOLD
+    digits = np.argwhere(kept)
+    weights = np.array([bit_for_qubit(n, j) for j in range(n)], dtype=np.int64)
+    zmasks = (digits >> 1) @ weights
+    xmasks = ((digits ^ (digits >> 1)) & 1) @ weights
+    return [
+        PauliString(n, x, z, c)
+        for x, z, c in zip(xmasks.tolist(), zmasks.tolist(), coeffs[kept].tolist())
+    ]
 
 
 def pauli_sum_dense(terms: Iterable[PauliString]) -> np.ndarray:

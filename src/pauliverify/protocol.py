@@ -628,8 +628,9 @@ def run_circuit_protocol(
     """
     if params.protocol != "circuit":
         raise ValueError("params are not for the circuit protocol")
-    test = decomps if isinstance(decomps, ParityTest) else ParityTest(*decomps)
-    check_one_sum_per_qubit(test.sums, params.n)
+    sums = decomps.sums if isinstance(decomps, ParityTest) else decomps
+    check_one_sum_per_qubit(sums, params.n)
+    test = decomps if isinstance(decomps, ParityTest) else ParityTest(*sums)
     fidelity = None if ideal is None else partial(overlap, reference=ideal)
     return _run_protocol("circuit", params, prover, seed, test, fidelity, record_trials)
 

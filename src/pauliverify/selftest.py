@@ -55,9 +55,10 @@ def _check_branch_sum(rng) -> None:
 def _check_conjugation_tables(rng) -> None:
     for name in ("H", "S", "CZ", "CNOT", "CCZ"):
         gate = GATE_MATRICES[name]
-        for axes, expansion in CONJUGATION_TABLES[name].items():
-            lhs = gate @ PauliString.from_axes("".join(axes)).dense() @ gate.conj().T
-            rhs = sum(PauliString.from_axes(a, c).dense() for a, c in expansion)
+        arity = gate.shape[0].bit_length() - 1
+        for (x, z), expansion in CONJUGATION_TABLES[name].items():
+            lhs = gate @ PauliString(arity, x, z).dense() @ gate.conj().T
+            rhs = sum(PauliString(arity, gx, gz, c).dense() for (gx, gz), c in expansion)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .hypergraphs import AdaptiveStabilizerForm
-from .paulis import PauliString, PauliSum
+from .paulis import PauliString, PauliSum, bit_for_qubit, qubit_mask
 from .states import (
     DenseState,
     MeasurementRecord,
@@ -114,10 +114,8 @@ def adaptive_branch_sum_ppass(rho: DenseState, form: AdaptiveStabilizerForm) -> 
         proj = masked_pauli_expectation(
             rho, PauliString.identity(form.n), fixed_bits=fixed
         )
-        xmask = 1 << (form.n - 1 - form.vertex)
-        zmask = 0
-        for v in residual:
-            zmask |= 1 << (form.n - 1 - v)
+        xmask = bit_for_qubit(form.n, form.vertex)
+        zmask = qubit_mask(form.n, residual)
         string = PauliString(form.n, xmask, zmask, -1.0 if alpha else 1.0)
         signed = masked_pauli_expectation(rho, string, fixed_bits=fixed)
         total += 0.5 * (proj + signed)
@@ -153,16 +151,20 @@ class ParityTest:
             raise ValueError("a parity test needs at least one Pauli sum")
         self.sums = sums
         self.n = sums[0].n
+        if any(s.n != self.n for s in sums):
+            raise ValueError("the sums of a parity test must share one register width")
         self.group_l1 = tuple(s.l1_norm for s in sums)
         terms = [t for s in sums for t in s.terms]
-        self.bases = tuple(t.axes for t in terms)
         # the sign of a vanishing coefficient is undefined, but such a term
         # carries no sampling weight
         self.signs = np.array([1 if t.coeff > 0 else -1 for t in terms])
-        # each distinct basis gets one Born table per state
-        self.distinct_bases = tuple(dict.fromkeys(self.bases))
-        basis_id = {b: i for i, b in enumerate(self.distinct_bases)}
-        self.basis_id = np.array([basis_id[b] for b in self.bases], dtype=np.int64)
+        # each distinct basis, told apart by its masks, gets one axis string
+        # and one Born table per state
+        basis_id: dict[tuple[int, int], int] = {}
+        self.basis_id = np.array(
+            [basis_id.setdefault(t.key, len(basis_id)) for t in terms], dtype=np.int64
+        )
+        self.distinct_bases = tuple(PauliString(self.n, x, z).axes for x, z in basis_id)
         # the groups' term CDFs, stacked
         self.term_cum, self.term_width = stack_segments([s.cum for s in sums])
         self.term_count = np.array([len(s.terms) for s in sums], dtype=np.int64)
@@ -191,7 +193,8 @@ class ParityTest:
         return passed, term
 
     def branch_label(self, group: int, term: int) -> str:
-        return f"{'+' if self.signs[term] > 0 else '-'}{self.bases[term]}"
+        basis = self.distinct_bases[self.basis_id[term]]
+        return f"{'+' if self.signs[term] > 0 else '-'}{basis}"
 
 
 class AdaptiveTest:

@@ -39,6 +39,7 @@ from .paulis import (
     PURE_QUBIT_CAP,
     PauliString,
     capped_dim,
+    qubit_mask,
     sign_vector,
 )
 
@@ -215,14 +216,10 @@ def masked_pauli_expectation(
     """
     _check_width(state, p.n)
     idx = np.arange(state.dim, dtype=np.int64)
-    sel_mask = 0
-    sel_val = 0
-    for q, b in fixed_bits.items():
-        bit = 1 << (state.n - 1 - q)
-        if p.xmask & bit:
-            raise ValueError("projector clashes with an X/Y axis")
-        sel_mask |= bit
-        sel_val |= bit * b
+    sel_mask = qubit_mask(state.n, fixed_bits)
+    if p.xmask & sel_mask:
+        raise ValueError("projector clashes with an X/Y axis")
+    sel_val = qubit_mask(state.n, (q for q, b in fixed_bits.items() if b))
     keep = (idx & sel_mask) == sel_val
     signs = sign_vector(state.dim, p.zmask)
     if state.is_pure:

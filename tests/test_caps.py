@@ -7,6 +7,7 @@ size is allocated.
 """
 import ast
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from pauliverify import (
 from pauliverify.circuits import build_circuit_state, circuit
 from pauliverify.cli import main
 from pauliverify.hypergraphs import adaptive_form, build_state, hypergraph, stabilizer_dense
+from pauliverify.paulis import INSPECT_QUBIT_CAP
 from pauliverify.protocol import EntangledRegisters
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pauliverify"
@@ -154,3 +156,38 @@ def test_allocator_over_its_cap_refuses_before_allocating(build):
             build()
 
     assert _peak_bytes(refused) < 1 * MIB
+
+
+# ---------------------------------------------------------------------------
+# inspect reports n letters for each of n stabilizers, so its width is capped
+
+
+def _one_h_circuit(tmp_path, n: int) -> Path:
+    path = tmp_path / f"one_h_{n}.json"
+    path.write_text(json.dumps({"n_qubits": n, "gates": [{"name": "H", "qubits": [0]}]}))
+    return path
+
+
+@pytest.mark.parametrize("n", [INSPECT_QUBIT_CAP + 1, 10_000])
+def test_inspect_wider_than_its_cap_exits_2_at_once(tmp_path, capsys, n):
+    target = _one_h_circuit(tmp_path, n)
+    start = time.perf_counter()
+    assert main(["inspect", str(target)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": f"circuit inspection on {n} qubits exceeds the 2048-qubit cap",
+        "kind": "cap_exceeded",
+    }
+
+
+def test_inspect_of_a_2000_qubit_circuit_lists_every_stabilizer(tmp_path, capsys):
+    n = 2000
+    assert main(["inspect", str(_one_h_circuit(tmp_path, n))]) == 0
+    stabilizers = json.loads(capsys.readouterr().out)["stabilizers"]
+    assert [s["qubit"] for s in stabilizers] == list(range(n))
+    # H X H = Z on qubit 0; every other stabilizer is its own X
+    paulis = [[t["pauli"] for t in s["terms"]] for s in stabilizers]
+    assert paulis[0] == ["Z" + "I" * (n - 1)]
+    assert all(p == ["I" * q + "X" + "I" * (n - 1 - q)] for q, p in enumerate(paulis) if q)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from pauliverify.circuits import (
     CONJUGATION_TABLES,
     CircuitSpec,
     DecompositionIntractableError,
+    GATE_ARITY,
     GATE_MATRICES,
     Gate,
     all_stabilizer_decompositions,
@@ -17,28 +20,37 @@ from pauliverify.circuits import (
     rz_conjugation,
     rz_matrix,
 )
-from pauliverify.paulis import decompose_in_pauli_basis
+from pauliverify.hamiltonians import load_hamiltonian, rescale
+from pauliverify.paulis import PauliString, decompose_in_pauli_basis
 from pauliverify.states import to_density
 
 from conftest import dense_from_axes, SINGLE
+
+
+def _local_axes(arity, masks):
+    return PauliString(arity, *masks).axes
 
 
 def test_conjugation_tables_match_dense_exhaustively():
     # every table row satisfies G P G^dag = sum(rule) against fresh kron math
     for name, table in CONJUGATION_TABLES.items():
         gate = GATE_MATRICES[name]
-        for axes, expansion in table.items():
-            lhs = gate @ dense_from_axes("".join(axes)) @ gate.conj().T
-            rhs = sum(dense_from_axes(a, c) for a, c in expansion)
-            assert np.max(np.abs(lhs - rhs)) < 1e-12, (name, axes)
+        arity = GATE_ARITY[name]
+        assert len(table) == 4**arity
+        for key, expansion in table.items():
+            lhs = gate @ dense_from_axes(_local_axes(arity, key)) @ gate.conj().T
+            rhs = sum(dense_from_axes(_local_axes(arity, m), c) for m, c in expansion)
+            assert np.max(np.abs(lhs - rhs)) < 1e-12, (name, key)
 
 
 def test_rz_conjugation_matches_dense():
     for angle in [0.3, np.pi / 4, -1.2]:
         gate = rz_matrix(angle)
-        for ax in "IXYZ":
-            lhs = gate @ SINGLE[ax] @ gate.conj().T
-            rhs = sum(SINGLE[a] * c for a, c in rz_conjugation(ax, angle))
+        table = rz_conjugation(angle)
+        assert len(table) == 4
+        for key, expansion in table.items():
+            lhs = gate @ SINGLE[_local_axes(1, key)] @ gate.conj().T
+            rhs = sum(SINGLE[_local_axes(1, m)] * c for m, c in expansion)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -141,6 +153,23 @@ def test_term_cap_raises():
     c = circuit(9, [("CCZ", (0, 1 + 2 * t, 2 + 2 * t)) for t in range(4)])
     with pytest.raises(DecompositionIntractableError):
         conjugate_through_circuit(c, 0, term_cap=8)
+
+
+def test_push_through_and_merge_build_no_axis_string(rng, monkeypatch):
+    # axis strings are rendered at the edges only: the push-through, the
+    # term order and the merge of a rescale all work on masks
+    h = load_hamiltonian(Path(__file__).parent / "data" / "ring3.json")
+    circuits = [random_circuit(int(rng.integers(2, 7)), 12, rng) for _ in range(10)]
+
+    def refuse(p):
+        raise AssertionError("an axis string was rendered")
+
+    monkeypatch.setattr(PauliString, "axes", property(refuse))
+    for c in circuits:
+        all_stabilizer_decompositions(c)
+    rescale(h)
+    with pytest.raises(AssertionError, match="rendered"):
+        PauliString.identity(1).axes
 
 
 def test_condition_report():

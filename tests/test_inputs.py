@@ -419,6 +419,7 @@ def test_fuzzed_target_exits_cleanly(scratch, case, value):
     config.write_text(json.dumps({"target": str(target), "params": {"k": 2}, "seed": 1}))
     check_outcome(["verify", "--config", config])
     check_outcome(["ppass", "--target", target, "--state", "deviated:0.1"])
+    check_outcome(["inspect", target])
 
 
 REPORT = json.loads((GOLDEN / "verify_hyper_honest.json").read_text())

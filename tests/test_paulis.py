@@ -1,5 +1,10 @@
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pauliverify.paulis import (
     CapExceededError,
@@ -9,6 +14,7 @@ from pauliverify.paulis import (
     decompose_in_pauli_basis,
     merge_pauli_terms,
     pauli_sum_dense,
+    qubit_mask,
 )
 
 from conftest import dense_from_axes, random_hermitian
@@ -19,6 +25,27 @@ def test_axes_roundtrip():
         p = PauliString.from_axes(axes, -0.25)
         assert p.axes == axes
         assert p.coeff == -0.25
+
+
+# widths up to 80 run past one 64-bit machine word
+axis_strings = st.integers(1, 80).flatmap(
+    lambda n: st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=12)
+)
+
+
+@given(strings=axis_strings)
+def test_axes_roundtrip_through_from_axes(strings):
+    for axes in strings:
+        p = PauliString.from_axes(axes)
+        assert p.axes == axes
+        assert PauliString.from_axes(p.axes) == p
+
+
+@given(strings=axis_strings)
+def test_sort_key_orders_like_axis_strings(strings):
+    # I < X < Y < Z is also the ASCII order, so sorted() on the letters is the oracle
+    paulis = [PauliString.from_axes(axes) for axes in strings]
+    assert [p.axes for p in sorted(paulis, key=lambda p: p.sort_key)] == sorted(strings)
 
 
 def test_masks_follow_leftmost_qubit_zero():
@@ -149,3 +176,27 @@ def test_pauli_sum_rejects_what_cannot_be_sampled():
     wide = PauliSum.of([PauliString.identity(DENSE_QUBIT_CAP + 1)])
     with pytest.raises(CapExceededError):
         wide.dense()
+
+
+def test_qubit_mask_sets_each_qubit_bit():
+    assert qubit_mask(4, []) == 0
+    assert qubit_mask(4, [0, 3]) == 0b1001
+    assert qubit_mask(4, (2, 2)) == 0b0010
+    assert qubit_mask(3, [1]) == PauliString.on_qubit(3, 1, "Z").zmask
+    for qubit in (4, -1):
+        with pytest.raises(ValueError, match=f"qubit {qubit} out of range for 4 qubits"):
+            qubit_mask(4, [0, qubit])
+
+
+def test_only_paulis_spells_the_qubit_bit_order():
+    # ``1 << (n - 1 - q)``, the bit of qubit q, is written once: in bit_for_qubit
+    src = Path(__file__).resolve().parent.parent / "src" / "pauliverify"
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.LShift)
+        and re.fullmatch(r".+ - 1 - .+", ast.unparse(node.right))
+    ]
+    assert len(sites) == 1 and sites[0].startswith("paulis.py:"), sites

@@ -4,7 +4,7 @@ import pytest
 from pauliverify.circuits import all_stabilizer_decompositions, build_circuit_state, circuit
 from pauliverify.hamiltonians import HamiltonianSpec, rescale
 from pauliverify.hypergraphs import adaptive_form, build_state, hypergraph, stabilizer_dense
-from pauliverify.paulis import PauliString
+from pauliverify.paulis import PauliString, PauliSum
 from pauliverify.single_copy import (
     AdaptiveTest,
     ParityTest,
@@ -237,3 +237,27 @@ def test_outcome_reproducible_from_seed():
         parity_passes(r, d.sign) for d, r in outs2
     ]
     assert [r.outcomes for _, r in outs1] == [r.outcomes for _, r in outs2]
+
+
+def test_parity_test_renders_one_string_per_distinct_basis(monkeypatch):
+    # two groups that share the basis XZ: three terms, two distinct bases
+    sums = [
+        PauliSum.of([PauliString.from_axes("XZ", 0.5), PauliString.from_axes("ZZ", -0.5)]),
+        PauliSum.of([PauliString.from_axes("XZ", -1.0)]),
+    ]
+    rendered = []
+    axes = PauliString.axes
+    monkeypatch.setattr(
+        PauliString, "axes", property(lambda p: rendered.append(p.key) or axes.fget(p))
+    )
+    test = ParityTest(*sums)
+    assert test.distinct_bases == ("XZ", "ZZ")
+    assert test.basis_id.tolist() == [0, 1, 0]
+    assert rendered == [(0b10, 0b01), (0, 0b11)]
+    labels = [test.branch_label(0, 0), test.branch_label(0, 1), test.branch_label(1, 2)]
+    assert labels == ["+XZ", "-ZZ", "-XZ"]
+
+
+def test_parity_test_refuses_sums_of_different_widths():
+    with pytest.raises(ValueError, match="share one register width"):
+        ParityTest(*(PauliSum.of([PauliString.from_axes(a)]) for a in ("XZ", "X")))
