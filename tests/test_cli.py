@@ -511,19 +511,35 @@ PARITY_TARGET_GOLDENS = [
 ]
 
 
-@pytest.mark.parametrize("name", PARITY_VERIFY_GOLDENS)
-def test_parity_verify_golden_and_trials_csv(name, tmp_path, capsys):
+def check_verify_golden(name, runs, tmp_path, capsys):
+    """``verify --runs RUNS --trials-csv`` on tests/data/NAME.json writes both goldens."""
     csv_path = tmp_path / "trials.csv"
     code, out, _ = run_cli(
         [
-            "verify", "--config", str(DATA / f"{name}.json"), "--runs", "3",
+            "verify", "--config", str(DATA / f"{name}.json"), "--runs", str(runs),
             "--trials-csv", str(csv_path),
         ],
         capsys,
     )
     assert code == 0
-    assert out == (GOLDEN / f"{name}_runs3.json").read_text()
-    assert csv_path.read_bytes() == (GOLDEN / f"{name}_runs3.csv").read_bytes()
+    assert out == (GOLDEN / f"{name}_runs{runs}.json").read_text()
+    assert csv_path.read_bytes() == (GOLDEN / f"{name}_runs{runs}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", PARITY_VERIFY_GOLDENS)
+def test_parity_verify_golden_and_trials_csv(name, tmp_path, capsys):
+    check_verify_golden(name, 3, tmp_path, capsys)
+
+
+# Trial CSVs of the other label and source paths: adaptive "a=" labels (one of
+# them empty, for an isolated vertex) with failed trials, and the scalar trial
+# loop of an entangled prover.
+TRIALS_CSV_GOLDENS = [("verify_hyper6_deviated", 2), ("verify_cnot_t2_entangled", 3)]
+
+
+@pytest.mark.parametrize("name, runs", TRIALS_CSV_GOLDENS)
+def test_verify_golden_and_trials_csv(name, runs, tmp_path, capsys):
+    check_verify_golden(name, runs, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("args, golden", PARITY_TARGET_GOLDENS)
