@@ -11,6 +11,7 @@ import argparse
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -343,10 +344,8 @@ def cmd_verify(args) -> int:
         for s in (run_seeds(seed, runs) if runs > 1 else [seed])
     ]
     if args.trials_csv:
-        rows = []
-        for r_index, rep in enumerate(reports):
-            rows.extend(reporting.trials_to_csv_rows(r_index, rep.trial_records))
-        reporting.write_trials_csv(args.trials_csv, rows)
+        lines = reporting.trial_csv_lines([rep.trials for rep in reports])
+        reporting.write_trials_csv(args.trials_csv, lines)
 
     manifest = {
         "command": "verify",
@@ -435,7 +434,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="pauliverify",
         description=(

@@ -256,13 +256,28 @@ def decompose_in_pauli_basis(matrix: np.ndarray) -> list[PauliString]:
 
 
 def pauli_sum_dense(terms: Iterable[PauliString]) -> np.ndarray:
-    """Dense matrix of a sum of Pauli strings."""
+    """Dense matrix of a sum of Pauli strings.
+
+    Each term adds its one entry per column, at rows ``idx ^ xmask``, in term
+    order, into one matrix.  This equals the sum of the terms' dense matrices
+    bit for bit.  That sum also adds the zeros of each term, which clears the
+    sign of a -0.0 part wherever some term has no entry; when every term
+    shares one xmask no zero is added, so the first term's entries are stored,
+    not added to +0.
+    """
     terms = list(terms)
     if not terms:
         raise ValueError("no terms")
-    out = terms[0].dense()
-    for t in terms[1:]:
-        out += t.dense()
+    dim = capped_dim(terms[0].n, DENSE_QUBIT_CAP, "dense Pauli matrix")
+    idx = np.arange(dim, dtype=np.int64)
+    out = np.zeros((dim, dim), dtype=complex)
+    store_first = all(t.xmask == terms[0].xmask for t in terms)
+    for i, t in enumerate(terms):
+        entries = t.coeff * (1j) ** t.y_count * sign_vector(dim, t.zmask)
+        if i == 0 and store_first:
+            out[idx ^ t.xmask, idx] = entries
+        else:
+            out[idx ^ t.xmask, idx] += entries
     return out
 
 

@@ -448,16 +448,29 @@ class GroupResult:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    group: int
-    trial: int
-    register: int
-    branch: str
-    passed: bool
+class TrialColumns:
+    """The transcript of one run's trials, one array row per group.
+
+    ``registers``, ``branches`` and ``passed`` are (groups, k) arrays: entry
+    [i, t] is trial t of group i, on that register, with that branch (the
+    test's term index or projector bits) and pass flag.  ``labels(i, row)``
+    is the test's ``branch_labels``, which spells the branches of group i.
+    """
+
+    registers: np.ndarray
+    branches: np.ndarray
+    passed: np.ndarray
+    labels: Callable[[int, np.ndarray], list[str]]
 
 
 @dataclass(frozen=True)
 class VerdictReport:
+    """One run's verdict, with its trial transcript when it was asked for.
+
+    ``trials`` holds the columns the engine sampled, not one object per
+    trial; ``reporting.trial_csv_lines`` renders them.
+    """
+
     protocol: str
     accepted: bool
     groups: tuple[GroupResult, ...]
@@ -467,7 +480,7 @@ class VerdictReport:
     seed: int
     params: ProtocolParams
     prover_kind: str
-    trial_records: tuple[TrialRecord, ...] | None = None
+    trials: TrialColumns | None = None
 
     def to_jsonable(self) -> dict:
         out = {
@@ -555,14 +568,8 @@ def _run_protocol(
     branches = branches.reshape(groups.shape)
 
     results = []
-    records = [] if record_trials else None
     for i, threshold in enumerate(thresholds):
         passes = int(np.count_nonzero(passed[i]))
-        if records is not None:
-            records.extend(
-                TrialRecord(i, t, int(reg), test.branch_label(i, branch), bool(ok))
-                for t, (reg, ok, branch) in enumerate(zip(groups[i], passed[i], branches[i]))
-            )
         rate = Fraction(passes, params.k)
         group_passed = rate <= threshold if comparison == "<=" else rate >= threshold
         results.append(
@@ -586,7 +593,9 @@ def _run_protocol(
         seed=seed,
         params=params,
         prover_kind=prover.kind,
-        trial_records=tuple(records) if records is not None else None,
+        trials=(
+            TrialColumns(groups, branches, passed, test.branch_labels) if record_trials else None
+        ),
     )
 
 

@@ -17,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -105,17 +105,33 @@ def canonical_json(obj) -> str:
     return json.dumps(to_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def trials_to_csv_rows(run_index: int, trial_records) -> list[tuple]:
-    return [
-        (run_index, t.group, t.trial, t.register, t.branch, int(t.passed))
-        for t in trial_records
-    ]
+def trial_csv_lines(trials: Sequence) -> list[str]:
+    """The trial CSV's data lines: run by run, group by group, trial by trial.
+
+    ``trials[r]`` holds run r's trial columns (protocol.TrialColumns).  Each
+    column is converted to Python values at once, labels come from the test's
+    lookup, and the trial indices of a run size k are spelled once.
+    """
+    lines: list[str] = []
+    names: dict[int, list[str]] = {}
+    for run, columns in enumerate(trials):
+        k = columns.passed.shape[1]
+        if k not in names:
+            names[k] = [str(t) for t in range(k)]
+        rows = zip(columns.registers.tolist(), columns.branches, columns.passed.tolist())
+        for group, (registers, branches, passed) in enumerate(rows):
+            prefix = f"{run},{group},"
+            lines.extend(
+                f"{prefix}{t},{register},{label},{ok:d}"
+                for t, register, label, ok in zip(
+                    names[k], registers, columns.labels(group, branches), passed
+                )
+            )
+    return lines
 
 
-def write_trials_csv(path: str | Path, rows: Iterable[tuple]) -> Path:
+def write_trials_csv(path: str | Path, lines: Iterable[str]) -> Path:
+    """The header, then one rendered line per trial (see ``trial_csv_lines``)."""
     path = Path(path)
-    lines = [",".join(TRIAL_CSV_HEADER)]
-    for row in rows:
-        lines.append(",".join(str(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join([",".join(TRIAL_CSV_HEADER), *lines]) + "\n")
     return path

@@ -196,6 +196,15 @@ class ParityTest:
         basis = self.distinct_bases[self.basis_id[term]]
         return f"{'+' if self.signs[term] > 0 else '-'}{basis}"
 
+    def branch_labels(self, group: int, terms: np.ndarray) -> list[str]:
+        """The labels of a row of term indices, looked up in the table of every term."""
+        return self._label_table[terms].tolist()
+
+    @cached_property
+    def _label_table(self) -> np.ndarray:
+        groups = np.repeat(np.arange(len(self.sums)), self.term_count).tolist()
+        return np.array([self.branch_label(g, t) for t, g in enumerate(groups)], dtype=object)
+
 
 class AdaptiveTest:
     """Adaptive stabilizer tests of hypergraph vertices, one form per group.
@@ -237,6 +246,15 @@ class AdaptiveTest:
     def branch_label(self, group: int, a: int) -> str:
         width = len(self.forms[group].projector_support)
         return f"a={int(a):0{width}b}" if width else "a="
+
+    def branch_labels(self, group: int, bits: np.ndarray) -> list[str]:
+        """The labels of a row of projector bits, spelled once per distinct value.
+
+        A form has 2**width branches, so only the values present are labelled.
+        """
+        values, inverse = np.unique(bits, return_inverse=True)
+        labels = np.array([self.branch_label(group, a) for a in values.tolist()], dtype=object)
+        return labels[inverse].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pauliverify import states
 from pauliverify.circuits import all_stabilizer_decompositions, build_circuit_state, circuit
 from pauliverify.cli import main
+from pauliverify.reporting import trial_csv_lines
 from pauliverify.hamiltonians import HamiltonianSpec, exact_diagonalize, ground_state, rescale
 from pauliverify.hypergraphs import adaptive_form, all_adaptive_forms, build_state, hypergraph
 from pauliverify.paulis import PauliString, PauliSum, merge_pauli_terms
@@ -25,6 +26,7 @@ from pauliverify.protocol import (
     desk_params,
     honest_prover,
     iid_deviated_prover,
+    prepare,
     run_circuit_protocol,
     run_ground_protocol,
     run_hypergraph_protocol,
@@ -64,6 +66,13 @@ class TrialByTrial:
 
     def register_state(self, register):
         return self.state
+
+
+def assert_same_trials(a, b):
+    """Both reports hold equal trial columns, which render the same CSV lines."""
+    for column in ("registers", "branches", "passed"):
+        assert np.array_equal(getattr(a.trials, column), getattr(b.trials, column))
+    assert trial_csv_lines([a.trials]) == trial_csv_lines([b.trials])
 
 
 def scalar_twin(prover: ProverModel) -> ProverModel:
@@ -137,7 +146,7 @@ def test_every_product_prover_gives_identical_runs_on_both_paths(case):
             assert [g.passes for g in batched.groups] == [g.passes for g in scalar.groups]
             assert batched.accepted == scalar.accepted
             assert [g.passed for g in batched.groups] == [g.passed for g in scalar.groups]
-            assert batched.trial_records == scalar.trial_records
+            assert_same_trials(batched, scalar)
             assert batched.to_jsonable() == scalar.to_jsonable()
 
 
@@ -148,7 +157,52 @@ def test_records_are_only_built_when_asked():
     rep = run_hypergraph_protocol(
         all_adaptive_forms(g), ideal, honest_prover(ideal), params, seed=3
     )
-    assert rep.trial_records is None
+    assert rep.trials is None
+
+
+@st.composite
+def small_targets(draw):
+    """A random small target of one of the three protocols, with its kind."""
+    kind = draw(st.sampled_from(["hamiltonian", "circuit", "hypergraph"]))
+    n = draw(st.integers(2, 3))
+    if kind == "hypergraph":
+        candidates = [e for size in (2, 3) for e in combinations(range(n), size)]
+        edges = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=4, unique=True))
+        return kind, hypergraph(n, edges)
+    if kind == "circuit":
+        one = st.tuples(st.sampled_from("HST"), st.integers(0, n - 1).map(lambda q: (q,)))
+        two = st.tuples(st.sampled_from(["CNOT", "CZ"]), st.permutations(range(n)).map(
+            lambda p: tuple(p[:2])
+        ))
+        return kind, circuit(n, draw(st.lists(one | two, min_size=1, max_size=6)))
+    # a ring of XX and ZZ couplings in X fields
+    pairs = sorted({tuple(sorted((i, (i + 1) % n))) for i in range(n)})
+    coeff = st.floats(0.25, 2.0)
+    terms = [
+        PauliString.from_axes("".join(axis if q in pair else "I" for q in range(n)), draw(coeff))
+        for pair in pairs
+        for axis in "XZ"
+    ]
+    terms += [PauliString.on_qubit(n, q, "X").with_coeff(draw(coeff)) for q in range(n)]
+    return kind, HamiltonianSpec(n, tuple(terms))
+
+
+@settings(max_examples=40)
+@given(
+    target=small_targets(),
+    k=st.integers(1, 12),
+    m=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_trial_columns_render_the_rows_of_the_scalar_path(target, k, m, seed):
+    kind, spec = target
+    prepared = prepare(kind, spec)
+    params = desk_params(prepared.protocol, spec.n, k=k, m=m, epsilon=0.2)
+    for prover in product_provers(prepared.ideal):
+        batched = prepared.run(prover, params, seed, True)
+        scalar = prepared.run(scalar_twin(prover), params, seed, True)
+        assert_same_trials(batched, scalar)
+        assert len(trial_csv_lines([batched.trials])) == len(batched.groups) * k
 
 
 def test_sample_outcome_indices_matches_measure_in_bases(rng):
@@ -329,7 +383,7 @@ def test_deviated_circuit_runs_are_identical_on_both_paths():
             batched = run_circuit_protocol(decomps, ideal, prover, params, seed, True)
             scalar = run_circuit_protocol(decomps, ideal, scalar_twin(prover), params, seed, True)
             assert len(batched.groups) == 4
-            assert batched.trial_records == scalar.trial_records
+            assert_same_trials(batched, scalar)
             assert batched.to_jsonable() == scalar.to_jsonable()
 
 

@@ -53,6 +53,28 @@ def test_params_golden(capsys):
     assert out == (GOLDEN / "params_hypergraph_n2.json").read_text()
 
 
+def test_one_process_answers_each_call_as_a_fresh_one(capsys):
+    # the parser is built once per process; no call may leave state for the next
+    assert build_parser() is build_parser()
+    verify = ["verify", "--config", str(DATA / "verify_hyper_honest.json")]
+    params = ["params", "--protocol", "hypergraph", "--n", "2"]
+    for argv, golden in [
+        (verify, "verify_hyper_honest.json"),
+        (params, "params_hypergraph_n2.json"),
+        (verify, "verify_hyper_honest.json"),
+    ]:
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+        for bad in (["verify"], ["params", "--protocol", "nope", "--n", "2"], ["no-such"]):
+            code, out, err = run_cli(bad, capsys)
+            assert (code, out) == (1, "")
+            assert json.loads(err)["kind"] == "config"
+    code, seeded, _ = run_cli(verify + ["--seed", "1"], capsys)
+    assert seeded != (GOLDEN / "verify_hyper_honest.json").read_text()
+    assert run_cli(verify, capsys)[1] == (GOLDEN / "verify_hyper_honest.json").read_text()
+
+
 def test_gen_hypergraph_golden(capsys):
     code, out, _ = run_cli(
         ["gen-hypergraph", "--n", "4", "--edge-prob", "0.5", "--seed", "11"], capsys

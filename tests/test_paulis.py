@@ -200,3 +200,25 @@ def test_only_paulis_spells_the_qubit_bit_order():
         and re.fullmatch(r".+ - 1 - .+", ast.unparse(node.right))
     ]
     assert len(sites) == 1 and sites[0].startswith("paulis.py:"), sites
+
+
+def _folded_dense(terms):
+    """The sum of the terms' dense matrices, one whole matrix at a time."""
+    out = terms[0].dense()
+    for t in terms[1:]:
+        out += t.dense()
+    return out
+
+
+@given(n=st.integers(1, 4), shared=st.booleans(), data=st.data())
+def test_pauli_sum_dense_equals_the_fold_of_dense_terms_bit_for_bit(n, shared, data):
+    # sums whose terms share one xmask are the case where a zero's sign can differ
+    masks = st.integers(0, (1 << n) - 1)
+    xmask = data.draw(masks)
+    coeffs = st.sampled_from([1.0, -1.0, -0.5, -0.0, 0.0]) | st.floats(-2, 2)
+    specs = data.draw(st.lists(st.tuples(masks, masks, coeffs), min_size=1, max_size=8))
+    terms = [PauliString(n, xmask if shared else x, z, c) for x, z, c in specs]
+    got, want = pauli_sum_dense(terms), _folded_dense(terms)
+    assert got.view(np.float64).tobytes() == want.view(np.float64).tobytes()
+    for a, b in zip(np.linalg.eigh(got), np.linalg.eigh(want)):
+        assert a.tobytes() == b.tobytes()
