@@ -17,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -105,12 +105,12 @@ def canonical_json(obj) -> str:
     return json.dumps(to_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def trial_csv_lines(trials: Sequence) -> list[str]:
+def trial_csv_lines(trials: Iterable) -> list[str]:
     """The trial CSV's data lines: run by run, group by group, trial by trial.
 
-    ``trials[r]`` holds run r's trial columns (protocol.TrialColumns).  Each
-    column is converted to Python values at once, labels come from the test's
-    lookup, and the trial indices of a run size k are spelled once.
+    Item r of ``trials`` holds run r's trial columns (protocol.TrialColumns).
+    Each column is converted to Python values at once, labels come from the
+    test's lookup, and the trial indices of a run size k are spelled once.
     """
     lines: list[str] = []
     names: dict[int, list[str]] = {}
