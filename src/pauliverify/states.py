@@ -7,29 +7,47 @@ a convex mixture) are Hermitian, unit-trace and PSD by construction and skip
 the eigenvalue check.
 
 Per-state measurement tables (outcome distributions over the measured
-qubits, keyed by the basis string) are memoized on the instance, which makes
-repeated single-shot sampling of the same state in the same bases cheap.
-How a table is built follows from how the state was built:
+qubits) are memoized on the instance, keyed by the basis string for a single
+table and by the basis tuple for a stack, which makes repeated sampling of
+the same state in the same bases cheap.  How a table's raw Born row is built
+follows from how the state was built:
 
-* a pure state's table rotates the amplitudes into the computational basis
+* a pure state's row rotates the amplitudes into the computational basis
   and squares them;
-* the maximally mixed state's table is uniform, 2**-m over m measured qubits;
-* a convex mixture's table is the same mixture of its two components'
-  tables, because Born probabilities are linear in rho;
+* the maximally mixed state's row is uniform, 2**-m over m measured qubits;
+* a convex mixture's row is the same mixture of its two components'
+  normalized rows, because Born probabilities are linear in rho;
 * any other density matrix (a caller-supplied one, a random mixed state, a
   reduced density matrix) is contracted qubit by qubit: each qubit's row and
   column axes are merged into its Born weights (traced out for I, the
   diagonal for Z, sum_ab u[s,a] conj(u[s,b]) rho[a,b] for X and Y), so the
-  tensor halves at every step and one table costs about two passes over the
+  tensor halves at every step and one row costs about two passes over the
   4**n entries whatever the letters are.
 
-Every table is then clipped at 0, normalized and summed into its CDF the
-same way.  A group of bases sampled together gets its CDFs stacked into one
-flat array (also memoized), so one vectorized search serves a whole run.
+``_finish_rows`` then clips every row at 0, normalizes it and sums it into
+its CDF.  ``_measurement_table`` builds one basis at a time and is the scalar
+reference.  A group of bases sampled together is built as one stack, its
+rows laid end to end by ``_born_rows``, with the same bits:
+
+* a pure state's distinct bases are walked in the sorted order of their
+  rotated letters ((qubit, letter), ...), keeping only the current path of
+  rotated tensors, one per rotated qubit.  A prefix shared with the previous
+  basis is not rotated again; each rotation is the same call on the same
+  input as the scalar path's, so the arrays are equal bit for bit;
+* a mixture mixes its parts' normalized rows in one elementwise pass, which
+  is the scalar path's arithmetic entry by entry; a maximally mixed part
+  gives its uniform rows directly, without a stack of its own;
+* rows with the same number of measured qubits are finished together as
+  one contiguous 2-D block, whose row-wise sum and cumsum give the same bits
+  as the 1-D calls on each row.
+
+The stack lays the CDFs out as ``stack_segments`` does, so one vectorized
+search serves a whole run.
 The target fidelity ``overlap(state, reference)`` is memoized the same way.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -301,13 +319,42 @@ class _MeasurementTable:
     last_sampleable: int
 
 
+def _rotated_letters(bases: str) -> tuple[tuple[int, str], ...]:
+    """(qubit, letter) of every X or Y letter, in qubit order."""
+    return tuple((j, b) for j, b in enumerate(bases) if BASIS_ROTATIONS[b] is not None)
+
+
+def _rotate(psi: np.ndarray, j: int, letter: str) -> np.ndarray:
+    """np.tensordot(rotation, psi, axes=(1, j)) with axis j put back in place.
+
+    These are tensordot's own steps (the same transposed copy and the same
+    ``dot``) without its argument handling, so the bits are tensordot's.
+    """
+    moved = np.moveaxis(psi, j, 0)
+    out = np.dot(BASIS_ROTATIONS[letter], moved.reshape(2, -1)).reshape(moved.shape)
+    return np.moveaxis(out, 0, j)
+
+
 def rotate_to_computational(psi: np.ndarray, bases: str) -> np.ndarray:
     """Amplitude tensor (one axis per qubit) rotated so every letter reads as Z."""
-    for j, b in enumerate(bases):
-        rot = BASIS_ROTATIONS[b]
-        if rot is not None:
-            psi = np.moveaxis(np.tensordot(rot, psi, axes=(1, j)), 0, j)
+    for j, b in _rotated_letters(bases):
+        psi = _rotate(psi, j, b)
     return psi
+
+
+def _measured_qubits(n: int, bases: str) -> tuple[int, ...]:
+    if len(bases) != n:
+        raise ValueError("basis string length must equal the qubit count")
+    for b in bases:
+        if b not in "IXYZ":
+            raise ValueError(f"unknown measurement basis {b!r}")
+    return tuple(j for j, b in enumerate(bases) if b != "I")
+
+
+def _marginal(full: np.ndarray, measured: tuple[int, ...]) -> np.ndarray:
+    """Squared rotated amplitudes summed over the unmeasured qubits, flattened."""
+    unmeasured = tuple(j for j in range(full.ndim) if j not in measured)
+    return (full.sum(axis=unmeasured) if unmeasured else full).reshape(-1)
 
 
 # Coherence weights of the rotated letters.  Outcome s of a qubit measured
@@ -355,22 +402,29 @@ def _density_outcome_probs(rho: np.ndarray, bases: str) -> np.ndarray:
     return t.reshape(-1).real
 
 
+def _finish_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw Born rows of one length -> (probs, CDFs, last nonzero index per row).
+
+    ``rows`` is 2-D, one table per row.  Each row is clipped at 0, divided by
+    its sum and summed into its CDF.  Clipping writes a new contiguous block,
+    on which the row-wise sum and cumsum give the bits of the 1-D calls on
+    each row alone.
+    """
+    rows = np.clip(rows, 0.0, None)
+    probs = rows / rows.sum(axis=1, keepdims=True)
+    cum = np.cumsum(probs, axis=1)
+    last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)
+    return probs, cum, last
+
+
 def _measurement_table(state: DenseState, bases: str) -> _MeasurementTable:
     cached = state._cache.get(bases)
     if cached is not None:
         return cached
-    if len(bases) != state.n:
-        raise ValueError("basis string length must equal the qubit count")
-    measured = tuple(j for j, b in enumerate(bases) if b != "I")
-    for b in bases:
-        if b not in "IXYZ":
-            raise ValueError(f"unknown measurement basis {b!r}")
-
+    measured = _measured_qubits(state.n, bases)
     if state.is_pure:
         psi = rotate_to_computational(state.data.reshape([2] * state.n), bases)
-        full = np.abs(psi) ** 2
-        unmeasured = tuple(j for j in range(state.n) if j not in measured)
-        probs = full.sum(axis=unmeasured) if unmeasured else full
+        probs = _marginal(np.abs(psi) ** 2, measured)
     elif state._parts is None:
         probs = _density_outcome_probs(state.data, bases)
     elif state._parts:
@@ -379,11 +433,8 @@ def _measurement_table(state: DenseState, bases: str) -> _MeasurementTable:
         probs += w1 * _measurement_table(s1, bases).probs
     else:
         probs = np.full(1 << len(measured), 2.0 ** -len(measured))
-    probs = np.clip(probs.reshape(-1), 0.0, None)
-    probs = probs / probs.sum()
-    cum = np.cumsum(probs)
-    nonzero = np.nonzero(probs > 0.0)[0]
-    table = _MeasurementTable(measured, probs, cum, int(nonzero[-1]))
+    probs, cum, last = _finish_rows(probs.reshape(1, -1))
+    table = _MeasurementTable(measured, probs[0], cum[0], int(last[0]))
     if len(state._cache) > 8192:
         state._cache.clear()
     state._cache[bases] = table
@@ -460,22 +511,96 @@ def search_segments(
 
 @dataclass(frozen=True)
 class _TableStack:
-    """The CDFs of a tuple of bases on one state, stacked by stack_segments."""
+    """The Born tables of a tuple of bases on one state."""
 
-    cum: np.ndarray
+    probs: np.ndarray  # normalized rows laid end to end, as _segments places them
+    cum: np.ndarray  # CDFs laid out as stack_segments lays them out
     width: int
     last_sampleable: np.ndarray  # per basis
 
 
-def _table_stack(state: DenseState, bases: tuple[str, ...]) -> _TableStack:
+def _segments(measured) -> list[slice]:
+    """Where each basis's row lies among rows laid end to end: 2**m entries for m measured."""
+    ends = list(itertools.accumulate(1 << len(m) for m in measured))
+    return [slice(end - (1 << len(m)), end) for end, m in zip(ends, measured)]
+
+
+def _pure_rows(state: DenseState, bases, measured, rows: np.ndarray, segments):
+    """Write the squared rotated amplitudes of each basis, marginalized, into ``rows``.
+
+    Bases that rotate the same letters share one rotated tensor, and the
+    sorted walk keeps one tensor per rotated qubit of the current path, so a
+    shared prefix is rotated once.
+    """
+    by_letters: dict[tuple, list[int]] = {}
+    for i, b in enumerate(bases):
+        by_letters.setdefault(_rotated_letters(b), []).append(i)
+    path: list[tuple[int, str]] = []
+    tensors = [state.data.reshape([2] * state.n)]
+    for letters in sorted(by_letters):
+        shared = 0
+        while shared < min(len(path), len(letters)) and path[shared] == letters[shared]:
+            shared += 1
+        del path[shared:], tensors[shared + 1 :]
+        for j, b in letters[shared:]:
+            tensors.append(_rotate(tensors[-1], j, b))
+            path.append((j, b))
+        full = np.abs(tensors[-1]) ** 2
+        for i in by_letters[letters]:
+            rows[segments[i]] = _marginal(full, measured[i])
+
+
+def _uniform_rows(measured) -> np.ndarray:
+    """The maximally mixed state's rows, 2**-m each; they are already normalized."""
+    return np.concatenate([np.full(1 << len(m), 2.0 ** -len(m)) for m in measured])
+
+
+def _normalized_rows(state: DenseState, bases: tuple[str, ...], measured) -> np.ndarray:
+    """A mixture part's normalized rows; a maximally mixed part needs no stack of its own."""
+    if state._parts == ():
+        return _uniform_rows(measured)
+    return _table_stack(state, bases, measured).probs
+
+
+def _born_rows(state: DenseState, bases: tuple[str, ...], measured) -> np.ndarray:
+    """Raw Born rows of ``bases`` on ``state``, laid end to end as _segments places them."""
+    if state._parts:
+        (w0, s0), (w1, s1) = state._parts
+        rows = w0 * _normalized_rows(s0, bases, measured)
+        rows += w1 * _normalized_rows(s1, bases, measured)
+        return rows
+    if state._parts == ():
+        return _uniform_rows(measured)
+    segments = _segments(measured)
+    rows = np.empty(segments[-1].stop)
+    if state.is_pure:
+        _pure_rows(state, bases, measured, rows, segments)
+    else:
+        for segment, b in zip(segments, bases):
+            rows[segment] = _density_outcome_probs(state.data, b)
+    return rows
+
+
+def _table_stack(state: DenseState, bases: tuple[str, ...], measured=None) -> _TableStack:
     cached = state._cache.get(bases)
     if cached is not None:
         return cached
-    tables = [_measurement_table(state, b) for b in bases]
-    cum, width = stack_segments([t.cum for t in tables])
-    last = np.array([t.last_sampleable for t in tables], dtype=np.int64)
-    state._cache[bases] = _TableStack(cum, width, last)
-    return state._cache[bases]
+    if measured is None:
+        measured = [_measured_qubits(state.n, b) for b in bases]
+    rows = _born_rows(state, bases, measured)
+    counts = np.array([len(m) for m in measured])
+    starts = np.array([segment.start for segment in _segments(measured)])
+    width = 1 << int(counts.max())
+    probs, cum = np.empty_like(rows), np.full((len(bases), width), np.inf)
+    last = np.empty(len(bases), dtype=np.int64)
+    # rows with the same measured count are finished as one block
+    for m in set(counts.tolist()):
+        at = np.flatnonzero(counts == m)
+        block = starts[at, None] + np.arange(1 << m)
+        probs[block], cum[at, : 1 << m], last[at] = _finish_rows(rows[block])
+    stack = _TableStack(probs, cum.reshape(-1), width, last)
+    state._cache[bases] = stack
+    return stack
 
 
 def sample_stacked_outcomes(
@@ -483,12 +608,13 @@ def sample_stacked_outcomes(
 ) -> np.ndarray:
     """Batched twin of measure_in_bases: trial t measures bases[which[t]] with u[t].
 
-    Returns one outcome index per trial.  It uses the same cached Born tables,
-    inverse-CDF search and clamp to the last sampleable outcome, so the index
-    for ``u[t]`` is the one measure_in_bases draws from the same variate.
-    Index bits follow outcome_distribution (first measured qubit most
-    significant, bit 1 for the -1 outcome).  The CDFs of ``bases`` on
-    ``state`` are stacked once and memoized on the state.
+    Returns one outcome index per trial.  Its Born tables equal the scalar
+    ones bit for bit, and it uses the same inverse-CDF search and clamp to the
+    last sampleable outcome, so the index for ``u[t]`` is the one
+    measure_in_bases draws from the same variate.  Index bits follow
+    outcome_distribution (first measured qubit most significant, bit 1 for
+    the -1 outcome).  The tables of ``bases`` on ``state`` are built as one
+    stack and memoized on the state.
     """
     stack = _table_stack(state, bases)
     k = search_segments(stack.cum, stack.width, which, u)

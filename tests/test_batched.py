@@ -39,6 +39,7 @@ from pauliverify.states import (
     apply_pauli,
     maximally_mixed,
     measure_in_bases,
+    mixture,
     pure_state,
     random_mixed_state,
     random_pure_state,
@@ -344,28 +345,70 @@ def test_stacked_search_equals_searchsorted_per_segment(weights, seed):
     np.testing.assert_array_equal(search_segments(flat, width, which, u), want)
 
 
+STATE_KINDS = (
+    "pure", "pauli_of_pure", "mixed_with_maximally_mixed", "mixed_with_mixed",
+    "mixed_with_pure", "maximally_mixed", "mixed",
+)
+
+
+def stacked_state(kind: str, n: int, zeros: int, rng: np.random.Generator) -> DenseState:
+    """A state of the given construction; zeroed amplitudes leave zero tails."""
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    amps[[i for i in range(1, 1 << n) if zeros >> i & 1]] = 0.0
+    psi = pure_state(amps / np.linalg.norm(amps), n)
+    weight = float(rng.random())
+    if kind == "pure":
+        return psi
+    if kind == "pauli_of_pure":
+        x, z = rng.integers(0, 1 << n, size=2)
+        return apply_pauli(psi, PauliString(n, int(x), int(z), -0.5))
+    if kind == "mixed_with_maximally_mixed":
+        return mixture(psi, maximally_mixed(n), weight)
+    if kind == "mixed_with_mixed":
+        return mixture(psi, random_mixed_state(n, rng, rank=2), weight)
+    if kind == "mixed_with_pure":
+        return mixture(psi, random_pure_state(n, rng), weight)
+    if kind == "maximally_mixed":
+        return maximally_mixed(n)
+    return random_mixed_state(n, rng, rank=2)
+
+
 @given(
-    n=st.integers(1, 4),
-    zeros=st.integers(0, 2**16 - 1),
+    kind=st.sampled_from(STATE_KINDS),
+    n=st.integers(1, 6),
+    zeros=st.integers(0, 2**64 - 1),
     data=st.data(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stacked_outcomes_equal_per_basis_sampling_with_the_clamp(n, zeros, data, seed):
-    # zeroed amplitudes leave zero tails, so some uniforms land past last_sampleable
+def test_stacked_outcomes_equal_per_basis_sampling_with_the_clamp(kind, n, zeros, data, seed):
     rng = np.random.default_rng(seed)
-    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    amps[[i for i in range(1, 1 << n) if zeros >> i & 1]] = 0.0
-    state = pure_state(amps / np.linalg.norm(amps), n)
+    state = stacked_state(kind, n, zeros, rng)
+    # bases branch off one trunk, so many share a rotated prefix; some are all I
     letters = st.text("IXYZ", min_size=n, max_size=n)
-    bases = tuple(dict.fromkeys(data.draw(st.lists(letters, min_size=1, max_size=5))))
-    tables = [states._measurement_table(state, b) for b in bases]
-    for b, table in enumerate(tables):
+    trunk = data.draw(letters)
+    branches = data.draw(st.lists(st.tuples(st.integers(0, n), letters), min_size=1, max_size=12))
+    bases = [trunk[:cut] + tail[cut:] for cut, tail in branches]
+    if data.draw(st.booleans()):
+        bases.insert(data.draw(st.integers(0, len(bases))), "I" * n)
+    bases = tuple(dict.fromkeys(bases))
+    stack = states._table_stack(state, bases)
+    rows = stack.cum.reshape(len(bases), stack.width)
+    start = 0  # the normalized rows lie end to end
+    for b, basis in enumerate(bases):
+        table = states._measurement_table(state, basis)
+        size = table.cum.size
+        assert rows[b, :size].tobytes() == table.cum.tobytes()
+        assert stack.probs[start : start + size].tobytes() == table.probs.tobytes()
+        assert stack.last_sampleable[b] == table.last_sampleable
+        assert np.all(rows[b, size:] == np.inf)
+        start += size
         u = np.concatenate([table.cum, [np.nextafter(table.cum[-1], 2.0)], rng.random(30)])
         u = u[u < 1.0]
         got = sample_stacked_outcomes(state, bases, np.full(u.size, b), u)
         np.testing.assert_array_equal(
             got, np.minimum(np.searchsorted(table.cum, u, side="right"), table.last_sampleable)
         )
+    assert start == stack.probs.size
 
 
 def test_deviated_circuit_runs_are_identical_on_both_paths():
@@ -395,20 +438,20 @@ def test_robustness_builds_each_table_once_and_never_contracts_a_mixture(
     tmp_path, monkeypatch
 ):
     kernel_calls, builds, axes_calls = [], [], []
-    kernel, table = states._density_outcome_probs, states._measurement_table
+    kernel, rows = states._density_outcome_probs, states._born_rows
     axes = PauliString.axes
 
     def counted_kernel(rho, bases):
         kernel_calls.append(bases)
         return kernel(rho, bases)
 
-    def counted_table(state, bases):
-        if bases not in state._cache:
-            builds.append((state, bases))  # holding the state keeps its id unique
-        return table(state, bases)
+    def counted_rows(state, bases, measured):
+        # one row per basis; holding the state keeps its id unique
+        builds.extend((state, b) for b in bases)
+        return rows(state, bases, measured)
 
     monkeypatch.setattr(states, "_density_outcome_probs", counted_kernel)
-    monkeypatch.setattr(states, "_measurement_table", counted_table)
+    monkeypatch.setattr(states, "_born_rows", counted_rows)
     monkeypatch.setattr(
         PauliString, "axes", property(lambda p: axes_calls.append(1) or axes.fget(p))
     )

@@ -1,9 +1,13 @@
+import ast
 import itertools
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pauliverify import states
 from pauliverify.paulis import CapExceededError, PauliString
 from pauliverify.states import (
     DenseState,
@@ -399,3 +403,36 @@ def test_overlap_is_memoized_per_reference(rng):
     assert first == float(np.real(psi.data.conj() @ rho.data @ psi.data))
     assert overlap(rho, psi) == first
     assert overlap(rho, other) == float(np.real(other.data.conj() @ rho.data @ other.data))
+
+
+# ---------------------------------------------------------------------------
+# The stacked builder: memory of the rotation walk, one row finisher
+
+
+def test_stacked_pure_tables_hold_one_rotated_tensor_per_qubit_of_the_path():
+    # 64 bases on 14 qubits share a 4-letter rotated trunk and branch over the
+    # next six qubits: 130 distinct rotated prefixes, of which the walk holds
+    # at most the 10 of its current path (the stack's own rows are 4 more)
+    n = 14
+    psi = random_pure_state(n, np.random.default_rng(14))
+    bases = tuple("XXXX" + "".join(t) + "IIII" for t in itertools.product("XY", repeat=6))
+    tracemalloc.start()
+    try:
+        stack = states._table_stack(psi, bases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.probs.size == 64 << 10
+    assert peak <= 2 * (n + 2) * psi.data.nbytes
+
+
+def test_cumsum_is_spelled_only_in_the_row_finisher():
+    # the scalar table and the stack finish their rows in one function
+    tree = ast.parse(Path(states.__file__).read_text())
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "np.cumsum"
+    ]
+    finisher = next(f for f in tree.body if getattr(f, "name", None) == "_finish_rows")
+    assert lines and all(finisher.lineno <= line <= finisher.end_lineno for line in lines), lines
