@@ -307,9 +307,8 @@ def robustness_sweep(
     for eps_prime, point_seed in zip(eps_primes, run_seeds(seed, len(eps_primes))):
         eps_prime = float(eps_prime)
         prover = iid_deviated_prover(prepared.ideal, eps_prime, eta)
-        accepted = 0
-        for s in run_seeds(point_seed, runs):
-            accepted += prepared.run(prover, params, s).accepted
+        reports = prepared.runs(prover, params, run_seeds(point_seed, runs))
+        accepted = sum(r.accepted for r in reports)
         rho = prover.make_source(1, np.random.default_rng(0))
         ppass = prepared.group_ppass(rho)
         predicted = 1.0

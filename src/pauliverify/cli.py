@@ -339,10 +339,8 @@ def cmd_verify(args) -> int:
     prover = prover_from_config(prover_cfg, prepared.ideal)
     record = args.trials_csv is not None
 
-    reports = [
-        prepared.run(prover, params, s, record)
-        for s in (run_seeds(seed, runs) if runs > 1 else [seed])
-    ]
+    seeds = run_seeds(seed, runs) if runs > 1 else [seed]
+    reports = prepared.runs(prover, params, seeds, record)
     if args.trials_csv:
         lines = reporting.trial_csv_lines([rep.trials for rep in reports])
         reporting.write_trials_csv(args.trials_csv, lines)

@@ -6,11 +6,16 @@ the rest.  Accept/reject thresholds are compared in exact rational
 arithmetic so boundary equalities never flip on floating-point noise.
 
 A prover's source is either the one DenseState that every register
-carries, or a joint source over all registers.  A product source is sampled
-with each test's batched ``sample``: all of a run's groups from one block of
-uniforms (see single_copy's run kernels).  Only the tiny entangled demo
-returns a joint source (total qubits capped at 12); each measurement
-conditions its joint state, so it runs the scalar ``trial`` loop.
+carries, or a joint source over all registers.  One engine call makes all
+the runs of a verify call or of a robustness sweep point, one per seed.
+Each run keeps its own three generator streams (layout, prover, tests), so
+its bytes do not depend on the other runs of the call.  The runs whose
+source is the same DenseState share one block search: each run draws its
+own block of uniforms for all its groups, the blocks are laid end to end,
+and one call of the test's batched ``sample`` serves them all (see
+single_copy's run kernels).  Only the tiny entangled demo returns a joint
+source (total qubits capped at 12); each measurement conditions its joint
+state, so it runs the scalar ``trial`` loop, run by run.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,6 +73,11 @@ EXECUTABLE_REGISTER_CAP = 1_000_000
 # Protocol runs per verify or robustness call; more are refused before any
 # per-run seed is drawn.
 RUN_COUNT_CAP = 100_000
+
+# The most trials one sampling block holds.  The runs of a call that share a
+# source are sampled in blocks of whole runs up to this size (a larger run is
+# a block of its own), so a block's arrays do not grow with the run count.
+BLOCK_TRIALS = 1 << 14
 
 # ln(2) to 50 digits, as an exact rational, so the register-count schedules
 # evaluate to reproducible integers far beyond double precision.
@@ -524,6 +534,68 @@ def check_executable(params: ProtocolParams) -> None:
         )
 
 
+class _Run(NamedTuple):
+    """One run of an engine call, between its layout and its verdict."""
+
+    index: int  # among the call's seeds
+    seed: int
+    target: int
+    groups: np.ndarray | None  # (groups, k) registers, kept for trial columns
+    rng_tests: np.random.Generator
+
+
+class _Verdicts:
+    """What the verdicts of one engine call share, worked out once per call.
+
+    A group's rate ``passes / k`` compares to its threshold ``thr`` exactly as
+    ``passes <= floor(thr * k)`` for ``<=`` and ``passes >= ceil(thr * k)``
+    for ``>=``, so every verdict is decided on whole pass counts.
+    """
+
+    def __init__(self, protocol, params, prover_kind, test, record_trials):
+        thresholds = group_thresholds(protocol, params.epsilon, test.group_l1)
+        k = params.k
+        self.shape = (len(thresholds), k)
+        self.comparison = COMPARISON[protocol]
+        if self.comparison == "<=":
+            self.cuts = np.array([(t.numerator * k) // t.denominator for t in thresholds])
+        else:
+            self.cuts = np.array([-((-t.numerator * k) // t.denominator) for t in thresholds])
+        self.thresholds = [f"{t.numerator}/{t.denominator}" for t in thresholds]
+        self.protocol, self.params, self.prover_kind = protocol, params, prover_kind
+        self.labels = test.branch_labels if record_trials else None
+
+    def decide(self, runs: list[_Run], passed, branches, fidelity) -> list[VerdictReport]:
+        """The reports of ``runs`` on one source, from (runs, groups, k) arrays."""
+        counts = np.count_nonzero(passed, axis=-1)
+        ok = counts <= self.cuts if self.comparison == "<=" else counts >= self.cuts
+        k, comparison = self.params.k, self.comparison
+        reports = []
+        for j, (run, run_counts, run_ok) in enumerate(zip(runs, counts.tolist(), ok.tolist())):
+            results = tuple(
+                GroupResult(i, c, k, threshold, comparison, o)
+                for i, (c, threshold, o) in enumerate(zip(run_counts, self.thresholds, run_ok))
+            )
+            trials = None
+            if self.labels is not None:
+                trials = TrialColumns(run.groups, branches[j], passed[j], self.labels)
+            reports.append(
+                VerdictReport(
+                    protocol=self.protocol,
+                    accepted=all(run_ok),
+                    groups=results,
+                    target_register=run.target,
+                    target_fidelity=fidelity,
+                    n_registers=self.params.n_registers,
+                    seed=run.seed,
+                    params=self.params,
+                    prover_kind=self.prover_kind,
+                    trials=trials,
+                )
+            )
+        return reports
+
+
 def _run_protocol(
     protocol: str,
     params: ProtocolParams,
@@ -533,70 +605,90 @@ def _run_protocol(
     fidelity: Callable[[DenseState], float] | None,
     record_trials: bool,
 ) -> VerdictReport:
-    """The one protocol engine: layout, k tests per group of the kernel, verdicts.
+    """One protocol run: the one-seed case of ``_run_protocols``."""
+    return _run_protocols(protocol, params, prover, (seed,), test, fidelity, record_trials)[0]
 
-    Group i tests k registers with the kernel's i-th test and passes when its
-    rate compares to its ``group_thresholds`` entry by ``COMPARISON``.  A
-    DenseState source is sampled in one kernel call per run; a joint source
-    (the entangled demo) runs the scalar trial loop, because each measurement
-    conditions its joint state.  Both paths consume the test stream in the
-    same order.
+
+def _run_protocols(
+    protocol: str,
+    params: ProtocolParams,
+    prover: ProverModel,
+    seeds: Sequence[int],
+    test: ParityTest | AdaptiveTest,
+    fidelity: Callable[[DenseState], float] | None,
+    record_trials: bool,
+) -> tuple[VerdictReport, ...]:
+    """The one protocol engine: one run per seed, each with its own layout and streams.
+
+    A run's layout and source come from its own generators, as if it ran
+    alone.  Group i tests k registers with the test's i-th group and passes
+    when its rate compares to its ``group_thresholds`` entry by
+    ``COMPARISON``.  Runs whose source is the same DenseState are sampled
+    together: each run draws its own block of uniforms from its own test
+    stream, the blocks are laid end to end, and one ``test.sample`` call
+    serves them all, at most BLOCK_TRIALS trials at a time.  The fidelity of
+    such a source is evaluated once.  A joint source (the entangled demo)
+    runs the scalar trial loop, because each measurement conditions its
+    joint state; it consumes the test stream in the same order.
     """
     check_executable(params)
-    rng_layout, rng_prover, rng_tests = _run_rngs(seed)
     n_reg = params.n_registers
-    source = prover.make_source(n_reg, rng_prover)
-    if source.n != params.n:
-        raise ValueError("prover register width does not match the protocol")
-    _, target, rest = choose_layout(n_reg, params.m, rng_layout)
-    thresholds = group_thresholds(protocol, params.epsilon, test.group_l1)
-    groups = rest.reshape(len(thresholds), params.k)
-    comparison = COMPARISON[protocol]
-    if isinstance(source, DenseState):
-        passed, branches = test.sample(source, rng_tests, params.k)
-        target_state = source
-    else:
-        trials = [
-            test.trial(source, int(reg), rng_tests, i)
-            for i, registers in enumerate(groups)
-            for reg in registers
-        ]
-        passed = np.array([ok for ok, _ in trials])
-        branches = np.array([branch for _, branch in trials])
-        target_state = source.register_state(target)
-    passed = passed.reshape(groups.shape)
-    branches = branches.reshape(groups.shape)
+    verdicts = _Verdicts(protocol, params, prover.kind, test, record_trials)
+    per_run = verdicts.shape[0] * params.k  # trials
+    size = test.variates * per_run  # uniforms
+    reports: list[VerdictReport | None] = [None] * len(seeds)
+    pending: dict[DenseState, list] = {}  # source -> its runs not yet sampled
+    fidelities: dict[DenseState, float | None] = {}
 
-    results = []
-    for i, threshold in enumerate(thresholds):
-        passes = int(np.count_nonzero(passed[i]))
-        rate = Fraction(passes, params.k)
-        group_passed = rate <= threshold if comparison == "<=" else rate >= threshold
-        results.append(
-            GroupResult(
-                i,
-                passes,
-                params.k,
-                f"{threshold.numerator}/{threshold.denominator}",
-                comparison,
-                bool(group_passed),
+    def sample_pending():
+        for source, runs in pending.items():
+            u = np.empty(size * len(runs))
+            for j, run in enumerate(runs):
+                run.rng_tests.random(out=u[j * size : (j + 1) * size])
+            passed, branches = test.sample(source, u, params.k)
+            if source not in fidelities:
+                fidelities[source] = None if fidelity is None else fidelity(source)
+            shape = (len(runs), *verdicts.shape)
+            decided = verdicts.decide(
+                runs, passed.reshape(shape), branches.reshape(shape), fidelities[source]
             )
-        )
+            for run, report in zip(runs, decided):
+                reports[run.index] = report
+        pending.clear()
 
-    return VerdictReport(
-        protocol=protocol,
-        accepted=all(g.passed for g in results),
-        groups=tuple(results),
-        target_register=target,
-        target_fidelity=fidelity(target_state) if fidelity is not None else None,
-        n_registers=n_reg,
-        seed=seed,
-        params=params,
-        prover_kind=prover.kind,
-        trials=(
-            TrialColumns(groups, branches, passed, test.branch_labels) if record_trials else None
-        ),
-    )
+    held = 0  # trials pending
+    for index, seed in enumerate(seeds):
+        rng_layout, rng_prover, rng_tests = _run_rngs(seed)
+        source = prover.make_source(n_reg, rng_prover)
+        if source.n != params.n:
+            raise ValueError("prover register width does not match the protocol")
+        _, target, rest = choose_layout(n_reg, params.m, rng_layout)
+        groups = rest.reshape(verdicts.shape)
+        if not isinstance(source, DenseState):
+            trials = [
+                test.trial(source, int(reg), rng_tests, i)
+                for i, registers in enumerate(groups)
+                for reg in registers
+            ]
+            passed = np.array([ok for ok, _ in trials]).reshape(1, *groups.shape)
+            branches = np.array([branch for _, branch in trials]).reshape(passed.shape)
+            state = source.register_state(target)
+            (reports[index],) = verdicts.decide(
+                [_Run(index, seed, target, groups, rng_tests)],
+                passed,
+                branches,
+                None if fidelity is None else fidelity(state),
+            )
+            continue
+        if held and held + per_run > BLOCK_TRIALS:
+            sample_pending()
+            held = 0
+        # the layout of a run is kept only for its trial columns
+        run = _Run(index, seed, target, groups if record_trials else None, rng_tests)
+        pending.setdefault(source, []).append(run)
+        held += per_run
+    sample_pending()
+    return tuple(reports)
 
 
 def run_ground_protocol(
@@ -683,17 +775,22 @@ def run_seeds(master_seed: int, n_runs: int) -> list[int]:
 class PreparedTarget:
     """What every run, sweep point and pass probability of one target needs.
 
-    Group i's test passes at rate 1/2 + <g_i>/(2 * group_l1[i]); the
-    adaptive test is the unit-norm case.  ``run(prover, params, seed, record_trials)`` is one protocol run, and
-    ``group_ppass(state)`` is each group's exact pass probability on
-    ``state``.
+    ``test`` holds every group's single-copy test; group i passes at rate
+    1/2 + <g_i>/(2 * group_l1[i]), the adaptive test being the unit-norm
+    case.  ``runs(prover, params, seeds, record_trials)`` makes one protocol
+    run per seed, and ``group_ppass(state)`` is each group's exact pass
+    probability on ``state``.
     """
 
     protocol: str
     ideal: DenseState
-    group_l1: tuple[float, ...]
-    run: Callable[[ProverModel, ProtocolParams, int, bool], VerdictReport]
+    test: ParityTest | AdaptiveTest
+    fidelity: Callable[[DenseState], float] | None  # the reported target fidelity
     group_ppass: Callable[[DenseState], tuple[float, ...]]
+
+    @property
+    def group_l1(self) -> tuple[float, ...]:
+        return self.test.group_l1
 
     @property
     def l1_norm(self) -> float:
@@ -707,44 +804,57 @@ class PreparedTarget:
     def thresholds(self, epsilon: Fraction) -> tuple[Fraction, ...]:
         return group_thresholds(self.protocol, epsilon, self.group_l1)
 
+    def runs(
+        self,
+        prover: ProverModel,
+        params: ProtocolParams,
+        seeds: Sequence[int],
+        record_trials: bool = False,
+    ) -> tuple[VerdictReport, ...]:
+        """One protocol run per seed, each as ``run_*_protocol`` makes it alone."""
+        if params.protocol != self.protocol or params.n != self.ideal.n:
+            raise ValueError(f"params are not for this {self.protocol} target")
+        return _run_protocols(
+            self.protocol, params, prover, seeds, self.test, self.fidelity, record_trials
+        )
+
 
 def prepare(kind: str, target) -> PreparedTarget:
     """Compute once what every use of a loaded target needs.
 
     ``kind`` is "hamiltonian", "circuit" or "hypergraph".  A Hamiltonian is
     diagonalized once: the rescaling, the ground projector and the ideal
-    state all come from that one ``eigh``.  The run kernel (every group's
-    test) is built once here and serves every run.  The capped ideal state
-    comes first, so a target over the cap is refused before the per-group work.
+    state all come from that one ``eigh``.  Every group's test is built once
+    here and serves every run.  The capped ideal state comes first, so a
+    target over the cap is refused before the per-group work.
     """
     if kind == "hypergraph":
         ideal = build_state(target)
         forms = all_adaptive_forms(target)
         # hypergraph reports carry a target fidelity only up to the dense cap
-        reported = ideal if target.n <= DENSE_QUBIT_CAP else None
+        fidelity = partial(overlap, reference=ideal) if target.n <= DENSE_QUBIT_CAP else None
         return PreparedTarget(
             "hypergraph",
             ideal,
-            (1.0,) * target.n,
-            partial(run_hypergraph_protocol, AdaptiveTest(*forms), reported),
+            AdaptiveTest(*forms),
+            fidelity,
             lambda rho: tuple(adaptive_test_exact_ppass(rho, f) for f in forms),
         )
     # the ground and circuit protocols run the parity test of one Pauli sum per group
     if kind == "hamiltonian":
         diag = exact_diagonalize(target)
-        rh = rescale(target, diag=diag)
-        sums, ideal = [rh], diag.ground
-        run = partial(run_ground_protocol, ParityTest(rh), diag.projector)
+        sums, ideal = [rescale(target, diag=diag)], diag.ground
+        fidelity = partial(projector_overlap, projector=diag.projector)
     elif kind == "circuit":
         ideal = build_circuit_state(target)
         sums = all_stabilizer_decompositions(target)
-        run = partial(run_circuit_protocol, ParityTest(*sums), ideal)
+        fidelity = partial(overlap, reference=ideal)
     else:
         raise ValueError(f"unknown target kind {kind!r}")
     return PreparedTarget(
         PROTOCOL_FOR_KIND[kind],
         ideal,
-        tuple(s.l1_norm for s in sums),
-        run,
+        ParityTest(*sums),
+        fidelity,
         lambda rho: tuple(parity_test_exact_ppass(rho, s) for s in sums),
     )

@@ -27,7 +27,7 @@ from .paulis import PauliString, PauliSum, bit_for_qubit, qubit_mask
 from .states import (
     DenseState,
     MeasurementRecord,
-    expectation,
+    expectations,
     masked_pauli_expectation,
     projector_overlap,
     sample_stacked_outcomes,
@@ -63,7 +63,7 @@ def parity_passes(record: MeasurementRecord, sign: int) -> bool:
 
 def parity_test_exact_ppass(rho: DenseState, pauli_sum: PauliSum) -> float:
     """1/2 + <H>/(2 * l1), with H the rescaled Hamiltonian or a stabilizer."""
-    value = sum(expectation(rho, t) for t in pauli_sum.terms)
+    value = sum(expectations(rho, pauli_sum.terms))
     return 0.5 + value / (2.0 * pauli_sum.l1_norm)
 
 
@@ -125,14 +125,21 @@ def adaptive_branch_sum_ppass(rho: DenseState, form: AdaptiveStabilizerForm) -> 
 # ---------------------------------------------------------------------------
 # Run kernels: k trials of each group's test on one state
 #
-# A kernel holds the tests of every group of a protocol run and samples all
-# of them from one block of uniforms.  The block is drawn in the order the
-# scalar path consumes variates (group by group, trial by trial), and
-# rng.random(a) followed by rng.random(b) equals rng.random(a + b), so the
-# kernel's results equal the scalar path's trial for trial.  ``trial`` is
-# that scalar path: the reference ``sample`` is checked against, and the path
-# of sources that change state between measurements.
-# ``sample`` returns flat arrays in the same group-major order.
+# A kernel holds the tests of every group of a protocol run.  ``sample``
+# takes the uniforms of one or more runs on one state: each run's block of
+# ``variates * groups * k`` variates, drawn from that run's test stream in
+# the order the scalar path consumes them (group by group, trial by trial),
+# with the blocks of successive runs laid end to end.  rng.random(a)
+# followed by rng.random(b) equals rng.random(a + b), so the kernel's results
+# equal the scalar path's trial for trial.  ``trial`` is that scalar path:
+# the reference ``sample`` is checked against, and the path of sources that
+# change state between measurements.  ``sample`` returns flat arrays in the
+# same run-major, then group-major order.
+
+
+def _group_of_trial(n_groups: int, n_trials: int, total: int) -> np.ndarray:
+    """The group of each of ``total`` trials laid out run by run, ``n_trials`` per group."""
+    return np.tile(np.repeat(np.arange(n_groups), n_trials), total // (n_groups * n_trials))
 
 
 class ParityTest:
@@ -145,6 +152,8 @@ class ParityTest:
     variates: the term, then the outcome.  The branch of a trial is the index
     of its term among all groups' terms.
     """
+
+    variates = 2
 
     def __init__(self, *sums: PauliSum):
         if not sums:
@@ -178,11 +187,10 @@ class ParityTest:
         return parity_passes(record, draw.sign), int(self.term_offset[group]) + draw.index
 
     def sample(
-        self, state: DenseState, rng: np.random.Generator, n_trials: int
+        self, state: DenseState, u: np.ndarray, n_trials: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Pass flags and term indices of ``n_trials`` trials per group on ``state``."""
-        group = np.repeat(np.arange(len(self.sums)), n_trials)
-        u = rng.random(2 * group.size)
+        """Pass flags and term indices of ``n_trials`` trials per group and run on ``state``."""
+        group = _group_of_trial(len(self.sums), n_trials, u.size // 2)
         local = search_segments(self.term_cum, self.term_width, group, u[0::2])
         term = self.term_offset[group] + np.minimum(local, self.term_count[group] - 1)
         idx = sample_stacked_outcomes(
@@ -215,6 +223,8 @@ class AdaptiveTest:
     ``a`` of every joint outcome off the forms' cached outcome tables.
     """
 
+    variates = 1
+
     def __init__(self, *forms: AdaptiveStabilizerForm):
         if not forms:
             raise ValueError("an adaptive test needs at least one form")
@@ -229,11 +239,11 @@ class AdaptiveTest:
         return adaptive_predicate(record, self.forms[group])
 
     def sample(
-        self, state: DenseState, rng: np.random.Generator, n_trials: int
+        self, state: DenseState, u: np.ndarray, n_trials: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Pass flags and projector bits of ``n_trials`` trials per group on ``state``."""
-        group = np.repeat(np.arange(len(self.forms)), n_trials)
-        idx = sample_stacked_outcomes(state, self.bases, group, rng.random(group.size))
+        """Pass flags and projector bits of ``n_trials`` trials per group and run on ``state``."""
+        group = _group_of_trial(len(self.forms), n_trials, u.size)
+        idx = sample_stacked_outcomes(state, self.bases, group, u)
         passes, bits = self._outcome_tables
         return passes[group, idx], bits[group, idx]
 
@@ -269,7 +279,8 @@ def monte_carlo_pass_rate(
     Every trial consumes a fixed number of variates in a fixed order, so
     trial t is reproducible from the generator seed and t alone.
     """
-    passes = int(np.count_nonzero(kernel.sample(state, rng, n_trials)[0]))
+    u = rng.random(kernel.variates * len(kernel.group_l1) * n_trials)
+    passes = int(np.count_nonzero(kernel.sample(state, u, n_trials)[0]))
     return passes / n_trials, passes
 
 

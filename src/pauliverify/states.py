@@ -57,6 +57,7 @@ from .paulis import (
     PURE_QUBIT_CAP,
     PauliString,
     capped_dim,
+    parity_bits,
     qubit_mask,
     sign_vector,
 )
@@ -221,6 +222,36 @@ def expectation(state: DenseState, p: PauliString) -> float:
         val = np.sum(signs * state.data[idx, idx ^ p.xmask])
     val = p.coeff * (1j) ** p.y_count * val
     return float(val.real)
+
+
+# The most entries one gather of ``expectations`` holds; terms are gathered
+# in chunks under it, so a wide pure state is gathered term by term.
+GATHER_ENTRIES = 1 << 16
+
+
+def expectations(state: DenseState, terms) -> list[float]:
+    """``expectation(state, t)`` for each Pauli string ``t`` of ``terms``, bit for bit.
+
+    A chunk of terms gathers its entries as one (terms, dim) array, with the
+    same elementwise products as ``expectation``; summing each C-contiguous
+    row along its axis makes the same pairwise additions as the 1-d sum.
+    """
+    terms = list(terms)
+    for t in terms:
+        _check_width(state, t.n)
+    idx = np.arange(state.dim, dtype=np.int64)
+    step = max(1, GATHER_ENTRIES // state.dim)
+    values = []
+    for lo in range(0, len(terms), step):
+        chunk = terms[lo : lo + step]
+        xmasks, zmasks = np.array([t.key for t in chunk], dtype=np.int64).T[:, :, None]
+        signs = 1 - 2 * parity_bits(idx, zmasks)
+        if state.is_pure:
+            sums = np.sum(np.conj(state.data[idx ^ xmasks]) * signs * state.data, axis=1)
+        else:
+            sums = np.sum(signs * state.data[idx, idx ^ xmasks], axis=1)
+        values += [float((t.coeff * (1j) ** t.y_count * v).real) for t, v in zip(chunk, sums)]
+    return values
 
 
 def masked_pauli_expectation(

@@ -5,14 +5,17 @@ Every check here replays the same seed through the scalar reference path
 (draw_pauli_term, measure_in_bases, parity_passes, adaptive_predicate) and
 demands identical results, not statistically close ones.
 """
+import json
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from pauliverify import states
+from pauliverify import protocol, single_copy, states
 from pauliverify.circuits import all_stabilizer_decompositions, build_circuit_state, circuit
 from pauliverify.cli import main
 from pauliverify.reporting import trial_csv_lines
@@ -26,6 +29,8 @@ from pauliverify.protocol import (
     desk_params,
     honest_prover,
     iid_deviated_prover,
+    _run_protocol,
+    _run_rngs,
     prepare,
     run_circuit_protocol,
     run_ground_protocol,
@@ -200,8 +205,8 @@ def test_batched_trial_columns_render_the_rows_of_the_scalar_path(target, k, m, 
     prepared = prepare(kind, spec)
     params = desk_params(prepared.protocol, spec.n, k=k, m=m, epsilon=0.2)
     for prover in product_provers(prepared.ideal):
-        batched = prepared.run(prover, params, seed, True)
-        scalar = prepared.run(scalar_twin(prover), params, seed, True)
+        (batched,) = prepared.runs(prover, params, [seed], True)
+        (scalar,) = prepared.runs(scalar_twin(prover), params, [seed], True)
         assert_same_trials(batched, scalar)
         assert len(trial_csv_lines([batched.trials])) == len(batched.groups) * k
 
@@ -255,7 +260,8 @@ def test_parity_kernel_equals_scalar_trials(n, terms, pure, seed):
         return
     test = ParityTest(PauliSum.of(merged))
     state = _state(n, seed, pure)
-    passed, branches = test.sample(state, np.random.default_rng(seed), 50)
+    u = np.random.default_rng(seed).random(test.variates * 50)
+    passed, branches = test.sample(state, u, 50)
     ok, scalar_branches = _scalar_trials(test, state, seed, 50)
     assert passed.tolist() == ok
     assert branches.tolist() == scalar_branches
@@ -284,7 +290,8 @@ def test_adaptive_kernel_equals_scalar_trials(n, edge_bits, vertex, pure, seed):
         )
 
     state = _state(n, seed, pure)
-    passed, branches = test.sample(state, np.random.default_rng(seed), 50)
+    u = np.random.default_rng(seed).random(test.variates * 50)
+    passed, branches = test.sample(state, u, 50)
     ok, scalar_branches = _scalar_trials(test, state, seed, 50)
     assert passed.tolist() == ok
     assert branches.tolist() == scalar_branches
@@ -474,3 +481,83 @@ def test_robustness_builds_each_table_once_and_never_contracts_a_mixture(
     tables_6, axes_6 = sweep(6)
     assert axes_2 == axes_6
     assert tables_2 == tables_6
+
+
+# ---------------------------------------------------------------------------
+# One engine call per verify or robustness call
+
+
+@settings(max_examples=30)
+@given(
+    target=small_targets(),
+    k=st.integers(1, 8),
+    m=st.integers(0, 2),
+    master=st.integers(0, 2**32 - 1),
+    n_runs=st.integers(3, 6),
+    block=st.sampled_from([None, 1, 9, 40]),
+)
+def test_runs_of_one_call_equal_the_runs_made_one_by_one(target, k, m, master, n_runs, block):
+    kind, spec = target
+    prepared = prepare(kind, spec)
+    params = desk_params(prepared.protocol, spec.n, k=k, m=m, epsilon=0.2)
+    seeds = run_seeds(master, n_runs)
+    provers = product_provers(prepared.ideal)
+    # the classically correlated prover fills some runs with each of its states
+    correlated = provers[-1]
+    assert correlated.kind == "classically_correlated"
+    assume(len({id(correlated.make_source(1, _run_rngs(s)[1])) for s in seeds}) == 2)
+    for prover in provers:
+        # a small block splits the runs of a source over several sample calls
+        with patch.object(protocol, "BLOCK_TRIALS", block or protocol.BLOCK_TRIALS):
+            batched = prepared.runs(prover, params, seeds, True)
+        for seed, report in zip(seeds, batched, strict=True):
+            alone = _run_protocol(
+                prepared.protocol, params, prover, seed, prepared.test, prepared.fidelity, True
+            )
+            assert report.to_jsonable() == alone.to_jsonable()
+            assert_same_trials(report, alone)
+
+
+def test_a_sweep_point_makes_one_term_search_and_one_outcome_search(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return search_segments(*args)
+
+    monkeypatch.setattr(states, "search_segments", counted)
+    monkeypatch.setattr(single_copy, "search_segments", counted)
+    counts = {}
+    for runs in (2, 6):
+        calls.clear()
+        argv = [
+            "robustness", "--target", str(DATA / "clifford_t.json"), "--eps-prime", "0,0.05",
+            "-k", "20", "--runs", str(runs), "--seed", "3", "--out", str(tmp_path / "out.json"),
+        ]
+        assert main(argv) == 0
+        counts[runs] = len(calls)
+    assert counts == {2: 4, 6: 4}
+
+
+def test_verify_memory_does_not_grow_with_the_run_count(tmp_path):
+    # 400 runs of 3 000 trials sampled as one block would peak above 60 MB; in
+    # blocks of BLOCK_TRIALS, the reports of the 400 runs are what grows
+    (tmp_path / "triple.json").write_text((DATA / "triple.json").read_text())
+    config = tmp_path / "verify.json"
+    config.write_text(json.dumps({
+        "target": "triple.json",
+        "params": {"mode": "desk", "k": 1000, "m": 0, "epsilon": 0.1},
+        "prover": {"kind": "honest"},
+        "seed": 5,
+    }))
+    peaks = {}
+    for runs in (5, 400):
+        argv = ["verify", "--config", str(config), "--runs", str(runs),
+                "--out", str(tmp_path / "out.json")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[runs] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[400] < 8 * peaks[5], peaks

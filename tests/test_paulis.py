@@ -222,3 +222,16 @@ def test_pauli_sum_dense_equals_the_fold_of_dense_terms_bit_for_bit(n, shared, d
     assert got.view(np.float64).tobytes() == want.view(np.float64).tobytes()
     for a, b in zip(np.linalg.eigh(got), np.linalg.eigh(want)):
         assert a.tobytes() == b.tobytes()
+
+
+@given(n=st.integers(1, 4), data=st.data())
+def test_decompose_recovers_the_terms_of_a_pauli_sum(n, data):
+    masks = st.integers(0, (1 << n) - 1)
+    coeffs = st.floats(0.01, 2) | st.floats(-2, -0.01)
+    specs = data.draw(
+        st.lists(st.tuples(masks, masks, coeffs), min_size=1, max_size=12, unique_by=lambda s: s[:2])
+    )
+    terms = merge_pauli_terms(PauliString(n, x, z, c) for x, z, c in specs)
+    back = decompose_in_pauli_basis(pauli_sum_dense(terms))
+    assert [t.key for t in back] == [t.key for t in terms]
+    assert [t.coeff for t in back] == pytest.approx([t.coeff for t in terms], abs=1e-12)

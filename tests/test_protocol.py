@@ -394,14 +394,15 @@ def test_run_seeds_deterministic():
 class ExactPassCount:
     """A run kernel stub: every group passes exactly ``passes`` of its k trials."""
 
+    variates = 1
+
     def __init__(self, group_l1: tuple[float, ...], passes: int):
         self.group_l1 = group_l1
         self.passes = passes
 
-    def sample(self, state, rng, n_trials):
+    def sample(self, state, u, n_trials):
         flags = np.arange(n_trials) < self.passes
-        groups = len(self.group_l1)
-        return np.tile(flags, groups), np.zeros(groups * n_trials, dtype=np.int64)
+        return np.tile(flags, u.size // n_trials), np.zeros(u.size, dtype=np.int64)
 
 
 @given(

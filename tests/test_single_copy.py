@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pauliverify.circuits import all_stabilizer_decompositions, build_circuit_state, circuit
 from pauliverify.hamiltonians import HamiltonianSpec, rescale
@@ -23,7 +26,9 @@ from pauliverify.states import (
     computational_state,
     maximally_mixed,
     measure_in_bases,
+    projector_overlap,
     random_mixed_state,
+    random_pure_state,
 )
 
 from conftest import dense_from_axes
@@ -166,24 +171,22 @@ def test_adaptive_phase_flip_gives_zero():
     ) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_adaptive_branch_sum_equals_trace_form(rng):
-    for _ in range(8):
-        n = int(rng.integers(2, 6))
-        from itertools import combinations
-
-        edges = [
-            c
-            for size in (2, 3)
-            for c in combinations(range(n), size)
-            if rng.random() < 0.5
-        ]
-        g = hypergraph(n, edges)
-        rho = random_mixed_state(n, rng)
-        for v in range(n):
-            form = adaptive_form(g, v)
-            via_trace = adaptive_test_exact_ppass(rho, form, stabilizer_dense(g, v))
-            via_branches = adaptive_branch_sum_ppass(rho, form)
-            assert via_branches == pytest.approx(via_trace, abs=1e-10)
+@given(
+    n=st.integers(2, 5),
+    edge_bits=st.integers(0, 2**20 - 1),
+    pure=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adaptive_branch_sum_equals_trace_form(n, edge_bits, pure, seed):
+    candidates = [e for size in (2, 3) for e in combinations(range(n), size)]
+    g = hypergraph(n, [e for i, e in enumerate(candidates) if edge_bits >> i & 1])
+    rng = np.random.default_rng(seed)
+    rho = random_pure_state(n, rng) if pure else random_mixed_state(n, rng)
+    for v in range(n):
+        # (1 + <g_v>)/2 from the dense stabilizer
+        via_trace = 0.5 * (1.0 + projector_overlap(rho, stabilizer_dense(g, v)))
+        via_branches = adaptive_branch_sum_ppass(rho, adaptive_form(g, v))
+        assert via_branches == pytest.approx(via_trace, abs=1e-10)
 
 
 def test_adaptive_monte_carlo_matches_exact(rng):

@@ -2,18 +2,21 @@ import ast
 import itertools
 import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from pauliverify import states
-from pauliverify.paulis import CapExceededError, PauliString
+from pauliverify.paulis import CapExceededError, PauliString, PauliSum
+from pauliverify.single_copy import parity_test_exact_ppass
 from pauliverify.states import (
     DenseState,
     apply_pauli,
     computational_state,
     expectation,
+    expectations,
     masked_pauli_expectation,
     maximally_mixed,
     measure_in_bases,
@@ -436,3 +439,36 @@ def test_cumsum_is_spelled_only_in_the_row_finisher():
     ]
     finisher = next(f for f in tree.body if getattr(f, "name", None) == "_finish_rows")
     assert lines and all(finisher.lineno <= line <= finisher.end_lineno for line in lines), lines
+
+
+# ---------------------------------------------------------------------------
+# Many expectations from one gather
+
+
+@given(
+    n=st.integers(1, 8),
+    kind=st.sampled_from(["pure", "mixed", "mixture"]),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.sampled_from([1, 7, states.GATHER_ENTRIES]),
+)
+def test_expectations_equal_the_scalar_expectations_bit_for_bit(n, kind, data, seed, budget):
+    rng = np.random.default_rng(seed)
+    if kind == "pure":
+        state = random_pure_state(n, rng)
+    elif kind == "mixed":
+        state = random_mixed_state(n, rng)
+    else:
+        state = mixture(random_pure_state(n, rng), random_mixed_state(n, rng), 0.3)
+    masks = st.integers(0, (1 << n) - 1)
+    coeffs = st.floats(-2, 2).filter(lambda c: abs(c) > 1e-3)
+    specs = data.draw(st.lists(st.tuples(masks, masks, coeffs), min_size=1, max_size=40))
+    terms = [PauliString(n, x, z, c) for x, z, c in specs]
+    want = [expectation(state, t) for t in terms]
+    # a small budget gathers the terms in several chunks
+    with patch.object(states, "GATHER_ENTRIES", budget):
+        got = expectations(state, terms)
+        ppass = parity_test_exact_ppass(state, PauliSum.of(terms))
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    l1 = PauliSum.of(terms).l1_norm
+    assert ppass == 0.5 + sum(want) / (2.0 * l1)
