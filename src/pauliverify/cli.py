@@ -352,11 +352,11 @@ def cmd_verify(args) -> int:
         "runs": runs,
     }
     if runs == 1:
-        manifest["report"] = reports[0].to_jsonable()
+        manifest["report"] = reports[0]
     else:
         manifest["accepted_runs"] = sum(r.accepted for r in reports)
         manifest["acceptance_rate"] = sum(r.accepted for r in reports) / runs
-        manifest["reports"] = [r.to_jsonable() for r in reports]
+        manifest["reports"] = reports  # rendered one at a time
     _emit(manifest, args.out)
     return 0
 
@@ -407,8 +407,8 @@ def cmd_robustness(args) -> int:
         "target": str(args.target),
         "kind": kind,
         "seed": seed,
-        "params": params.to_jsonable(),
-        "points": [p.to_jsonable() for p in points],
+        "params": params,
+        "points": points,
     }
     _emit(out, args.out)
     return 0

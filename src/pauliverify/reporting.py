@@ -7,8 +7,12 @@ whole float (``10.0``) but not as ``10.7`` or ``"10"``; null stands for a
 missing value only where the default is None.  A refusal reads "<key> must
 be <type>, got <json>"; ranges are checked by the constructors.
 
-Out: identical inputs must produce identical bytes: keys are sorted,
-separators fixed, floats rendered by repr, no NaN or Infinity, and nothing
+Out: identical inputs must produce identical bytes.  ``canonical_json`` is
+the one writer of every report, manifest and error message.  It walks the
+value once and appends string pieces: keys sorted, a two-space indent, ASCII
+escapes (``json.encoder.encode_basestring_ascii``), ints and floats by repr,
+NaN and Infinity refused with ValueError.  Package values are expanded as
+they are met, so a list of reports is rendered one report at a time.  Nothing
 time- or path-dependent is ever written.
 """
 from __future__ import annotations
@@ -79,30 +83,111 @@ def _typed(key: str, value, kind):
     return value
 
 
-def to_jsonable(obj):
-    """Recursively convert package values into plain JSON types."""
-    if hasattr(obj, "to_jsonable"):
-        return to_jsonable(obj.to_jsonable())
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [to_jsonable(x) for x in items]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+_escape = json.encoder.encode_basestring_ascii
+_int_text = int.__repr__
+_float_repr = float.__repr__
+_INF = float("inf")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """``obj`` as canonical JSON text, written in one pass.
+
+    The bytes are those of ``json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False) + "\n"`` once package values are plain: an object with
+    ``to_jsonable()`` is expanded one level at a time, a Fraction is written
+    as ``"num/den"``, numpy scalars and arrays as numbers and lists, a set as
+    its sorted list, and every key as ``str(key)``.  Each list item is joined
+    into one string as soon as it is written, so a list of reports holds the
+    pieces of only one report at a time.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_text(x: float) -> str:
+    if -_INF < x < _INF:
+        return _float_repr(x)
+    raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+
+
+def _write(obj, nl: str, out: list[str]) -> None:
+    """Append the text of ``obj``; ``nl`` is a newline and the current indent."""
+    kind = type(obj)
+    if kind is str:
+        out.append(_escape(obj))
+    elif kind is dict:
+        _write_dict(obj, nl, out)
+    elif kind is list or kind is tuple:
+        _write_list(obj, nl, out)
+    elif kind is int:
+        out.append(_int_text(obj))
+    elif kind is float:
+        out.append(_float_text(obj))
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    else:
+        _write_other(obj, nl, out)
+
+
+def _write_dict(dct: dict, nl: str, out: list[str]) -> None:
+    if not dct:
+        out.append("{}")
+        return
+    if not all(type(key) is str for key in dct):
+        dct = {str(key): value for key, value in dct.items()}
+    inner = nl + "  "
+    sep = "{" + inner
+    for key, value in sorted(dct.items()):
+        out.append(f"{sep}{_escape(key)}: ")
+        _write(value, inner, out)
+        sep = "," + inner
+    out.append(nl + "}")
+
+
+def _write_list(items, nl: str, out: list[str]) -> None:
+    if not items:
+        out.append("[]")
+        return
+    inner = nl + "  "
+    sep = "[" + inner
+    for item in items:
+        piece = [sep]
+        _write(item, inner, piece)
+        out.append("".join(piece))
+        sep = "," + inner
+    out.append(nl + "]")
+
+
+def _write_other(obj, nl: str, out: list[str]) -> None:
+    """Package values and subclasses of the JSON types."""
+    if hasattr(obj, "to_jsonable"):
+        _write(obj.to_jsonable(), nl, out)
+    elif isinstance(obj, Fraction):
+        out.append(f'"{obj.numerator}/{obj.denominator}"')
+    elif isinstance(obj, np.integer):
+        out.append(_int_text(int(obj)))
+    elif isinstance(obj, np.floating):
+        out.append(_float_text(float(obj)))
+    elif isinstance(obj, np.ndarray):
+        _write_list(list(obj.tolist()), nl, out)  # a 0-d array is no list
+    elif isinstance(obj, (set, frozenset)):
+        _write_list(sorted(obj), nl, out)
+    elif isinstance(obj, dict):
+        _write_dict(obj, nl, out)
+    elif isinstance(obj, (list, tuple)):
+        _write_list(obj, nl, out)
+    elif isinstance(obj, str):
+        out.append(_escape(obj))
+    elif isinstance(obj, int):  # IntEnum and the like, written as json writes them
+        out.append(_int_text(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def trial_csv_lines(trials: Iterable) -> list[str]:

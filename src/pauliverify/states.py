@@ -183,8 +183,19 @@ def mixture(state: DenseState, other: DenseState, weight: float) -> DenseState:
         raise ValueError("the mixture weight must lie in [0, 1]")
     if other.n != state.n:
         raise ValueError(f"cannot mix states on {state.n} and {other.n} qubits")
-    rho = (1.0 - weight) * to_density(state).data + weight * to_density(other).data
+    rho = _scaled_density(state, 1.0 - weight)
+    rho += _scaled_density(other, weight)
     return _density(rho, state.n, parts=((1.0 - weight, state), (weight, other)))
+
+
+def _scaled_density(state: DenseState, scale: float) -> np.ndarray:
+    """``scale * to_density(state).data``, bit for bit, built in one fresh array."""
+    if not state.is_pure:
+        return np.multiply(scale, state.data)
+    capped_dim(state.n, DENSE_QUBIT_CAP, "density matrix")
+    rho = np.outer(state.data, state.data.conj())
+    rho *= scale
+    return rho
 
 
 def _check_width(state: DenseState, n: int):

@@ -561,3 +561,25 @@ def test_verify_memory_does_not_grow_with_the_run_count(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[400] < 8 * peaks[5], peaks
+
+
+def test_verify_emit_peak_stays_within_four_reports(tmp_path):
+    # the canonical writer renders the reports one at a time, so a call holds
+    # the finished text and the pieces of one report, not a dict per report
+    (tmp_path / "triple.json").write_text((DATA / "triple.json").read_text())
+    config = tmp_path / "verify.json"
+    config.write_text(json.dumps({
+        "target": "triple.json",
+        "params": {"mode": "desk", "k": 1000, "m": 0, "epsilon": 0.1},
+        "prover": {"kind": "honest"},
+        "seed": 5,
+    }))
+    out = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--config", str(config), "--runs", "400", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert peak < 4 * size, (peak, size)

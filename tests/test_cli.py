@@ -18,6 +18,7 @@ from pauliverify.cli import build_parser, check_run_sizes, load_target, main
 from pauliverify.protocol import ENTANGLED_TOTAL_QUBIT_CAP, RUN_COUNT_CAP, prepare
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 
 SUBCOMMANDS = [
@@ -101,24 +102,23 @@ def test_gen_hypergraph_writes_loadable_file(tmp_path, capsys):
     assert g.n == 5 and manifest["n_edges"] == len(g.edges)
 
 
-def test_inspect_golden(capsys):
-    code, out, _ = run_cli(["inspect", str(DATA / "triple.json")], capsys)
-    assert code == 0
-    got = json.loads(out)
-    want = json.loads((GOLDEN / "inspect_triple.json").read_text())
-    want["target"] = got["target"]  # path differs by invocation dir only
-    assert got == want
+# These goldens store the target path as given, "tests/data/triple.json", so
+# their calls run from the root of the checkout and compare bytes.
+TRIPLE = "tests/data/triple.json"
 
 
-def test_ppass_golden(capsys):
-    code, out, _ = run_cli(
-        ["ppass", "--target", str(DATA / "triple.json"), "--state", "ideal"], capsys
-    )
+def test_inspect_golden(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run_cli(["inspect", TRIPLE], capsys)
     assert code == 0
-    got = json.loads(out)
-    want = json.loads((GOLDEN / "ppass_triple_ideal.json").read_text())
-    want["target"] = got["target"]
-    assert got == want
+    assert out == (GOLDEN / "inspect_triple.json").read_text()
+
+
+def test_ppass_golden(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run_cli(["ppass", "--target", TRIPLE, "--state", "ideal"], capsys)
+    assert code == 0
+    assert out == (GOLDEN / "ppass_triple_ideal.json").read_text()
 
 
 def test_verify_golden_and_determinism(tmp_path, capsys):
@@ -221,19 +221,30 @@ def test_iqp_margin_golden_and_report_input(tmp_path, capsys):
     assert code == 1
 
 
-def test_robustness_golden(capsys):
+def test_robustness_golden(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
     code, out, _ = run_cli(
         [
-            "robustness", "--target", str(DATA / "triple.json"),
+            "robustness", "--target", TRIPLE,
             "--eps-prime", "0,0.05", "-k", "30", "--runs", "10", "--seed", "7",
         ],
         capsys,
     )
     assert code == 0
-    got = json.loads(out)
-    want = json.loads((GOLDEN / "robustness_triple.json").read_text())
-    want["target"] = got["target"]
-    assert got == want
+    assert out == (GOLDEN / "robustness_triple.json").read_text()
+
+
+def test_robustness_circuit_golden(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run_cli(
+        [
+            "robustness", "--target", "tests/data/clifford_t.json",
+            "--eps-prime", "0,0.05", "-k", "20", "--runs", "4", "--seed", "3",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert out == (GOLDEN / "robustness_clifford_t.json").read_text()
 
 
 def test_robustness_other_kinds_are_labeled_extrapolated(capsys):

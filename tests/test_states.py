@@ -334,6 +334,21 @@ def test_mixed_state_rejects_a_negative_eigenvalue():
         mixed_state(rho)
 
 
+@pytest.mark.parametrize("first", ["pure", "dense", "maximally_mixed"])
+@pytest.mark.parametrize("second", ["pure", "dense", "maximally_mixed"])
+@pytest.mark.parametrize("weight", [0.0, 0.05, 1 / 3, 1.0])
+def test_mixture_has_the_bits_of_the_two_scaled_parts(first, second, weight):
+    rng = np.random.default_rng(7)
+    make = {
+        "pure": lambda: random_pure_state(4, rng),
+        "dense": lambda: random_mixed_state(4, rng),
+        "maximally_mixed": lambda: maximally_mixed(4),
+    }
+    a, b = make[first](), make[second]()
+    old = (1.0 - weight) * to_density(a).data + weight * to_density(b).data
+    assert np.array_equal(mixture(a, b, weight).data.view(np.int64), old.view(np.int64))
+
+
 def test_mixture_checks_its_arguments(rng):
     psi = random_pure_state(2, rng)
     with pytest.raises(ValueError):
