@@ -84,9 +84,6 @@ from .protocol import (
     honest_prover,
     iid_deviated_prover,
     prepare,
-    run_circuit_protocol,
-    run_ground_protocol,
-    run_hypergraph_protocol,
     run_seeds,
     schedule_params,
 )

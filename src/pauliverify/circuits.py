@@ -236,19 +236,15 @@ class CircuitConditionReport:
         }
 
 
-def check_one_sum_per_qubit(decomps: Sequence[PauliSum], n: int) -> None:
-    """Require exactly ``n`` stabilizer sums of width ``n``, sum i for qubit i."""
-    if len(decomps) != n or any(d.n != n for d in decomps):
-        raise ValueError(f"need one stabilizer decomposition of width {n} per qubit")
-
-
 def check_circuit_conditions(
     decomps: Sequence[PauliSum], budget: float | None = None
 ) -> CircuitConditionReport:
     if not decomps:
         raise ValueError("no stabilizer decompositions supplied")
     n = decomps[0].n
-    check_one_sum_per_qubit(decomps, n)
+    # sum i is the stabilizer of qubit i, so there are n of them, all of width n
+    if len(decomps) != n or any(d.n != n for d in decomps):
+        raise ValueError(f"need one stabilizer decomposition of width {n} per qubit")
     per = tuple(d.l1_norm for d in decomps)
     budget = budget_value(n, budget)
     l1_max = max(per)

@@ -27,7 +27,6 @@ from .hamiltonians import HamiltonianSpec, check_conditions, load_hamiltonian, r
 from .hypergraphs import (
     HypergraphSpec,
     adaptive_form,
-    all_adaptive_forms,
     connectivity,
     hypergraph_to_jsonable,
     load_hypergraph,
@@ -299,7 +298,7 @@ def cmd_ppass(args) -> int:
                 adaptive_test_exact_ppass(state, f, stabilizer_dense(target, f.vertex)),
                 "exact",
             )
-            for f in all_adaptive_forms(target)
+            for f in prepared.test.forms
         ]
     else:
         ppass = [analysis.quantity(p, "exact") for p in prepared.group_ppass(state)]

@@ -27,14 +27,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .circuits import (
-    all_stabilizer_decompositions,
-    build_circuit_state,
-    check_one_sum_per_qubit,
-)
+from .circuits import all_stabilizer_decompositions, build_circuit_state
 from .hamiltonians import exact_diagonalize, rescale
-from .hypergraphs import AdaptiveStabilizerForm, all_adaptive_forms, build_state
-from .paulis import DENSE_QUBIT_CAP, PauliString, PauliSum, capped_dim
+from .hypergraphs import all_adaptive_forms, build_state
+from .paulis import DENSE_QUBIT_CAP, PauliString, capped_dim
 from .single_copy import (
     AdaptiveTest,
     ParityTest,
@@ -596,19 +592,6 @@ class _Verdicts:
         return reports
 
 
-def _run_protocol(
-    protocol: str,
-    params: ProtocolParams,
-    prover: ProverModel,
-    seed: int,
-    test: ParityTest | AdaptiveTest,
-    fidelity: Callable[[DenseState], float] | None,
-    record_trials: bool,
-) -> VerdictReport:
-    """One protocol run: the one-seed case of ``_run_protocols``."""
-    return _run_protocols(protocol, params, prover, (seed,), test, fidelity, record_trials)[0]
-
-
 def _run_protocols(
     protocol: str,
     params: ProtocolParams,
@@ -691,76 +674,6 @@ def _run_protocols(
     return tuple(reports)
 
 
-def run_ground_protocol(
-    rh: PauliSum | ParityTest,
-    projector: np.ndarray | None,
-    prover: ProverModel,
-    params: ProtocolParams,
-    seed: int,
-    record_trials: bool = False,
-) -> VerdictReport:
-    """Energy-test every surviving register as one group; accept on a LOW pass rate.
-
-    The pass rate estimates 1/2 + <H'>/(2*l1): low energy keeps it near 1/2,
-    so the acceptance inequality is pass_rate <= 1/2 + eps/(2*l1).  ``rh`` is
-    the rescaled Hamiltonian or its one-group kernel.
-    """
-    if params.protocol != "ground":
-        raise ValueError("params are not for the ground protocol")
-    test = rh if isinstance(rh, ParityTest) else ParityTest(rh)
-    if test.n != params.n:
-        raise ValueError("Hamiltonian width does not match the parameters")
-    fidelity = None if projector is None else partial(projector_overlap, projector=projector)
-    return _run_protocol("ground", params, prover, seed, test, fidelity, record_trials)
-
-
-def run_circuit_protocol(
-    decomps: Sequence[PauliSum] | ParityTest,
-    ideal: DenseState | None,
-    prover: ProverModel,
-    params: ProtocolParams,
-    seed: int,
-    record_trials: bool = False,
-) -> VerdictReport:
-    """Per-qubit stabilizer tests on N groups of k registers each.
-
-    ``decomps[i]`` is the Pauli sum of qubit i's stabilizer U X_i U^dag;
-    ``decomps`` may also be their kernel, ``ParityTest(*decomps)``.
-    """
-    if params.protocol != "circuit":
-        raise ValueError("params are not for the circuit protocol")
-    sums = decomps.sums if isinstance(decomps, ParityTest) else decomps
-    check_one_sum_per_qubit(sums, params.n)
-    test = decomps if isinstance(decomps, ParityTest) else ParityTest(*sums)
-    fidelity = None if ideal is None else partial(overlap, reference=ideal)
-    return _run_protocol("circuit", params, prover, seed, test, fidelity, record_trials)
-
-
-def run_hypergraph_protocol(
-    forms: Sequence[AdaptiveStabilizerForm] | AdaptiveTest,
-    ideal: DenseState | None,
-    prover: ProverModel,
-    params: ProtocolParams,
-    seed: int,
-    record_trials: bool = False,
-) -> VerdictReport:
-    """Adaptive stabilizer tests on N groups of k registers each.
-
-    ``forms`` holds one form per vertex, in any order, or is their kernel,
-    ``AdaptiveTest`` of the forms in vertex order.
-    """
-    if params.protocol != "hypergraph":
-        raise ValueError("params are not for the hypergraph protocol")
-    if isinstance(forms, AdaptiveTest):
-        test = forms
-    else:
-        test = AdaptiveTest(*sorted(forms, key=lambda f: f.vertex))
-    if [f.vertex for f in test.forms] != list(range(params.n)) or test.forms[0].n != params.n:
-        raise ValueError("need one adaptive form per vertex")
-    fidelity = None if ideal is None else partial(overlap, reference=ideal)
-    return _run_protocol("hypergraph", params, prover, seed, test, fidelity, record_trials)
-
-
 def run_seeds(master_seed: int, n_runs: int) -> list[int]:
     """Per-run seeds derived reproducibly from one master seed."""
     rng = np.random.default_rng(master_seed)
@@ -811,7 +724,7 @@ class PreparedTarget:
         seeds: Sequence[int],
         record_trials: bool = False,
     ) -> tuple[VerdictReport, ...]:
-        """One protocol run per seed, each as ``run_*_protocol`` makes it alone."""
+        """One protocol run per seed, each as that run would be made alone."""
         if params.protocol != self.protocol or params.n != self.ideal.n:
             raise ValueError(f"params are not for this {self.protocol} target")
         return _run_protocols(

@@ -44,6 +44,8 @@ rows laid end to end by ``_born_rows``, with the same bits:
 The stack lays the CDFs out as ``stack_segments`` does, so one vectorized
 search serves a whole run.
 The target fidelity ``overlap(state, reference)`` is memoized the same way.
+Every entry goes through ``_remember``: a state's memo that would grow past
+MEMO_LIMIT entries starts over, so long-lived states stay bounded.
 """
 from __future__ import annotations
 
@@ -71,6 +73,9 @@ _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 _SDG = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
 # Rotation that maps the measured eigenbasis onto the computational basis.
 BASIS_ROTATIONS = {"X": _H, "Y": _H @ _SDG, "Z": None, "I": None}
+
+# The most entries one state's memo holds (tables, stacks and overlaps alike).
+MEMO_LIMIT = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,6 +297,14 @@ def masked_pauli_expectation(
     return float(val.real)
 
 
+def _remember(state: DenseState, key, value):
+    """Memoize ``value`` on ``state`` under ``key``; a full memo starts over first."""
+    if len(state._cache) >= MEMO_LIMIT:
+        state._cache.clear()
+    state._cache[key] = value
+    return value
+
+
 def overlap(state: DenseState, reference: DenseState) -> float:
     """<ref|rho|ref> for a pure reference state, memoized on ``state``."""
     if not reference.is_pure:
@@ -304,7 +317,7 @@ def overlap(state: DenseState, reference: DenseState) -> float:
             value = float(abs(np.vdot(reference.data, state.data)) ** 2)
         else:
             value = float(np.real(reference.data.conj() @ state.data @ reference.data))
-        state._cache[key] = value
+        _remember(state, key, value)
     return value
 
 
@@ -476,11 +489,7 @@ def _measurement_table(state: DenseState, bases: str) -> _MeasurementTable:
     else:
         probs = np.full(1 << len(measured), 2.0 ** -len(measured))
     probs, cum, last = _finish_rows(probs.reshape(1, -1))
-    table = _MeasurementTable(measured, probs[0], cum[0], int(last[0]))
-    if len(state._cache) > 8192:
-        state._cache.clear()
-    state._cache[bases] = table
-    return table
+    return _remember(state, bases, _MeasurementTable(measured, probs[0], cum[0], int(last[0])))
 
 
 def outcome_distribution(state: DenseState, bases: str) -> np.ndarray:
@@ -640,9 +649,7 @@ def _table_stack(state: DenseState, bases: tuple[str, ...], measured=None) -> _T
         at = np.flatnonzero(counts == m)
         block = starts[at, None] + np.arange(1 << m)
         probs[block], cum[at, : 1 << m], last[at] = _finish_rows(rows[block])
-    stack = _TableStack(probs, cum.reshape(-1), width, last)
-    state._cache[bases] = stack
-    return stack
+    return _remember(state, bases, _TableStack(probs, cum.reshape(-1), width, last))
 
 
 def sample_stacked_outcomes(

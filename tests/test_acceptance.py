@@ -28,7 +28,7 @@ from pauliverify.analysis import (
     x_basis_distribution,
 )
 from pauliverify.circuits import all_stabilizer_decompositions, build_circuit_state, circuit
-from pauliverify.hamiltonians import HamiltonianSpec, exact_diagonalize, rescale
+from pauliverify.hamiltonians import HamiltonianSpec, rescale
 from pauliverify.hypergraphs import (
     adaptive_form,
     all_adaptive_forms,
@@ -42,9 +42,7 @@ from pauliverify.protocol import (
     desk_params,
     honest_prover,
     iid_deviated_prover,
-    run_circuit_protocol,
-    run_ground_protocol,
-    run_hypergraph_protocol,
+    prepare,
     run_seeds,
     schedule_params,
 )
@@ -189,12 +187,10 @@ def test_criterion_4_completeness_at_desk_scale():
     """Honest provers: hypergraph accepts always; ground/circuit match binomials."""
     with criterion(4, "completeness at desk scale"):
         # hypergraph: 100 runs at n=4, k=500; every trial must pass
-        g = hypergraph(4, [(0, 1, 2), (1, 2, 3), (0, 3), (0, 1, 3)])
-        forms = all_adaptive_forms(g)
+        target = prepare("hypergraph", hypergraph(4, [(0, 1, 2), (1, 2, 3), (0, 3), (0, 1, 3)]))
         params = desk_params("hypergraph", 4, k=500, m=3, epsilon=0.1)
-        prover = honest_prover(build_state(g))
-        for seed in run_seeds(MASTER_SEED + 3, 100):
-            rep = run_hypergraph_protocol(forms, build_state(g), prover, params, seed)
+        prover = honest_prover(target.ideal)
+        for rep in target.runs(prover, params, run_seeds(MASTER_SEED + 3, 100)):
             assert rep.accepted
             assert all(grp.passes == 500 for grp in rep.groups)
 
@@ -204,14 +200,16 @@ def test_criterion_4_completeness_at_desk_scale():
             1, (PauliString.from_axes("Z", -1.0),), ground_energy=-1.0, gap_lower_bound=2.0
         )
         rh = rescale(ham)
-        proj = exact_diagonalize(ham).projector
         params_g = desk_params("ground", 1, k=200, m=5, epsilon=0.2)
         thr = Fraction(1, 2) + params_g.epsilon / (2 * Fraction(rh.l1_norm))
         predicted = binomial_tail_le(200, 0.5, thr)
         runs = 100
+        honest_g = honest_prover(computational_state(1, 0))
         accepted = sum(
-            run_ground_protocol(rh, proj, honest_prover(computational_state(1, 0)), params_g, s).accepted
-            for s in run_seeds(MASTER_SEED + 4, runs)
+            rep.accepted
+            for rep in prepare("hamiltonian", ham).runs(
+                honest_g, params_g, run_seeds(MASTER_SEED + 4, runs)
+            )
         )
         sigma = np.sqrt(predicted * (1 - predicted) / runs)
         assert accepted / runs >= predicted - 3 * sigma
@@ -233,8 +231,10 @@ def test_criterion_4_completeness_at_desk_scale():
             t_i = float(params_c.epsilon) / (2 * d.l1_norm)
             assert tail <= hoeffding_tail(200, t_i) + 1e-12
         accepted_c = sum(
-            run_circuit_protocol(decomps, ideal, honest_prover(ideal), params_c, s).accepted
-            for s in run_seeds(MASTER_SEED + 5, runs)
+            rep.accepted
+            for rep in prepare("circuit", ccz).runs(
+                honest_prover(ideal), params_c, run_seeds(MASTER_SEED + 5, runs)
+            )
         )
         sigma_c = np.sqrt(predicted_c * (1 - predicted_c) / runs)
         assert accepted_c / runs >= predicted_c - 3 * sigma_c
@@ -253,8 +253,7 @@ def test_criterion_5_soundness_behavior():
             bad_state, forms[0], stabilizer_dense(g, 0)
         ) == pytest.approx(0.0, abs=1e-12)
         params = desk_params("hypergraph", 4, k=100, m=2, epsilon=0.2)
-        for seed in run_seeds(MASTER_SEED + 6, 100):
-            rep = run_hypergraph_protocol(forms, ideal, flipped, params, seed)
+        for rep in prepare("hypergraph", g).runs(flipped, params, run_seeds(MASTER_SEED + 6, 100)):
             assert not rep.accepted
             assert rep.groups[0].passes == 0
 
@@ -263,7 +262,6 @@ def test_criterion_5_soundness_behavior():
             1, (PauliString.from_axes("Z", -1.0),), ground_energy=-1.0, gap_lower_bound=2.0
         )
         rh = rescale(ham)
-        proj = exact_diagonalize(ham).projector
         excited = computational_state(1, 1)
         assert energy_test_exact_ppass(excited, rh) == pytest.approx(1.0)
         params_g = desk_params("ground", 1, k=200, m=0, epsilon=0.2)
@@ -271,10 +269,10 @@ def test_criterion_5_soundness_behavior():
         predicted_reject = 1.0 - binomial_tail_le(200, 1.0, thr)
         assert predicted_reject >= 0.99
         rejected = sum(
-            not run_ground_protocol(
-                rh, proj, honest_prover(excited), params_g, s
-            ).accepted
-            for s in run_seeds(MASTER_SEED + 7, 100)
+            not rep.accepted
+            for rep in prepare("hamiltonian", ham).runs(
+                honest_prover(excited), params_g, run_seeds(MASTER_SEED + 7, 100)
+            )
         )
         assert rejected == 100
 
@@ -283,8 +281,8 @@ def test_criterion_6_robustness_bound():
     """Deviated prover at eps' = 2*eps, k = 1000, n = 4 meets the stated bound."""
     with criterion(6, "robustness bound"):
         g = hypergraph(4, [(0, 1, 2), (1, 2, 3), (0, 3), (0, 1, 3)])
-        forms = all_adaptive_forms(g)
-        ideal = build_state(g)
+        target = prepare("hypergraph", g)
+        forms, ideal = target.test.forms, target.ideal
         k = 1000
         eps = Fraction(1, 4 * 4) / Fraction(
             int(round(k ** (2 / 7) * 10**9)), 10**9
@@ -295,8 +293,8 @@ def test_criterion_6_robustness_bound():
 
         # eps' = 0 endpoint: acceptance is exactly 1
         honest = iid_deviated_prover(ideal, 0.0, eta)
-        for seed in run_seeds(MASTER_SEED + 8, 20):
-            assert run_hypergraph_protocol(forms, ideal, honest, params, seed).accepted
+        for rep in target.runs(honest, params, run_seeds(MASTER_SEED + 8, 20)):
+            assert rep.accepted
 
         prover = iid_deviated_prover(ideal, eps_prime, eta)
         rho = prover.make_source(1, np.random.default_rng(0))
@@ -306,8 +304,7 @@ def test_criterion_6_robustness_bound():
 
         runs = 60
         accepted = sum(
-            run_hypergraph_protocol(forms, ideal, prover, params, s).accepted
-            for s in run_seeds(MASTER_SEED + 9, runs)
+            rep.accepted for rep in target.runs(prover, params, run_seeds(MASTER_SEED + 9, runs))
         )
         measured = accepted / runs
         bound = acceptance_bound(4, k, float(eps), eps_prime)

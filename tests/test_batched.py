@@ -16,11 +16,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pauliverify import protocol, single_copy, states
-from pauliverify.circuits import all_stabilizer_decompositions, build_circuit_state, circuit
+from pauliverify.circuits import circuit
 from pauliverify.cli import main
 from pauliverify.reporting import trial_csv_lines
-from pauliverify.hamiltonians import HamiltonianSpec, exact_diagonalize, ground_state, rescale
-from pauliverify.hypergraphs import adaptive_form, all_adaptive_forms, build_state, hypergraph
+from pauliverify.hamiltonians import HamiltonianSpec
+from pauliverify.hypergraphs import adaptive_form, hypergraph
 from pauliverify.paulis import PauliString, PauliSum, merge_pauli_terms
 from pauliverify.protocol import (
     ProverModel,
@@ -29,12 +29,8 @@ from pauliverify.protocol import (
     desk_params,
     honest_prover,
     iid_deviated_prover,
-    _run_protocol,
     _run_rngs,
     prepare,
-    run_circuit_protocol,
-    run_ground_protocol,
-    run_hypergraph_protocol,
     run_seeds,
 )
 from pauliverify.single_copy import AdaptiveTest, ParityTest, adaptive_predicate
@@ -109,46 +105,27 @@ def ground_case():
             PauliString.from_axes("IIX", 0.4),
         ),
     )
-    rh, projector = rescale(h), exact_diagonalize(h).projector
-    params = desk_params("ground", 3, k=60, m=3, epsilon=0.2)
-
-    def run(prover, seed):
-        return run_ground_protocol(rh, projector, prover, params, seed, record_trials=True)
-
-    return ground_state(h), run
+    return prepare("hamiltonian", h), desk_params("ground", 3, k=60, m=3, epsilon=0.2)
 
 
 def circuit_case():
     c = circuit(3, [("CCZ", (0, 1, 2)), ("T", (0,)), ("H", (1,)), ("CNOT", (1, 2))])
-    decomps = all_stabilizer_decompositions(c)
-    ideal = build_circuit_state(c)
-    params = desk_params("circuit", 3, k=40, m=2, epsilon=0.2)
-
-    def run(prover, seed):
-        return run_circuit_protocol(decomps, ideal, prover, params, seed, record_trials=True)
-
-    return ideal, run
+    return prepare("circuit", c), desk_params("circuit", 3, k=40, m=2, epsilon=0.2)
 
 
 def hypergraph_case():
     g = hypergraph(4, [(0, 1, 2), (1, 2, 3), (0, 3)])
-    forms = all_adaptive_forms(g)
-    params = desk_params("hypergraph", 4, k=40, m=2, epsilon=0.2)
-    ideal = build_state(g)
-
-    def run(prover, seed):
-        return run_hypergraph_protocol(forms, ideal, prover, params, seed, record_trials=True)
-
-    return ideal, run
+    return prepare("hypergraph", g), desk_params("hypergraph", 4, k=40, m=2, epsilon=0.2)
 
 
 @pytest.mark.parametrize("case", [ground_case, circuit_case, hypergraph_case])
 def test_every_product_prover_gives_identical_runs_on_both_paths(case):
-    ideal, run = case()
-    for prover in product_provers(ideal):
-        for seed in run_seeds(2024, 4):
-            batched = run(prover, seed)
-            scalar = run(scalar_twin(prover), seed)
+    target, params = case()
+    seeds = run_seeds(2024, 4)
+    for prover in product_provers(target.ideal):
+        batched_runs = target.runs(prover, params, seeds, True)
+        scalar_runs = target.runs(scalar_twin(prover), params, seeds, True)
+        for batched, scalar in zip(batched_runs, scalar_runs, strict=True):
             assert [g.passes for g in batched.groups] == [g.passes for g in scalar.groups]
             assert batched.accepted == scalar.accepted
             assert [g.passed for g in batched.groups] == [g.passed for g in scalar.groups]
@@ -157,12 +134,9 @@ def test_every_product_prover_gives_identical_runs_on_both_paths(case):
 
 
 def test_records_are_only_built_when_asked():
-    g = hypergraph(3, [(0, 1, 2)])
+    target = prepare("hypergraph", hypergraph(3, [(0, 1, 2)]))
     params = desk_params("hypergraph", 3, k=10, m=0, epsilon=0.2)
-    ideal = build_state(g)
-    rep = run_hypergraph_protocol(
-        all_adaptive_forms(g), ideal, honest_prover(ideal), params, seed=3
-    )
+    (rep,) = target.runs(honest_prover(target.ideal), params, [3])
     assert rep.trials is None
 
 
@@ -424,14 +398,14 @@ def test_deviated_circuit_runs_are_identical_on_both_paths():
         [("H", (0,)), ("T", (0,)), ("CNOT", (0, 1)), ("CCZ", (1, 2, 3)), ("T", (2,)),
          ("H", (3,)), ("CZ", (0, 3)), ("T", (1,))],
     )
-    decomps = all_stabilizer_decompositions(c)
-    ideal = build_circuit_state(c)
+    target = prepare("circuit", c)
     params = desk_params("circuit", 4, k=30, m=3, epsilon=0.2)
+    seeds = run_seeds(99, 3)
     for eps_prime in (0.05, 0.3, 1.0):
-        prover = iid_deviated_prover(ideal, eps_prime, maximally_mixed(4))
-        for seed in run_seeds(99, 3):
-            batched = run_circuit_protocol(decomps, ideal, prover, params, seed, True)
-            scalar = run_circuit_protocol(decomps, ideal, scalar_twin(prover), params, seed, True)
+        prover = iid_deviated_prover(target.ideal, eps_prime, maximally_mixed(4))
+        batched_runs = target.runs(prover, params, seeds, True)
+        scalar_runs = target.runs(scalar_twin(prover), params, seeds, True)
+        for batched, scalar in zip(batched_runs, scalar_runs, strict=True):
             assert len(batched.groups) == 4
             assert_same_trials(batched, scalar)
             assert batched.to_jsonable() == scalar.to_jsonable()
@@ -511,9 +485,7 @@ def test_runs_of_one_call_equal_the_runs_made_one_by_one(target, k, m, master, n
         with patch.object(protocol, "BLOCK_TRIALS", block or protocol.BLOCK_TRIALS):
             batched = prepared.runs(prover, params, seeds, True)
         for seed, report in zip(seeds, batched, strict=True):
-            alone = _run_protocol(
-                prepared.protocol, params, prover, seed, prepared.test, prepared.fidelity, True
-            )
+            alone = prepared.runs(prover, params, [seed], True)[0]
             assert report.to_jsonable() == alone.to_jsonable()
             assert_same_trials(report, alone)
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from scipy import stats
 
-from pauliverify.circuits import all_stabilizer_decompositions, build_circuit_state, circuit
-from pauliverify.hamiltonians import HamiltonianSpec, exact_diagonalize, rescale
-from pauliverify.hypergraphs import adaptive_form, all_adaptive_forms, build_state, hypergraph
+from pauliverify.circuits import all_stabilizer_decompositions, check_circuit_conditions, circuit
+from pauliverify.hamiltonians import HamiltonianSpec
+from pauliverify.hypergraphs import adaptive_form, build_state, hypergraph
 from pauliverify.paulis import CapExceededError, PauliString
 from pauliverify.protocol import (
     COMPARISON,
@@ -26,11 +26,9 @@ from pauliverify.protocol import (
     honest_prover,
     hypergraph_group_threshold,
     iid_deviated_prover,
-    run_circuit_protocol,
-    run_ground_protocol,
-    run_hypergraph_protocol,
-    _run_protocol,
+    PreparedTarget,
     group_thresholds,
+    prepare,
     run_seeds,
     schedule_params,
 )
@@ -39,11 +37,11 @@ from pauliverify.single_copy import adaptive_test_exact_ppass
 from pauliverify.states import apply_pauli, computational_state, maximally_mixed
 
 
-def minus_z_setup():
+def minus_z_target():
     h = HamiltonianSpec(
         1, (PauliString.from_axes("Z", -1.0),), ground_energy=-1.0, gap_lower_bound=2.0
     )
-    return rescale(h), exact_diagonalize(h).projector
+    return prepare("hamiltonian", h)
 
 
 def test_schedule_worked_values():
@@ -115,12 +113,11 @@ def test_layout_uniform_target_chi_squared():
 
 
 def test_ground_honest_accepts_with_high_rate():
-    rh, proj = minus_z_setup()
+    target = minus_z_target()
     params = desk_params("ground", 1, k=200, m=5, epsilon=0.2)
     prover = honest_prover(computational_state(1, 0))
     accepted = 0
-    for seed in run_seeds(7, 40):
-        rep = run_ground_protocol(rh, proj, prover, params, seed)
+    for rep in target.runs(prover, params, run_seeds(7, 40)):
         accepted += rep.accepted
         assert rep.target_fidelity == pytest.approx(1.0)
     # Hoeffding floor: 1 - exp(-2 (eps/(2 l1))^2 k) ~ 0.865
@@ -128,11 +125,10 @@ def test_ground_honest_accepts_with_high_rate():
 
 
 def test_ground_excited_prover_rejected_deterministically():
-    rh, proj = minus_z_setup()
+    target = minus_z_target()
     params = desk_params("ground", 1, k=50, m=0, epsilon=0.2)
     prover = honest_prover(computational_state(1, 1))  # orthogonal excited state
-    for seed in run_seeds(11, 20):
-        rep = run_ground_protocol(rh, proj, prover, params, seed)
+    for rep in target.runs(prover, params, run_seeds(11, 20)):
         # every energy-test trial passes, so the low-pass-rate rule rejects
         assert rep.groups[0].passes == 50
         assert not rep.accepted
@@ -140,12 +136,11 @@ def test_ground_excited_prover_rejected_deterministically():
 
 
 def test_ground_single_register_boundary_convention():
-    rh, proj = minus_z_setup()
+    target = minus_z_target()
     params = desk_params("ground", 1, k=1, m=0, epsilon=0.2)
     prover = honest_prover(computational_state(1, 0))
     seen = set()
-    for seed in run_seeds(3, 30):
-        rep = run_ground_protocol(rh, proj, prover, params, seed)
+    for rep in target.runs(prover, params, run_seeds(3, 30)):
         # with one register the verdict is exactly "did the single test pass"
         assert rep.accepted == (rep.groups[0].passes == 0)
         seen.add(rep.accepted)
@@ -153,49 +148,37 @@ def test_ground_single_register_boundary_convention():
 
 
 def test_circuit_honest_clifford_always_accepts():
-    c = circuit(2, [("CZ", (0, 1))])
-    decomps = all_stabilizer_decompositions(c)
-    ideal = build_circuit_state(c)
+    target = prepare("circuit", circuit(2, [("CZ", (0, 1))]))
     params = desk_params("circuit", 2, k=30, m=2, epsilon=0.25)
-    prover = honest_prover(ideal)
-    for seed in run_seeds(5, 10):
-        rep = run_circuit_protocol(decomps, ideal, prover, params, seed)
+    prover = honest_prover(target.ideal)
+    for rep in target.runs(prover, params, run_seeds(5, 10)):
         assert rep.accepted
         assert all(g.passes == 30 for g in rep.groups)
         assert rep.target_fidelity == pytest.approx(1.0)
 
 
 def test_circuit_protocol_needs_one_sum_of_width_n_per_qubit():
-    c = circuit(2, [("CZ", (0, 1))])
-    decomps = all_stabilizer_decompositions(c)
-    ideal = build_circuit_state(c)
-    params = desk_params("circuit", 2, k=5)
+    decomps = all_stabilizer_decompositions(circuit(2, [("CZ", (0, 1))]))
     wider = all_stabilizer_decompositions(circuit(3, [("CZ", (0, 1))]))
     for bad in (decomps[:1], decomps + decomps[:1], [decomps[0], wider[1]]):
         with pytest.raises(ValueError, match="one stabilizer decomposition of width 2"):
-            run_circuit_protocol(bad, ideal, honest_prover(ideal), params, 1)
+            check_circuit_conditions(bad)
 
 
 def test_circuit_orthogonal_prover_rejected():
-    c = circuit(3, [("CCZ", (0, 1, 2))])
-    decomps = all_stabilizer_decompositions(c)
-    ideal = build_circuit_state(c)
-    bad = apply_pauli(ideal, PauliString.from_axes("ZII"))
+    target = prepare("circuit", circuit(3, [("CCZ", (0, 1, 2))]))
     params = desk_params("circuit", 3, k=100, m=0, epsilon=0.1)
-    prover = coherent_error_prover(ideal, PauliString.from_axes("ZII"))
-    for seed in run_seeds(17, 10):
-        rep = run_circuit_protocol(decomps, bad, prover, params, seed)
+    prover = coherent_error_prover(target.ideal, PauliString.from_axes("ZII"))
+    for rep in target.runs(prover, params, run_seeds(17, 10)):
         assert not rep.accepted
         assert not rep.groups[0].passed
 
 
 def test_hypergraph_honest_accepts_every_trial():
-    g = hypergraph(4, [(0, 1, 2), (1, 2, 3), (0, 3)])
-    forms = all_adaptive_forms(g)
+    target = prepare("hypergraph", hypergraph(4, [(0, 1, 2), (1, 2, 3), (0, 3)]))
     params = desk_params("hypergraph", 4, k=50, m=3, epsilon=0.1)
-    prover = honest_prover(build_state(g))
-    for seed in run_seeds(23, 10):
-        rep = run_hypergraph_protocol(forms, build_state(g), prover, params, seed)
+    prover = honest_prover(target.ideal)
+    for rep in target.runs(prover, params, run_seeds(23, 10)):
         assert rep.accepted
         assert all(grp.passes == 50 for grp in rep.groups)
         assert rep.target_fidelity == pytest.approx(1.0)
@@ -212,12 +195,10 @@ def test_hypergraph_honest_accepts_at_larger_widths(n):
         for c in combinations(range(n), size)
         if rng.random() < 0.3
     ]
-    g = hypergraph(n, edges)
-    forms = all_adaptive_forms(g)
+    target = prepare("hypergraph", hypergraph(n, edges))
     params = desk_params("hypergraph", n, k=20, m=1, epsilon=0.1)
-    prover = honest_prover(build_state(g))
-    for seed in run_seeds(n, 3):
-        rep = run_hypergraph_protocol(forms, build_state(g), prover, params, seed)
+    prover = honest_prover(target.ideal)
+    for rep in target.runs(prover, params, run_seeds(n, 3)):
         assert rep.accepted
         assert all(grp.passes == 20 for grp in rep.groups)
 
@@ -235,12 +216,10 @@ def test_pure_cap_boundary():
 
 
 def test_hypergraph_phase_flip_rejected_always():
-    g = hypergraph(3, [(0, 1, 2)])
-    forms = all_adaptive_forms(g)
+    target = prepare("hypergraph", hypergraph(3, [(0, 1, 2)]))
     params = desk_params("hypergraph", 3, k=40, m=0, epsilon=0.3)
-    prover = coherent_error_prover(build_state(g), PauliString.from_axes("ZII"))
-    for seed in run_seeds(31, 10):
-        rep = run_hypergraph_protocol(forms, build_state(g), prover, params, seed)
+    prover = coherent_error_prover(target.ideal, PauliString.from_axes("ZII"))
+    for rep in target.runs(prover, params, run_seeds(31, 10)):
         assert not rep.accepted
         assert rep.groups[0].passes == 0  # stabilized by the negated operator
         assert rep.target_fidelity == pytest.approx(0.0, abs=1e-12)
@@ -261,68 +240,52 @@ def test_iid_deviated_per_test_rate_formula():
 def test_iid_group_rates_match_binomial_prediction():
     # pooled per-group pass counts across runs stay within 3 sigma of the
     # exact per-test rate predicted in closed form
-    g = hypergraph(3, [(0, 1, 2), (0, 2)])
-    forms = all_adaptive_forms(g)
-    ideal = build_state(g)
-    prover = iid_deviated_prover(ideal, 0.15, maximally_mixed(3))
+    target = prepare("hypergraph", hypergraph(3, [(0, 1, 2), (0, 2)]))
+    prover = iid_deviated_prover(target.ideal, 0.15, maximally_mixed(3))
     rho = prover.make_source(1, np.random.default_rng(0))
     params = desk_params("hypergraph", 3, k=400, m=0, epsilon=0.2)
     runs = 25
     totals = np.zeros(3)
-    for seed in run_seeds(67, runs):
-        rep = run_hypergraph_protocol(forms, ideal, prover, params, seed)
+    for rep in target.runs(prover, params, run_seeds(67, runs)):
         for grp in rep.groups:
             totals[grp.group] += grp.passes
     n_trials = runs * params.k
-    for i, form in enumerate(forms):
+    for i, form in enumerate(target.test.forms):
         p = adaptive_test_exact_ppass(rho, form)
         sigma = np.sqrt(p * (1 - p) / n_trials)
         assert abs(totals[i] / n_trials - p) < 3 * sigma
 
 
 def test_classically_correlated_prover_mixes_runs():
-    g = hypergraph(3, [(0, 1, 2)])
-    forms = all_adaptive_forms(g)
-    good = build_state(g)
+    target = prepare("hypergraph", hypergraph(3, [(0, 1, 2)]))
+    good = target.ideal
     bad = apply_pauli(good, PauliString.from_axes("ZII"))
     prover = classically_correlated_prover([good, bad], [0.5, 0.5])
     params = desk_params("hypergraph", 3, k=20, m=0, epsilon=0.2)
-    verdicts = [
-        run_hypergraph_protocol(forms, good, prover, params, seed).accepted
-        for seed in run_seeds(41, 30)
-    ]
+    verdicts = [rep.accepted for rep in target.runs(prover, params, run_seeds(41, 30))]
     rate = sum(verdicts) / len(verdicts)
     assert 0.2 < rate < 0.8  # the shared coin decides each run wholesale
 
 
 def test_entangled_demo_extreme_weights():
-    g = hypergraph(2, [(0, 1)])
-    forms = all_adaptive_forms(g)
-    good = build_state(g)
+    target = prepare("hypergraph", hypergraph(2, [(0, 1)]))
+    good = target.ideal
     bad = apply_pauli(good, PauliString.from_axes("ZI"))
     params = desk_params("hypergraph", 2, k=2, m=1, epsilon=0.3)  # 6 registers = 12 qubits
-    for seed in run_seeds(13, 5):
-        rep = run_hypergraph_protocol(
-            forms, good, entangled_demo_prover(good, bad, 0.0), params, seed
-        )
+    seeds = run_seeds(13, 5)
+    for rep in target.runs(entangled_demo_prover(good, bad, 0.0), params, seeds):
         assert rep.accepted and rep.target_fidelity == pytest.approx(1.0)
-        rep = run_hypergraph_protocol(
-            forms, good, entangled_demo_prover(good, bad, 1.0), params, seed
-        )
+    for rep in target.runs(entangled_demo_prover(good, bad, 1.0), params, seeds):
         assert not rep.accepted
 
 
 def test_entangled_demo_collapses_to_branches():
-    g = hypergraph(2, [(0, 1)])
-    forms = all_adaptive_forms(g)
-    good = build_state(g)
+    target = prepare("hypergraph", hypergraph(2, [(0, 1)]))
+    good = target.ideal
     bad = apply_pauli(good, PauliString.from_axes("ZI"))
     params = desk_params("hypergraph", 2, k=2, m=1, epsilon=0.3)
     prover = entangled_demo_prover(good, bad, 0.5)
-    outcomes = {
-        run_hypergraph_protocol(forms, good, prover, params, seed).accepted
-        for seed in run_seeds(101, 24)
-    }
+    outcomes = {rep.accepted for rep in target.runs(prover, params, run_seeds(101, 24))}
     assert outcomes == {True, False}
 
 
@@ -346,39 +309,57 @@ def test_register_cap_boundary():
     over = desk_params("hypergraph", 3, k=at_cap.k + 1)
     with pytest.raises(ValueError, match="report-only"):
         check_executable(over)
-    g = hypergraph(3, [(0, 1, 2)])
+    target = prepare("hypergraph", hypergraph(3, [(0, 1, 2)]))
     with pytest.raises(ValueError, match="report-only"):
-        ideal = build_state(g)
-        run_hypergraph_protocol(
-            all_adaptive_forms(g), ideal, honest_prover(ideal), over, seed=1
-        )
+        target.runs(honest_prover(target.ideal), over, [1])
 
 
 def test_register_count_and_width_validation():
-    g = hypergraph(2, [(0, 1)])
-    forms = all_adaptive_forms(g)
     params = desk_params("hypergraph", 2, k=5, m=0, epsilon=0.2)
     wrong_width = honest_prover(build_state(hypergraph(3, [(0, 1, 2)])))
     with pytest.raises(ValueError):
-        run_hypergraph_protocol(forms, build_state(g), wrong_width, params, seed=1)
-    rh, proj = minus_z_setup()
+        prepare("hypergraph", hypergraph(2, [(0, 1)])).runs(wrong_width, params, [1])
     with pytest.raises(ValueError):
-        run_ground_protocol(rh, proj, honest_prover(computational_state(1, 0)), params, 1)
+        minus_z_target().runs(honest_prover(computational_state(1, 0)), params, [1])
+
+
+# One two-qubit target of each kind, for the refusals of ``runs``.
+TWO_QUBIT_TARGETS = {
+    "hamiltonian": HamiltonianSpec(
+        2, (PauliString.from_axes("ZZ", -1.0), PauliString.from_axes("XI", 0.5))
+    ),
+    "circuit": circuit(2, [("CZ", (0, 1)), ("T", (0,))]),
+    "hypergraph": hypergraph(2, [(0, 1)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TWO_QUBIT_TARGETS))
+def test_runs_refuses_params_of_another_protocol_or_width_and_a_wider_prover(kind):
+    target = prepare(kind, TWO_QUBIT_TARGETS[kind])
+    prover = honest_prover(target.ideal)
+    params = desk_params(target.protocol, 2, k=5)
+    (rep,) = target.runs(prover, params, [1])
+    assert rep.protocol == target.protocol
+    other = next(p for p in COMPARISON if p != target.protocol)
+    for bad in (desk_params(other, 2, k=5), desk_params(target.protocol, 3, k=5)):
+        with pytest.raises(ValueError, match=f"params are not for this {target.protocol}"):
+            target.runs(prover, bad, [1])
+    wider = honest_prover(computational_state(3, 0))
+    with pytest.raises(ValueError, match="prover register width"):
+        target.runs(wider, params, [1])
 
 
 def test_replay_is_bit_identical():
-    g = hypergraph(3, [(0, 1, 2), (0, 2)])
-    forms = all_adaptive_forms(g)
-    ideal = build_state(g)
-    prover = iid_deviated_prover(ideal, 0.2, maximally_mixed(3))
+    target = prepare("hypergraph", hypergraph(3, [(0, 1, 2), (0, 2)]))
+    prover = iid_deviated_prover(target.ideal, 0.2, maximally_mixed(3))
     params = desk_params("hypergraph", 3, k=25, m=2, epsilon=0.15)
-    a = run_hypergraph_protocol(forms, ideal, prover, params, seed=777, record_trials=True)
-    b = run_hypergraph_protocol(forms, ideal, prover, params, seed=777, record_trials=True)
+    (a,) = target.runs(prover, params, [777], record_trials=True)
+    (b,) = target.runs(prover, params, [777], record_trials=True)
     assert a.to_jsonable() == b.to_jsonable()
     for column in ("registers", "branches", "passed"):
         assert np.array_equal(getattr(a.trials, column), getattr(b.trials, column))
     assert trial_csv_lines([a.trials]) == trial_csv_lines([b.trials])
-    c = run_hypergraph_protocol(forms, ideal, prover, params, seed=778)
+    (c,) = target.runs(prover, params, [778])
     assert c.to_jsonable() != a.to_jsonable()
 
 
@@ -427,11 +408,11 @@ def test_verdict_flips_at_the_exact_pass_count(protocol, n, eps, l1, k, on_bound
         boundary, other = math.floor(thr * k), math.floor(thr * k) + 1
     assert 0 <= min(boundary, other) and max(boundary, other) <= k
     params = desk_params(protocol, n, k=k, m=0, epsilon=eps)
-    prover = honest_prover(computational_state(n, 0))
+    ideal = computational_state(n, 0)
+    prover = honest_prover(ideal)
     for passes, verdict in ((boundary, True), (other, False)):
-        rep = _run_protocol(
-            protocol, params, prover, 5, ExactPassCount(group_l1, passes), None, False
-        )
+        stub = PreparedTarget(protocol, ideal, ExactPassCount(group_l1, passes), None, None)
+        (rep,) = stub.runs(prover, params, [5])
         assert [g.passes for g in rep.groups] == [passes] * groups
         assert [g.passed for g in rep.groups] == [verdict] * groups
         assert rep.accepted == verdict

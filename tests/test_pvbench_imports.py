@@ -63,6 +63,9 @@ DELETED_TRACED = {
     ("analysis", "robustness_sweep_ground"),
     ("analysis", "robustness_sweep_circuit"),
     ("single_copy", "stabilizer_test_exact_ppass"),
+    ("protocol", "run_ground_protocol"),
+    ("protocol", "run_circuit_protocol"),
+    ("protocol", "run_hypergraph_protocol"),
 }
 
 

@@ -423,6 +423,45 @@ def test_overlap_is_memoized_per_reference(rng):
     assert overlap(rho, other) == float(np.real(other.data.conj() @ rho.data @ other.data))
 
 
+def test_a_state_memo_stays_within_its_limit_and_samples_the_same(rng):
+    """Scalar tables, stacks and overlaps share one memo, held to MEMO_LIMIT entries."""
+
+    def states_of(seed):
+        local = np.random.default_rng(seed)
+        psi, eta = random_pure_state(3, local), random_mixed_state(3, local, rank=2)
+        return [psi, eta, mixture(psi, eta, 0.3)]
+
+    def memos_of(state):
+        return [state, *(part for _, part in state._parts or ())]
+
+    refs = [random_pure_state(3, rng) for _ in range(3)]
+    stacks = [("XIY", "ZZX"), ("YYY",), ("XIY", "IZI", "ZXZ"), ("ZZX", "YYY")]
+
+    def use(state, check):
+        """Scalar tables, stacks and overlaps in turn, twice over; ``check`` after each step."""
+        out = []
+        for _ in range(2):
+            for i, bases in enumerate(stacks):
+                which = np.arange(UNIFORM_BLOCK.size) % len(bases)
+                out.append(sample_stacked_outcomes(state, bases, which, UNIFORM_BLOCK).tolist())
+                out.extend(measure_in_bases(state, b, np.random.default_rng(i)) for b in bases)
+                out.append(overlap(state, refs[i % len(refs)]))
+                check()
+        return out
+
+    limit = 3
+    for state, twin in zip(states_of(9), states_of(9)):
+
+        def within_limit():
+            assert all(len(s._cache) <= limit for s in memos_of(state))
+
+        with patch.object(states, "MEMO_LIMIT", limit):
+            bounded = use(state, within_limit)
+        assert bounded == use(twin, lambda: None)
+        # unbounded, the same calls leave more entries than the limit allows
+        assert max(len(s._cache) for s in memos_of(twin)) > limit
+
+
 # ---------------------------------------------------------------------------
 # The stacked builder: memory of the rotation walk, one row finisher
 
