@@ -16,18 +16,11 @@ import numpy as np
 from .hypergraphs import HypergraphSpec, build_state
 from .paulis import PauliString, qubit_mask
 from .states import DenseState, apply_pauli, outcome_distribution, overlap, to_density
-from .protocol import PreparedTarget, ProtocolParams, iid_deviated_prover, run_seeds
-
-SAMPLING_HARDNESS_THRESHOLD = Fraction(1, 192)
-
-
-def quantity(value, mode: str, **extra) -> dict:
-    """A number tagged with how it was computed."""
-    if mode not in ("exact", "monte_carlo", "bound"):
-        raise ValueError(f"unknown computation mode {mode!r}")
-    out = {"value": value, "mode": mode}
-    out.update(extra)
-    return out
+from .protocol import PreparedTarget, iid_deviated_prover, run_seeds
+from .schedules import (  # re-exported: the numpy-free arithmetic lives in schedules
+    SAMPLING_HARDNESS_THRESHOLD, MarginReport, ProtocolParams, minimal_k_for_sampling_hardness,
+    quantity, supremacy_margin,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -102,77 +95,6 @@ def trace_distance_fidelity_bounds(rho: DenseState, ideal: DenseState) -> StateB
     if trace_distance > np.sqrt(max(1.0 - fidelity, 0.0)) + 1e-9:
         raise AssertionError("trace distance exceeded sqrt(1 - fidelity)")
     return StateBounds(fidelity, trace_distance, 2.0 * trace_distance)
-
-
-# ---------------------------------------------------------------------------
-# Sampling-hardness margin
-
-
-@dataclass(frozen=True)
-class MarginReport:
-    fidelity: float
-    sampler_error: float
-    state_term: float  # 2*sqrt(1 - fidelity)
-    total_bound: float
-    threshold: float
-    satisfied: bool
-    note: str
-
-    def to_jsonable(self) -> dict:
-        return {
-            "fidelity": self.fidelity,
-            "sampler_error": self.sampler_error,
-            "state_term": quantity(self.state_term, "bound"),
-            "total_bound": quantity(self.total_bound, "bound"),
-            "threshold": self.threshold,
-            "satisfied": self.satisfied,
-            "note": self.note,
-        }
-
-
-def supremacy_margin(fidelity: float, sampler_error: float) -> MarginReport:
-    """Total l1 bound 2*sqrt(1-F) + sampler_error against the 1/192 line."""
-    if not 0.0 <= fidelity <= 1.0:
-        raise ValueError("fidelity must lie in [0, 1]")
-    if not 0.0 <= sampler_error < math.inf:
-        raise ValueError(
-            f"sampler error must be finite and non-negative, got {sampler_error}"
-        )
-    state_term = 2.0 * float(np.sqrt(max(1.0 - fidelity, 0.0)))
-    total = state_term + sampler_error
-    threshold = float(SAMPLING_HARDNESS_THRESHOLD)
-    return MarginReport(
-        fidelity=fidelity,
-        sampler_error=sampler_error,
-        state_term=state_term,
-        total_bound=total,
-        threshold=threshold,
-        satisfied=total <= threshold,
-        note=(
-            "state term instantiates the target-fidelity floor 1 - k**(-1/7) "
-            "as 2*k**(-1/14) when derived from a run size k"
-        ),
-    )
-
-
-def minimal_k_for_sampling_hardness(
-    sampler_error: Fraction = Fraction(1, 193),
-    threshold: Fraction = SAMPLING_HARDNESS_THRESHOLD,
-) -> int:
-    """Smallest run size k with 2*k**(-1/14) + sampler_error <= threshold.
-
-    Exact integer arithmetic: k = ceil((2/t)**14) with t the error headroom.
-    """
-    t = threshold - Fraction(sampler_error)
-    if t <= 0:
-        raise ValueError("the sampler error leaves no headroom")
-    k_exact = (2 / t) ** 14
-    k = -((-k_exact.numerator) // k_exact.denominator)
-    # verify the defining inequality exactly at k (root exact when integral)
-    root = Fraction(2) / t
-    if root.denominator == 1 and root.numerator**14 == k:
-        assert Fraction(2, root.numerator) + sampler_error <= threshold
-    return k
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 For |psi> = U|+>^n the qubit-i stabilizer is U X_i U^dag.  It is computed by
 pushing the single term X_i through the gate list: Clifford gates map one
 Pauli string to one signed string, while T/RZ/CCZ fan a term out into a small
-bounded set.  The per-gate rules are not transcribed by hand; they are
-derived once at import time by dense conjugation of every 1-, 2-, or 3-qubit
-Pauli and an exact Pauli-basis read-off, so the table cannot drift from the
-gate matrices.
+bounded set.  The per-gate rules are not transcribed by hand; each gate's
+is derived the first time a circuit uses that gate, by dense conjugation of
+every 1-, 2-, or 3-qubit Pauli and an exact Pauli-basis read-off, so the
+table cannot drift from the gate matrices.
 
 A rule maps a Pauli's gate-local ``(x, z)`` masks (gate qubit 0 the most
 significant bit) to local masks and factors; a circuit lifts each rule onto
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from operator import attrgetter
 from pathlib import Path
@@ -91,9 +91,17 @@ def _conjugation_table(gate: np.ndarray, arity: int) -> dict:
     return table
 
 
-CONJUGATION_TABLES = {
-    name: _conjugation_table(mat, GATE_ARITY[name]) for name, mat in GATE_MATRICES.items()
-}
+@cache
+def gate_table(name: str) -> dict:
+    """The conjugation table of gate ``name``, built the first time a circuit uses it."""
+    return _conjugation_table(GATE_MATRICES[name], GATE_ARITY[name])
+
+
+def __getattr__(name: str):
+    # CONJUGATION_TABLES, every gate's table, is built only when it is asked for
+    if name == "CONJUGATION_TABLES":
+        return {gate: gate_table(gate) for gate in GATE_MATRICES}
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def rz_conjugation(angle: float) -> dict:
@@ -133,7 +141,7 @@ class Gate:
             qubit_mask(n, (q for t, q in enumerate(self.qubits) if m & bit_for_qubit(arity, t)))
             for m in range(1 << arity)
         ]
-        rule = CONJUGATION_TABLES.get(self.name) or rz_conjugation(self.angle)
+        rule = rz_conjugation(self.angle) if self.name == "RZ" else gate_table(self.name)
         return {
             (lift[x], lift[z]): [(lift[gx], lift[gz], f) for (gx, gz), f in images]
             for (x, z), images in rule.items()

@@ -3,7 +3,8 @@
 Every subcommand echoes its seed and emits canonical JSON, so identical
 invocations produce identical bytes.  Exit codes: 0 success, 1 config or
 validation error (machine-readable JSON on stderr), 2 dense-simulation cap
-exceeded.
+exceeded.  Each subcommand imports the modules it uses when it runs, so
+``params`` and ``iqp-margin`` start without numpy.
 """
 from __future__ import annotations
 
@@ -13,49 +14,34 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import analysis, reporting
-from .circuits import (
-    CircuitSpec,
-    all_stabilizer_decompositions,
-    check_circuit_conditions,
-    load_circuit,
-)
-from .hamiltonians import HamiltonianSpec, check_conditions, load_hamiltonian, rescale
-from .hypergraphs import (
-    HypergraphSpec,
-    adaptive_form,
-    connectivity,
-    hypergraph_to_jsonable,
-    load_hypergraph,
-    random_bms_instance,
-    stabilizer_dense,
-)
-from .paulis import INSPECT_QUBIT_CAP, CapExceededError, PauliString, capped_dim
-from .protocol import (
+from . import reporting
+from .reporting import field, read_object
+from .schedules import (
     PROTOCOL_FOR_KIND,
-    RUN_COUNT_CAP,
+    CapExceededError,
     ProtocolParams,
-    ProverModel,
-    classically_correlated_prover,
-    coherent_error_prover,
     desk_params,
-    entangled_demo_prover,
-    honest_prover,
-    iid_deviated_prover,
-    prepare,
-    run_seeds,
+    minimal_k_for_sampling_hardness,
+    quantity,
     schedule_epsilon,
     schedule_params,
+    supremacy_margin,
 )
-from .reporting import field, read_object
-from .single_copy import adaptive_test_exact_ppass
-from .states import DenseState, apply_pauli, maximally_mixed, mixture
+
+if TYPE_CHECKING:
+    from .circuits import CircuitSpec
+    from .hamiltonians import HamiltonianSpec
+    from .hypergraphs import HypergraphSpec
+    from .paulis import PauliString
+    from .protocol import ProverModel
+    from .states import DenseState
 
 
 def _fresh_seed() -> int:
+    import numpy as np  # on first use: params and iqp-margin never need it
+
     return int(np.random.SeedSequence().entropy % (2**63 - 1))
 
 
@@ -72,13 +58,22 @@ def _emit(obj, out: str | None) -> None:
 
 
 def load_target(path: str | Path):
-    """Detect and load a hypergraph, Hamiltonian, or circuit JSON file."""
+    """Detect and load a hypergraph, Hamiltonian, or circuit JSON file.
+
+    Only the module of the kind found is imported.
+    """
     obj = read_object(path, "the target file")
     if "n_vertices" in obj:
+        from .hypergraphs import load_hypergraph
+
         return ("hypergraph", *load_hypergraph(obj))
     if "gates" in obj:
+        from .circuits import load_circuit
+
         return "circuit", load_circuit(obj), None
     if "terms" in obj:
+        from .hamiltonians import load_hamiltonian
+
         return "hamiltonian", load_hamiltonian(obj), None
     raise ValueError(f"{path}: not a hypergraph, circuit, or Hamiltonian file")
 
@@ -88,6 +83,9 @@ def parse_state_spec(spec: str, ideal: DenseState) -> DenseState:
 
     ideal | maximally-mixed | deviated:EPS | phaseflip:QUBIT | pauli:AXES
     """
+    from .paulis import PauliString
+    from .states import apply_pauli, maximally_mixed, mixture
+
     if spec == "ideal":
         return ideal
     if spec == "maximally-mixed":
@@ -107,6 +105,8 @@ def parse_state_spec(spec: str, ideal: DenseState) -> DenseState:
 
 def check_run_sizes(runs: int) -> None:
     """Refuse a run count below 1 or above RUN_COUNT_CAP, before any per-run seed is drawn."""
+    from .protocol import RUN_COUNT_CAP
+
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     if runs > RUN_COUNT_CAP:
@@ -115,6 +115,8 @@ def check_run_sizes(runs: int) -> None:
 
 def _pauli_from_config(cfg: dict, n: int) -> PauliString:
     """One letter on ``qubit`` (default 0), or a full axis string."""
+    from .paulis import PauliString
+
     axis = field(cfg, "pauli", str, "Z")
     if len(axis) == 1:
         return PauliString.on_qubit(n, field(cfg, "qubit", int, 0), axis)
@@ -122,6 +124,15 @@ def _pauli_from_config(cfg: dict, n: int) -> PauliString:
 
 
 def prover_from_config(cfg: dict, ideal: DenseState) -> ProverModel:
+    from .protocol import (
+        classically_correlated_prover,
+        coherent_error_prover,
+        entangled_demo_prover,
+        honest_prover,
+        iid_deviated_prover,
+    )
+    from .states import apply_pauli, maximally_mixed
+
     kind = field(cfg, "kind", str, "honest")
     if kind == "honest":
         return honest_prover(ideal)
@@ -169,6 +180,10 @@ def params_from_config(
 
 
 def cmd_gen_hypergraph(args) -> int:
+    import numpy as np
+
+    from .hypergraphs import hypergraph_to_jsonable, random_bms_instance
+
     seed = args.seed if args.seed is not None else _fresh_seed()
     g, z_layer = random_bms_instance(args.n, args.edge_prob, np.random.default_rng(seed))
     payload = hypergraph_to_jsonable(g, z_layer)
@@ -190,6 +205,8 @@ def cmd_gen_hypergraph(args) -> int:
 
 
 def _inspect_hypergraph(g: HypergraphSpec, z_layer) -> dict:
+    from .hypergraphs import adaptive_form, connectivity
+
     xi, per_vertex = connectivity(g)
     stabilizers = []
     alpha_ever_one = False
@@ -227,6 +244,8 @@ def _inspect_hypergraph(g: HypergraphSpec, z_layer) -> dict:
 
 
 def _inspect_hamiltonian(h: HamiltonianSpec, budget) -> dict:
+    from .hamiltonians import check_conditions, rescale
+
     rh = rescale(h)
     report = check_conditions(rh, budget)
     terms = [{"pauli": t.axes, "coeff": t.coeff} for t in rh.terms[:64]]
@@ -245,6 +264,9 @@ def _inspect_hamiltonian(h: HamiltonianSpec, budget) -> dict:
 
 
 def _inspect_circuit(c: CircuitSpec, budget) -> dict:
+    from .circuits import all_stabilizer_decompositions, check_circuit_conditions
+    from .paulis import INSPECT_QUBIT_CAP, capped_dim
+
     capped_dim(c.n, INSPECT_QUBIT_CAP, "circuit inspection")
     decomps = all_stabilizer_decompositions(c)
     report = check_circuit_conditions(decomps, budget)
@@ -281,6 +303,8 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_ppass(args) -> int:
+    from .protocol import prepare
+
     kind, target, _ = load_target(args.target)
     prepared = prepare(kind, target)
     state = parse_state_spec(args.state, prepared.ideal)
@@ -293,15 +317,18 @@ def cmd_ppass(args) -> int:
     if kind == "hypergraph":
         # <g> from the dense stabilizer, not the branch sum of group_ppass;
         # the two can differ in the last bit
+        from .hypergraphs import stabilizer_dense
+        from .single_copy import adaptive_test_exact_ppass
+
         result["p_pass_per_vertex"] = [
-            analysis.quantity(
+            quantity(
                 adaptive_test_exact_ppass(state, f, stabilizer_dense(target, f.vertex)),
                 "exact",
             )
             for f in prepared.test.forms
         ]
     else:
-        ppass = [analysis.quantity(p, "exact") for p in prepared.group_ppass(state)]
+        ppass = [quantity(p, "exact") for p in prepared.group_ppass(state)]
         if kind == "hamiltonian":
             result["p_pass"] = ppass[0]
             result["l1_norm"] = prepared.l1_norm
@@ -313,6 +340,8 @@ def cmd_ppass(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .protocol import prepare, run_seeds
+
     config_path = Path(args.config)
     cfg = read_object(config_path, "the config")
     params_cfg = field(cfg, "params", dict, {})
@@ -375,11 +404,11 @@ def cmd_iqp_margin(args) -> int:
         fidelity = field(field(rep, "report", dict, rep), "target_fidelity", float, None)
         if fidelity is None:
             raise ValueError("the report carries no target fidelity")
-    margin = analysis.supremacy_margin(fidelity, args.sampler_error)
+    margin = supremacy_margin(fidelity, args.sampler_error)
     out = {
         "command": "iqp-margin",
         "margin": margin.to_jsonable(),
-        "minimal_k": analysis.minimal_k_for_sampling_hardness(),
+        "minimal_k": minimal_k_for_sampling_hardness(),
         "minimal_k_note": (
             "smallest run size whose soundness floor keeps "
             "2*k**(-1/14) + 1/193 within the 1/192 line"
@@ -390,6 +419,10 @@ def cmd_iqp_margin(args) -> int:
 
 
 def cmd_robustness(args) -> int:
+    from .analysis import robustness_sweep
+    from .protocol import prepare
+    from .states import maximally_mixed
+
     kind, target, _ = load_target(args.target)
     seed = args.seed if args.seed is not None else _fresh_seed()
     eps_primes = [float(x) for x in args.eps_prime.split(",") if x != ""]
@@ -398,7 +431,7 @@ def cmd_robustness(args) -> int:
     desk = {"mode": "desk", "k": args.trials, "m": args.m, "epsilon": args.epsilon}
     params = params_from_config(PROTOCOL_FOR_KIND[kind], target.n, desk, None, args.runs)
     eta = maximally_mixed(target.n)
-    points = analysis.robustness_sweep(
+    points = robustness_sweep(
         prepare(kind, target), eta, eps_primes, params, args.runs, seed
     )
     out = {

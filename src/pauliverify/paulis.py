@@ -29,6 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .schedules import CapExceededError, capped_dim  # re-exported: numpy-free
+
 AXES = "IXYZ"
 
 # Dense simulation caps: pure amplitude vectors up to 16 qubits, density
@@ -54,22 +56,6 @@ PAULI_MATRICES = {
     "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
-
-
-class CapExceededError(ValueError):
-    """Raised when an operation would exceed the dense-simulation caps."""
-
-
-def capped_dim(n: int, cap: int, what: str) -> int:
-    """2**n for ``what`` on ``n`` qubits; raises CapExceededError when n > cap.
-
-    This is the one place the caps are enforced.  Every dense allocation
-    takes its size from the value returned here, so the check always runs
-    before anything of that size exists.
-    """
-    if n > cap:
-        raise CapExceededError(f"{what} on {n} qubits exceeds the {cap}-qubit cap")
-    return 1 << n
 
 
 def bit_for_qubit(n: int, qubit: int) -> int:

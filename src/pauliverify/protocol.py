@@ -19,18 +19,20 @@ state, so it runs the scalar ``trial`` loop, run by run.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .circuits import all_stabilizer_decompositions, build_circuit_state
-from .hamiltonians import exact_diagonalize, rescale
 from .hypergraphs import all_adaptive_forms, build_state
 from .paulis import DENSE_QUBIT_CAP, PauliString, capped_dim
+from .schedules import (  # re-exported: the numpy-free arithmetic lives in schedules
+    COMPARISON, LN2, PROTOCOL_FOR_KIND, PROTOCOLS, ProtocolParams, _ceil, _int_nth_root,
+    _nth_root_fraction, circuit_group_threshold, desk_params, ground_accept_threshold,
+    group_thresholds, hypergraph_group_threshold, schedule_epsilon, schedule_params,
+)
 from .single_copy import (
     AdaptiveTest,
     ParityTest,
@@ -49,18 +51,6 @@ from .states import (
     rotate_to_computational,
 )
 
-PROTOCOLS = ("ground", "circuit", "hypergraph")
-
-# The protocol each kind of target file runs.
-PROTOCOL_FOR_KIND = {
-    "hamiltonian": "ground",
-    "circuit": "circuit",
-    "hypergraph": "hypergraph",
-}
-
-# Ground accepts a LOW pass rate; the circuit and hypergraph groups a high one.
-COMPARISON = {"ground": "<=", "circuit": ">=", "hypergraph": ">="}
-
 ENTANGLED_TOTAL_QUBIT_CAP = 12
 
 # Paper-schedule register counts explode; runs above this are refused.
@@ -74,205 +64,6 @@ RUN_COUNT_CAP = 100_000
 # source are sampled in blocks of whole runs up to this size (a larger run is
 # a block of its own), so a block's arrays do not grow with the run count.
 BLOCK_TRIALS = 1 << 14
-
-# ln(2) to 50 digits, as an exact rational, so the register-count schedules
-# evaluate to reproducible integers far beyond double precision.
-LN2 = Fraction("0.69314718055994530941723212145817656807550013436026")
-
-
-def _int_nth_root(value: int, n: int) -> int:
-    """floor(value ** (1/n)) by Newton iteration on integers."""
-    if value < 0:
-        raise ValueError("negative radicand")
-    if value == 0:
-        return 0
-    x = 1 << (-(-value.bit_length() // n))
-    while True:
-        y = ((n - 1) * x + value // x ** (n - 1)) // n
-        if y >= x:
-            return x
-        x = y
-
-
-def _nth_root_fraction(value: int, n: int, digits: int = 30) -> Fraction:
-    """value ** (1/n) as a Fraction, exact when the root is an integer."""
-    exact = _int_nth_root(value, n)
-    if exact**n == value:
-        return Fraction(exact)
-    scale = 10**digits
-    return Fraction(_int_nth_root(value * scale**n, n), scale)
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-@dataclass(frozen=True)
-class ProtocolParams:
-    """Run sizes, the deviation parameter, and their provenance mode.
-
-    ``mode="paper"`` means the full conservative schedule; ``mode="desk"``
-    are user overrides that carry no guarantee and are flagged as such.
-    """
-
-    protocol: str
-    n: int
-    k: int
-    m: int
-    epsilon: Fraction
-    mode: str
-    conforming: bool
-    notes: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.mode not in ("desk", "paper"):
-            raise ValueError("mode must be 'desk' or 'paper'")
-        for name, value, low in (("n", self.n, 1), ("k", self.k, 1), ("m", self.m, 0)):
-            if value < low:
-                raise ValueError(f"{name} must be at least {low}, got {value}")
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must lie strictly between 0 and 1")
-
-    @property
-    def n_registers(self) -> int:
-        per_group = self.k if self.protocol == "ground" else self.n * self.k
-        return per_group + self.m + 1
-
-    def to_jsonable(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "n": self.n,
-            "k": self.k,
-            "m": self.m,
-            "epsilon": str(self.epsilon),
-            "epsilon_float": float(self.epsilon),
-            "mode": self.mode,
-            "conforming": self.conforming,
-            "n_registers": self.n_registers,
-            "notes": list(self.notes),
-        }
-
-
-def schedule_epsilon(protocol: str, n: int, k: int | None = None) -> Fraction:
-    """The schedule's deviation parameter; the hypergraph one shrinks with k."""
-    if protocol == "ground":
-        return Fraction(1, 4 * n**2)
-    if protocol == "circuit":
-        return Fraction(1, 2 * n**3)
-    if protocol == "hypergraph":
-        if k is None:
-            raise ValueError("the hypergraph epsilon needs k")
-        return 1 / (4 * n * _nth_root_fraction(k**2, 7))
-    raise ValueError(f"unknown protocol {protocol!r}")
-
-
-def schedule_params(
-    protocol: str,
-    n: int,
-    l1_norm: float | None = None,
-    k: int | None = None,
-) -> ProtocolParams:
-    """Minimal conforming (epsilon, k, m) for the chosen protocol.
-
-    ``l1_norm`` is the coefficient l1 norm that scales the ground/circuit
-    schedules; the hypergraph schedule does not use it.  A user ``k`` above
-    the minimum is kept (the hypergraph epsilon then shrinks with it).
-    The register counts are astronomical at realistic n: they are meant to
-    be reported, not executed.
-    """
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if k is not None and k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if l1_norm is not None and not 0.0 < l1_norm < math.inf:
-        raise ValueError(f"the l1 norm must be finite and positive, got {l1_norm}")
-    notes = []
-    if protocol == "ground":
-        if l1_norm is None:
-            raise ValueError("the ground schedule needs the coefficient l1 norm")
-        eps = schedule_epsilon(protocol, n)
-        k_min = _ceil(32 * Fraction(l1_norm) ** 2 * n**5)
-        k_val = max(k_min, k or 0)
-        m_val = _ceil(2 * n**5 * k_val**2 * LN2)
-    elif protocol == "circuit":
-        if l1_norm is None:
-            raise ValueError("the circuit schedule needs the max l1 norm")
-        eps = schedule_epsilon(protocol, n)
-        k_min = _ceil(8 * Fraction(l1_norm) ** 2 * n**7)
-        k_val = max(k_min, k or 0)
-        m_val = _ceil(2 * n**7 * k_val**2 * LN2)
-    else:
-        k_min = (4 * n) ** 7
-        k_val = max(k_min, k or 0)
-        root = _nth_root_fraction(k_val**2, 7)
-        if root.denominator != 1:
-            notes.append("k**(2/7) is irrational; epsilon carries 30 digits")
-        eps = schedule_epsilon(protocol, n, k_val)
-        m_val = _ceil(2 * n**3 * k_val**2 * root**2 * LN2)  # k**(18/7) = k**2 * root**2
-    return ProtocolParams(
-        protocol=protocol,
-        n=n,
-        k=k_val,
-        m=m_val,
-        epsilon=eps,
-        mode="paper",
-        conforming=True,
-        notes=tuple(notes),
-    )
-
-
-def desk_params(
-    protocol: str, n: int, k: int, m: int = 0, epsilon: float | Fraction = Fraction(1, 10)
-) -> ProtocolParams:
-    """Arbitrary desk-scale run sizes; flagged non-conforming.
-
-    A float epsilon is read decimally (Fraction("0.1") = 1/10), so thresholds
-    stay exact rationals that match what the user typed.
-    """
-    eps = epsilon if isinstance(epsilon, Fraction) else Fraction(str(epsilon))
-    return ProtocolParams(
-        protocol=protocol,
-        n=n,
-        k=k,
-        m=m,
-        epsilon=eps,
-        mode="desk",
-        conforming=False,
-        notes=("desk-scale parameters: no soundness guarantee is claimed",),
-    )
-
-
-def ground_accept_threshold(epsilon: Fraction, l1_norm: float) -> Fraction:
-    return Fraction(1, 2) + epsilon / (2 * Fraction(l1_norm))
-
-
-def circuit_group_threshold(epsilon: Fraction, l1_norm: float) -> Fraction:
-    return Fraction(1, 2) + (1 - epsilon) / (2 * Fraction(l1_norm))
-
-
-def hypergraph_group_threshold(epsilon: Fraction) -> Fraction:
-    return 1 - epsilon
-
-
-@lru_cache(maxsize=64)
-def group_thresholds(
-    protocol: str, epsilon: Fraction, group_l1: tuple[float, ...]
-) -> tuple[Fraction, ...]:
-    """Each group's exact pass-rate threshold, compared by ``COMPARISON[protocol]``.
-
-    ``group_l1[i]`` is the l1 norm of group i's sampled Pauli sum (1 for the
-    adaptive test, whose pass rate (1 + <g>)/2 is the unit-norm case).  The
-    result is memoized, so the runs of one target and epsilon compute it once.
-    """
-    if protocol == "ground":
-        return tuple(ground_accept_threshold(epsilon, l1) for l1 in group_l1)
-    if protocol == "circuit":
-        return tuple(circuit_group_threshold(epsilon, l1) for l1 in group_l1)
-    return tuple(hypergraph_group_threshold(epsilon) for _ in group_l1)
 
 
 # ---------------------------------------------------------------------------
@@ -753,12 +544,17 @@ def prepare(kind: str, target) -> PreparedTarget:
             fidelity,
             lambda rho: tuple(adaptive_test_exact_ppass(rho, f) for f in forms),
         )
-    # the ground and circuit protocols run the parity test of one Pauli sum per group
+    # the ground and circuit protocols run the parity test of one Pauli sum per group;
+    # their modules load only for a target of their kind
     if kind == "hamiltonian":
+        from .hamiltonians import exact_diagonalize, rescale
+
         diag = exact_diagonalize(target)
         sums, ideal = [rescale(target, diag=diag)], diag.ground
         fidelity = partial(projector_overlap, projector=diag.projector)
     elif kind == "circuit":
+        from .circuits import all_stabilizer_decompositions, build_circuit_state
+
         ideal = build_circuit_state(target)
         sums = all_stabilizer_decompositions(target)
         fidelity = partial(overlap, reference=ideal)

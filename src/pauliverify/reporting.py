@@ -23,8 +23,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
-
 TRIAL_CSV_HEADER = ("run", "group", "trial", "register", "branch", "passed")
 
 _REQUIRED = object()
@@ -164,15 +162,16 @@ def _write_list(items, nl: str, out: list[str]) -> None:
 
 def _write_other(obj, nl: str, out: list[str]) -> None:
     """Package values and subclasses of the JSON types."""
+    np = sys.modules.get("numpy")  # no numpy value exists before numpy is imported
     if hasattr(obj, "to_jsonable"):
         _write(obj.to_jsonable(), nl, out)
     elif isinstance(obj, Fraction):
         out.append(f'"{obj.numerator}/{obj.denominator}"')
-    elif isinstance(obj, np.integer):
+    elif np is not None and isinstance(obj, np.integer):
         out.append(_int_text(int(obj)))
-    elif isinstance(obj, np.floating):
+    elif np is not None and isinstance(obj, np.floating):
         out.append(_float_text(float(obj)))
-    elif isinstance(obj, np.ndarray):
+    elif np is not None and isinstance(obj, np.ndarray):
         _write_list(list(obj.tolist()), nl, out)  # a 0-d array is no list
     elif isinstance(obj, (set, frozenset)):
         _write_list(sorted(obj), nl, out)

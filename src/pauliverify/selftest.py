@@ -15,7 +15,7 @@ from .circuits import CONJUGATION_TABLES, GATE_MATRICES, all_stabilizer_decompos
 from .hamiltonians import HamiltonianSpec, rescale
 from .hypergraphs import adaptive_form, build_state, hypergraph, stabilizer_dense
 from .paulis import PauliString, decompose_in_pauli_basis, pauli_sum_dense
-from .protocol import ground_accept_threshold, schedule_params
+from .schedules import ground_accept_threshold, schedule_params
 from .single_copy import adaptive_branch_sum_ppass, adaptive_test_exact_ppass
 from .states import measure_in_bases, outcome_distribution, random_mixed_state
 

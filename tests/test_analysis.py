@@ -137,6 +137,15 @@ def test_margin_reference_instance():
         supremacy_margin(1.5, 0.0)
 
 
+@given(st.floats(0.0, 1.0))
+def test_math_sqrt_is_numpy_sqrt_bit_for_bit(x):
+    # supremacy_margin takes its square root from math, not numpy; both are
+    # the correctly rounded IEEE square root, so the margin keeps its bits
+    assert math.sqrt(x).hex() == float(np.sqrt(x)).hex()
+    state_term = supremacy_margin(1.0 - x, 0.0).state_term
+    assert state_term.hex() == (2.0 * float(np.sqrt(max(1.0 - (1.0 - x), 0.0)))).hex()
+
+
 def test_margin_monotonicity(rng):
     fids = np.sort(rng.uniform(0.9, 1.0, size=8))
     margins = [supremacy_margin(float(f), 1 / 193).total_bound for f in fids]

@@ -54,7 +54,7 @@ def _cap_raise_sites() -> list[str]:
 
 
 def test_one_place_raises_the_cap_error():
-    assert _cap_raise_sites() == ["paulis.py"]
+    assert _cap_raise_sites() == ["schedules.py"]
 
 
 def _peak_bytes(fn) -> int:

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pauliverify import circuits
 from pauliverify.circuits import (
     CONJUGATION_TABLES,
     CircuitSpec,
@@ -14,8 +15,10 @@ from pauliverify.circuits import (
     build_circuit_state,
     check_circuit_conditions,
     circuit,
+    _conjugation_table,
     circuit_to_jsonable,
     conjugate_through_circuit,
+    gate_table,
     load_circuit,
     rz_conjugation,
     rz_matrix,
@@ -29,6 +32,38 @@ from conftest import dense_from_axes, SINGLE
 
 def _local_axes(arity, masks):
     return PauliString(arity, *masks).axes
+
+
+def _hex_table(table: dict) -> dict:
+    return {key: [(image, factor.hex()) for image, factor in images] for key, images in table.items()}
+
+
+def test_lazy_gate_tables_equal_the_full_build_bit_for_bit():
+    for name in GATE_MATRICES:
+        full = _conjugation_table(GATE_MATRICES[name], GATE_ARITY[name])
+        assert list(gate_table(name)) == list(full)
+        assert _hex_table(gate_table(name)) == _hex_table(full)
+        assert _hex_table(CONJUGATION_TABLES[name]) == _hex_table(full)
+    assert set(CONJUGATION_TABLES) == set(GATE_MATRICES)
+    # the read-off of 1/sqrt(2) squared keeps its last-bit rounding in H's table
+    assert {f.hex() for images in gate_table("H").values() for _, f in images} == {
+        "0x1.ffffffffffffep-1", "-0x1.ffffffffffffep-1"  # 0.9999999999999998
+    }
+
+
+def test_a_circuit_builds_only_the_tables_of_its_gates(monkeypatch):
+    built = []
+
+    def spy(gate, arity):
+        built.append(next(name for name, mat in GATE_MATRICES.items() if mat is gate))
+        return _conjugation_table(gate, arity)
+
+    gate_table.cache_clear()
+    monkeypatch.setattr(circuits, "_conjugation_table", spy)
+    c = circuit(3, [("H", (0,)), ("CNOT", (0, 1)), ("T", (2,)), ("H", (1,)), ("RZ", (2,), 0.3)])
+    all_stabilizer_decompositions(c)
+    assert sorted(built) == ["CNOT", "H", "T"]  # once each; never CCZ, and RZ has no table
+    assert gate_table.cache_info().currsize == 3
 
 
 def test_conjugation_tables_match_dense_exhaustively():

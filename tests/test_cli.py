@@ -311,6 +311,11 @@ def assert_config_error(code, out, err, needle):
     assert needle in doc["error"]
 
 
+def test_gen_hypergraph_refuses_a_negative_width(capsys):
+    code, out, err = run_cli(["gen-hypergraph", "--n", "-2", "--edge-prob", "0.3"], capsys)
+    assert_config_error(code, out, err, "random hypergraph needs a non-negative qubit count, got -2")
+
+
 def test_verify_zero_runs_is_config_error(tmp_path, capsys):
     code, out, err = run_cli(
         ["verify", "--config", str(_hyper_config(tmp_path)), "--runs", "0"], capsys
@@ -377,7 +382,7 @@ def test_robustness_enforces_the_register_cap(capsys):
 
 
 def test_verify_prepares_the_target_once(tmp_path, capsys, monkeypatch):
-    from pauliverify import hamiltonians, protocol
+    from pauliverify import hamiltonians
 
     diagonalized, eighs = [], []
     original_diagonalize, original_eigh = hamiltonians.exact_diagonalize, np.linalg.eigh
@@ -390,8 +395,8 @@ def test_verify_prepares_the_target_once(tmp_path, capsys, monkeypatch):
         eighs.append(a.shape)
         return original_eigh(a, *args, **kwargs)
 
+    # prepare imports exact_diagonalize from hamiltonians when it runs
     monkeypatch.setattr(hamiltonians, "exact_diagonalize", counting_diagonalize)
-    monkeypatch.setattr(protocol, "exact_diagonalize", counting_diagonalize)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     target = tmp_path / "ring.json"
     target.write_text(json.dumps({
@@ -754,11 +759,11 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 
-def _modules_after_main(argv, cwd) -> set[str]:
+def _modules_after_main(argv, cwd, script=MODULES_AFTER_MAIN) -> set[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", MODULES_AFTER_MAIN, *argv],
+        [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=env, cwd=cwd, check=True,
     )
     result = json.loads(proc.stdout.splitlines()[-1])
@@ -780,7 +785,35 @@ def test_robustness_never_loads_scipy_stats(target, tmp_path):
 def test_verify_never_loads_scipy(tmp_path):
     argv = ["verify", "--config", str(DATA / "verify_hyper_honest.json"),
             "--out", str(tmp_path / "out.json")]
-    assert not any(m == "scipy" or m.startswith("scipy.") for m in _modules_after_main(argv, tmp_path))
+    modules = _modules_after_main(argv, tmp_path)
+    assert not any(m == "scipy" or m.startswith("scipy.") for m in modules)
+    # a hypergraph run loads no module of the other kinds, nor analysis
+    assert "pauliverify.hypergraphs" in modules
+    assert not {"pauliverify.circuits", "pauliverify.hamiltonians", "pauliverify.analysis"} & modules
+
+
+def test_importing_the_cli_loads_no_numpy(tmp_path):
+    bare = 'import json, sys\nimport pauliverify.cli\nprint(json.dumps({"code": 0, "modules": sorted(sys.modules)}))'
+    modules = _modules_after_main([], tmp_path, script=bare)
+    assert "numpy" not in modules
+    assert {m for m in modules if m.startswith("pauliverify")} == {
+        "pauliverify", "pauliverify.cli", "pauliverify.reporting", "pauliverify.schedules"
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["params", "--protocol", "hypergraph", "--n", "2"],
+        ["params", "--protocol", "ground", "--n", "3", "--l1", "2.5"],
+        ["iqp-margin", "--fidelity", "0.9999"],
+        ["iqp-margin", "--report", str(GOLDEN / "verify_hyper_honest.json")],
+    ],
+    ids=["params-hypergraph", "params-ground", "iqp-margin-fidelity", "iqp-margin-report"],
+)
+def test_arithmetic_subcommands_run_without_numpy(argv, tmp_path):
+    modules = _modules_after_main([*argv, "--out", str(tmp_path / "out.json")], tmp_path)
+    assert "numpy" not in modules
 
 
 @st.composite

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pauliverify import protocol
+from pauliverify import circuits, protocol
 from pauliverify.circuits import circuit
 from pauliverify.cli import main
 from pauliverify.hypergraphs import hypergraph
@@ -257,7 +257,8 @@ def test_protocol_params_name_the_field_out_of_range(n, k, m, message):
 def test_prepare_builds_the_capped_state_before_the_groups(monkeypatch):
     calls = []
     monkeypatch.setattr(protocol, "all_adaptive_forms", lambda g: calls.append(g.n))
-    monkeypatch.setattr(protocol, "all_stabilizer_decompositions", lambda c: calls.append(c.n))
+    # prepare imports the circuit functions from circuits when it runs
+    monkeypatch.setattr(circuits, "all_stabilizer_decompositions", lambda c: calls.append(c.n))
     wide = PURE_QUBIT_CAP + 1
     with pytest.raises(CapExceededError):
         prepare("hypergraph", hypergraph(wide, [(0, 1)]))
