@@ -80,14 +80,32 @@ def _edge_masks(g: HypergraphSpec) -> list[int]:
     return [qubit_mask(g.n, e) for e in g.edges]
 
 
+# The most entries one intermediate of ``_odd_monomials`` holds.
+MONOMIAL_ENTRIES = 1 << 16
+
+
+def _odd_monomials(idx: np.ndarray, masks) -> np.ndarray:
+    """For each basis index, whether an odd number of ``masks`` have all their bits set.
+
+    The masks are tested a chunk at a time, so memory stays a few arrays of
+    idx's size however many masks there are.
+    """
+    odd = np.zeros(idx.size, dtype=bool)
+    step = max(1, MONOMIAL_ENTRIES // idx.size)
+    for lo in range(0, len(masks), step):
+        chunk = np.array(masks[lo : lo + step], dtype=np.int64)[:, None]
+        odd ^= np.bitwise_xor.reduce((idx & chunk) == chunk, axis=0)
+    return odd
+
+
 def cz_phase_vector(g: HypergraphSpec) -> np.ndarray:
-    """Diagonal of the product of all generalized-CZ gates, as +-1 entries."""
-    dim = capped_dim(g.n, PURE_QUBIT_CAP, "pure state")
-    idx = np.arange(dim, dtype=np.int64)
-    phases = np.ones(dim, dtype=np.int64)
-    for m in _edge_masks(g):
-        phases[(idx & m) == m] *= -1
-    return phases
+    """Diagonal of the product of all generalized-CZ gates, as +-1 entries.
+
+    An index picks up one -1 per edge whose qubits are all 1, so its phase is
+    -1 exactly when an odd number of edges are.
+    """
+    idx = np.arange(capped_dim(g.n, PURE_QUBIT_CAP, "pure state"), dtype=np.int64)
+    return 1 - 2 * _odd_monomials(idx, _edge_masks(g)).astype(np.int64)
 
 
 def build_state(g: HypergraphSpec) -> DenseState:
@@ -125,7 +143,6 @@ class AdaptiveStabilizerForm:
     cz_groups: tuple[tuple[int, ...], ...]
     projector_support: tuple[int, ...]
     _branches: dict = field(default_factory=dict, repr=False, compare=False)
-    _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def resolve(self, a) -> tuple[int, frozenset[int]]:
         """Branch sign exponent and residual Z-set for projector bits ``a``.
@@ -174,50 +191,6 @@ class AdaptiveStabilizerForm:
     def bases(self) -> str:
         """Measurement bases of the test: X on the vertex, Z everywhere else."""
         return "".join("X" if j == self.vertex else "Z" for j in range(self.n))
-
-    def outcome_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pass flag and projector bits ``a`` for every joint outcome of bases().
-
-        Both are indexed by the 2**n outcome index (qubit 0 most significant,
-        bit 1 for the -1 outcome).  They are built once and kept on this
-        instance.  The branch of every key comes from the same rule as
-        branch_for_bits, evaluated on bit arrays over all 2**width keys: a
-        vertex carries a Z when an odd number of the neighbor edges and fired
-        groups put one on it; a Z on a projector vertex turns into its bit of
-        the sign alpha, any other joins the parity mask.
-        """
-        cached = self._tables.get("outcome")
-        if cached is not None:
-            return cached
-        idx = np.arange(capped_dim(self.n, PURE_QUBIT_CAP, "outcome table"), dtype=np.int64)
-        bits = np.zeros_like(idx)
-        for v in self.projector_support:
-            bits = (bits << 1) | ((idx >> (self.n - 1 - v)) & 1)
-        width = len(self.projector_support)
-        keys = np.arange(1 << width, dtype=np.int64)
-        key_bit = {
-            v: (keys >> (width - 1 - t)) & 1 for t, v in enumerate(self.projector_support)
-        }
-        z_odd: dict[int, np.ndarray | int] = {}
-        for v in self.z_neighbors:
-            z_odd[v] = z_odd.get(v, 0) ^ 1
-        for grp in self.cz_groups:
-            fired = np.ones_like(keys)
-            for v in grp[:-1]:
-                fired &= key_bit[v]
-            z_odd[grp[-1]] = z_odd.get(grp[-1], 0) ^ fired
-        alpha = np.zeros_like(keys)
-        parity_mask = np.full_like(keys, bit_for_qubit(self.n, self.vertex))
-        for v, odd in z_odd.items():
-            if v in key_bit:
-                alpha ^= odd & key_bit[v]
-            else:
-                parity_mask |= odd * bit_for_qubit(self.n, v)
-        # the outcome product over the vertex and the residual Z's is
-        # (-1)**popcount(idx & mask); the branch passes when it equals (-1)**alpha
-        odd = (np.bitwise_count(idx & parity_mask[bits]) + alpha[bits]) & 1
-        self._tables["outcome"] = (odd == 0, bits)
-        return self._tables["outcome"]
 
     def branch_table(self) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
         """All (a, alpha, residual-Z) branches; exponential in the support size."""
@@ -270,6 +243,36 @@ def adaptive_form(g: HypergraphSpec, vertex: int) -> AdaptiveStabilizerForm:
 
 def all_adaptive_forms(g: HypergraphSpec) -> list[AdaptiveStabilizerForm]:
     return [adaptive_form(g, v) for v in range(g.n)]
+
+
+def outcome_tables(forms) -> tuple[np.ndarray, np.ndarray]:
+    """Pass flag and projector bits ``a`` of every form on every joint outcome of its bases().
+
+    Row i belongs to ``forms[i]``; its columns are the 2**n outcome indices
+    (qubit 0 most significant, bit 1 for the -1 outcome).  The rule is
+    branch_for_bits': a trial passes when the outcome product over the
+    tested vertex and the residual Z's equals (-1)**alpha.  A Z that lands
+    on a projector vertex adds that vertex's bit of ``a`` to alpha, which is
+    its outcome bit, so it joins the parity like any other Z.  Each
+    neighbor edge then puts its other vertex's bit in the parity and each
+    group its product of bits (the projectors fire the Z, the carrier's bit
+    reads it): the trial passes when an even number of these monomials,
+    with the tested vertex's own bit, are 1.  The per-vertex bit arrays of
+    the outcome index are computed once and shared by every form.
+    """
+    n = forms[0].n
+    if any(f.n != n for f in forms):
+        raise ValueError("the forms of one table must share one register width")
+    idx = np.arange(capped_dim(n, PURE_QUBIT_CAP, "outcome table"), dtype=np.int64)
+    outcome_bit = (idx >> np.arange(n - 1, -1, -1)[:, None]) & 1  # row v: vertex v's bit
+    # a ends with the last support vertex's bit, as branch_for_bits packs it
+    place = np.zeros((len(forms), n), dtype=np.int64)
+    odd = np.empty((len(forms), idx.size), dtype=bool)
+    for f, row, odd_row in zip(forms, place, odd):
+        row[list(f.projector_support)] = 1 << np.arange(len(f.projector_support))[::-1]
+        monomials = [(f.vertex,), *((w,) for w in f.z_neighbors), *f.cz_groups]
+        odd_row[:] = _odd_monomials(idx, [qubit_mask(n, m) for m in monomials])
+    return ~odd, place @ outcome_bit
 
 
 def random_bms_instance(

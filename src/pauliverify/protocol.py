@@ -303,8 +303,13 @@ def choose_layout(n_registers: int, m: int, rng: np.random.Generator):
 
 
 def _run_rngs(seed: int):
-    ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(3)]
+    """The layout, prover and test generators of a run: SeedSequence(seed).spawn(3).
+
+    Each child is built from its spawn key, which skips hashing the parent's
+    pool, a pool that spawn never reads.
+    """
+    children = (np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(3))
+    return [np.random.default_rng(child) for child in children]
 
 
 def check_executable(params: ProtocolParams) -> None:

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hypergraphs import AdaptiveStabilizerForm
+from .hypergraphs import AdaptiveStabilizerForm, outcome_tables
 from .paulis import PauliString, PauliSum, bit_for_qubit, qubit_mask
 from .states import (
     DenseState,
@@ -220,7 +220,7 @@ class AdaptiveTest:
     A trial measures X on the tested vertex and Z everywhere else, then
     applies the branch rule the observed projector bits ``a`` choose.  It uses
     one variate, and its branch is ``a``.  ``sample`` reads the pass flag and
-    ``a`` of every joint outcome off the forms' cached outcome tables.
+    ``a`` of every joint outcome off the forms' outcome tables, built once.
     """
 
     variates = 1
@@ -245,13 +245,14 @@ class AdaptiveTest:
         group = _group_of_trial(len(self.forms), n_trials, u.size)
         idx = sample_stacked_outcomes(state, self.bases, group, u)
         passes, bits = self._outcome_tables
-        return passes[group, idx], bits[group, idx]
+        # one flat index into the (group, outcome) tables
+        idx += group * passes.shape[1]
+        return passes.take(idx), bits.take(idx)
 
     @cached_property
     def _outcome_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Every form's outcome tables, one row per group."""
-        tables = [f.outcome_tables() for f in self.forms]
-        return np.stack([p for p, _ in tables]), np.stack([a for _, a in tables])
+        return outcome_tables(self.forms)
 
     def branch_label(self, group: int, a: int) -> str:
         width = len(self.forms[group].projector_support)

@@ -42,7 +42,9 @@ rows laid end to end by ``_born_rows``, with the same bits:
   as the 1-D calls on each row.
 
 The stack lays the CDFs out as ``stack_segments`` does, so one vectorized
-search serves a whole run.
+search serves a whole run.  The search is branch-free: a position moves by
+its step times the comparison, not through ``np.where``, which mispredicts
+on the random mask that the comparisons of random variates make.
 The target fidelity ``overlap(state, reference)`` is memoized the same way.
 Every entry goes through ``_remember``: a state's memo that would grow past
 MEMO_LIMIT entries starts over, so long-lived states stay bounded.
@@ -546,18 +548,23 @@ def search_segments(
     ``np.searchsorted(segment, u[t], side="right")`` returns; it is found by
     the same ``<=`` comparisons, ties included, and the +inf padding is never
     counted.  All searches run together, one power-of-two step at a time.
+    The search is branch-free: each step adds ``step`` times the comparison
+    to the position, because the comparisons of random variates are true
+    about half the time, and a select such as ``np.where`` mispredicts on
+    about every other element.
     """
     start = segment * width
-    last = start - 1  # the last entry known to be <= u (none yet)
+    counted = start.copy()  # the first entry not known to be <= u
     step = width >> 1
     while step:
-        probe = last + step
-        last = np.where(flat[probe] <= u, probe, last)
+        # flat[step - 1:].take(counted) is flat[counted + step - 1] without the sum
+        counted += step * (flat[step - 1 :].take(counted) <= u)
         step >>= 1
     # at most width - 1 entries are counted so far; the next one is still in
     # the segment, and it is <= u only if every entry before it was too
-    last += flat[last + 1] <= u
-    return last + 1 - start
+    counted += flat.take(counted) <= u
+    counted -= start
+    return counted
 
 
 @dataclass(frozen=True)

@@ -255,7 +255,7 @@ def test_adaptive_kernel_equals_scalar_trials(n, edge_bits, vertex, pure, seed):
     test = AdaptiveTest(form)
 
     # the tables agree with the scalar predicate on every joint outcome
-    passes, bits = form.outcome_tables()
+    passes, bits = (table[0] for table in test._outcome_tables)
     for idx in range(1 << n):
         outcomes = tuple(1 - 2 * ((idx >> (n - 1 - j)) & 1) for j in range(n))
         assert adaptive_predicate(MeasurementRecord(outcomes, test.bases[0]), form) == (
@@ -303,14 +303,25 @@ WEIGHTS = st.lists(
 ).filter(lambda w: sum(w) > 0)
 
 
+def _long_weights(size, rng):
+    """``size`` weights with zeros, repeats and ties, and a positive sum."""
+    picks = rng.choice([0.0, 0.5, 1.0, 1e-300, 0.3], size)
+    w = np.where(rng.random(size) < 0.5, picks, rng.random(size))
+    w[rng.integers(size)] = 1.0
+    return w
+
+
 @given(
     weights=st.lists(WEIGHTS, min_size=1, max_size=6),
+    # segments as wide as 256 entries, and one-entry ones
+    long_sizes=st.lists(st.just(1) | st.integers(129, 256), max_size=3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stacked_search_equals_searchsorted_per_segment(weights, seed):
-    cdfs = _segment_cdfs(weights)
-    flat, width = stack_segments(cdfs)
+def test_stacked_search_equals_searchsorted_per_segment(weights, long_sizes, seed):
     rng = np.random.default_rng(seed)
+    weights = weights + [_long_weights(size, rng) for size in long_sizes]
+    cdfs = _segment_cdfs([weights[i] for i in rng.permutation(len(weights))])
+    flat, width = stack_segments(cdfs)
     # uniforms exactly on CDF entries (ties), past the last entry, and random
     for b, cdf in enumerate(cdfs):
         u = np.concatenate(
@@ -319,11 +330,20 @@ def test_stacked_search_equals_searchsorted_per_segment(weights, seed):
         u = u[(u >= 0.0) & (u < 1.0)]
         got = search_segments(flat, width, np.full(u.size, b), u)
         np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="right"))
-    # and all segments interleaved in one call
-    which = rng.integers(0, len(cdfs), 200)
-    u = rng.random(200)
-    want = [np.searchsorted(cdfs[b], x, side="right") for b, x in zip(which, u)]
-    np.testing.assert_array_equal(search_segments(flat, width, which, u), want)
+    # more trials than one engine block in one call, in the groups' tiled
+    # layout and at random segments, half of them on CDF entries
+    n_trials = protocol.BLOCK_TRIALS // len(cdfs) + 1
+    tiled = single_copy._group_of_trial(len(cdfs), n_trials, 2 * len(cdfs) * n_trials)
+    assert tiled.size > protocol.BLOCK_TRIALS
+    entries = np.concatenate(cdfs)
+    for which in (tiled, rng.integers(0, len(cdfs), tiled.size)):
+        u = np.where(
+            rng.random(which.size) < 0.5, rng.choice(entries, which.size), rng.random(which.size)
+        )
+        want = np.empty_like(which)
+        for b, cdf in enumerate(cdfs):
+            want[which == b] = np.searchsorted(cdf, u[which == b], side="right")
+        np.testing.assert_array_equal(search_segments(flat, width, which, u), want)
 
 
 STATE_KINDS = (

@@ -31,7 +31,13 @@ from pauliverify import (
 )
 from pauliverify.circuits import build_circuit_state, circuit
 from pauliverify.cli import main
-from pauliverify.hypergraphs import adaptive_form, build_state, hypergraph, stabilizer_dense
+from pauliverify.hypergraphs import (
+    adaptive_form,
+    build_state,
+    hypergraph,
+    outcome_tables,
+    stabilizer_dense,
+)
 from pauliverify.paulis import INSPECT_QUBIT_CAP
 from pauliverify.protocol import EntangledRegisters
 
@@ -134,9 +140,9 @@ ALLOCATORS = {
     ),
     "build_state": lambda: build_state(hypergraph(OVER_PURE, [(0, 1)])),
     "stabilizer_dense": lambda: stabilizer_dense(hypergraph(OVER_DENSE, [(0, 1)]), 0),
-    "outcome_tables": lambda: adaptive_form(
-        hypergraph(OVER_PURE, [(0, 1, 2)]), 0
-    ).outcome_tables(),
+    "outcome_tables": lambda: outcome_tables(
+        [adaptive_form(hypergraph(OVER_PURE, [(0, 1, 2)]), 0)]
+    ),
     "adaptive_form.dense": lambda: adaptive_form(
         hypergraph(OVER_DENSE, [(0, 1)]), 0
     ).dense(),

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -9,12 +10,15 @@ from pauliverify.hypergraphs import (
     bit_for_qubit,
     build_state,
     connectivity,
+    cz_phase_vector,
     hypergraph,
     hypergraph_to_jsonable,
     load_hypergraph,
+    outcome_tables,
     random_bms_instance,
     stabilizer_dense,
 )
+from pauliverify.single_copy import AdaptiveTest
 from pauliverify.states import to_density
 
 from conftest import dense_from_axes
@@ -229,24 +233,70 @@ def test_json_roundtrip(tmp_path):
     assert back.edges == ((0, 1),) and z == ()
 
 
-@given(
-    n=st.integers(2, 7),
-    edge_bits=st.integers(0, 2**56 - 1),
-    vertex=st.integers(0, 6),
-)
-def test_outcome_tables_follow_branch_for_bits_on_every_outcome(n, edge_bits, vertex):
+def _edges_of(n, edge_bits):
+    """The pair and triple edges of n vertices that edge_bits selects."""
     candidates = [e for size in (2, 3) for e in combinations(range(n), size)]
-    edges = [e for i, e in enumerate(candidates) if edge_bits >> i & 1]
-    form = adaptive_form(hypergraph(n, edges), vertex % n)
-    passes, bits = form.outcome_tables()
-    width = len(form.projector_support)
-    for idx in range(1 << n):
-        key = 0
-        for v in form.projector_support:
-            key = (key << 1) | (idx & bit_for_qubit(n, v) != 0)
-        alpha, residual = form.branch_for_bits(key)
-        mask = bit_for_qubit(n, form.vertex)
-        for v in residual:
-            mask |= bit_for_qubit(n, v)
-        assert bits[idx] == key and key < 1 << width
-        assert passes[idx] == (((idx & mask).bit_count() + alpha) % 2 == 0)
+    return [e for i, e in enumerate(candidates) if edge_bits >> i & 1]
+
+
+# n = 8 has 28 pairs and 56 triples
+@given(
+    n=st.integers(1, 8),
+    edge_bits=st.integers(0, 2**84 - 1),
+    vertices=st.lists(st.integers(0, 7), min_size=1, max_size=8),
+)
+def test_outcome_tables_follow_branch_for_bits_on_every_outcome(n, edge_bits, vertices):
+    g = hypergraph(n, _edges_of(n, edge_bits))
+    forms = [adaptive_form(g, v % n) for v in vertices]
+    passes, bits = AdaptiveTest(*forms)._outcome_tables
+    assert passes.shape == bits.shape == (len(forms), 1 << n)
+    for form, row_passes, row_bits in zip(forms, passes.tolist(), bits.tolist()):
+        width = len(form.projector_support)
+        for idx in range(1 << n):
+            key = 0
+            for v in form.projector_support:
+                key = (key << 1) | (idx & bit_for_qubit(n, v) != 0)
+            alpha, residual = form.branch_for_bits(key)
+            mask = bit_for_qubit(n, form.vertex)
+            for v in residual:
+                mask |= bit_for_qubit(n, v)
+            assert row_bits[idx] == key and key < 1 << width
+            assert row_passes[idx] == (((idx & mask).bit_count() + alpha) % 2 == 0)
+
+
+def test_outcome_tables_refuse_forms_of_different_widths():
+    forms = [adaptive_form(hypergraph(n, [(0, 1)]), 0) for n in (2, 3)]
+    with pytest.raises(ValueError, match="one register width"):
+        outcome_tables(forms)
+
+
+def _edge_sign(edges, n, idx):
+    """The product over edges of -1 when every vertex of the edge is 1 in idx."""
+    sign = 1
+    for e in edges:
+        if all(idx & bit_for_qubit(n, v) for v in e):
+            sign = -sign
+    return sign
+
+
+@given(n=st.integers(1, 8), edge_bits=st.integers(0, 2**84 - 1))
+def test_cz_phase_vector_is_the_product_of_edge_signs(n, edge_bits):
+    g = hypergraph(n, _edges_of(n, edge_bits))
+    phases = cz_phase_vector(g)
+    assert phases.dtype == np.int64
+    assert phases.tolist() == [_edge_sign(g.edges, n, idx) for idx in range(1 << n)]
+
+
+def test_cz_phase_vector_memory_does_not_grow_with_the_edges():
+    n = 16
+    g = hypergraph(n, [e for size in (2, 3) for e in combinations(range(n), size)])
+    assert len(g.edges) >= 500
+    tracemalloc.start()
+    try:
+        phases = cz_phase_vector(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**n * 8
+    for idx in np.random.default_rng(0).integers(0, 2**n, 50).tolist():
+        assert phases[idx] == _edge_sign(g.edges, n, idx)

@@ -27,6 +27,7 @@ from pauliverify.protocol import (
     hypergraph_group_threshold,
     iid_deviated_prover,
     PreparedTarget,
+    _run_rngs,
     group_thresholds,
     prepare,
     run_seeds,
@@ -96,6 +97,13 @@ def test_thresholds_are_exact_rationals():
     thr = circuit_group_threshold(Fraction(1, 3), 2.0)
     assert thr == Fraction(1, 2) + Fraction(2, 3) / 4
     assert hypergraph_group_threshold(Fraction(1, 8)) == Fraction(7, 8)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 - 2, *run_seeds(5, 5)])
+def test_run_streams_are_the_spawned_children_of_the_seed(seed):
+    spawned = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(3)]
+    for built, want in zip(_run_rngs(seed), spawned, strict=True):
+        assert built.bit_generator.state == want.bit_generator.state
 
 
 def test_layout_uniform_target_chi_squared():
