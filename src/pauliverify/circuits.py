@@ -35,7 +35,7 @@ from .paulis import (
 )
 from .hamiltonians import budget_value
 from .reporting import field, read_object
-from .states import DenseState, plus_state, pure_state
+from .states import DenseState, apply_on_axes, plus_state, pure_state
 
 TERM_CAP_DEFAULT = 1 << 18
 
@@ -161,9 +161,15 @@ class CircuitSpec:
                 raise ValueError(f"gate {gate} leaves the register")
 
     @cached_property
-    def rules(self) -> tuple[dict, ...]:
-        """Every gate's rule on the register, lifted once for all stabilizers."""
-        return tuple(gate.rule_on(self.n) for gate in self.gates)
+    def rules(self) -> tuple[tuple[int, int, dict], ...]:
+        """(on, off, rule) per gate, lifted once for all stabilizers.
+
+        ``on`` masks the gate's qubits and ``off`` the others, as Python ints
+        of any width; ``rule`` is the gate's rule on the register.
+        """
+        full = (1 << self.n) - 1
+        masks = [qubit_mask(self.n, gate.qubits) for gate in self.gates]
+        return tuple((on, full ^ on, g.rule_on(self.n)) for on, g in zip(masks, self.gates))
 
 
 def circuit(n: int, gates) -> CircuitSpec:
@@ -180,12 +186,9 @@ def circuit(n: int, gates) -> CircuitSpec:
 
 def build_circuit_state(c: CircuitSpec) -> DenseState:
     """Apply the gate list to |+>^n with dense amplitudes."""
-    psi = plus_state(c.n).data.reshape([2] * c.n).copy()
+    psi = plus_state(c.n).data.reshape([2] * c.n)
     for gate in c.gates:
-        mat = gate.matrix().reshape([2] * (2 * len(gate.qubits)))
-        in_axes = list(range(len(gate.qubits), 2 * len(gate.qubits)))
-        psi = np.tensordot(mat, psi, axes=(in_axes, list(gate.qubits)))
-        psi = np.moveaxis(psi, range(len(gate.qubits)), gate.qubits)
+        psi = apply_on_axes(gate.matrix(), psi, gate.qubits)
     return pure_state(psi.reshape(-1), c.n)
 
 
@@ -194,11 +197,10 @@ def conjugate_through_circuit(
 ) -> PauliSum:
     """Push X on ``qubit`` through the gate list: the Pauli sum of U X_qubit U^dag."""
     terms = {PauliString.on_qubit(c.n, qubit, "X").key: 1.0}
-    for gate, rule in zip(c.gates, c.rules):
-        on = qubit_mask(c.n, gate.qubits)
+    for on, off, rule in c.rules:
         nxt: dict[tuple[int, int], float] = {}
         for (xm, zm), coeff in terms.items():
-            x_off, z_off = xm & ~on, zm & ~on
+            x_off, z_off = xm & off, zm & off
             for gx, gz, factor in rule[xm & on, zm & on]:
                 key = (x_off | gx, z_off | gz)
                 nxt[key] = nxt.get(key, 0.0) + coeff * factor

@@ -39,10 +39,15 @@ if TYPE_CHECKING:
     from .states import DenseState
 
 
-def _fresh_seed() -> int:
-    import numpy as np  # on first use: params and iqp-margin never need it
+def _seed(seed: int | None) -> int:
+    """A given seed, checked, or a fresh one; numpy seeds only from non-negative integers."""
+    if seed is None:
+        import numpy as np  # on first use: params and iqp-margin never need it
 
-    return int(np.random.SeedSequence().entropy % (2**63 - 1))
+        return int(np.random.SeedSequence().entropy % (2**63 - 1))
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _emit(obj, out: str | None) -> None:
@@ -184,7 +189,7 @@ def cmd_gen_hypergraph(args) -> int:
 
     from .hypergraphs import hypergraph_to_jsonable, random_bms_instance
 
-    seed = args.seed if args.seed is not None else _fresh_seed()
+    seed = _seed(args.seed)
     g, z_layer = random_bms_instance(args.n, args.edge_prob, np.random.default_rng(seed))
     payload = hypergraph_to_jsonable(g, z_layer)
     manifest = {
@@ -350,9 +355,7 @@ def cmd_verify(args) -> int:
         params_cfg["mode"] = args.mode
         cfg["params"] = params_cfg
     target_path = config_path.parent / field(cfg, "target", str)
-    seed = field(cfg, "seed", int, None) if args.seed is None else args.seed
-    if seed is None:
-        seed = _fresh_seed()
+    seed = _seed(field(cfg, "seed", int, None) if args.seed is None else args.seed)
     kind, target, _ = load_target(target_path)
     protocol = field(cfg, "protocol", str, PROTOCOL_FOR_KIND[kind])
     if protocol != PROTOCOL_FOR_KIND[kind]:
@@ -424,7 +427,7 @@ def cmd_robustness(args) -> int:
     from .states import maximally_mixed
 
     kind, target, _ = load_target(args.target)
-    seed = args.seed if args.seed is not None else _fresh_seed()
+    seed = _seed(args.seed)
     eps_primes = [float(x) for x in args.eps_prime.split(",") if x != ""]
     if not eps_primes:
         raise ValueError("--eps-prime needs at least one deviation")
@@ -449,7 +452,7 @@ def cmd_robustness(args) -> int:
 def cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    ok = run_selftest(seed=args.seed if args.seed is not None else 0)
+    ok = run_selftest(seed=0 if args.seed is None else _seed(args.seed))
     return 0 if ok else 1
 
 

@@ -37,7 +37,6 @@ from .single_copy import (
     AdaptiveTest,
     ParityTest,
     adaptive_test_exact_ppass,
-    parity_test_exact_ppass,
 )
 from .states import (
     DenseState,
@@ -565,10 +564,5 @@ def prepare(kind: str, target) -> PreparedTarget:
         fidelity = partial(overlap, reference=ideal)
     else:
         raise ValueError(f"unknown target kind {kind!r}")
-    return PreparedTarget(
-        PROTOCOL_FOR_KIND[kind],
-        ideal,
-        ParityTest(*sums),
-        fidelity,
-        lambda rho: tuple(parity_test_exact_ppass(rho, s) for s in sums),
-    )
+    test = ParityTest(*sums)
+    return PreparedTarget(PROTOCOL_FOR_KIND[kind], ideal, test, fidelity, test.exact_ppass)

@@ -27,6 +27,7 @@ from .paulis import PauliString, PauliSum, bit_for_qubit, qubit_mask
 from .states import (
     DenseState,
     MeasurementRecord,
+    StackLayout,
     expectations,
     masked_pauli_expectation,
     projector_overlap,
@@ -63,8 +64,12 @@ def parity_passes(record: MeasurementRecord, sign: int) -> bool:
 
 def parity_test_exact_ppass(rho: DenseState, pauli_sum: PauliSum) -> float:
     """1/2 + <H>/(2 * l1), with H the rescaled Hamiltonian or a stabilizer."""
-    value = sum(expectations(rho, pauli_sum.terms))
-    return 0.5 + value / (2.0 * pauli_sum.l1_norm)
+    return _parity_ppass(expectations(rho, pauli_sum.terms), pauli_sum.l1_norm)
+
+
+def _parity_ppass(values: list[float], l1_norm: float) -> float:
+    """The pass probability of a sum from its terms' expectations, added in term order."""
+    return 0.5 + sum(values) / (2.0 * l1_norm)
 
 
 # the ground protocol's name for the same closed form
@@ -163,7 +168,7 @@ class ParityTest:
         if any(s.n != self.n for s in sums):
             raise ValueError("the sums of a parity test must share one register width")
         self.group_l1 = tuple(s.l1_norm for s in sums)
-        terms = [t for s in sums for t in s.terms]
+        self.terms = terms = [t for s in sums for t in s.terms]
         # the sign of a vanishing coefficient is undefined, but such a term
         # carries no sampling weight
         self.signs = np.array([1 if t.coeff > 0 else -1 for t in terms])
@@ -174,6 +179,7 @@ class ParityTest:
             [basis_id.setdefault(t.key, len(basis_id)) for t in terms], dtype=np.int64
         )
         self.distinct_bases = tuple(PauliString(self.n, x, z).axes for x, z in basis_id)
+        self.layout = StackLayout.of(self.n, self.distinct_bases)
         # the groups' term CDFs, stacked
         self.term_cum, self.term_width = stack_segments([s.cum for s in sums])
         self.term_count = np.array([len(s.terms) for s in sums], dtype=np.int64)
@@ -193,12 +199,23 @@ class ParityTest:
         group = _group_of_trial(len(self.sums), n_trials, u.size // 2)
         local = search_segments(self.term_cum, self.term_width, group, u[0::2])
         term = self.term_offset[group] + np.minimum(local, self.term_count[group] - 1)
-        idx = sample_stacked_outcomes(
-            state, self.distinct_bases, self.basis_id[term], u[1::2]
-        )
+        idx = sample_stacked_outcomes(state, self.layout, self.basis_id[term], u[1::2])
         # the outcome product is -1 exactly when the index has odd popcount
         passed = ((np.bitwise_count(idx) & 1) == 1) == (self.signs[term] < 0)
         return passed, term
+
+    def exact_ppass(self, rho: DenseState) -> tuple[float, ...]:
+        """``parity_test_exact_ppass(rho, s)`` for each group's sum ``s``, bit for bit.
+
+        The expectations of every group's terms come from one gather; each
+        term's value does not depend on its neighbours in the gather, and each
+        group adds its own values in term order.
+        """
+        values = expectations(rho, self.terms)
+        return tuple(
+            _parity_ppass(values[lo : lo + len(s.terms)], s.l1_norm)
+            for lo, s in zip(self.term_offset.tolist(), self.sums)
+        )
 
     def branch_label(self, group: int, term: int) -> str:
         basis = self.distinct_bases[self.basis_id[term]]
@@ -230,6 +247,7 @@ class AdaptiveTest:
             raise ValueError("an adaptive test needs at least one form")
         self.forms = forms
         self.bases = tuple(f.bases() for f in forms)
+        self.layout = StackLayout.of(forms[0].n, self.bases)
         self.group_l1 = (1.0,) * len(forms)
 
     def trial(
@@ -243,7 +261,7 @@ class AdaptiveTest:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Pass flags and projector bits of ``n_trials`` trials per group and run on ``state``."""
         group = _group_of_trial(len(self.forms), n_trials, u.size)
-        idx = sample_stacked_outcomes(state, self.bases, group, u)
+        idx = sample_stacked_outcomes(state, self.layout, group, u)
         passes, bits = self._outcome_tables
         # one flat index into the (group, outcome) tables
         idx += group * passes.shape[1]

@@ -8,9 +8,9 @@ the eigenvalue check.
 
 Per-state measurement tables (outcome distributions over the measured
 qubits) are memoized on the instance, keyed by the basis string for a single
-table and by the basis tuple for a stack, which makes repeated sampling of
-the same state in the same bases cheap.  How a table's raw Born row is built
-follows from how the state was built:
+table and by the layout's basis tuple for a stack, which makes repeated
+sampling of the same state in the same bases cheap.  How a table's raw Born
+row is built follows from how the state was built:
 
 * a pure state's row rotates the amplitudes into the computational basis
   and squares them;
@@ -24,10 +24,18 @@ follows from how the state was built:
   tensor halves at every step and one row costs about two passes over the
   4**n entries whatever the letters are.
 
+A rotation, like a gate of a circuit, applies its matrix to some axes of the
+amplitude tensor as ``np.dot`` on the transposed copy that ``np.tensordot``
+would make, then transposes back as ``np.moveaxis`` would.  Both orders come
+from a cache keyed by (ndim, axes), so a call pays for neither function's
+argument handling, and the bits are theirs.
+
 ``_finish_rows`` then clips every row at 0, normalizes it and sums it into
 its CDF.  ``_measurement_table`` builds one basis at a time and is the scalar
 reference.  A group of bases sampled together is built as one stack, its
-rows laid end to end by ``_born_rows``, with the same bits:
+rows laid end to end by ``_born_rows``, with the same bits.  Where each row
+lies, which qubits it measures and which rows are finished together is a
+``StackLayout``, which a test works out once for all the states it samples:
 
 * a pure state's distinct bases are walked in the sorted order of their
   rotated letters ((qubit, letter), ...), keeping only the current path of
@@ -36,7 +44,7 @@ rows laid end to end by ``_born_rows``, with the same bits:
   input as the scalar path's, so the arrays are equal bit for bit;
 * a mixture mixes its parts' normalized rows in one elementwise pass, which
   is the scalar path's arithmetic entry by entry; a maximally mixed part
-  gives its uniform rows directly, without a stack of its own;
+  gives the layout's uniform rows directly, without a stack of its own;
 * rows with the same number of measured qubits are finished together as
   one contiguous 2-D block, whose row-wise sum and cumsum give the same bits
   as the 1-D calls on each row.
@@ -53,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -335,6 +344,12 @@ def partial_trace(state: DenseState, keep: tuple[int, ...]) -> DenseState:
     if not state.is_pure:
         raise ValueError("partial_trace is implemented for pure joint states")
     keep = tuple(keep)
+    for q in keep:
+        if not 0 <= q < state.n:
+            raise ValueError(f"partial_trace: qubit {q} is not one of the {state.n} qubits")
+    # the reduced matrix follows the order of keep, so another order would swap qubits
+    if list(keep) != sorted(set(keep)):
+        raise ValueError(f"partial_trace keeps distinct qubits in ascending order, got {keep}")
     drop = [q for q in range(state.n) if q not in keep]
     psi = state.data.reshape([2] * state.n)
     psi = np.transpose(psi, list(keep) + drop)
@@ -381,15 +396,35 @@ def _rotated_letters(bases: str) -> tuple[tuple[int, str], ...]:
     return tuple((j, b) for j, b in enumerate(bases) if BASIS_ROTATIONS[b] is not None)
 
 
-def _rotate(psi: np.ndarray, j: int, letter: str) -> np.ndarray:
-    """np.tensordot(rotation, psi, axes=(1, j)) with axis j put back in place.
+@cache
+def _axis_orders(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(front, back): the order that brings ``axes`` to the front, and its inverse.
+
+    ``axes`` keep their own order at the front.  These are the orders
+    np.tensordot and np.moveaxis work out on every call.
+    Every caller's tensor has at most PURE_QUBIT_CAP axes, so the cache is bounded.
+    """
+    front = (*axes, *(k for k in range(ndim) if k not in axes))
+    return front, tuple(sorted(range(ndim), key=front.__getitem__))
+
+
+def apply_on_axes(matrix: np.ndarray, psi: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """A 2**a x 2**a ``matrix`` applied to the ``a`` qubit ``axes`` of the tensor ``psi``.
 
     These are tensordot's own steps (the same transposed copy and the same
-    ``dot``) without its argument handling, so the bits are tensordot's.
+    ``dot``), followed by moveaxis's transpose, with both orders cached, so
+    the bits are those of ``np.moveaxis(np.tensordot(m, psi, axes=(in, axes)),
+    range(a), axes)`` with ``m`` the matrix as a (2,) * 2a tensor.
     """
-    moved = np.moveaxis(psi, j, 0)
-    out = np.dot(BASIS_ROTATIONS[letter], moved.reshape(2, -1)).reshape(moved.shape)
-    return np.moveaxis(out, 0, j)
+    front, back = _axis_orders(psi.ndim, axes)
+    moved = psi.transpose(front)
+    out = np.dot(matrix, moved.reshape(matrix.shape[1], -1))
+    return out.reshape(moved.shape).transpose(back)
+
+
+def _rotate(psi: np.ndarray, j: int, letter: str) -> np.ndarray:
+    """np.tensordot(rotation, psi, axes=(1, j)) with axis j put back in place, bit for bit."""
+    return apply_on_axes(BASIS_ROTATIONS[letter], psi, (j,))
 
 
 def rotate_to_computational(psi: np.ndarray, bases: str) -> np.ndarray:
@@ -567,23 +602,57 @@ def search_segments(
     return counted
 
 
+@dataclass(frozen=True, eq=False)
+class StackLayout:
+    """Where the Born tables of a tuple of bases lie in a stack; a test builds it once.
+
+    Every basis is checked once, in ``StackLayout.of``.  Basis i's row lies
+    at ``segments[i]`` among rows laid end to end (2**m entries for m
+    measured qubits), and its CDF in row i of width ``width``.  ``blocks``
+    holds, per measured count, the bases with that count and the flat
+    entries of their rows, which are finished as one block.
+    """
+
+    n: int
+    bases: tuple[str, ...]
+    measured: tuple[tuple[int, ...], ...]
+    segments: tuple[slice, ...]
+    width: int
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]  # (bases, row entries) per count
+
+    @classmethod
+    def of(cls, n: int, bases) -> StackLayout:
+        bases = tuple(bases)
+        measured = tuple(_measured_qubits(n, b) for b in bases)
+        ends = itertools.accumulate(1 << len(m) for m in measured)
+        segments = tuple(slice(end - (1 << len(m)), end) for end, m in zip(ends, measured))
+        counts = np.array([len(m) for m in measured])
+        starts = np.array([segment.start for segment in segments])
+        blocks = []
+        for m in sorted(set(counts.tolist())):
+            at = np.flatnonzero(counts == m)
+            blocks.append((at, starts[at, None] + np.arange(1 << m)))
+        return cls(n, bases, measured, segments, 1 << int(counts.max()), tuple(blocks))
+
+    @cached_property
+    def uniform_rows(self) -> np.ndarray:
+        """The maximally mixed state's rows, 2**-m each; they are already normalized."""
+        rows = np.concatenate([np.full(1 << len(m), 2.0 ** -len(m)) for m in self.measured])
+        rows.flags.writeable = False
+        return rows
+
+
 @dataclass(frozen=True)
 class _TableStack:
-    """The Born tables of a tuple of bases on one state."""
+    """The Born tables of a layout's bases on one state."""
 
-    probs: np.ndarray  # normalized rows laid end to end, as _segments places them
+    probs: np.ndarray  # normalized rows laid end to end, at the layout's segments
     cum: np.ndarray  # CDFs laid out as stack_segments lays them out
     width: int
     last_sampleable: np.ndarray  # per basis
 
 
-def _segments(measured) -> list[slice]:
-    """Where each basis's row lies among rows laid end to end: 2**m entries for m measured."""
-    ends = list(itertools.accumulate(1 << len(m) for m in measured))
-    return [slice(end - (1 << len(m)), end) for end, m in zip(ends, measured)]
-
-
-def _pure_rows(state: DenseState, bases, measured, rows: np.ndarray, segments):
+def _pure_rows(state: DenseState, layout: StackLayout, rows: np.ndarray):
     """Write the squared rotated amplitudes of each basis, marginalized, into ``rows``.
 
     Bases that rotate the same letters share one rotated tensor, and the
@@ -591,7 +660,7 @@ def _pure_rows(state: DenseState, bases, measured, rows: np.ndarray, segments):
     shared prefix is rotated once.
     """
     by_letters: dict[tuple, list[int]] = {}
-    for i, b in enumerate(bases):
+    for i, b in enumerate(layout.bases):
         by_letters.setdefault(_rotated_letters(b), []).append(i)
     path: list[tuple[int, str]] = []
     tensors = [state.data.reshape([2] * state.n)]
@@ -605,73 +674,62 @@ def _pure_rows(state: DenseState, bases, measured, rows: np.ndarray, segments):
             path.append((j, b))
         full = np.abs(tensors[-1]) ** 2
         for i in by_letters[letters]:
-            rows[segments[i]] = _marginal(full, measured[i])
+            rows[layout.segments[i]] = _marginal(full, layout.measured[i])
 
 
-def _uniform_rows(measured) -> np.ndarray:
-    """The maximally mixed state's rows, 2**-m each; they are already normalized."""
-    return np.concatenate([np.full(1 << len(m), 2.0 ** -len(m)) for m in measured])
-
-
-def _normalized_rows(state: DenseState, bases: tuple[str, ...], measured) -> np.ndarray:
+def _normalized_rows(state: DenseState, layout: StackLayout) -> np.ndarray:
     """A mixture part's normalized rows; a maximally mixed part needs no stack of its own."""
     if state._parts == ():
-        return _uniform_rows(measured)
-    return _table_stack(state, bases, measured).probs
+        return layout.uniform_rows
+    return _table_stack(state, layout).probs
 
 
-def _born_rows(state: DenseState, bases: tuple[str, ...], measured) -> np.ndarray:
-    """Raw Born rows of ``bases`` on ``state``, laid end to end as _segments places them."""
+def _born_rows(state: DenseState, layout: StackLayout) -> np.ndarray:
+    """Raw Born rows of the layout's bases on ``state``, laid end to end at its segments."""
     if state._parts:
         (w0, s0), (w1, s1) = state._parts
-        rows = w0 * _normalized_rows(s0, bases, measured)
-        rows += w1 * _normalized_rows(s1, bases, measured)
+        rows = w0 * _normalized_rows(s0, layout)
+        rows += w1 * _normalized_rows(s1, layout)
         return rows
     if state._parts == ():
-        return _uniform_rows(measured)
-    segments = _segments(measured)
-    rows = np.empty(segments[-1].stop)
+        return layout.uniform_rows
+    rows = np.empty(layout.segments[-1].stop)
     if state.is_pure:
-        _pure_rows(state, bases, measured, rows, segments)
+        _pure_rows(state, layout, rows)
     else:
-        for segment, b in zip(segments, bases):
+        for segment, b in zip(layout.segments, layout.bases):
             rows[segment] = _density_outcome_probs(state.data, b)
     return rows
 
 
-def _table_stack(state: DenseState, bases: tuple[str, ...], measured=None) -> _TableStack:
-    cached = state._cache.get(bases)
+def _table_stack(state: DenseState, layout: StackLayout) -> _TableStack:
+    cached = state._cache.get(layout.bases)
     if cached is not None:
         return cached
-    if measured is None:
-        measured = [_measured_qubits(state.n, b) for b in bases]
-    rows = _born_rows(state, bases, measured)
-    counts = np.array([len(m) for m in measured])
-    starts = np.array([segment.start for segment in _segments(measured)])
-    width = 1 << int(counts.max())
-    probs, cum = np.empty_like(rows), np.full((len(bases), width), np.inf)
-    last = np.empty(len(bases), dtype=np.int64)
+    _check_width(state, layout.n)
+    rows = _born_rows(state, layout)
+    probs = np.empty_like(rows)
+    cum = np.full((len(layout.bases), layout.width), np.inf)
+    last = np.empty(len(layout.bases), dtype=np.int64)
     # rows with the same measured count are finished as one block
-    for m in set(counts.tolist()):
-        at = np.flatnonzero(counts == m)
-        block = starts[at, None] + np.arange(1 << m)
-        probs[block], cum[at, : 1 << m], last[at] = _finish_rows(rows[block])
-    return _remember(state, bases, _TableStack(probs, cum.reshape(-1), width, last))
+    for at, block in layout.blocks:
+        probs[block], cum[at, : block.shape[1]], last[at] = _finish_rows(rows[block])
+    return _remember(state, layout.bases, _TableStack(probs, cum.reshape(-1), layout.width, last))
 
 
 def sample_stacked_outcomes(
-    state: DenseState, bases: tuple[str, ...], which: np.ndarray, u: np.ndarray
+    state: DenseState, layout: StackLayout, which: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
-    """Batched twin of measure_in_bases: trial t measures bases[which[t]] with u[t].
+    """Batched twin of measure_in_bases: trial t measures layout.bases[which[t]] with u[t].
 
     Returns one outcome index per trial.  Its Born tables equal the scalar
     ones bit for bit, and it uses the same inverse-CDF search and clamp to the
     last sampleable outcome, so the index for ``u[t]`` is the one
     measure_in_bases draws from the same variate.  Index bits follow
     outcome_distribution (first measured qubit most significant, bit 1 for
-    the -1 outcome).  The tables of ``bases`` on ``state`` are built as one
-    stack and memoized on the state.
+    the -1 outcome).  The tables of the layout's bases on ``state`` are built
+    as one stack and memoized on the state.
     """
-    stack = _table_stack(state, bases)
+    stack = _table_stack(state, layout)
     k = search_segments(stack.cum, stack.width, which, u)
     return np.minimum(k, stack.last_sampleable[which])

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pauliverify import protocol, single_copy, states
 from pauliverify.circuits import circuit
-from pauliverify.cli import main
+from pauliverify.cli import load_target, main
 from pauliverify.reporting import trial_csv_lines
 from pauliverify.hamiltonians import HamiltonianSpec
 from pauliverify.hypergraphs import adaptive_form, hypergraph
@@ -37,6 +37,7 @@ from pauliverify.single_copy import AdaptiveTest, ParityTest, adaptive_predicate
 from pauliverify.states import (
     DenseState,
     MeasurementRecord,
+    StackLayout,
     apply_pauli,
     maximally_mixed,
     measure_in_bases,
@@ -190,7 +191,8 @@ def test_sample_outcome_indices_matches_measure_in_bases(rng):
     for bases in ("XYZ", "IZX", "III", "YIY"):
         u_rng = np.random.default_rng(11)
         u = u_rng.random(200)
-        idx = sample_stacked_outcomes(state, (bases,), np.zeros(u.size, dtype=np.int64), u)
+        layout = StackLayout.of(3, (bases,))
+        idx = sample_stacked_outcomes(state, layout, np.zeros(u.size, dtype=np.int64), u)
         s_rng = np.random.default_rng(11)
         measured = [j for j, b in enumerate(bases) if b != "I"]
         for k in idx:
@@ -392,7 +394,8 @@ def test_stacked_outcomes_equal_per_basis_sampling_with_the_clamp(kind, n, zeros
     if data.draw(st.booleans()):
         bases.insert(data.draw(st.integers(0, len(bases))), "I" * n)
     bases = tuple(dict.fromkeys(bases))
-    stack = states._table_stack(state, bases)
+    layout = StackLayout.of(n, bases)
+    stack = states._table_stack(state, layout)
     rows = stack.cum.reshape(len(bases), stack.width)
     start = 0  # the normalized rows lie end to end
     for b, basis in enumerate(bases):
@@ -405,7 +408,7 @@ def test_stacked_outcomes_equal_per_basis_sampling_with_the_clamp(kind, n, zeros
         start += size
         u = np.concatenate([table.cum, [np.nextafter(table.cum[-1], 2.0)], rng.random(30)])
         u = u[u < 1.0]
-        got = sample_stacked_outcomes(state, bases, np.full(u.size, b), u)
+        got = sample_stacked_outcomes(state, layout, np.full(u.size, b), u)
         np.testing.assert_array_equal(
             got, np.minimum(np.searchsorted(table.cum, u, side="right"), table.last_sampleable)
         )
@@ -446,10 +449,10 @@ def test_robustness_builds_each_table_once_and_never_contracts_a_mixture(
         kernel_calls.append(bases)
         return kernel(rho, bases)
 
-    def counted_rows(state, bases, measured):
+    def counted_rows(state, layout):
         # one row per basis; holding the state keeps its id unique
-        builds.extend((state, b) for b in bases)
-        return rows(state, bases, measured)
+        builds.extend((state, b) for b in layout.bases)
+        return rows(state, layout)
 
     monkeypatch.setattr(states, "_density_outcome_probs", counted_kernel)
     monkeypatch.setattr(states, "_born_rows", counted_rows)
@@ -475,6 +478,26 @@ def test_robustness_builds_each_table_once_and_never_contracts_a_mixture(
     tables_6, axes_6 = sweep(6)
     assert axes_2 == axes_6
     assert tables_2 == tables_6
+
+
+@pytest.mark.parametrize("target", ["clifford_t.json", "triple.json"])
+def test_a_sweep_checks_each_basis_of_its_test_once(tmp_path, monkeypatch, target):
+    # the ideal state and two mixtures share the one layout their test built
+    kind, spec = load_target(DATA / target)[:2]
+    bases = prepare(kind, spec).test.layout.bases
+    checked, measured_qubits = [], states._measured_qubits
+
+    def counted(n, basis):
+        checked.append(basis)
+        return measured_qubits(n, basis)
+
+    monkeypatch.setattr(states, "_measured_qubits", counted)
+    argv = [
+        "robustness", "--target", str(DATA / target), "--eps-prime", "0,0.05,0.2",
+        "-k", "10", "--runs", "3", "--seed", "5", "--out", str(tmp_path / "sweep.json"),
+    ]
+    assert main(argv) == 0
+    assert checked == list(bases)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pauliverify import circuits
 from pauliverify.circuits import (
@@ -24,8 +26,8 @@ from pauliverify.circuits import (
     rz_matrix,
 )
 from pauliverify.hamiltonians import load_hamiltonian, rescale
-from pauliverify.paulis import PauliString, decompose_in_pauli_basis
-from pauliverify.states import to_density
+from pauliverify.paulis import DROP_THRESHOLD, PauliString, decompose_in_pauli_basis, qubit_mask
+from pauliverify.states import apply_on_axes, plus_state, random_pure_state, to_density
 
 from conftest import dense_from_axes, SINGLE
 
@@ -259,3 +261,87 @@ def test_json_roundtrip(tmp_path):
 
     path.write_text(json.dumps(circuit_to_jsonable(c)))
     assert load_circuit(path) == c
+
+
+# ---------------------------------------------------------------------------
+# The circuit path without per-call overhead, against the code it replaced
+
+
+def int_view(a: np.ndarray) -> np.ndarray:
+    """The bits of a complex array as integers, so -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def tensordot_then_moveaxis(matrix, psi, qubits):
+    """A gate applied as build_circuit_state applied it before fixed-axis kernels."""
+    arity = len(qubits)
+    mat = matrix.reshape([2] * (2 * arity))
+    in_axes = list(range(arity, 2 * arity))
+    out = np.tensordot(mat, psi, axes=(in_axes, list(qubits)))
+    return np.moveaxis(out, range(arity), qubits)
+
+
+@given(n=st.integers(3, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_gate_application_equals_tensordot_then_moveaxis_bit_for_bit(n, data, seed):
+    rng = np.random.default_rng(seed)
+    psi = random_pure_state(n, rng).data.reshape([2] * n)
+    # named gates, and dense matrices that no reordering of their qubits leaves alone
+    gates = [
+        Gate("T", (int(rng.integers(n)),)),
+        Gate("RZ", (int(rng.integers(n)),), data.draw(st.floats(-2 * np.pi, 2 * np.pi))),
+        Gate("CNOT", tuple(data.draw(st.permutations(range(n)))[:2])),
+        Gate("CCZ", tuple(data.draw(st.permutations(range(n)))[:3])),
+    ]
+    steps = [(g.matrix(), g.qubits) for g in gates]
+    for arity in (1, 2, 3):
+        dense = rng.normal(size=(1 << arity, 1 << arity)) * (1 + 1j)
+        steps.append((dense, tuple(data.draw(st.permutations(range(n)))[:arity])))
+    for matrix, qubits in steps + [(GATE_MATRICES["CNOT"], (n - 1, 0)),
+                                   (GATE_MATRICES["CCZ"], (2, 0, 1))]:
+        want = tensordot_then_moveaxis(matrix, psi, qubits)
+        got = apply_on_axes(matrix, psi, qubits)
+        assert got.shape == want.shape
+        assert np.array_equal(int_view(got), int_view(want))
+        psi = got
+
+
+def test_build_circuit_state_equals_the_tensordot_loop_bit_for_bit(rng):
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        c = random_circuit(n, 40, rng)
+        psi = plus_state(n).data.reshape([2] * n).copy()
+        for gate in c.gates:
+            psi = tensordot_then_moveaxis(gate.matrix(), psi, gate.qubits)
+        got = build_circuit_state(c).data
+        assert np.array_equal(int_view(got), int_view(psi.reshape(-1)))
+
+
+def push_through_with_masks_per_gate(c: CircuitSpec, qubit: int) -> list[PauliString]:
+    """conjugate_through_circuit as it read when each gate's masks were made per stabilizer."""
+    terms = {PauliString.on_qubit(c.n, qubit, "X").key: 1.0}
+    for gate in c.gates:
+        rule = gate.rule_on(c.n)
+        on = qubit_mask(c.n, gate.qubits)
+        nxt = {}
+        for (xm, zm), coeff in terms.items():
+            x_off, z_off = xm & ~on, zm & ~on
+            for gx, gz, factor in rule[xm & on, zm & on]:
+                key = (x_off | gx, z_off | gz)
+                nxt[key] = nxt.get(key, 0.0) + coeff * factor
+        terms = {k: v for k, v in nxt.items() if abs(v) > DROP_THRESHOLD}
+    strings = (PauliString(c.n, x, z, v) for (x, z), v in terms.items())
+    return sorted(strings, key=attrgetter("sort_key"))
+
+
+@pytest.mark.parametrize("n, n_gates", [(1, 10), (3, 30), (6, 60), (8, 80), (70, 300)])
+def test_push_through_with_lifted_masks_equals_masks_per_gate(n, n_gates):
+    # 70 qubits: the masks are Python ints wider than any machine word
+    rng = np.random.default_rng(n)
+    c = random_circuit(n, n_gates, rng)
+    full = (1 << n) - 1
+    for gate, (on, off, _) in zip(c.gates, c.rules, strict=True):
+        assert (on, off) == (qubit_mask(n, gate.qubits), full ^ qubit_mask(n, gate.qubits))
+    for qubit in sorted(rng.choice(n, size=min(n, 8), replace=False).tolist()):
+        got = conjugate_through_circuit(c, qubit).terms
+        want = push_through_with_masks_per_gate(c, qubit)
+        assert [(t.key, t.coeff.hex()) for t in got] == [(t.key, t.coeff.hex()) for t in want]

@@ -463,6 +463,26 @@ def test_verify_non_integer_seed_is_config_error(tmp_path, capsys, seed):
     assert_config_error(code, out, err, f"seed must be {expected}, got {json.dumps(seed)}")
 
 
+@pytest.mark.parametrize(
+    "entry", ["verify config", "verify --seed", "robustness", "gen-hypergraph", "selftest"]
+)
+def test_negative_seed_is_refused_with_its_field(tmp_path, capsys, entry):
+    # numpy's own refusal ("expected non-negative integer") names no field
+    config = _edited_config(tmp_path, seed=-3 if entry == "verify config" else 5)
+    argv = {
+        "verify config": ["verify", "--config", str(config)],
+        "verify --seed": ["verify", "--config", str(config), "--seed", "-3"],
+        "robustness": [
+            "robustness", "--target", str(DATA / "triple.json"),
+            "--eps-prime", "0", "-k", "5", "--runs", "2", "--seed", "-3",
+        ],
+        "gen-hypergraph": ["gen-hypergraph", "--n", "4", "--edge-prob", "0.5", "--seed", "-3"],
+        "selftest": ["selftest", "--seed", "-3"],
+    }[entry]
+    code, out, err = run_cli(argv, capsys)
+    assert_config_error(code, out, err, "seed must be a non-negative integer, got -3")
+
+
 @pytest.mark.parametrize("kind", ["coherent_error", "classically_correlated"])
 def test_verify_non_string_pauli_is_config_error(tmp_path, capsys, kind):
     config = _edited_config(tmp_path, prover={"kind": kind, "pauli": 5})

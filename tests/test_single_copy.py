@@ -1,8 +1,11 @@
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+
+from pauliverify import states
 
 from pauliverify.circuits import all_stabilizer_decompositions, build_circuit_state, circuit
 from pauliverify.hamiltonians import HamiltonianSpec, rescale
@@ -26,6 +29,7 @@ from pauliverify.states import (
     computational_state,
     maximally_mixed,
     measure_in_bases,
+    mixture,
     projector_overlap,
     random_mixed_state,
     random_pure_state,
@@ -264,3 +268,35 @@ def test_parity_test_renders_one_string_per_distinct_basis(monkeypatch):
 def test_parity_test_refuses_sums_of_different_widths():
     with pytest.raises(ValueError, match="share one register width"):
         ParityTest(*(PauliSum.of([PauliString.from_axes(a)]) for a in ("XZ", "X")))
+
+
+@given(
+    n=st.integers(1, 4),
+    kind=st.sampled_from(["pure", "mixed", "mixture", "maximally_mixed"]),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_gather_gives_each_group_the_ppass_of_its_own_sum_bit_for_bit(
+    n, kind, data, seed
+):
+    rng = np.random.default_rng(seed)
+    psi = random_pure_state(n, rng)
+    state = {
+        "pure": psi,
+        "mixed": random_mixed_state(n, rng),
+        "mixture": mixture(psi, maximally_mixed(n), 0.05),
+        "maximally_mixed": maximally_mixed(n),
+    }[kind]
+    masks = st.integers(0, (1 << n) - 1)
+    coeffs = st.floats(-2, 2).filter(lambda c: abs(c) > 1e-3)
+    term_lists = st.lists(st.tuples(masks, masks, coeffs), min_size=2, max_size=9)
+    sums = [
+        PauliSum.of([PauliString(n, x, z, c) for x, z, c in specs])
+        for specs in data.draw(st.lists(term_lists, min_size=1, max_size=4))
+    ]
+    want = [parity_test_exact_ppass(state, s).hex() for s in sums]
+    # the first chunk of the gather ends inside the first sum
+    step = data.draw(st.integers(1, len(sums[0].terms) - 1))
+    with patch.object(states, "GATHER_ENTRIES", step << n):
+        got = ParityTest(*sums).exact_ppass(state)
+    assert [p.hex() for p in got] == want

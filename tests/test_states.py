@@ -13,6 +13,7 @@ from pauliverify.paulis import CapExceededError, PauliString, PauliSum
 from pauliverify.single_copy import parity_test_exact_ppass
 from pauliverify.states import (
     DenseState,
+    StackLayout,
     apply_pauli,
     computational_state,
     expectation,
@@ -227,6 +228,45 @@ def test_overlap_and_partial_trace(rng):
     assert np.allclose(red.data, np.eye(2) / 2, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "keep, needle",
+    [
+        ((1, 0), r"distinct qubits in ascending order, got \(1, 0\)"),
+        ((0, 0), r"distinct qubits in ascending order, got \(0, 0\)"),
+        ((0, 3), "qubit 3 is not one of the 3 qubits"),
+        ((-1,), "qubit -1 is not one of the 3 qubits"),
+    ],
+)
+def test_partial_trace_refuses_keep_out_of_order_repeated_or_out_of_range(keep, needle):
+    # (1, 0) would return the qubit-swapped matrix; the others failed inside numpy
+    psi = random_pure_state(3, np.random.default_rng(3))
+    with pytest.raises(ValueError, match=needle):
+        partial_trace(psi, keep)
+
+
+# ---------------------------------------------------------------------------
+# Fixed-axis rotations: tensordot's bits without its argument handling
+
+
+def int_view(a: np.ndarray) -> np.ndarray:
+    """The bits of a complex array as integers, so -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@given(n=st.integers(1, 10), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_rotate_equals_tensordot_then_moveaxis_bit_for_bit(n, data, seed):
+    psi = random_pure_state(n, np.random.default_rng(seed)).data.reshape([2] * n)
+    # every axis once, in any order, each on the transposed output of the last
+    for j in data.draw(st.permutations(range(n))):
+        letter = data.draw(st.sampled_from("XY"))
+        rotation = states.BASIS_ROTATIONS[letter]
+        want = np.moveaxis(np.tensordot(rotation, psi, axes=(1, j)), 0, j)
+        got = states._rotate(psi, j, letter)
+        assert got.shape == want.shape
+        assert np.array_equal(int_view(got), int_view(want))
+        psi = got
+
+
 # ---------------------------------------------------------------------------
 # Density-matrix Born tables against an independent reference
 
@@ -260,7 +300,8 @@ UNIFORMS = np.random.default_rng(99).random(512)
 
 def sampled_indices(state: DenseState, bases: str, u: np.ndarray) -> np.ndarray:
     """The outcome index of each uniform in ``u``, all measured in ``bases``."""
-    return sample_stacked_outcomes(state, (bases,), np.zeros(u.size, dtype=np.int64), u)
+    layout = StackLayout.of(state.n, (bases,))
+    return sample_stacked_outcomes(state, layout, np.zeros(u.size, dtype=np.int64), u)
 
 
 def assert_born_table_matches_reference(state: DenseState, bases: str):
@@ -443,7 +484,8 @@ def test_a_state_memo_stays_within_its_limit_and_samples_the_same(rng):
         for _ in range(2):
             for i, bases in enumerate(stacks):
                 which = np.arange(UNIFORM_BLOCK.size) % len(bases)
-                out.append(sample_stacked_outcomes(state, bases, which, UNIFORM_BLOCK).tolist())
+                layout = StackLayout.of(state.n, bases)
+                out.append(sample_stacked_outcomes(state, layout, which, UNIFORM_BLOCK).tolist())
                 out.extend(measure_in_bases(state, b, np.random.default_rng(i)) for b in bases)
                 out.append(overlap(state, refs[i % len(refs)]))
                 check()
@@ -473,9 +515,10 @@ def test_stacked_pure_tables_hold_one_rotated_tensor_per_qubit_of_the_path():
     n = 14
     psi = random_pure_state(n, np.random.default_rng(14))
     bases = tuple("XXXX" + "".join(t) + "IIII" for t in itertools.product("XY", repeat=6))
+    layout = StackLayout.of(n, bases)
     tracemalloc.start()
     try:
-        stack = states._table_stack(psi, bases)
+        stack = states._table_stack(psi, layout)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
