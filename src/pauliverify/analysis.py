@@ -17,10 +17,7 @@ from .hypergraphs import HypergraphSpec, build_state
 from .paulis import PauliString, qubit_mask
 from .states import DenseState, apply_pauli, outcome_distribution, overlap, to_density
 from .protocol import PreparedTarget, iid_deviated_prover, run_seeds
-from .schedules import (  # re-exported: the numpy-free arithmetic lives in schedules
-    SAMPLING_HARDNESS_THRESHOLD, MarginReport, ProtocolParams, minimal_k_for_sampling_hardness,
-    quantity, supremacy_margin,
-)
+from .schedules import ProtocolParams, quantity
 
 
 # ---------------------------------------------------------------------------

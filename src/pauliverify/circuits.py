@@ -33,8 +33,8 @@ from .paulis import (
     decompose_in_pauli_basis,
     qubit_mask,
 )
-from .hamiltonians import budget_value
 from .reporting import field, read_object
+from .schedules import budget_value
 from .states import DenseState, apply_on_axes, plus_state, pure_state
 
 TERM_CAP_DEFAULT = 1 << 18
@@ -95,13 +95,6 @@ def _conjugation_table(gate: np.ndarray, arity: int) -> dict:
 def gate_table(name: str) -> dict:
     """The conjugation table of gate ``name``, built the first time a circuit uses it."""
     return _conjugation_table(GATE_MATRICES[name], GATE_ARITY[name])
-
-
-def __getattr__(name: str):
-    # CONJUGATION_TABLES, every gate's table, is built only when it is asked for
-    if name == "CONJUGATION_TABLES":
-        return {gate: gate_table(gate) for gate in GATE_MATRICES}
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def rz_conjugation(angle: float) -> dict:

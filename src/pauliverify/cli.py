@@ -22,6 +22,7 @@ from .schedules import (
     PROTOCOL_FOR_KIND,
     CapExceededError,
     ProtocolParams,
+    capped_dim,
     desk_params,
     minimal_k_for_sampling_hardness,
     quantity,
@@ -270,9 +271,7 @@ def _inspect_hamiltonian(h: HamiltonianSpec, budget) -> dict:
 
 def _inspect_circuit(c: CircuitSpec, budget) -> dict:
     from .circuits import all_stabilizer_decompositions, check_circuit_conditions
-    from .paulis import INSPECT_QUBIT_CAP, capped_dim
 
-    capped_dim(c.n, INSPECT_QUBIT_CAP, "circuit inspection")
     decomps = all_stabilizer_decompositions(c)
     report = check_circuit_conditions(decomps, budget)
     stabilizers = []
@@ -295,7 +294,10 @@ def _inspect_circuit(c: CircuitSpec, budget) -> dict:
 
 
 def cmd_inspect(args) -> int:
+    from .paulis import INSPECT_QUBIT_CAP
+
     kind, target, z_layer = load_target(args.target)
+    capped_dim(target.n, INSPECT_QUBIT_CAP, f"{kind} inspection")
     if kind == "hypergraph":
         out = _inspect_hypergraph(target, z_layer)
     elif kind == "hamiltonian":

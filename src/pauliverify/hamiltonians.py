@@ -7,7 +7,6 @@ norm of their coefficients and the induced sampling distribution.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from .paulis import (
     merge_pauli_terms,
     pauli_sum_dense,
 )
+from .schedules import budget_value
 from .states import DenseState, pure_state
 
 # Eigenvalues closer than this are treated as one degenerate level.
@@ -127,20 +127,6 @@ def rescale(
     if rh.identity_coeff < -1e-10:
         raise ValueError("identity coefficient of the rescaled form is negative")
     return rh
-
-
-def default_budget(n: int) -> float:
-    """Reporting budget for the coefficient l1 norm; never blocks execution."""
-    return 10.0 * n**3
-
-
-def budget_value(n: int, budget: float | None) -> float:
-    """The l1 budget to report against: ``budget``, or the default for ``n`` qubits."""
-    if budget is None:
-        return default_budget(n)
-    if not 0.0 <= float(budget) < math.inf:
-        raise ValueError(f"the l1 budget must be finite and non-negative, got {budget}")
-    return float(budget)
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,11 @@ from .paulis import (
     DENSE_QUBIT_CAP,
     PURE_QUBIT_CAP,
     bit_for_qubit,
-    capped_dim,
     qubit_mask,
     sign_vector,
 )
 from . import reporting
+from .schedules import capped_dim
 from .states import DenseState, pure_state
 
 

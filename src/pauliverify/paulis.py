@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .schedules import CapExceededError, capped_dim  # re-exported: numpy-free
+from .schedules import capped_dim
 
 AXES = "IXYZ"
 
@@ -37,8 +37,9 @@ AXES = "IXYZ"
 # matrices and 4**n Pauli transforms up to 8.
 PURE_QUBIT_CAP = 16
 DENSE_QUBIT_CAP = 8
-# `inspect` lists up to 16 terms of n letters for each of a circuit's n
-# qubits, so 2 048 qubits keep its report under about 67 MB.
+# `inspect` of any target writes at least one entry per qubit, and up to 16
+# terms of n letters for each of a circuit's n qubits; refusing targets
+# wider than 2 048 qubits keeps every report under about 67 MB.
 INSPECT_QUBIT_CAP = 2048
 
 # Coefficients at or below this magnitude are treated as exactly zero, so the

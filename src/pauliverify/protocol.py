@@ -2,12 +2,15 @@
 
 A run receives k+m+1 (or N*k+m+1) N-qubit registers, discards a uniform
 random m of them, keeps one uniform random survivor as the target, and tests
-the rest.  Accept/reject thresholds are compared in exact rational
-arithmetic so boundary equalities never flip on floating-point noise.
+the rest.  Accept/reject thresholds, from ``schedules``, are compared in
+exact rational arithmetic so boundary equalities never flip on
+floating-point noise.
 
-A prover's source is either the one DenseState that every register
-carries, or a joint source over all registers.  One engine call makes all
-the runs of a verify call or of a robustness sweep point, one per seed.
+``prepare(kind, target)`` builds a target's tests once, and its
+``PreparedTarget.runs`` is the engine.  A prover's source is either the one
+DenseState that every register carries, or a joint source over all
+registers.  One engine call makes all the runs of a verify call or of a
+robustness sweep point, one per seed.
 Each run keeps its own three generator streams (layout, prover, tests), so
 its bytes do not depend on the other runs of the call.  The runs whose
 source is the same DenseState share one block search: each run draws its
@@ -27,17 +30,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .hypergraphs import all_adaptive_forms, build_state
-from .paulis import DENSE_QUBIT_CAP, PauliString, capped_dim
-from .schedules import (  # re-exported: the numpy-free arithmetic lives in schedules
-    COMPARISON, LN2, PROTOCOL_FOR_KIND, PROTOCOLS, ProtocolParams, _ceil, _int_nth_root,
-    _nth_root_fraction, circuit_group_threshold, desk_params, ground_accept_threshold,
-    group_thresholds, hypergraph_group_threshold, schedule_epsilon, schedule_params,
-)
-from .single_copy import (
-    AdaptiveTest,
-    ParityTest,
-    adaptive_test_exact_ppass,
-)
+from .paulis import DENSE_QUBIT_CAP, PauliString
+from .schedules import COMPARISON, PROTOCOL_FOR_KIND, ProtocolParams, capped_dim, group_thresholds
+from .single_copy import AdaptiveTest, ParityTest
 from .states import (
     DenseState,
     MeasurementRecord,
@@ -387,88 +382,6 @@ class _Verdicts:
         return reports
 
 
-def _run_protocols(
-    protocol: str,
-    params: ProtocolParams,
-    prover: ProverModel,
-    seeds: Sequence[int],
-    test: ParityTest | AdaptiveTest,
-    fidelity: Callable[[DenseState], float] | None,
-    record_trials: bool,
-) -> tuple[VerdictReport, ...]:
-    """The one protocol engine: one run per seed, each with its own layout and streams.
-
-    A run's layout and source come from its own generators, as if it ran
-    alone.  Group i tests k registers with the test's i-th group and passes
-    when its rate compares to its ``group_thresholds`` entry by
-    ``COMPARISON``.  Runs whose source is the same DenseState are sampled
-    together: each run draws its own block of uniforms from its own test
-    stream, the blocks are laid end to end, and one ``test.sample`` call
-    serves them all, at most BLOCK_TRIALS trials at a time.  The fidelity of
-    such a source is evaluated once.  A joint source (the entangled demo)
-    runs the scalar trial loop, because each measurement conditions its
-    joint state; it consumes the test stream in the same order.
-    """
-    check_executable(params)
-    n_reg = params.n_registers
-    verdicts = _Verdicts(protocol, params, prover.kind, test, record_trials)
-    per_run = verdicts.shape[0] * params.k  # trials
-    size = test.variates * per_run  # uniforms
-    reports: list[VerdictReport | None] = [None] * len(seeds)
-    pending: dict[DenseState, list] = {}  # source -> its runs not yet sampled
-    fidelities: dict[DenseState, float | None] = {}
-
-    def sample_pending():
-        for source, runs in pending.items():
-            u = np.empty(size * len(runs))
-            for j, run in enumerate(runs):
-                run.rng_tests.random(out=u[j * size : (j + 1) * size])
-            passed, branches = test.sample(source, u, params.k)
-            if source not in fidelities:
-                fidelities[source] = None if fidelity is None else fidelity(source)
-            shape = (len(runs), *verdicts.shape)
-            decided = verdicts.decide(
-                runs, passed.reshape(shape), branches.reshape(shape), fidelities[source]
-            )
-            for run, report in zip(runs, decided):
-                reports[run.index] = report
-        pending.clear()
-
-    held = 0  # trials pending
-    for index, seed in enumerate(seeds):
-        rng_layout, rng_prover, rng_tests = _run_rngs(seed)
-        source = prover.make_source(n_reg, rng_prover)
-        if source.n != params.n:
-            raise ValueError("prover register width does not match the protocol")
-        _, target, rest = choose_layout(n_reg, params.m, rng_layout)
-        groups = rest.reshape(verdicts.shape)
-        if not isinstance(source, DenseState):
-            trials = [
-                test.trial(source, int(reg), rng_tests, i)
-                for i, registers in enumerate(groups)
-                for reg in registers
-            ]
-            passed = np.array([ok for ok, _ in trials]).reshape(1, *groups.shape)
-            branches = np.array([branch for _, branch in trials]).reshape(passed.shape)
-            state = source.register_state(target)
-            (reports[index],) = verdicts.decide(
-                [_Run(index, seed, target, groups, rng_tests)],
-                passed,
-                branches,
-                None if fidelity is None else fidelity(state),
-            )
-            continue
-        if held and held + per_run > BLOCK_TRIALS:
-            sample_pending()
-            held = 0
-        # the layout of a run is kept only for its trial columns
-        run = _Run(index, seed, target, groups if record_trials else None, rng_tests)
-        pending.setdefault(source, []).append(run)
-        held += per_run
-    sample_pending()
-    return tuple(reports)
-
-
 def run_seeds(master_seed: int, n_runs: int) -> list[int]:
     """Per-run seeds derived reproducibly from one master seed."""
     rng = np.random.default_rng(master_seed)
@@ -485,16 +398,15 @@ class PreparedTarget:
 
     ``test`` holds every group's single-copy test; group i passes at rate
     1/2 + <g_i>/(2 * group_l1[i]), the adaptive test being the unit-norm
-    case.  ``runs(prover, params, seeds, record_trials)`` makes one protocol
-    run per seed, and ``group_ppass(state)`` is each group's exact pass
-    probability on ``state``.
+    case.  ``runs(prover, params, seeds, record_trials)`` is the protocol
+    engine, and ``group_ppass(state)`` is each group's exact pass probability
+    on ``state``.
     """
 
     protocol: str
     ideal: DenseState
     test: ParityTest | AdaptiveTest
     fidelity: Callable[[DenseState], float] | None  # the reported target fidelity
-    group_ppass: Callable[[DenseState], tuple[float, ...]]
 
     @property
     def group_l1(self) -> tuple[float, ...]:
@@ -512,6 +424,9 @@ class PreparedTarget:
     def thresholds(self, epsilon: Fraction) -> tuple[Fraction, ...]:
         return group_thresholds(self.protocol, epsilon, self.group_l1)
 
+    def group_ppass(self, state: DenseState) -> tuple[float, ...]:
+        return self.test.exact_ppass(state)
+
     def runs(
         self,
         prover: ProverModel,
@@ -519,12 +434,80 @@ class PreparedTarget:
         seeds: Sequence[int],
         record_trials: bool = False,
     ) -> tuple[VerdictReport, ...]:
-        """One protocol run per seed, each as that run would be made alone."""
+        """The one protocol engine: one run per seed, each as that run would be made alone.
+
+        A run's layout and source come from its own generators.  Group i
+        tests k registers with the test's i-th group and passes when its rate
+        compares to its ``group_thresholds`` entry by ``COMPARISON``.  Runs
+        whose source is the same DenseState are sampled together: each run
+        draws its own block of uniforms from its own test stream, the blocks
+        are laid end to end, and one ``test.sample`` call serves them all, at
+        most BLOCK_TRIALS trials at a time.  The fidelity of such a source is
+        evaluated once.  A joint source (the entangled demo) runs the scalar
+        trial loop, because each measurement conditions its joint state; it
+        consumes the test stream in the same order.
+        """
         if params.protocol != self.protocol or params.n != self.ideal.n:
             raise ValueError(f"params are not for this {self.protocol} target")
-        return _run_protocols(
-            self.protocol, params, prover, seeds, self.test, self.fidelity, record_trials
-        )
+        test, fidelity = self.test, self.fidelity
+        check_executable(params)
+        n_reg = params.n_registers
+        verdicts = _Verdicts(self.protocol, params, prover.kind, test, record_trials)
+        per_run = verdicts.shape[0] * params.k  # trials
+        size = test.variates * per_run  # uniforms
+        reports: list[VerdictReport | None] = [None] * len(seeds)
+        pending: dict[DenseState, list] = {}  # source -> its runs not yet sampled
+        fidelities: dict[DenseState, float | None] = {}
+
+        def sample_pending():
+            for source, runs in pending.items():
+                u = np.empty(size * len(runs))
+                for j, run in enumerate(runs):
+                    run.rng_tests.random(out=u[j * size : (j + 1) * size])
+                passed, branches = test.sample(source, u, params.k)
+                if source not in fidelities:
+                    fidelities[source] = None if fidelity is None else fidelity(source)
+                shape = (len(runs), *verdicts.shape)
+                decided = verdicts.decide(
+                    runs, passed.reshape(shape), branches.reshape(shape), fidelities[source]
+                )
+                for run, report in zip(runs, decided):
+                    reports[run.index] = report
+            pending.clear()
+
+        held = 0  # trials pending
+        for index, seed in enumerate(seeds):
+            rng_layout, rng_prover, rng_tests = _run_rngs(seed)
+            source = prover.make_source(n_reg, rng_prover)
+            if source.n != params.n:
+                raise ValueError("prover register width does not match the protocol")
+            _, target, rest = choose_layout(n_reg, params.m, rng_layout)
+            groups = rest.reshape(verdicts.shape)
+            if not isinstance(source, DenseState):
+                trials = [
+                    test.trial(source, int(reg), rng_tests, i)
+                    for i, registers in enumerate(groups)
+                    for reg in registers
+                ]
+                passed = np.array([ok for ok, _ in trials]).reshape(1, *groups.shape)
+                branches = np.array([branch for _, branch in trials]).reshape(passed.shape)
+                state = source.register_state(target)
+                (reports[index],) = verdicts.decide(
+                    [_Run(index, seed, target, groups, rng_tests)],
+                    passed,
+                    branches,
+                    None if fidelity is None else fidelity(state),
+                )
+                continue
+            if held and held + per_run > BLOCK_TRIALS:
+                sample_pending()
+                held = 0
+            # the layout of a run is kept only for its trial columns
+            run = _Run(index, seed, target, groups if record_trials else None, rng_tests)
+            pending.setdefault(source, []).append(run)
+            held += per_run
+        sample_pending()
+        return tuple(reports)
 
 
 def prepare(kind: str, target) -> PreparedTarget:
@@ -541,13 +524,7 @@ def prepare(kind: str, target) -> PreparedTarget:
         forms = all_adaptive_forms(target)
         # hypergraph reports carry a target fidelity only up to the dense cap
         fidelity = partial(overlap, reference=ideal) if target.n <= DENSE_QUBIT_CAP else None
-        return PreparedTarget(
-            "hypergraph",
-            ideal,
-            AdaptiveTest(*forms),
-            fidelity,
-            lambda rho: tuple(adaptive_test_exact_ppass(rho, f) for f in forms),
-        )
+        return PreparedTarget("hypergraph", ideal, AdaptiveTest(*forms), fidelity)
     # the ground and circuit protocols run the parity test of one Pauli sum per group;
     # their modules load only for a target of their kind
     if kind == "hamiltonian":
@@ -564,5 +541,4 @@ def prepare(kind: str, target) -> PreparedTarget:
         fidelity = partial(overlap, reference=ideal)
     else:
         raise ValueError(f"unknown target kind {kind!r}")
-    test = ParityTest(*sums)
-    return PreparedTarget(PROTOCOL_FOR_KIND[kind], ideal, test, fidelity, test.exact_ppass)
+    return PreparedTarget(PROTOCOL_FOR_KIND[kind], ideal, ParityTest(*sums), fidelity)

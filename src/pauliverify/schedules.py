@@ -1,11 +1,11 @@
 """The package's arithmetic that needs no numpy: schedules, thresholds, margins, caps.
 
 The paper's parameter schedules, the exact group thresholds, the
-sampling-hardness margin and the dense-size cap check are integer and
-``Fraction`` arithmetic plus one square root.  This module imports neither
-numpy nor any module that does, so the ``params`` and ``iqp-margin``
-subcommands start without it.  ``protocol``, ``analysis`` and ``paulis``
-re-export these names.
+sampling-hardness margin, the dense-size cap check and the l1 reporting
+budget are integer and ``Fraction`` arithmetic plus one square root.  This
+module imports neither numpy nor any module that does, so the ``params``
+and ``iqp-margin`` subcommands start without it.  Every module that uses
+these names imports them from here.
 """
 from __future__ import annotations
 
@@ -49,6 +49,20 @@ def capped_dim(n: int, cap: int, what: str) -> int:
     if n > cap:
         raise CapExceededError(f"{what} on {n} qubits exceeds the {cap}-qubit cap")
     return 1 << n
+
+
+def default_budget(n: int) -> float:
+    """Reporting budget for the coefficient l1 norm; never blocks execution."""
+    return 10.0 * n**3
+
+
+def budget_value(n: int, budget: float | None) -> float:
+    """The l1 budget to report against: ``budget``, or the default for ``n`` qubits."""
+    if budget is None:
+        return default_budget(n)
+    if not 0.0 <= float(budget) < math.inf:
+        raise ValueError(f"the l1 budget must be finite and non-negative, got {budget}")
+    return float(budget)
 
 
 def quantity(value, mode: str, **extra) -> dict:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuits import CONJUGATION_TABLES, GATE_MATRICES, all_stabilizer_decompositions, circuit
+from .circuits import GATE_MATRICES, all_stabilizer_decompositions, circuit, gate_table
 from .hamiltonians import HamiltonianSpec, rescale
 from .hypergraphs import adaptive_form, build_state, hypergraph, stabilizer_dense
 from .paulis import PauliString, decompose_in_pauli_basis, pauli_sum_dense
@@ -56,7 +56,7 @@ def _check_conjugation_tables(rng) -> None:
     for name in ("H", "S", "CZ", "CNOT", "CCZ"):
         gate = GATE_MATRICES[name]
         arity = gate.shape[0].bit_length() - 1
-        for (x, z), expansion in CONJUGATION_TABLES[name].items():
+        for (x, z), expansion in gate_table(name).items():
             lhs = gate @ PauliString(arity, x, z).dense() @ gate.conj().T
             rhs = sum(PauliString(arity, gx, gz, c).dense() for (gx, gz), c in expansion)
             assert np.max(np.abs(lhs - rhs)) < 1e-12

@@ -72,7 +72,7 @@ def _parity_ppass(values: list[float], l1_norm: float) -> float:
     return 0.5 + sum(values) / (2.0 * l1_norm)
 
 
-# the ground protocol's name for the same closed form
+# the ground protocol's name for the same closed form; pvbench reads it
 energy_test_exact_ppass = parity_test_exact_ppass
 
 
@@ -266,6 +266,10 @@ class AdaptiveTest:
         # one flat index into the (group, outcome) tables
         idx += group * passes.shape[1]
         return passes.take(idx), bits.take(idx)
+
+    def exact_ppass(self, rho: DenseState) -> tuple[float, ...]:
+        """``adaptive_test_exact_ppass(rho, f)`` for each group's form ``f``."""
+        return tuple(adaptive_test_exact_ppass(rho, f) for f in self.forms)
 
     @cached_property
     def _outcome_tables(self) -> tuple[np.ndarray, np.ndarray]:

@@ -69,11 +69,11 @@ from .paulis import (
     DENSE_QUBIT_CAP,
     PURE_QUBIT_CAP,
     PauliString,
-    capped_dim,
     parity_bits,
     qubit_mask,
     sign_vector,
 )
+from .schedules import capped_dim
 
 PURE_NORM_TOL = 1e-10
 TRACE_TOL = 1e-10

@@ -22,8 +22,6 @@ from pauliverify.analysis import (
     binomial_tail_le,
     hoeffding_tail,
     l1_distance,
-    minimal_k_for_sampling_hardness,
-    supremacy_margin,
     trace_distance_fidelity_bounds,
     x_basis_distribution,
 )
@@ -39,18 +37,21 @@ from pauliverify.hypergraphs import (
 from pauliverify.paulis import PauliString
 from pauliverify.protocol import (
     coherent_error_prover,
-    desk_params,
     honest_prover,
     iid_deviated_prover,
     prepare,
     run_seeds,
+)
+from pauliverify.schedules import (
+    desk_params,
+    minimal_k_for_sampling_hardness,
     schedule_params,
+    supremacy_margin,
 )
 from pauliverify.single_copy import (
     AdaptiveTest,
     ParityTest,
     adaptive_test_exact_ppass,
-    energy_test_exact_ppass,
     monte_carlo_pass_rate,
     parity_test_exact_ppass,
 )
@@ -164,7 +165,7 @@ def test_criterion_3_ppass_formula_agreement():
 
         for _ in range(20):
             rho = random_mixed_state(3, rng)
-            p = energy_test_exact_ppass(rho, rh)
+            p = parity_test_exact_ppass(rho, rh)
             rate, _ = monte_carlo_pass_rate(ParityTest(rh), trials, rng, state=rho)
             assert abs(rate - p) <= 3 * np.sqrt(p * (1 - p) / trials)
 
@@ -263,7 +264,7 @@ def test_criterion_5_soundness_behavior():
         )
         rh = rescale(ham)
         excited = computational_state(1, 1)
-        assert energy_test_exact_ppass(excited, rh) == pytest.approx(1.0)
+        assert parity_test_exact_ppass(excited, rh) == pytest.approx(1.0)
         params_g = desk_params("ground", 1, k=200, m=0, epsilon=0.2)
         thr = Fraction(1, 2) + params_g.epsilon / (2 * Fraction(rh.l1_norm))
         predicted_reject = 1.0 - binomial_tail_le(200, 1.0, thr)

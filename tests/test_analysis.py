@@ -15,16 +15,20 @@ from pauliverify.analysis import (
     hoeffding_tail,
     iqp_output_distribution,
     l1_distance,
-    minimal_k_for_sampling_hardness,
-    quantity,
     robustness_sweep,
-    supremacy_margin,
     trace_distance_fidelity_bounds,
     x_basis_distribution,
 )
 from pauliverify.hypergraphs import build_state, hypergraph
 from pauliverify.paulis import PauliString
-from pauliverify.protocol import desk_params, prepare, schedule_params
+from pauliverify.protocol import prepare
+from pauliverify.schedules import (
+    desk_params,
+    minimal_k_for_sampling_hardness,
+    quantity,
+    schedule_params,
+    supremacy_margin,
+)
 from pauliverify.states import (
     apply_pauli,
     computational_state,

@@ -19,6 +19,7 @@ from pauliverify import protocol, single_copy, states
 from pauliverify.circuits import circuit
 from pauliverify.cli import load_target, main
 from pauliverify.reporting import trial_csv_lines
+from pauliverify.schedules import desk_params
 from pauliverify.hamiltonians import HamiltonianSpec
 from pauliverify.hypergraphs import adaptive_form, hypergraph
 from pauliverify.paulis import PauliString, PauliSum, merge_pauli_terms
@@ -26,7 +27,6 @@ from pauliverify.protocol import (
     ProverModel,
     classically_correlated_prover,
     coherent_error_prover,
-    desk_params,
     honest_prover,
     iid_deviated_prover,
     _run_rngs,

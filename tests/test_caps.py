@@ -1,6 +1,6 @@
 """The dense-simulation caps: one check, made before every dense allocation.
 
-``paulis.capped_dim`` is the only place that raises CapExceededError.  These
+``schedules.capped_dim`` is the only place that raises CapExceededError.  These
 tests read the package source with ``ast`` to keep it that way, and measure
 with tracemalloc that a request over a cap is refused before anything of its
 size is allocated.
@@ -165,7 +165,8 @@ def test_allocator_over_its_cap_refuses_before_allocating(build):
 
 
 # ---------------------------------------------------------------------------
-# inspect reports n letters for each of n stabilizers, so its width is capped
+# inspect reports at least one entry per qubit, and a circuit's n letters for
+# each of n stabilizers, so its width is capped for every kind of target
 
 
 def _one_h_circuit(tmp_path, n: int) -> Path:
@@ -197,3 +198,45 @@ def test_inspect_of_a_2000_qubit_circuit_lists_every_stabilizer(tmp_path, capsys
     paulis = [[t["pauli"] for t in s["terms"]] for s in stabilizers]
     assert paulis[0] == ["Z" + "I" * (n - 1)]
     assert all(p == ["I" * q + "X" + "I" * (n - 1 - q)] for q, p in enumerate(paulis) if q)
+
+
+def _edgeless_hypergraph(tmp_path, n: int) -> Path:
+    path = tmp_path / f"edgeless_{n}.json"
+    path.write_text(json.dumps({"n_vertices": n, "edges": []}))
+    return path
+
+
+def _one_z_hamiltonian(tmp_path, n: int) -> Path:
+    path = tmp_path / f"one_z_{n}.json"
+    path.write_text(json.dumps({"n_qubits": n, "terms": [{"pauli": "Z" * n, "coeff": 1.0}]}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "kind, write, n",
+    [
+        ("hypergraph", _edgeless_hypergraph, INSPECT_QUBIT_CAP + 1),
+        ("hypergraph", _edgeless_hypergraph, 10**6),
+        ("hamiltonian", _one_z_hamiltonian, INSPECT_QUBIT_CAP + 1),
+    ],
+    ids=["hypergraph-cap+1", "hypergraph-1e6", "hamiltonian-cap+1"],
+)
+def test_inspect_of_any_kind_wider_than_its_cap_exits_2_at_once(tmp_path, capsys, kind, write, n):
+    target = write(tmp_path, n)
+    start = time.perf_counter()
+    assert main(["inspect", str(target)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": f"{kind} inspection on {n} qubits exceeds the 2048-qubit cap",
+        "kind": "cap_exceeded",
+    }
+
+
+def test_inspect_of_a_2000_vertex_hypergraph_lists_every_vertex(tmp_path, capsys):
+    n = 2000
+    assert main(["inspect", str(_edgeless_hypergraph(tmp_path, n))]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n_qubits"] == n
+    assert [s["vertex"] for s in report["stabilizers"]] == list(range(n))

@@ -812,6 +812,21 @@ def test_verify_never_loads_scipy(tmp_path):
     assert not {"pauliverify.circuits", "pauliverify.hamiltonians", "pauliverify.analysis"} & modules
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--config", str(DATA / "verify_clifford_t.json")],
+        ["inspect", str(DATA / "clifford_t.json")],
+    ],
+    ids=["verify", "inspect"],
+)
+def test_a_circuit_call_never_loads_hamiltonians(argv, tmp_path):
+    # the l1 budget rule lives in schedules, so circuits needs no hamiltonians
+    modules = _modules_after_main([*argv, "--out", str(tmp_path / "out.json")], tmp_path)
+    assert "pauliverify.circuits" in modules
+    assert "pauliverify.hamiltonians" not in modules
+
+
 def test_importing_the_cli_loads_no_numpy(tmp_path):
     bare = 'import json, sys\nimport pauliverify.cli\nprint(json.dumps({"code": 0, "modules": sorted(sys.modules)}))'
     modules = _modules_after_main([], tmp_path, script=bare)

@@ -1,15 +1,23 @@
-"""The package resolves its exports on first use; every exported name keeps working."""
+"""The package resolves its exports on first use; every exported name keeps working.
+
+Each name has one home: a package module binds a sibling's name only to use it.
+"""
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 import pauliverify
 
-# The package's exports, by the module they were imported from when the
-# package imported every submodule eagerly.
+# The package's exports, by the module that defines them.
 EXPORTED = {
+    "schedules": [
+        "CapExceededError", "ProtocolParams", "desk_params", "schedule_params",
+        "minimal_k_for_sampling_hardness", "supremacy_margin",
+    ],
     "paulis": [
-        "CapExceededError", "DENSE_QUBIT_CAP", "PURE_QUBIT_CAP", "PauliString", "PauliSum",
+        "DENSE_QUBIT_CAP", "PURE_QUBIT_CAP", "PauliString", "PauliSum",
         "decompose_in_pauli_basis", "merge_pauli_terms", "pauli_sum_dense",
     ],
     "states": [
@@ -36,14 +44,12 @@ EXPORTED = {
         "monte_carlo_pass_rate", "parity_test_exact_ppass",
     ],
     "protocol": [
-        "PreparedTarget", "ProtocolParams", "ProverModel", "VerdictReport",
-        "classically_correlated_prover", "coherent_error_prover", "desk_params",
-        "entangled_demo_prover", "honest_prover", "iid_deviated_prover", "prepare",
-        "run_seeds", "schedule_params",
+        "PreparedTarget", "ProverModel", "VerdictReport", "classically_correlated_prover",
+        "coherent_error_prover", "entangled_demo_prover", "honest_prover",
+        "iid_deviated_prover", "prepare", "run_seeds",
     ],
     "analysis": [
-        "DistributionPair", "hoeffding_calculator", "l1_distance",
-        "minimal_k_for_sampling_hardness", "robustness_sweep", "supremacy_margin",
+        "DistributionPair", "hoeffding_calculator", "l1_distance", "robustness_sweep",
         "trace_distance_fidelity_bounds", "x_basis_distribution",
     ],
 }
@@ -64,3 +70,34 @@ def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(ImportError):
         exec("from pauliverify import no_such_name", {})
     assert pauliverify.__version__ == "0.1.0"
+
+
+SRC = Path(pauliverify.__file__).parent
+MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+
+
+def unread_sibling_imports(source: str) -> list[str]:
+    """The names a module imports at top level from a sibling and never reads."""
+    tree = ast.parse(source)
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in imported if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_a_module_imports_from_its_siblings_only_what_it_reads(path):
+    assert unread_sibling_imports(path.read_text()) == []
+
+
+def test_an_unread_sibling_import_is_found():
+    source = "from .schedules import capped_dim, quantity\nfrom . import reporting\nquantity(1)\n"
+    assert unread_sibling_imports(source) == ["capped_dim", "reporting"]

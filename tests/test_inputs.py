@@ -21,9 +21,10 @@ from pauliverify import circuits, protocol
 from pauliverify.circuits import circuit
 from pauliverify.cli import main
 from pauliverify.hypergraphs import hypergraph
-from pauliverify.paulis import PURE_QUBIT_CAP, CapExceededError
-from pauliverify.protocol import desk_params, prepare
+from pauliverify.paulis import PURE_QUBIT_CAP
+from pauliverify.protocol import prepare
 from pauliverify.reporting import field, read_object
+from pauliverify.schedules import CapExceededError, desk_params
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pauliverify"
 DATA = Path(__file__).parent / "data"

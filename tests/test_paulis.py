@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pauliverify.paulis import (
-    CapExceededError,
     DENSE_QUBIT_CAP,
     PauliString,
     PauliSum,
@@ -16,6 +15,7 @@ from pauliverify.paulis import (
     pauli_sum_dense,
     qubit_mask,
 )
+from pauliverify.schedules import CapExceededError
 
 from conftest import dense_from_axes, random_hermitian
 

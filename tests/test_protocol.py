@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -9,31 +10,34 @@ from scipy import stats
 from pauliverify.circuits import all_stabilizer_decompositions, check_circuit_conditions, circuit
 from pauliverify.hamiltonians import HamiltonianSpec
 from pauliverify.hypergraphs import adaptive_form, build_state, hypergraph
-from pauliverify.paulis import CapExceededError, PauliString
+from pauliverify.paulis import PauliString
 from pauliverify.protocol import (
-    COMPARISON,
     EXECUTABLE_REGISTER_CAP,
     EntangledRegisters,
-    ProtocolParams,
     check_executable,
     choose_layout,
-    circuit_group_threshold,
     classically_correlated_prover,
     coherent_error_prover,
-    desk_params,
     entangled_demo_prover,
-    ground_accept_threshold,
     honest_prover,
-    hypergraph_group_threshold,
     iid_deviated_prover,
     PreparedTarget,
     _run_rngs,
-    group_thresholds,
     prepare,
     run_seeds,
-    schedule_params,
 )
 from pauliverify.reporting import trial_csv_lines
+from pauliverify.schedules import (
+    COMPARISON,
+    CapExceededError,
+    ProtocolParams,
+    circuit_group_threshold,
+    desk_params,
+    ground_accept_threshold,
+    group_thresholds,
+    hypergraph_group_threshold,
+    schedule_params,
+)
 from pauliverify.single_copy import adaptive_test_exact_ppass
 from pauliverify.states import apply_pauli, computational_state, maximally_mixed
 
@@ -357,6 +361,15 @@ def test_runs_refuses_params_of_another_protocol_or_width_and_a_wider_prover(kin
         target.runs(wider, params, [1])
 
 
+@pytest.mark.parametrize("kind", sorted(TWO_QUBIT_TARGETS))
+def test_group_ppass_is_the_exact_ppass_of_the_target_s_test(kind):
+    target = prepare(kind, TWO_QUBIT_TARGETS[kind])
+    flipped = apply_pauli(target.ideal, PauliString.from_axes("ZX", 1.0))
+    for state in (target.ideal, flipped, computational_state(2, 3), maximally_mixed(2)):
+        assert target.group_ppass(state) == target.test.exact_ppass(state)
+    assert [f.name for f in fields(PreparedTarget)] == ["protocol", "ideal", "test", "fidelity"]
+
+
 def test_replay_is_bit_identical():
     target = prepare("hypergraph", hypergraph(3, [(0, 1, 2), (0, 2)]))
     prover = iid_deviated_prover(target.ideal, 0.2, maximally_mixed(3))
@@ -419,7 +432,7 @@ def test_verdict_flips_at_the_exact_pass_count(protocol, n, eps, l1, k, on_bound
     ideal = computational_state(n, 0)
     prover = honest_prover(ideal)
     for passes, verdict in ((boundary, True), (other, False)):
-        stub = PreparedTarget(protocol, ideal, ExactPassCount(group_l1, passes), None, None)
+        stub = PreparedTarget(protocol, ideal, ExactPassCount(group_l1, passes), None)
         (rep,) = stub.runs(prover, params, [5])
         assert [g.passes for g in rep.groups] == [passes] * groups
         assert [g.passed for g in rep.groups] == [verdict] * groups

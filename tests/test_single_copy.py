@@ -19,7 +19,6 @@ from pauliverify.single_copy import (
     adaptive_test_exact_ppass,
     binomial_sigma,
     draw_pauli_term,
-    energy_test_exact_ppass,
     monte_carlo_pass_rate,
     parity_passes,
     parity_test_exact_ppass,
@@ -48,19 +47,19 @@ def minus_z_rescaled():
 
 def test_energy_ppass_ground_state_is_half():
     rh = minus_z_rescaled()
-    assert energy_test_exact_ppass(computational_state(1, 0), rh) == pytest.approx(0.5)
+    assert parity_test_exact_ppass(computational_state(1, 0), rh) == pytest.approx(0.5)
 
 
 def test_energy_ppass_excited_state():
     rh = minus_z_rescaled()
     # <H'> = 1 for |1>, so the rate saturates at 1/2 + 1/(2*l1) = 1
-    assert energy_test_exact_ppass(computational_state(1, 1), rh) == pytest.approx(1.0)
+    assert parity_test_exact_ppass(computational_state(1, 1), rh) == pytest.approx(1.0)
 
 
 def test_energy_ppass_maximally_mixed():
     rh = minus_z_rescaled()
     # 1/2 + c_I/(2*l1) = 3/4 for the single-qubit case
-    assert energy_test_exact_ppass(maximally_mixed(1), rh) == pytest.approx(0.75)
+    assert parity_test_exact_ppass(maximally_mixed(1), rh) == pytest.approx(0.75)
     assert rh.identity_coeff == pytest.approx(0.5)
 
 
@@ -78,13 +77,13 @@ def test_energy_ppass_equals_dense_trace(rng):
     rho = random_mixed_state(3, rng)
     dense = sum(dense_from_axes(t.axes, t.coeff) for t in rh.terms)
     want = 0.5 + np.trace(rho.data @ dense).real / (2 * rh.l1_norm)
-    assert energy_test_exact_ppass(rho, rh) == pytest.approx(want, abs=1e-10)
+    assert parity_test_exact_ppass(rho, rh) == pytest.approx(want, abs=1e-10)
 
 
 def test_energy_monte_carlo_matches_exact(rng):
     rh = minus_z_rescaled()
     rho = random_mixed_state(1, rng)
-    p = energy_test_exact_ppass(rho, rh)
+    p = parity_test_exact_ppass(rho, rh)
     trials = 40_000
     rate, _ = monte_carlo_pass_rate(ParityTest(rh), trials, rng, state=rho)
     assert abs(rate - p) < 3 * binomial_sigma(p, trials)
@@ -300,3 +299,27 @@ def test_one_gather_gives_each_group_the_ppass_of_its_own_sum_bit_for_bit(
     with patch.object(states, "GATHER_ENTRIES", step << n):
         got = ParityTest(*sums).exact_ppass(state)
     assert [p.hex() for p in got] == want
+
+
+@given(
+    n=st.integers(2, 4),
+    edge_bits=st.integers(0, 2**10 - 1),
+    kind=st.sampled_from(["pure", "mixed", "mixture", "maximally_mixed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adaptive_test_gives_each_group_the_ppass_of_its_own_form_bit_for_bit(
+    n, edge_bits, kind, seed
+):
+    candidates = [e for size in (2, 3) for e in combinations(range(n), size)]
+    g = hypergraph(n, [e for i, e in enumerate(candidates) if edge_bits >> i & 1])
+    rng = np.random.default_rng(seed)
+    psi = random_pure_state(n, rng)
+    state = {
+        "pure": psi,
+        "mixed": random_mixed_state(n, rng),
+        "mixture": mixture(psi, maximally_mixed(n), 0.05),
+        "maximally_mixed": maximally_mixed(n),
+    }[kind]
+    forms = [adaptive_form(g, v) for v in range(n)]
+    want = [adaptive_test_exact_ppass(state, f).hex() for f in forms]
+    assert [p.hex() for p in AdaptiveTest(*forms).exact_ppass(state)] == want

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pauliverify import states
-from pauliverify.paulis import CapExceededError, PauliString, PauliSum
+from pauliverify.paulis import PauliString, PauliSum
+from pauliverify.schedules import CapExceededError
 from pauliverify.single_copy import parity_test_exact_ppass
 from pauliverify.states import (
     DenseState,
