@@ -18,6 +18,7 @@ from .paulis import PauliString, qubit_mask
 from .states import DenseState, apply_pauli, outcome_distribution, overlap, to_density
 from .protocol import PreparedTarget, iid_deviated_prover, run_seeds
 from .schedules import ProtocolParams, quantity
+from .single_copy import binomial_sigma
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +203,7 @@ def acceptance_bound(n: int, k: int, epsilon: float, eps_prime: float) -> float:
     needs it to clear the 1 - eps group threshold with margin eps - eps'.
     Callers flag points outside that regime.
     """
-    return 1.0 - n * float(np.exp(-2.0 * (eps_prime - epsilon) ** 2 * k))
+    return 1.0 - n * hoeffding_tail(k, eps_prime - epsilon)
 
 
 def robustness_sweep(
@@ -239,7 +240,7 @@ def robustness_sweep(
                 runs=runs,
                 accepted=accepted,
                 acceptance_rate=accepted / runs,
-                mc_sigma=float(np.sqrt(max(predicted * (1 - predicted), 0.0) / runs)),
+                mc_sigma=binomial_sigma(predicted, runs),
                 per_group_ppass=ppass,
                 predicted_acceptance=predicted,
                 bound=acceptance_bound(

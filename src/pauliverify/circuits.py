@@ -37,11 +37,12 @@ from .reporting import field, read_object
 from .schedules import budget_value
 from .states import DenseState, apply_on_axes, plus_state, pure_state
 
-TERM_CAP_DEFAULT = 1 << 18
+# The most Pauli terms a pushed-through stabilizer may hold.
+TERM_CAP = 1 << 18
 
 
 class DecompositionIntractableError(ValueError):
-    """The pushed-through stabilizer exceeded the configured term cap."""
+    """The pushed-through stabilizer exceeded TERM_CAP Pauli terms."""
 
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -185,9 +186,7 @@ def build_circuit_state(c: CircuitSpec) -> DenseState:
     return pure_state(psi.reshape(-1), c.n)
 
 
-def conjugate_through_circuit(
-    c: CircuitSpec, qubit: int, term_cap: int = TERM_CAP_DEFAULT
-) -> PauliSum:
+def conjugate_through_circuit(c: CircuitSpec, qubit: int) -> PauliSum:
     """Push X on ``qubit`` through the gate list: the Pauli sum of U X_qubit U^dag."""
     terms = {PauliString.on_qubit(c.n, qubit, "X").key: 1.0}
     for on, off, rule in c.rules:
@@ -198,9 +197,9 @@ def conjugate_through_circuit(
                 key = (x_off | gx, z_off | gz)
                 nxt[key] = nxt.get(key, 0.0) + coeff * factor
         terms = {k: v for k, v in nxt.items() if abs(v) > DROP_THRESHOLD}
-        if len(terms) > term_cap:
+        if len(terms) > TERM_CAP:
             raise DecompositionIntractableError(
-                f"stabilizer for qubit {qubit} exceeded {term_cap} Pauli terms"
+                f"stabilizer for qubit {qubit} exceeded {TERM_CAP} Pauli terms"
             )
     return PauliSum.of(
         sorted(
@@ -210,11 +209,9 @@ def conjugate_through_circuit(
     )
 
 
-def all_stabilizer_decompositions(
-    c: CircuitSpec, term_cap: int = TERM_CAP_DEFAULT
-) -> list[PauliSum]:
+def all_stabilizer_decompositions(c: CircuitSpec) -> list[PauliSum]:
     """The stabilizer of every qubit; list index i holds U X_i U^dag."""
-    return [conjugate_through_circuit(c, i, term_cap) for i in range(c.n)]
+    return [conjugate_through_circuit(c, i) for i in range(c.n)]
 
 
 @dataclass(frozen=True)
@@ -224,8 +221,6 @@ class CircuitConditionReport:
     l1_per_qubit: tuple[float, ...]
     budget_value: float
     within_budget: bool
-    distribution_materialized: bool
-    l1_exactly_known: bool
 
     def to_jsonable(self) -> dict:
         return {
@@ -234,8 +229,8 @@ class CircuitConditionReport:
             "l1_per_qubit": list(self.l1_per_qubit),
             "budget_value": self.budget_value,
             "within_budget": self.within_budget,
-            "distribution_materialized": self.distribution_materialized,
-            "l1_exactly_known": self.l1_exactly_known,
+            "distribution_materialized": True,
+            "l1_exactly_known": True,
         }
 
 
@@ -257,8 +252,6 @@ def check_circuit_conditions(
         l1_per_qubit=per,
         budget_value=budget,
         within_budget=l1_max <= budget,
-        distribution_materialized=True,
-        l1_exactly_known=True,
     )
 
 

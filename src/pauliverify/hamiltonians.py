@@ -34,7 +34,6 @@ class HamiltonianSpec:
     terms: tuple[PauliString, ...]
     ground_energy: float | None = None
     gap_lower_bound: float | None = None
-    first_excited_energy: float | None = None
 
     def __post_init__(self):
         if not self.terms:
@@ -44,14 +43,6 @@ class HamiltonianSpec:
                 raise ValueError("term width does not match the register")
         if self.gap_lower_bound is not None and self.gap_lower_bound <= 0:
             raise ValueError("gap lower bound must be positive")
-        if (
-            self.ground_energy is not None
-            and self.first_excited_energy is not None
-            and self.gap_lower_bound is not None
-            and self.first_excited_energy - self.ground_energy
-            < self.gap_lower_bound - 1e-12
-        ):
-            raise ValueError("stated gap bound exceeds E1 - E0")
 
     def dense(self) -> np.ndarray:
         return pauli_sum_dense(self.terms)
@@ -142,8 +133,6 @@ class ConditionReport:
     l1_norm: float
     budget_value: float
     within_budget: bool
-    distribution_materialized: bool
-    l1_exactly_known: bool
     gap_used: float | None
     warning: str | None
 
@@ -153,8 +142,8 @@ class ConditionReport:
             "l1_norm": self.l1_norm,
             "budget_value": self.budget_value,
             "within_budget": self.within_budget,
-            "distribution_materialized": self.distribution_materialized,
-            "l1_exactly_known": self.l1_exactly_known,
+            "distribution_materialized": True,
+            "l1_exactly_known": True,
             "gap_used": self.gap_used,
             "warning": self.warning,
         }
@@ -177,8 +166,6 @@ def check_conditions(
         l1_norm=rh.l1_norm,
         budget_value=budget,
         within_budget=within,
-        distribution_materialized=True,
-        l1_exactly_known=True,
         gap_used=rh.gap_used,
         warning=warning,
     )

@@ -133,8 +133,8 @@ class AdaptiveStabilizerForm:
     ``cz_groups`` lists, for every incident hyperedge of size >= 3, the edge
     with the tested vertex removed, sorted ascending so the largest-index
     member is the canonical Z-carrier.  ``projector_support`` is the union of
-    the non-carrier members; ``resolve`` maps an assignment of their bits to
-    the branch sign and the residual set of Z-measured vertices.
+    the non-carrier members; ``branch_for_bits`` maps an assignment of their
+    bits to the branch sign and the residual Z-measured vertices.
     """
 
     n: int
@@ -144,29 +144,21 @@ class AdaptiveStabilizerForm:
     projector_support: tuple[int, ...]
     _branches: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def resolve(self, a) -> tuple[int, frozenset[int]]:
-        """Branch sign exponent and residual Z-set for projector bits ``a``.
-
-        ``a`` is a bit sequence aligned with ``projector_support``.
-        """
-        a = tuple(int(b) for b in a)
-        if len(a) != len(self.projector_support):
-            raise ValueError("assignment length must match the projector support")
-        if any(b not in (0, 1) for b in a):
-            raise ValueError("assignment bits must be 0 or 1")
-        key = 0
-        for b in a:
-            key = (key << 1) | b
-        alpha, z_carriers = self.branch_for_bits(key)
-        return alpha, frozenset(z_carriers)
-
     def branch_for_bits(self, key: int) -> tuple[int, tuple[int, ...]]:
-        """resolve() on an integer-packed assignment, memoized (the hot path)."""
+        """Branch sign exponent and sorted residual Z-vertices for packed projector bits.
+
+        ``key`` packs one bit per ``projector_support`` vertex, the first
+        vertex's bit most significant.  The memo serves ``branch_table``,
+        which reads every branch on each hypergraph ``group_ppass``; the
+        batched engine reads ``outcome_tables`` instead.
+        """
         hit = self._branches.get(key)
         if hit is not None:
             return hit
         support = self.projector_support
         width = len(support)
+        if not 0 <= key < 1 << width:
+            raise ValueError(f"packed assignment {key} does not fit {width} projector bits")
         bits = {v: (key >> (width - 1 - t)) & 1 for t, v in enumerate(support)}
         z_count: dict[int, int] = {}
         for v in self.z_neighbors:

@@ -262,12 +262,10 @@ class VerdictReport:
     trial; ``reporting.trial_csv_lines`` renders them.
     """
 
-    protocol: str
     accepted: bool
     groups: tuple[GroupResult, ...]
     target_register: int
     target_fidelity: float | None
-    n_registers: int
     seed: int
     params: ProtocolParams
     prover_kind: str
@@ -275,12 +273,12 @@ class VerdictReport:
 
     def to_jsonable(self) -> dict:
         out = {
-            "protocol": self.protocol,
+            "protocol": self.params.protocol,
             "accepted": self.accepted,
             "groups": [g.to_jsonable() for g in self.groups],
             "target_register": self.target_register,
             "target_fidelity": self.target_fidelity,
-            "n_registers": self.n_registers,
+            "n_registers": self.params.n_registers,
             "seed": self.seed,
             "params": self.params.to_jsonable(),
             "prover_kind": self.prover_kind,
@@ -338,17 +336,17 @@ class _Verdicts:
     for ``>=``, so every verdict is decided on whole pass counts.
     """
 
-    def __init__(self, protocol, params, prover_kind, test, record_trials):
-        thresholds = group_thresholds(protocol, params.epsilon, test.group_l1)
+    def __init__(self, params, prover_kind, test, record_trials):
+        thresholds = group_thresholds(params.protocol, params.epsilon, test.group_l1)
         k = params.k
         self.shape = (len(thresholds), k)
-        self.comparison = COMPARISON[protocol]
+        self.comparison = COMPARISON[params.protocol]
         if self.comparison == "<=":
             self.cuts = np.array([(t.numerator * k) // t.denominator for t in thresholds])
         else:
             self.cuts = np.array([-((-t.numerator * k) // t.denominator) for t in thresholds])
         self.thresholds = [f"{t.numerator}/{t.denominator}" for t in thresholds]
-        self.protocol, self.params, self.prover_kind = protocol, params, prover_kind
+        self.params, self.prover_kind = params, prover_kind
         self.labels = test.branch_labels if record_trials else None
 
     def decide(self, runs: list[_Run], passed, branches, fidelity) -> list[VerdictReport]:
@@ -367,12 +365,10 @@ class _Verdicts:
                 trials = TrialColumns(run.groups, branches[j], passed[j], self.labels)
             reports.append(
                 VerdictReport(
-                    protocol=self.protocol,
                     accepted=all(run_ok),
                     groups=results,
                     target_register=run.target,
                     target_fidelity=fidelity,
-                    n_registers=self.params.n_registers,
                     seed=run.seed,
                     params=self.params,
                     prover_kind=self.prover_kind,
@@ -452,7 +448,7 @@ class PreparedTarget:
         test, fidelity = self.test, self.fidelity
         check_executable(params)
         n_reg = params.n_registers
-        verdicts = _Verdicts(self.protocol, params, prover.kind, test, record_trials)
+        verdicts = _Verdicts(params, prover.kind, test, record_trials)
         per_run = verdicts.shape[0] * params.k  # trials
         size = test.variates * per_run  # uniforms
         reports: list[VerdictReport | None] = [None] * len(seeds)

@@ -92,12 +92,12 @@ def _int_nth_root(value: int, n: int) -> int:
         x = y
 
 
-def _nth_root_fraction(value: int, n: int, digits: int = 30) -> Fraction:
-    """value ** (1/n) as a Fraction, exact when the root is an integer."""
+def _nth_root_fraction(value: int, n: int) -> Fraction:
+    """value ** (1/n) as a Fraction to 30 digits, exact when the root is an integer."""
     exact = _int_nth_root(value, n)
     if exact**n == value:
         return Fraction(exact)
-    scale = 10**digits
+    scale = 10**30
     return Fraction(_int_nth_root(value * scale**n, n), scale)
 
 
@@ -111,6 +111,7 @@ class ProtocolParams:
 
     ``mode="paper"`` means the full conservative schedule; ``mode="desk"``
     are user overrides that carry no guarantee and are flagged as such.
+    Only paper-mode params are ``conforming``.
     """
 
     protocol: str
@@ -119,7 +120,6 @@ class ProtocolParams:
     m: int
     epsilon: Fraction
     mode: str
-    conforming: bool
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -132,6 +132,10 @@ class ProtocolParams:
                 raise ValueError(f"{name} must be at least {low}, got {value}")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie strictly between 0 and 1")
+
+    @property
+    def conforming(self) -> bool:
+        return self.mode == "paper"
 
     @property
     def n_registers(self) -> int:
@@ -218,7 +222,6 @@ def schedule_params(
         m=m_val,
         epsilon=eps,
         mode="paper",
-        conforming=True,
         notes=tuple(notes),
     )
 
@@ -239,7 +242,6 @@ def desk_params(
         m=m,
         epsilon=eps,
         mode="desk",
-        conforming=False,
         notes=("desk-scale parameters: no soundness guarantee is claimed",),
     )
 
@@ -329,15 +331,12 @@ def supremacy_margin(fidelity: float, sampler_error: float) -> MarginReport:
     )
 
 
-def minimal_k_for_sampling_hardness(
-    sampler_error: Fraction = Fraction(1, 193),
-    threshold: Fraction = SAMPLING_HARDNESS_THRESHOLD,
-) -> int:
-    """Smallest run size k with 2*k**(-1/14) + sampler_error <= threshold.
+def minimal_k_for_sampling_hardness(sampler_error: Fraction = Fraction(1, 193)) -> int:
+    """Smallest run size k with 2*k**(-1/14) + sampler_error <= 1/192.
 
     Exact integer arithmetic: k = ceil((2/t)**14) with t the error headroom.
     """
-    t = threshold - Fraction(sampler_error)
+    t = SAMPLING_HARDNESS_THRESHOLD - Fraction(sampler_error)
     if t <= 0:
         raise ValueError("the sampler error leaves no headroom")
     k_exact = (2 / t) ** 14
@@ -345,5 +344,5 @@ def minimal_k_for_sampling_hardness(
     # verify the defining inequality exactly at k (root exact when integral)
     root = Fraction(2) / t
     if root.denominator == 1 and root.numerator**14 == k:
-        assert Fraction(2, root.numerator) + sampler_error <= threshold
+        assert Fraction(2, root.numerator) + sampler_error <= SAMPLING_HARDNESS_THRESHOLD
     return k

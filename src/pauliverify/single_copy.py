@@ -111,7 +111,9 @@ def adaptive_branch_sum_ppass(rho: DenseState, form: AdaptiveStabilizerForm) -> 
     """Pass probability accumulated branch by branch.
 
     Sums (Tr[rho P_a] + Tr[rho P_a S_a])/2 over all projector assignments;
-    mathematically identical to (1 + <g_i>)/2 and used to cross-validate it.
+    mathematically identical to (1 + <g_i>)/2.  ``AdaptiveTest.exact_ppass``
+    passes no dense stabilizer, so every hypergraph ``group_ppass`` (each
+    robustness point's ``per_group_ppass``) is computed here.
     """
     total = 0.0
     for a, alpha, residual in form.branch_table():

@@ -130,8 +130,8 @@ def test_criterion_2_worked_example():
         #   z on vertex 1 is -1  ->  accept iff x * z(vertex 2) = +1
         form = adaptive_form(g, 0)
         assert form.projector_support == (1,)
-        assert form.resolve((0,)) == (0, frozenset())
-        assert form.resolve((1,)) == (0, frozenset({2}))
+        assert form.branch_for_bits(0) == (0, ())
+        assert form.branch_for_bits(1) == (0, (2,))
 
 
 def test_criterion_3_ppass_formula_agreement():

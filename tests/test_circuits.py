@@ -186,10 +186,11 @@ def test_term_growth_with_stacked_ccz(rng):
         last = d.l1_norm
 
 
-def test_term_cap_raises():
+def test_term_cap_raises(monkeypatch):
+    monkeypatch.setattr(circuits, "TERM_CAP", 8)
     c = circuit(9, [("CCZ", (0, 1 + 2 * t, 2 + 2 * t)) for t in range(4)])
     with pytest.raises(DecompositionIntractableError):
-        conjugate_through_circuit(c, 0, term_cap=8)
+        conjugate_through_circuit(c, 0)
 
 
 def test_push_through_and_merge_build_no_axis_string(rng, monkeypatch):

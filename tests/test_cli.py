@@ -851,6 +851,44 @@ def test_arithmetic_subcommands_run_without_numpy(argv, tmp_path):
     assert "numpy" not in modules
 
 
+# Same bytes under any BLAS thread count.  OpenBLAS reads its thread count when
+# numpy loads, so each count gets fresh interpreters, one golden of each kind.
+BLAS_THREAD_GOLDENS = {
+    "verify_ring3_runs3": ["verify", "--config", str(DATA / "verify_ring3.json"), "--runs", "3"],
+    "verify_clifford_t_runs3": [
+        "verify", "--config", str(DATA / "verify_clifford_t.json"), "--runs", "3",
+    ],
+    "verify_hyper6_deviated_runs2": [
+        "verify", "--config", str(DATA / "verify_hyper6_deviated.json"), "--runs", "2",
+    ],
+    "robustness_clifford_t": [
+        "robustness", "--target", "tests/data/clifford_t.json",
+        "--eps-prime", "0,0.05", "-k", "20", "--runs", "4", "--seed", "3",
+    ],
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_goldens_hold_under_any_blas_thread_count(threads, tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    launched = {}
+    for golden, argv in BLAS_THREAD_GOLDENS.items():
+        if argv[0] == "verify":
+            argv = [*argv, "--trials-csv", str(tmp_path / f"{golden}.csv")]
+        launched[golden] = subprocess.Popen(
+            [sys.executable, "-m", "pauliverify", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=ROOT,
+        )
+    for golden, proc in launched.items():
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err.decode()
+        assert out == (GOLDEN / f"{golden}.json").read_bytes(), golden
+        if golden.startswith("verify"):
+            csv = (tmp_path / f"{golden}.csv").read_bytes()
+            assert csv == (GOLDEN / f"{golden}.csv").read_bytes(), golden
+
+
 @st.composite
 def small_circuits(draw) -> dict:
     n = draw(st.integers(2, 4))

@@ -130,14 +130,15 @@ def test_condition_report_budget():
 
 
 def test_stated_gap_must_be_consistent():
-    with pytest.raises(ValueError):
-        HamiltonianSpec(
-            1,
-            (PauliString.from_axes("Z", -1.0),),
-            ground_energy=-1.0,
-            first_excited_energy=1.0,
-            gap_lower_bound=3.0,
-        )
+    # a stated gap bounds E1 - E0 from below, so only a positive one is consistent
+    for gap in (0.0, -2.0):
+        with pytest.raises(ValueError):
+            HamiltonianSpec(
+                1,
+                (PauliString.from_axes("Z", -1.0),),
+                ground_energy=-1.0,
+                gap_lower_bound=gap,
+            )
 
 
 def test_json_roundtrip(tmp_path):

@@ -126,8 +126,8 @@ def test_adaptive_form_worked_example():
     assert form.cz_groups == ((1, 2),)
     assert form.projector_support == (1,)
     # branch a=0: accept on x alone; branch a=1: accept on x*z(vertex 2)
-    assert form.resolve((0,)) == (0, frozenset())
-    assert form.resolve((1,)) == (0, frozenset({2}))
+    assert form.branch_for_bits(0) == (0, ())
+    assert form.branch_for_bits(1) == (0, (2,))
 
 
 def test_adaptive_form_graph_state_needs_no_branches():
@@ -135,7 +135,7 @@ def test_adaptive_form_graph_state_needs_no_branches():
     form = adaptive_form(g, 0)
     assert form.cz_groups == ()
     assert form.projector_support == ()
-    assert form.resolve(()) == (0, frozenset({1, 2}))
+    assert form.branch_for_bits(0) == (0, (1, 2))
 
 
 def test_adaptive_form_sign_can_fire():
@@ -143,17 +143,17 @@ def test_adaptive_form_sign_can_fire():
     g = hypergraph(4, [(0, 1, 2), (0, 2, 3)])
     form = adaptive_form(g, 0)
     assert form.projector_support == (1, 2)
-    assert form.resolve((1, 1)) == (1, frozenset({3}))
-    assert form.resolve((0, 1)) == (0, frozenset({3}))
-    assert form.resolve((1, 0)) == (0, frozenset())
+    assert form.branch_for_bits(0b11) == (1, (3,))
+    assert form.branch_for_bits(0b01) == (0, (3,))
+    assert form.branch_for_bits(0b10) == (0, ())
 
 
 def test_adaptive_form_z_collision_with_pair_edge():
     # a 2-edge Z and a fired carrier Z on the same vertex cancel
     g = hypergraph(3, [(0, 2), (0, 1, 2)])
     form = adaptive_form(g, 0)
-    assert form.resolve((0,)) == (0, frozenset({2}))
-    assert form.resolve((1,)) == (0, frozenset())
+    assert form.branch_for_bits(0) == (0, (2,))
+    assert form.branch_for_bits(1) == (0, ())
 
 
 def test_adaptive_dense_matches_conjugation(rng):
@@ -172,8 +172,9 @@ def test_resolver_total_and_deterministic(rng):
     table = form.branch_table()
     assert len(table) == 1 << width
     for a, alpha, residual in table:
-        again = form.resolve(a)
-        assert again == (alpha, frozenset(residual))
+        key = sum(bit << (width - 1 - t) for t, bit in enumerate(a))
+        again = form.branch_for_bits(key)
+        assert again == (alpha, tuple(sorted(residual)))
         assert alpha in (0, 1)
         assert set(residual).isdisjoint(form.projector_support)
         assert form.vertex not in residual
@@ -188,21 +189,22 @@ def test_resolver_exhaustive_at_support_width_twelve():
     seen = set()
     for key in range(1 << 12):
         a = tuple((key >> (11 - t)) & 1 for t in range(12))
-        alpha, residual = form.resolve(a)
+        alpha, residual = form.branch_for_bits(key)
         assert alpha == 0  # disjoint groups never collide
         # fired groups contribute exactly their carriers
         want = {2 * i + 2 for i in range(12) if a[i]}
-        assert residual == frozenset(want)
+        assert residual == tuple(sorted(want))
         seen.add((alpha, residual))
     assert len(seen) == 1 << 12
 
 
 def test_resolver_rejects_bad_assignments():
+    # one projector bit: a packed key outside [0, 2) names no assignment
     form = adaptive_form(hypergraph(3, [(0, 1, 2)]), 0)
     with pytest.raises(ValueError):
-        form.resolve((0, 1))
+        form.branch_for_bits(0b10)
     with pytest.raises(ValueError):
-        form.resolve((2,))
+        form.branch_for_bits(-1)
     with pytest.raises(ValueError):
         adaptive_form(hypergraph(3, [(0, 1, 2)]), 5)
 

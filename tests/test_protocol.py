@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -82,13 +82,20 @@ def test_schedule_k_override_keeps_minimum():
     assert low.k == 8**7
 
 
+def test_conforming_is_paper_mode():
+    desk = desk_params("ground", 2, k=10)
+    assert desk.conforming is False
+    assert schedule_params("ground", 2, l1_norm=1.0).conforming is True
+    assert replace(desk, mode="paper").conforming is True
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
-        ProtocolParams("ground", 2, 10, 0, Fraction(0), "desk", False)
+        ProtocolParams("ground", 2, 10, 0, Fraction(0), "desk")
     with pytest.raises(ValueError):
-        ProtocolParams("ground", 2, 0, 0, Fraction(1, 4), "desk", False)
+        ProtocolParams("ground", 2, 0, 0, Fraction(1, 4), "desk")
     with pytest.raises(ValueError):
-        ProtocolParams("nope", 2, 10, 0, Fraction(1, 4), "desk", False)
+        ProtocolParams("nope", 2, 10, 0, Fraction(1, 4), "desk")
     with pytest.raises(ValueError):
         schedule_params("ground", 3)  # missing the l1 norm
 
@@ -351,7 +358,7 @@ def test_runs_refuses_params_of_another_protocol_or_width_and_a_wider_prover(kin
     prover = honest_prover(target.ideal)
     params = desk_params(target.protocol, 2, k=5)
     (rep,) = target.runs(prover, params, [1])
-    assert rep.protocol == target.protocol
+    assert rep.to_jsonable()["protocol"] == target.protocol
     other = next(p for p in COMPARISON if p != target.protocol)
     for bad in (desk_params(other, 2, k=5), desk_params(target.protocol, 3, k=5)):
         with pytest.raises(ValueError, match=f"params are not for this {target.protocol}"):
