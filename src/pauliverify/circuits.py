@@ -34,7 +34,7 @@ from .paulis import (
     qubit_mask,
 )
 from .reporting import field, read_object
-from .schedules import budget_value
+from .schedules import budget_report
 from .states import DenseState, apply_on_axes, plus_state, pure_state
 
 # The most Pauli terms a pushed-through stabilizer may hold.
@@ -214,45 +214,17 @@ def all_stabilizer_decompositions(c: CircuitSpec) -> list[PauliSum]:
     return [conjugate_through_circuit(c, i) for i in range(c.n)]
 
 
-@dataclass(frozen=True)
-class CircuitConditionReport:
-    n: int
-    l1_max: float  # max over per-qubit stabilizer l1 norms
-    l1_per_qubit: tuple[float, ...]
-    budget_value: float
-    within_budget: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "n_qubits": self.n,
-            "l1_max": self.l1_max,
-            "l1_per_qubit": list(self.l1_per_qubit),
-            "budget_value": self.budget_value,
-            "within_budget": self.within_budget,
-            "distribution_materialized": True,
-            "l1_exactly_known": True,
-        }
-
-
-def check_circuit_conditions(
-    decomps: Sequence[PauliSum], budget: float | None = None
-) -> CircuitConditionReport:
+def check_circuit_conditions(decomps: Sequence[PauliSum], budget: float | None = None) -> dict:
+    """``budget_report`` of the largest stabilizer l1 norm, with every qubit's norm."""
     if not decomps:
         raise ValueError("no stabilizer decompositions supplied")
     n = decomps[0].n
     # sum i is the stabilizer of qubit i, so there are n of them, all of width n
     if len(decomps) != n or any(d.n != n for d in decomps):
         raise ValueError(f"need one stabilizer decomposition of width {n} per qubit")
-    per = tuple(d.l1_norm for d in decomps)
-    budget = budget_value(n, budget)
+    per = [d.l1_norm for d in decomps]
     l1_max = max(per)
-    return CircuitConditionReport(
-        n=n,
-        l1_max=l1_max,
-        l1_per_qubit=per,
-        budget_value=budget,
-        within_budget=l1_max <= budget,
-    )
+    return {**budget_report(n, l1_max, budget), "l1_max": l1_max, "l1_per_qubit": per}
 
 
 def load_circuit(source: str | Path | dict) -> CircuitSpec:

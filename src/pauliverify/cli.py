@@ -253,7 +253,6 @@ def _inspect_hamiltonian(h: HamiltonianSpec, budget) -> dict:
     from .hamiltonians import check_conditions, rescale
 
     rh = rescale(h)
-    report = check_conditions(rh, budget)
     terms = [{"pauli": t.axes, "coeff": t.coeff} for t in rh.terms[:64]]
     return {
         "kind": "hamiltonian",
@@ -265,7 +264,7 @@ def _inspect_hamiltonian(h: HamiltonianSpec, budget) -> dict:
         "n_terms": len(rh.terms),
         "rescaled_terms": terms,
         "terms_truncated": len(rh.terms) > 64,
-        "conditions": report.to_jsonable(),
+        "conditions": check_conditions(rh, budget),
     }
 
 
@@ -273,7 +272,6 @@ def _inspect_circuit(c: CircuitSpec, budget) -> dict:
     from .circuits import all_stabilizer_decompositions, check_circuit_conditions
 
     decomps = all_stabilizer_decompositions(c)
-    report = check_circuit_conditions(decomps, budget)
     stabilizers = []
     for qubit, d in enumerate(decomps):
         entry = {
@@ -289,7 +287,7 @@ def _inspect_circuit(c: CircuitSpec, budget) -> dict:
         "n_qubits": c.n,
         "n_gates": len(c.gates),
         "stabilizers": stabilizers,
-        "conditions": report.to_jsonable(),
+        "conditions": check_circuit_conditions(decomps, budget),
     }
 
 

@@ -19,7 +19,7 @@ from .paulis import (
     merge_pauli_terms,
     pauli_sum_dense,
 )
-from .schedules import budget_value
+from .schedules import budget_report
 from .states import DenseState, pure_state
 
 # Eigenvalues closer than this are treated as one degenerate level.
@@ -120,55 +120,17 @@ def rescale(
     return rh
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Desk-scale check of the sampling-form requirements.
-
-    The distribution is always materialized explicitly here, so the
-    polynomial-time sampling requirement is trivially met and reported as
-    such; the l1-norm budget is a pure reporting device.
-    """
-
-    n: int
-    l1_norm: float
-    budget_value: float
-    within_budget: bool
-    gap_used: float | None
-    warning: str | None
-
-    def to_jsonable(self) -> dict:
-        return {
-            "n_qubits": self.n,
-            "l1_norm": self.l1_norm,
-            "budget_value": self.budget_value,
-            "within_budget": self.within_budget,
-            "distribution_materialized": True,
-            "l1_exactly_known": True,
-            "gap_used": self.gap_used,
-            "warning": self.warning,
-        }
-
-
-def check_conditions(
-    rh: RescaledHamiltonian, budget: float | None = None
-) -> ConditionReport:
-    budget = budget_value(rh.n, budget)
-    within = rh.l1_norm <= budget
+def check_conditions(rh: RescaledHamiltonian, budget: float | None = None) -> dict:
+    """``budget_report`` of the rescaled form, with its l1 norm, gap and any warning."""
+    report = budget_report(rh.n, rh.l1_norm, budget)
     warning = None
-    if not within:
+    if not report["within_budget"]:
         warning = (
-            f"l1 norm {rh.l1_norm:g} exceeds the budget {budget:g}; "
+            f"l1 norm {rh.l1_norm:g} exceeds the budget {report['budget_value']:g}; "
             f"a small gap ({rh.gap_used:g}) inflates the sampling cost "
             "exponentially in the worst case"
         )
-    return ConditionReport(
-        n=rh.n,
-        l1_norm=rh.l1_norm,
-        budget_value=budget,
-        within_budget=within,
-        gap_used=rh.gap_used,
-        warning=warning,
-    )
+    return {**report, "l1_norm": rh.l1_norm, "gap_used": rh.gap_used, "warning": warning}
 
 
 def load_hamiltonian(source: str | Path | dict) -> HamiltonianSpec:

@@ -23,6 +23,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -164,12 +165,7 @@ class PauliString:
 
     def dense(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix, coefficient included."""
-        dim = capped_dim(self.n, DENSE_QUBIT_CAP, "dense Pauli matrix")
-        idx = np.arange(dim, dtype=np.int64)
-        mat = np.zeros((dim, dim), dtype=complex)
-        phase = self.coeff * (1j) ** self.y_count
-        mat[idx ^ self.xmask, idx] = phase * sign_vector(dim, self.zmask)
-        return mat
+        return pauli_sum_dense([self])
 
     def __str__(self) -> str:
         return f"{self.coeff:+g}*{self.axes}"
@@ -246,11 +242,11 @@ def pauli_sum_dense(terms: Iterable[PauliString]) -> np.ndarray:
     """Dense matrix of a sum of Pauli strings.
 
     Each term adds its one entry per column, at rows ``idx ^ xmask``, in term
-    order, into one matrix.  This equals the sum of the terms' dense matrices
-    bit for bit.  That sum also adds the zeros of each term, which clears the
-    sign of a -0.0 part wherever some term has no entry; when every term
-    shares one xmask no zero is added, so the first term's entries are stored,
-    not added to +0.
+    order, into one matrix; one term alone gives ``PauliString.dense``.  This
+    equals the sum of the terms' dense matrices bit for bit.  That sum also
+    adds the zeros of each term, which clears the sign of a -0.0 part
+    wherever some term has no entry; when every term shares one xmask no zero
+    is added, so the first term's entries are stored, not added to +0.
     """
     terms = list(terms)
     if not terms:
@@ -295,11 +291,15 @@ class PauliSum:
         if any(t.n != n for t in terms):
             raise ValueError("term width does not match the register")
         coeffs = np.abs(np.array([t.coeff for t in terms]))
-        l1 = float(np.sum(coeffs))
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            l1 = float(np.sum(coeffs))
+        if not l1 < math.inf:
+            raise ValueError(f"a Pauli sum needs a finite l1 norm, got {l1}")
         if not l1 > 0.0:
             raise ValueError("a Pauli sum with no weight cannot be sampled")
         weights = coeffs / l1
-        if abs(float(np.sum(weights)) - 1.0) > 1e-12:
+        # written so that a NaN sum fails it
+        if not abs(float(np.sum(weights)) - 1.0) <= 1e-12:
             raise ValueError("sampling weights do not sum to 1")
         return cls(n=n, terms=terms, l1_norm=l1, cum=np.cumsum(weights), **fields)
 

@@ -51,18 +51,25 @@ def capped_dim(n: int, cap: int, what: str) -> int:
     return 1 << n
 
 
-def default_budget(n: int) -> float:
-    """Reporting budget for the coefficient l1 norm; never blocks execution."""
-    return 10.0 * n**3
+def budget_report(n: int, l1: float, budget: float | None) -> dict:
+    """The sampling condition of a Pauli sum on ``n`` qubits with l1 norm ``l1``.
 
-
-def budget_value(n: int, budget: float | None) -> float:
-    """The l1 budget to report against: ``budget``, or the default for ``n`` qubits."""
+    Both Pauli-sum protocols report it.  The l1 budget defaults to 10 * n**3
+    and never blocks execution.  The term distribution is always
+    materialized and its l1 norm known exactly, so those two flags hold.
+    """
     if budget is None:
-        return default_budget(n)
-    if not 0.0 <= float(budget) < math.inf:
+        budget = 10.0 * n**3
+    elif not 0.0 <= float(budget) < math.inf:
         raise ValueError(f"the l1 budget must be finite and non-negative, got {budget}")
-    return float(budget)
+    budget = float(budget)
+    return {
+        "n_qubits": n,
+        "budget_value": budget,
+        "within_budget": l1 <= budget,
+        "distribution_materialized": True,
+        "l1_exactly_known": True,
+    }
 
 
 def quantity(value, mode: str, **extra) -> dict:

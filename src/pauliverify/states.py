@@ -53,9 +53,9 @@ The stack lays the CDFs out as ``stack_segments`` does, so one vectorized
 search serves a whole run.  The search is branch-free: a position moves by
 its step times the comparison, not through ``np.where``, which mispredicts
 on the random mask that the comparisons of random variates make.
-The target fidelity ``overlap(state, reference)`` is memoized the same way.
-Every entry goes through ``_remember``: a state's memo that would grow past
-MEMO_LIMIT entries starts over, so long-lived states stay bounded.
+A state's memo holds only these tables and stacks.  Every entry goes
+through ``_remember``: a memo that would grow past MEMO_LIMIT entries starts
+over, so long-lived states stay bounded.
 """
 from __future__ import annotations
 
@@ -85,7 +85,7 @@ _SDG = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
 # Rotation that maps the measured eigenbasis onto the computational basis.
 BASIS_ROTATIONS = {"X": _H, "Y": _H @ _SDG, "Z": None, "I": None}
 
-# The most entries one state's memo holds (tables, stacks and overlaps alike).
+# The most entries one state's memo holds (scalar tables and stacks alike).
 MEMO_LIMIT = 8192
 
 
@@ -239,16 +239,8 @@ def apply_pauli(state: DenseState, p: PauliString) -> DenseState:
 
 
 def expectation(state: DenseState, p: PauliString) -> float:
-    """coeff * Tr[rho tau]; the tiny imaginary residue is clamped."""
-    _check_width(state, p.n)
-    idx = np.arange(state.dim, dtype=np.int64)
-    signs = sign_vector(state.dim, p.zmask)
-    if state.is_pure:
-        val = np.sum(np.conj(state.data[idx ^ p.xmask]) * signs * state.data)
-    else:
-        val = np.sum(signs * state.data[idx, idx ^ p.xmask])
-    val = p.coeff * (1j) ** p.y_count * val
-    return float(val.real)
+    """coeff * Tr[rho tau]: ``masked_pauli_expectation`` with no qubit fixed."""
+    return masked_pauli_expectation(state, p, {})
 
 
 # The most entries one gather of ``expectations`` holds; terms are gathered
@@ -317,19 +309,13 @@ def _remember(state: DenseState, key, value):
 
 
 def overlap(state: DenseState, reference: DenseState) -> float:
-    """<ref|rho|ref> for a pure reference state, memoized on ``state``."""
+    """<ref|rho|ref> for a pure reference state."""
     if not reference.is_pure:
         raise ValueError("reference must be pure")
     _check_width(state, reference.n)
-    key = ("overlap", reference)  # states hash by identity
-    value = state._cache.get(key)
-    if value is None:
-        if state.is_pure:
-            value = float(abs(np.vdot(reference.data, state.data)) ** 2)
-        else:
-            value = float(np.real(reference.data.conj() @ state.data @ reference.data))
-        _remember(state, key, value)
-    return value
+    if state.is_pure:
+        return float(abs(np.vdot(reference.data, state.data)) ** 2)
+    return float(np.real(reference.data.conj() @ state.data @ reference.data))
 
 
 def projector_overlap(state: DenseState, projector: np.ndarray) -> float:

@@ -214,8 +214,8 @@ def test_condition_report():
     c = circuit(2, [("CZ", (0, 1)), ("H", (1,))])
     decomps = all_stabilizer_decompositions(c)
     rep = check_circuit_conditions(decomps)
-    assert rep.l1_max == pytest.approx(1.0)
-    assert rep.within_budget
+    assert rep["l1_max"] == pytest.approx(1.0)
+    assert rep["within_budget"]
     with pytest.raises(ValueError):
         check_circuit_conditions([])
     with pytest.raises(ValueError):

@@ -114,7 +114,7 @@ def test_condition_report_budget():
         )
     )
     rep = check_conditions(rh, budget=1.0**2)
-    assert rep.within_budget and rep.warning is None
+    assert rep["within_budget"] and rep["warning"] is None
     # a tiny stated gap inflates the l1 norm past any polynomial budget
     rh_tiny = rescale(
         HamiltonianSpec(
@@ -126,7 +126,7 @@ def test_condition_report_budget():
     )
     assert rh_tiny.l1_norm == pytest.approx(2e6)  # (sum|d_i| + |E0|)/gap
     rep = check_conditions(rh_tiny, budget=1.0)
-    assert not rep.within_budget and "budget" in rep.warning
+    assert not rep["within_budget"] and "budget" in rep["warning"]
 
 
 def test_stated_gap_must_be_consistent():

@@ -11,6 +11,7 @@ import copy
 import io
 import json
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -179,6 +180,33 @@ def test_ground_energy_of_z_still_gives_the_exact_pass_probability(tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert (doc["p_pass"]["value"], doc["l1_norm"]) == (0.5, 2.0)
+
+
+OVERFLOWING = {
+    "n_qubits": 2,
+    "terms": [{"pauli": "ZZ", "coeff": 1.0}, {"pauli": "XI", "coeff": 0.5}],
+    "ground_energy": -1e308,
+    "gap": 1e-308,
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "robustness", "inspect", "ppass"])
+def test_a_rescaling_that_overflows_is_config_error(tmp_path, command):
+    # -E0/gap is inf: verify and robustness ended in an OverflowError traceback,
+    # inspect and ppass in a numpy RuntimeWarning and a message about JSON
+    target, config = tmp_path / "target.json", tmp_path / "config.json"
+    target.write_text(json.dumps(OVERFLOWING))
+    config.write_text(json.dumps({"target": str(target), "params": {"k": 2}, "seed": 1}))
+    argv = {
+        "verify": ["verify", "--config", config],
+        "robustness": ["robustness", "--target", target, "--eps-prime", "0", "-k", "5"],
+        "inspect": ["inspect", target],
+        "ppass": ["ppass", "--target", target],
+    }[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_refused(argv, "a Pauli sum needs a finite l1 norm, got inf")
+    assert caught == []
 
 
 def _report(**fields) -> dict:

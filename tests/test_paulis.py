@@ -1,5 +1,7 @@
 import ast
 import re
+import warnings
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +66,17 @@ def test_dense_matches_kron_oracle(rng):
         coeff = float(rng.normal())
         got = PauliString.from_axes(axes, coeff).dense()
         assert np.allclose(got, dense_from_axes(axes, coeff), atol=1e-12)
+
+
+SHORT_AXES = ["".join(letters) for n in (1, 2, 3) for letters in product("IXYZ", repeat=n)]
+
+
+@given(coeff=st.floats(allow_nan=False, allow_infinity=False))
+def test_dense_equals_the_kron_oracle_for_every_string_up_to_a_gates_arity(coeff):
+    # gate tables conjugate every Pauli string of 1 to 3 qubits through its dense form
+    for axes in SHORT_AXES:
+        got = PauliString.from_axes(axes, coeff).dense()
+        np.testing.assert_array_equal(got, dense_from_axes(axes, coeff))
 
 
 def test_sign_and_identity_flags():
@@ -173,6 +186,11 @@ def test_pauli_sum_rejects_what_cannot_be_sampled():
         PauliSum.of([PauliString.from_axes("X"), PauliString.from_axes("XX")])
     with pytest.raises(ValueError, match="no weight"):
         PauliSum.of([PauliString.from_axes("X", 0.0)])
+    # an l1 norm that overflows to inf would make the weights NaN; no warning precedes
+    # the refusal
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="finite l1 norm, got inf"):
+        warnings.simplefilter("error")
+        PauliSum.of([PauliString.from_axes("X", 1e308), PauliString.from_axes("Z", 1e308)])
     wide = PauliSum.of([PauliString.identity(DENSE_QUBIT_CAP + 1)])
     with pytest.raises(CapExceededError):
         wide.dense()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from scipy import stats
 
+from pauliverify import protocol
 from pauliverify.circuits import all_stabilizer_decompositions, check_circuit_conditions, circuit
 from pauliverify.hamiltonians import HamiltonianSpec
 from pauliverify.hypergraphs import adaptive_form, build_state, hypergraph
@@ -39,7 +40,12 @@ from pauliverify.schedules import (
     schedule_params,
 )
 from pauliverify.single_copy import adaptive_test_exact_ppass
-from pauliverify.states import apply_pauli, computational_state, maximally_mixed
+from pauliverify.states import (
+    apply_pauli,
+    computational_state,
+    maximally_mixed,
+    projector_overlap,
+)
 
 
 def minus_z_target():
@@ -284,6 +290,39 @@ def test_classically_correlated_prover_mixes_runs():
     verdicts = [rep.accepted for rep in target.runs(prover, params, run_seeds(41, 30))]
     rate = sum(verdicts) / len(verdicts)
     assert 0.2 < rate < 0.8  # the shared coin decides each run wholesale
+
+
+def _counting_fidelity(target: PreparedTarget):
+    """``target`` with a fidelity that lists every state it is evaluated on."""
+    asked = []
+
+    def fidelity(state):
+        asked.append(state)
+        return target.fidelity(state)
+
+    return replace(target, fidelity=fidelity), asked
+
+
+def test_runs_evaluate_each_source_s_fidelity_once_per_call(monkeypatch):
+    # every run is sampled in a block of its own, so only the call's cache can share
+    monkeypatch.setattr(protocol, "BLOCK_TRIALS", 1)
+    hyper = prepare("hypergraph", hypergraph(3, [(0, 1, 2)]))
+    params = desk_params("hypergraph", 3, k=5, m=0, epsilon=0.2)
+    target, asked = _counting_fidelity(hyper)
+    reports = target.runs(honest_prover(hyper.ideal), params, run_seeds(3, 5))
+    assert asked == [hyper.ideal]
+    assert len({rep.target_fidelity for rep in reports}) == 1
+    bad = apply_pauli(hyper.ideal, PauliString.from_axes("ZII"))
+    prover = classically_correlated_prover([hyper.ideal, bad], [0.5, 0.5])
+    asked.clear()
+    target.runs(prover, params, run_seeds(41, 30))
+    assert len(asked) == len(set(asked)) == 2  # once per distinct source
+    ground = minus_z_target()
+    assert ground.fidelity.func is projector_overlap
+    target, asked = _counting_fidelity(ground)
+    params = desk_params("ground", 1, k=5, m=0, epsilon=0.2)
+    target.runs(honest_prover(computational_state(1, 0)), params, run_seeds(7, 5))
+    assert len(asked) == 1
 
 
 def test_entangled_demo_extreme_weights():

@@ -456,7 +456,7 @@ def test_mixture_tables_reuse_their_components_tables(rng):
     assert list(psi._cache) == ["XIY"] and list(eta._cache) == ["XIY"]
 
 
-def test_overlap_is_memoized_per_reference(rng):
+def test_overlap_of_a_mixture_is_its_dense_form_for_each_reference(rng):
     psi, other = random_pure_state(3, rng), random_pure_state(3, rng)
     rho = mixture(psi, maximally_mixed(3), 0.3)
     first = overlap(rho, psi)
@@ -466,7 +466,7 @@ def test_overlap_is_memoized_per_reference(rng):
 
 
 def test_a_state_memo_stays_within_its_limit_and_samples_the_same(rng):
-    """Scalar tables, stacks and overlaps share one memo, held to MEMO_LIMIT entries."""
+    """Scalar tables and stacks share one memo, held to MEMO_LIMIT entries."""
 
     def states_of(seed):
         local = np.random.default_rng(seed)
