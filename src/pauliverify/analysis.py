@@ -16,8 +16,8 @@ import numpy as np
 from .hypergraphs import HypergraphSpec, build_state
 from .paulis import PauliString, qubit_mask
 from .states import DenseState, apply_pauli, outcome_distribution, overlap, to_density
-from .protocol import PreparedTarget, iid_deviated_prover, run_seeds
-from .schedules import ProtocolParams, quantity
+from .protocol import PreparedTarget, check_run_sizes, iid_deviated_prover, run_seeds
+from .schedules import ProtocolParams, pass_cut, quantity
 from .single_copy import binomial_sigma
 
 
@@ -135,27 +135,29 @@ def _binomial_tail(kernel, count: int, k: int, p: float, below: float, above: fl
 def binomial_tail_ge(k: int, p: float, threshold: Fraction) -> float:
     """P[K/k >= threshold] exactly, threshold compared as a rational.
 
-    Bit for bit ``scipy.stats.binom.sf(ceil(threshold*k) - 1, k, p)``.
+    Bit for bit ``scipy.stats.binom.sf(pass_cut(">=", threshold, k) - 1, k, p)``.
     """
     from scipy.special._ufuncs import _binom_sf  # on first use: verify needs no scipy
 
-    m = -((-threshold.numerator * k) // threshold.denominator)  # ceil(thr*k)
-    return _binomial_tail(_binom_sf, m - 1, k, p, below=1.0, above=0.0)
+    m = pass_cut(">=", threshold, k) - 1
+    return _binomial_tail(_binom_sf, m, k, p, below=1.0, above=0.0)
 
 
 def binomial_tail_le(k: int, p: float, threshold: Fraction) -> float:
     """P[K/k <= threshold] exactly.
 
-    Bit for bit ``scipy.stats.binom.cdf(floor(threshold*k), k, p)``.
+    Bit for bit ``scipy.stats.binom.cdf(pass_cut("<=", threshold, k), k, p)``.
     """
     from scipy.special._ufuncs import _binom_cdf  # on first use: verify needs no scipy
 
-    m = (threshold.numerator * k) // threshold.denominator  # floor(thr*k)
+    m = pass_cut("<=", threshold, k)
     return _binomial_tail(_binom_cdf, m, k, p, below=0.0, above=1.0)
 
 
 def hoeffding_calculator(p: float, k: int, t: float) -> TailBounds:
     """One-sided upward deviation bound and its exact binomial companion."""
+    if k < 1 or not 0.0 <= p <= 1.0:
+        raise ValueError(f"need k >= 1 and p in [0, 1], got k={k}, p={p}")
     if t <= 0:
         raise ValueError("the deviation t must be positive")
     thr = Fraction(p) + Fraction(t)
@@ -220,6 +222,7 @@ def robustness_sweep(
     for hypergraph targets; for the others it reuses that functional form
     over their groups and is labeled "extrapolated".
     """
+    check_run_sizes(runs)
     thresholds = prepared.thresholds(params.epsilon)
     tail = binomial_tail_le if prepared.comparison == "<=" else binomial_tail_ge
     label = "stated" if prepared.protocol == "hypergraph" else "extrapolated"

@@ -109,16 +109,6 @@ def parse_state_spec(spec: str, ideal: DenseState) -> DenseState:
     raise ValueError(f"unknown state spec {spec!r}")
 
 
-def check_run_sizes(runs: int) -> None:
-    """Refuse a run count below 1 or above RUN_COUNT_CAP, before any per-run seed is drawn."""
-    from .protocol import RUN_COUNT_CAP
-
-    if runs < 1:
-        raise ValueError(f"runs must be at least 1, got {runs}")
-    if runs > RUN_COUNT_CAP:
-        raise ValueError(f"runs must be at most {RUN_COUNT_CAP}, got {runs}")
-
-
 def _pauli_from_config(cfg: dict, n: int) -> PauliString:
     """One letter on ``qubit`` (default 0), or a full axis string."""
     from .paulis import PauliString
@@ -168,6 +158,8 @@ def params_from_config(
     ProtocolParams checks the ranges of k and m; the register cap is checked
     by the protocol engine, before a run allocates anything sized by it.
     """
+    from .protocol import check_run_sizes
+
     check_run_sizes(runs)
     mode = field(cfg, "mode", str, "desk")
     if mode == "paper":

@@ -31,7 +31,9 @@ import numpy as np
 
 from .hypergraphs import all_adaptive_forms, build_state
 from .paulis import DENSE_QUBIT_CAP, PauliString
-from .schedules import COMPARISON, PROTOCOL_FOR_KIND, ProtocolParams, capped_dim, group_thresholds
+from .schedules import (
+    COMPARISON, PROTOCOL_FOR_KIND, ProtocolParams, capped_dim, group_thresholds, pass_cut
+)
 from .single_copy import AdaptiveTest, ParityTest
 from .states import (
     DenseState,
@@ -58,6 +60,14 @@ RUN_COUNT_CAP = 100_000
 # source are sampled in blocks of whole runs up to this size (a larger run is
 # a block of its own), so a block's arrays do not grow with the run count.
 BLOCK_TRIALS = 1 << 14
+
+
+def check_run_sizes(runs: int) -> None:
+    """Refuse a run count below 1 or above RUN_COUNT_CAP, before any per-run seed is drawn."""
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
+    if runs > RUN_COUNT_CAP:
+        raise ValueError(f"runs must be at most {RUN_COUNT_CAP}, got {runs}")
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +138,13 @@ class ProverModel:
     make_source: Callable[[int, np.random.Generator], object]
 
 
-def honest_prover(ideal: DenseState) -> ProverModel:
-    def make(n_registers, rng):
-        return ideal
+def _fixed(kind: str, state: DenseState) -> ProverModel:
+    """A prover whose every register carries ``state``."""
+    return ProverModel(kind, lambda n_registers, rng: state)
 
-    return ProverModel("honest", make)
+
+def honest_prover(ideal: DenseState) -> ProverModel:
+    return _fixed("honest", ideal)
 
 
 def iid_deviated_prover(
@@ -144,23 +156,14 @@ def iid_deviated_prover(
     if eta.n != ideal.n:
         raise ValueError("eta and the ideal state differ in width")
     state = mixture(ideal, eta, epsilon_prime) if epsilon_prime > 0.0 else ideal
-
-    def make(n_registers, rng):
-        return state
-
-    return ProverModel("iid_deviated", make)
+    return _fixed("iid_deviated", state)
 
 
 def coherent_error_prover(ideal: DenseState, error: PauliString) -> ProverModel:
     """Every register carries (P ideal) for a unit-coefficient Pauli P."""
     if abs(abs(error.coeff) - 1.0) > 1e-12:
         raise ValueError("the coherent error must be a unit-coefficient Pauli")
-    bad = apply_pauli(ideal, error)
-
-    def make(n_registers, rng):
-        return bad
-
-    return ProverModel("coherent_error", make)
+    return _fixed("coherent_error", apply_pauli(ideal, error))
 
 
 def classically_correlated_prover(
@@ -287,11 +290,11 @@ class VerdictReport:
 
 
 def choose_layout(n_registers: int, m: int, rng: np.random.Generator):
-    """Uniformly discard m registers and pick one survivor as the target."""
+    """Uniformly discard m registers; returns one survivor as the target, and the rest."""
     if m >= n_registers:
         raise ValueError("cannot discard every register")
     perm = rng.permutation(n_registers)
-    return perm[:m], int(perm[m]), perm[m + 1 :]
+    return int(perm[m]), perm[m + 1 :]
 
 
 def _run_rngs(seed: int):
@@ -331,23 +334,17 @@ class _Run(NamedTuple):
 class _Verdicts:
     """What the verdicts of one engine call share, worked out once per call.
 
-    A group's rate ``passes / k`` compares to its threshold ``thr`` exactly as
-    ``passes <= floor(thr * k)`` for ``<=`` and ``passes >= ceil(thr * k)``
-    for ``>=``, so every verdict is decided on whole pass counts.
+    Each group's whole pass count is compared with its ``pass_cut``.
     """
 
-    def __init__(self, params, prover_kind, test, record_trials):
-        thresholds = group_thresholds(params.protocol, params.epsilon, test.group_l1)
-        k = params.k
-        self.shape = (len(thresholds), k)
-        self.comparison = COMPARISON[params.protocol]
-        if self.comparison == "<=":
-            self.cuts = np.array([(t.numerator * k) // t.denominator for t in thresholds])
-        else:
-            self.cuts = np.array([-((-t.numerator * k) // t.denominator) for t in thresholds])
+    def __init__(self, target: PreparedTarget, params, prover_kind, record_trials):
+        thresholds = target.thresholds(params.epsilon)
+        self.shape = (len(thresholds), params.k)
+        self.comparison = target.comparison
+        self.cuts = np.array([pass_cut(self.comparison, t, params.k) for t in thresholds])
         self.thresholds = [f"{t.numerator}/{t.denominator}" for t in thresholds]
         self.params, self.prover_kind = params, prover_kind
-        self.labels = test.branch_labels if record_trials else None
+        self.labels = target.test.branch_labels if record_trials else None
 
     def decide(self, runs: list[_Run], passed, branches, fidelity) -> list[VerdictReport]:
         """The reports of ``runs`` on one source, from (runs, groups, k) arrays."""
@@ -448,7 +445,7 @@ class PreparedTarget:
         test, fidelity = self.test, self.fidelity
         check_executable(params)
         n_reg = params.n_registers
-        verdicts = _Verdicts(params, prover.kind, test, record_trials)
+        verdicts = _Verdicts(self, params, prover.kind, record_trials)
         per_run = verdicts.shape[0] * params.k  # trials
         size = test.variates * per_run  # uniforms
         reports: list[VerdictReport | None] = [None] * len(seeds)
@@ -477,7 +474,7 @@ class PreparedTarget:
             source = prover.make_source(n_reg, rng_prover)
             if source.n != params.n:
                 raise ValueError("prover register width does not match the protocol")
-            _, target, rest = choose_layout(n_reg, params.m, rng_layout)
+            target, rest = choose_layout(n_reg, params.m, rng_layout)
             groups = rest.reshape(verdicts.shape)
             if not isinstance(source, DenseState):
                 trials = [

@@ -108,10 +108,6 @@ def _nth_root_fraction(value: int, n: int) -> Fraction:
     return Fraction(_int_nth_root(value * scale**n, n), scale)
 
 
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
     """Run sizes, the deviation parameter, and their provenance mode.
@@ -200,20 +196,15 @@ def schedule_params(
     if l1_norm is not None and not 0.0 < l1_norm < math.inf:
         raise ValueError(f"the l1 norm must be finite and positive, got {l1_norm}")
     notes = []
-    if protocol == "ground":
+    if protocol != "hypergraph":
+        # k >= c * l1**2 * n**e and m = 2 * n**e * k**2 * ln 2
+        c, e, norm = (32, 5, "coefficient") if protocol == "ground" else (8, 7, "max")
         if l1_norm is None:
-            raise ValueError("the ground schedule needs the coefficient l1 norm")
+            raise ValueError(f"the {protocol} schedule needs the {norm} l1 norm")
         eps = schedule_epsilon(protocol, n)
-        k_min = _ceil(32 * Fraction(l1_norm) ** 2 * n**5)
+        k_min = math.ceil(c * Fraction(l1_norm) ** 2 * n**e)
         k_val = max(k_min, k or 0)
-        m_val = _ceil(2 * n**5 * k_val**2 * LN2)
-    elif protocol == "circuit":
-        if l1_norm is None:
-            raise ValueError("the circuit schedule needs the max l1 norm")
-        eps = schedule_epsilon(protocol, n)
-        k_min = _ceil(8 * Fraction(l1_norm) ** 2 * n**7)
-        k_val = max(k_min, k or 0)
-        m_val = _ceil(2 * n**7 * k_val**2 * LN2)
+        m_val = math.ceil(2 * n**e * k_val**2 * LN2)
     else:
         k_min = (4 * n) ** 7
         k_val = max(k_min, k or 0)
@@ -221,7 +212,7 @@ def schedule_params(
         if root.denominator != 1:
             notes.append("k**(2/7) is irrational; epsilon carries 30 digits")
         eps = schedule_epsilon(protocol, n, k_val)
-        m_val = _ceil(2 * n**3 * k_val**2 * root**2 * LN2)  # k**(18/7) = k**2 * root**2
+        m_val = math.ceil(2 * n**3 * k_val**2 * root**2 * LN2)  # k**(18/7) = k**2 * root**2
     return ProtocolParams(
         protocol=protocol,
         n=n,
@@ -267,6 +258,16 @@ def circuit_group_threshold(epsilon: Fraction, l1_norm: float) -> Fraction:
 
 def hypergraph_group_threshold(epsilon: Fraction) -> Fraction:
     return 1 - epsilon
+
+
+def pass_cut(comparison: str, threshold: Fraction, k: int) -> int:
+    """floor(threshold * k) for "<=" and ceil(threshold * k) for ">=", in integers.
+
+    A rate ``passes / k`` compares to ``threshold`` as ``passes`` compares to this cut.
+    """
+    if comparison == "<=":
+        return (threshold.numerator * k) // threshold.denominator
+    return -((-threshold.numerator * k) // threshold.denominator)
 
 
 @lru_cache(maxsize=64)
@@ -346,8 +347,7 @@ def minimal_k_for_sampling_hardness(sampler_error: Fraction = Fraction(1, 193)) 
     t = SAMPLING_HARDNESS_THRESHOLD - Fraction(sampler_error)
     if t <= 0:
         raise ValueError("the sampler error leaves no headroom")
-    k_exact = (2 / t) ** 14
-    k = -((-k_exact.numerator) // k_exact.denominator)
+    k = math.ceil((2 / t) ** 14)
     # verify the defining inequality exactly at k (root exact when integral)
     root = Fraction(2) / t
     if root.denominator == 1 and root.numerator**14 == k:

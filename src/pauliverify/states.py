@@ -633,8 +633,7 @@ class _TableStack:
     """The Born tables of a layout's bases on one state."""
 
     probs: np.ndarray  # normalized rows laid end to end, at the layout's segments
-    cum: np.ndarray  # CDFs laid out as stack_segments lays them out
-    width: int
+    cum: np.ndarray  # CDFs laid out as stack_segments lays them out, rows of layout.width
     last_sampleable: np.ndarray  # per basis
 
 
@@ -700,7 +699,7 @@ def _table_stack(state: DenseState, layout: StackLayout) -> _TableStack:
     # rows with the same measured count are finished as one block
     for at, block in layout.blocks:
         probs[block], cum[at, : block.shape[1]], last[at] = _finish_rows(rows[block])
-    return _remember(state, layout.bases, _TableStack(probs, cum.reshape(-1), layout.width, last))
+    return _remember(state, layout.bases, _TableStack(probs, cum.reshape(-1), last))
 
 
 def sample_stacked_outcomes(
@@ -717,5 +716,5 @@ def sample_stacked_outcomes(
     as one stack and memoized on the state.
     """
     stack = _table_stack(state, layout)
-    k = search_segments(stack.cum, stack.width, which, u)
+    k = search_segments(stack.cum, layout.width, which, u)
     return np.minimum(k, stack.last_sampleable[which])

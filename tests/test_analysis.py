@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
+from pauliverify import analysis
 from pauliverify.analysis import (
     DistributionPair,
     acceptance_bound,
@@ -21,10 +22,11 @@ from pauliverify.analysis import (
 )
 from pauliverify.hypergraphs import build_state, hypergraph
 from pauliverify.paulis import PauliString
-from pauliverify.protocol import prepare
+from pauliverify.protocol import RUN_COUNT_CAP, prepare
 from pauliverify.schedules import (
     desk_params,
     minimal_k_for_sampling_hardness,
+    pass_cut,
     quantity,
     schedule_params,
     supremacy_margin,
@@ -183,6 +185,17 @@ def test_hoeffding_values_and_exact_dominance(rng):
                 assert tb.exact <= tb.hoeffding + 1e-12
 
 
+def test_hoeffding_calculator_refuses_a_run_size_below_one():
+    with pytest.raises(ValueError, match="need k >= 1"):
+        hoeffding_calculator(0.5, -3, 0.1)
+
+
+@pytest.mark.parametrize("p", [1.5, -0.1, math.nan])
+def test_hoeffding_calculator_refuses_a_probability_outside_the_unit_interval(p):
+    with pytest.raises(ValueError, match=r"p in \[0, 1\]"):
+        hoeffding_calculator(p, 10, 0.1)
+
+
 def test_ground_schedule_reproduces_target_tail():
     # with the minimal schedule the deviation eps/(2*l1) gives exp(-n) exactly
     for n in [2, 3, 4]:
@@ -226,6 +239,18 @@ def test_binomial_tails_equal_scipy_stats_bit_for_bit(k):
 
 
 unit_floats = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@given(
+    threshold=st.fractions(0, 2, max_denominator=10**6).filter(lambda t: 0 < t < 2),
+    k=st.integers(1, 200),
+)
+def test_pass_cut_decides_every_pass_count_as_the_exact_rate_does(threshold, k):
+    # the engine's verdicts and both binomial tails read the cut, not the rate
+    low, high = pass_cut("<=", threshold, k), pass_cut(">=", threshold, k)
+    for passes in range(k + 1):
+        assert (Fraction(passes, k) <= threshold) == (passes <= low)
+        assert (Fraction(passes, k) >= threshold) == (passes >= high)
 
 
 @given(
@@ -299,6 +324,21 @@ def test_robustness_bound_validity_regime(rng):
     assert pts[0].acceptance_rate >= pts[0].bound - 3 * max(pts[0].mc_sigma, 0.05)
     assert not pts[1].bound_valid
     assert pts[1].acceptance_rate < pts[1].bound  # the formula is vacuous here
+
+
+@pytest.mark.parametrize(
+    "runs, message",
+    [(0, "runs must be at least 1, got 0"), (RUN_COUNT_CAP + 1, f"at most {RUN_COUNT_CAP}")],
+)
+def test_robustness_sweep_refuses_a_run_count_before_drawing_a_seed(monkeypatch, runs, message):
+    def no_seeds(*args):
+        raise AssertionError("a seed was drawn")
+
+    monkeypatch.setattr(analysis, "run_seeds", no_seeds)
+    params = desk_params("hypergraph", 2, k=5, m=0, epsilon=0.1)
+    target = prepare("hypergraph", hypergraph(2, [(0, 1)]))
+    with pytest.raises(ValueError, match=message):
+        robustness_sweep(target, maximally_mixed(2), [0.0], params, runs=runs, seed=1)
 
 
 def test_robustness_sweep_is_deterministic():

@@ -396,7 +396,7 @@ def test_stacked_outcomes_equal_per_basis_sampling_with_the_clamp(kind, n, zeros
     bases = tuple(dict.fromkeys(bases))
     layout = StackLayout.of(n, bases)
     stack = states._table_stack(state, layout)
-    rows = stack.cum.reshape(len(bases), stack.width)
+    rows = stack.cum.reshape(len(bases), layout.width)
     start = 0  # the normalized rows lie end to end
     for b, basis in enumerate(bases):
         table = states._measurement_table(state, basis)

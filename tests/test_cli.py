@@ -14,8 +14,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
-from pauliverify.cli import build_parser, check_run_sizes, load_target, main
-from pauliverify.protocol import ENTANGLED_TOTAL_QUBIT_CAP, RUN_COUNT_CAP, prepare
+from pauliverify.cli import build_parser, load_target, main
+from pauliverify.protocol import (
+    ENTANGLED_TOTAL_QUBIT_CAP,
+    RUN_COUNT_CAP,
+    check_run_sizes,
+    prepare,
+)
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).resolve().parent.parent

@@ -101,3 +101,40 @@ def test_a_module_imports_from_its_siblings_only_what_it_reads(path):
 def test_an_unread_sibling_import_is_found():
     source = "from .schedules import capped_dim, quantity\nfrom . import reporting\nquantity(1)\n"
     assert unread_sibling_imports(source) == ["capped_dim", "reporting"]
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """The module-level private names (``_x``, not dunders) that no source reads.
+
+    A name is read when it is loaded, or named as an attribute
+    (``states._table_stack``).  A sibling that imports a name must load it,
+    which ``unread_sibling_imports`` checks.
+    """
+    defined, read = [], set()
+    for tree in map(ast.parse, sources):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.extend(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    private = [n for n in defined if n.startswith("_") and not n.startswith("__")]
+    return [name for name in private if name not in read]
+
+
+def test_every_private_module_level_name_is_read_in_the_package():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert unread_private_names(sources) == []
+
+
+def test_an_unread_private_name_is_found():
+    sources = [
+        "def _ceil(x):\n    return x\n\n_CAP = 3\n_used = 1\n_seen: int = 2\n__all__ = []\n",
+        "from .schedules import _used\n\nprint(_used, schedules._seen)\n",
+    ]
+    assert unread_private_names(sources) == ["_ceil", "_CAP"]

@@ -128,7 +128,7 @@ def test_layout_uniform_target_chi_squared():
     n_reg, m, draws = 6, 2, 10_000
     counts = np.zeros(n_reg)
     for _ in range(draws):
-        _, target, tested = choose_layout(n_reg, m, rng)
+        target, tested = choose_layout(n_reg, m, rng)
         counts[target] += 1
         assert len(tested) == n_reg - m - 1
     res = stats.chisquare(counts)

@@ -14,7 +14,6 @@ from pauliverify.paulis import PauliString, PauliSum
 from pauliverify.single_copy import (
     AdaptiveTest,
     ParityTest,
-    adaptive_branch_sum_ppass,
     adaptive_predicate,
     adaptive_test_exact_ppass,
     binomial_sigma,
@@ -188,7 +187,7 @@ def test_adaptive_branch_sum_equals_trace_form(n, edge_bits, pure, seed):
     for v in range(n):
         # (1 + <g_v>)/2 from the dense stabilizer
         via_trace = 0.5 * (1.0 + projector_overlap(rho, stabilizer_dense(g, v)))
-        via_branches = adaptive_branch_sum_ppass(rho, adaptive_form(g, v))
+        via_branches = adaptive_test_exact_ppass(rho, adaptive_form(g, v))
         assert via_branches == pytest.approx(via_trace, abs=1e-10)
 
 
@@ -260,8 +259,13 @@ def test_parity_test_renders_one_string_per_distinct_basis(monkeypatch):
     assert test.distinct_bases == ("XZ", "ZZ")
     assert test.basis_id.tolist() == [0, 1, 0]
     assert rendered == [(0b10, 0b01), (0, 0b11)]
-    labels = [test.branch_label(0, 0), test.branch_label(0, 1), test.branch_label(1, 2)]
+    labels = [test.branch_label(0), test.branch_label(1), test.branch_label(2)]
     assert labels == ["+XZ", "-ZZ", "-XZ"]
+
+
+def test_monte_carlo_pass_rate_refuses_zero_trials(rng):
+    with pytest.raises(ValueError, match="n_trials must be at least 1, got 0"):
+        monte_carlo_pass_rate(ParityTest(minus_z_rescaled()), 0, rng, computational_state(1, 0))
 
 
 def test_parity_test_refuses_sums_of_different_widths():
