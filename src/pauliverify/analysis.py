@@ -75,13 +75,6 @@ class StateBounds:
     trace_distance: float
     povm_l1_bound: float  # any POVM's outcome l1 error is at most this
 
-    def to_jsonable(self) -> dict:
-        return {
-            "fidelity": quantity(self.fidelity, "exact"),
-            "trace_distance": quantity(self.trace_distance, "exact"),
-            "povm_l1_bound": quantity(self.povm_l1_bound, "bound"),
-        }
-
 
 def trace_distance_fidelity_bounds(rho: DenseState, ideal: DenseState) -> StateBounds:
     """Exact trace distance to a pure reference plus the sqrt(1-F) chain."""
@@ -103,12 +96,6 @@ def trace_distance_fidelity_bounds(rho: DenseState, ideal: DenseState) -> StateB
 class TailBounds:
     hoeffding: float  # exp(-2 t^2 k)
     exact: float  # P[K/k >= p + t] for K ~ Binomial(k, p)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "hoeffding": quantity(self.hoeffding, "bound"),
-            "exact": quantity(self.exact, "exact"),
-        }
 
 
 def hoeffding_tail(k: int, t: float) -> float:
@@ -158,8 +145,8 @@ def hoeffding_calculator(p: float, k: int, t: float) -> TailBounds:
     """One-sided upward deviation bound and its exact binomial companion."""
     if k < 1 or not 0.0 <= p <= 1.0:
         raise ValueError(f"need k >= 1 and p in [0, 1], got k={k}, p={p}")
-    if t <= 0:
-        raise ValueError("the deviation t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"the deviation t must be finite and positive, got {t}")
     thr = Fraction(p) + Fraction(t)
     return TailBounds(hoeffding=hoeffding_tail(k, t), exact=binomial_tail_ge(k, p, thr))
 

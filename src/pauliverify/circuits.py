@@ -146,6 +146,7 @@ class Gate:
 class CircuitSpec:
     """An ordered gate list applied left-to-right to |+>^n."""
 
+    kind = "circuit"  # a class attribute, not a field
     n: int
     gates: tuple[Gate, ...]
 
@@ -169,12 +170,9 @@ class CircuitSpec:
 def circuit(n: int, gates) -> CircuitSpec:
     out = []
     for g in gates:
-        if isinstance(g, Gate):
-            out.append(g)
-        else:
-            name, qubits = g[0], tuple(g[1])
-            angle = g[2] if len(g) > 2 else None
-            out.append(Gate(name, qubits, angle))
+        name, qubits = g[0], tuple(g[1])
+        angle = g[2] if len(g) > 2 else None
+        out.append(Gate(name, qubits, angle))
     return CircuitSpec(n, tuple(out))
 
 

@@ -66,22 +66,25 @@ def _emit(obj, out: str | None) -> None:
 def load_target(path: str | Path):
     """Detect and load a hypergraph, Hamiltonian, or circuit JSON file.
 
+    Returns (kind, target, z_layer), the kind being the loaded target's own.
     Only the module of the kind found is imported.
     """
     obj = read_object(path, "the target file")
     if "n_vertices" in obj:
         from .hypergraphs import load_hypergraph
 
-        return ("hypergraph", *load_hypergraph(obj))
-    if "gates" in obj:
+        target, z_layer = load_hypergraph(obj)
+    elif "gates" in obj:
         from .circuits import load_circuit
 
-        return "circuit", load_circuit(obj), None
-    if "terms" in obj:
+        target, z_layer = load_circuit(obj), None
+    elif "terms" in obj:
         from .hamiltonians import load_hamiltonian
 
-        return "hamiltonian", load_hamiltonian(obj), None
-    raise ValueError(f"{path}: not a hypergraph, circuit, or Hamiltonian file")
+        target, z_layer = load_hamiltonian(obj), None
+    else:
+        raise ValueError(f"{path}: not a hypergraph, circuit, or Hamiltonian file")
+    return target.kind, target, z_layer
 
 
 def parse_state_spec(spec: str, ideal: DenseState) -> DenseState:
@@ -303,7 +306,7 @@ def cmd_ppass(args) -> int:
     from .protocol import prepare
 
     kind, target, _ = load_target(args.target)
-    prepared = prepare(kind, target)
+    prepared = prepare(target)
     state = parse_state_spec(args.state, prepared.ideal)
     result = {
         "command": "ppass",
@@ -357,7 +360,7 @@ def cmd_verify(args) -> int:
         )
 
     runs = args.runs
-    prepared = prepare(kind, target)
+    prepared = prepare(target)
     params = params_from_config(protocol, target.n, params_cfg, prepared.l1_norm, runs)
     prover = prover_from_config(prover_cfg, prepared.ideal)
     record = args.trials_csv is not None
@@ -427,7 +430,7 @@ def cmd_robustness(args) -> int:
     params = params_from_config(PROTOCOL_FOR_KIND[kind], target.n, desk, None, args.runs)
     eta = maximally_mixed(target.n)
     points = robustness_sweep(
-        prepare(kind, target), eta, eps_primes, params, args.runs, seed
+        prepare(target), eta, eps_primes, params, args.runs, seed
     )
     out = {
         "command": "robustness",
@@ -548,6 +551,3 @@ def main(argv=None) -> int:
     sys.stderr.write(reporting.canonical_json({"error": error, "kind": kind}))
     return code
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -30,6 +30,7 @@ DEGENERACY_TOL = 1e-9
 class HamiltonianSpec:
     """A sum of weighted Pauli strings with optional spectral data."""
 
+    kind = "hamiltonian"  # a class attribute, not a field
     n: int
     terms: tuple[PauliString, ...]
     ground_energy: float | None = None

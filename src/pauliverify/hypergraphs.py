@@ -40,6 +40,7 @@ MAX_EDGE_SIZE = 3
 class HypergraphSpec:
     """Vertices plus hyperedges of size 2..MAX_EDGE_SIZE."""
 
+    kind = "hypergraph"  # a class attribute, not a field
     n: int
     edges: tuple[tuple[int, ...], ...]
 

@@ -167,9 +167,6 @@ class PauliString:
         """Dense 2^n x 2^n matrix, coefficient included."""
         return pauli_sum_dense([self])
 
-    def __str__(self) -> str:
-        return f"{self.coeff:+g}*{self.axes}"
-
 
 def merge_pauli_terms(terms: Iterable[PauliString]) -> list[PauliString]:
     """Sum like strings, drop coefficients up to DROP_THRESHOLD, sort by sort_key.

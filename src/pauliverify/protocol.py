@@ -6,7 +6,7 @@ the rest.  Accept/reject thresholds, from ``schedules``, are compared in
 exact rational arithmetic so boundary equalities never flip on
 floating-point noise.
 
-``prepare(kind, target)`` builds a target's tests once, and its
+``prepare(target)`` builds a target's tests once, and its
 ``PreparedTarget.runs`` is the engine.  A prover's source is either the one
 DenseState that every register carries, or a joint source over all
 registers.  One engine call makes all the runs of a verify call or of a
@@ -114,7 +114,7 @@ class EntangledRegisters:
                 index[lo + j] = (1 + m) // 2  # the bit of the outcome not seen
                 psi[tuple(index)] = 0.0
         self._psi = (psi / np.sqrt(prob)).reshape(-1)
-        return MeasurementRecord(outcomes, bases)
+        return MeasurementRecord(outcomes)
 
     def register_state(self, register: int) -> DenseState:
         joint = DenseState(self.total, self._psi)
@@ -161,7 +161,7 @@ def iid_deviated_prover(
 
 def coherent_error_prover(ideal: DenseState, error: PauliString) -> ProverModel:
     """Every register carries (P ideal) for a unit-coefficient Pauli P."""
-    if abs(abs(error.coeff) - 1.0) > 1e-12:
+    if not abs(abs(error.coeff) - 1.0) <= 1e-12:  # NaN fails it too
         raise ValueError("the coherent error must be a unit-coefficient Pauli")
     return _fixed("coherent_error", apply_pauli(ideal, error))
 
@@ -503,15 +503,17 @@ class PreparedTarget:
         return tuple(reports)
 
 
-def prepare(kind: str, target) -> PreparedTarget:
+def prepare(target) -> PreparedTarget:
     """Compute once what every use of a loaded target needs.
 
-    ``kind`` is "hamiltonian", "circuit" or "hypergraph".  A Hamiltonian is
+    The target's type names its kind (its ``kind`` attribute): a
+    HamiltonianSpec, CircuitSpec or HypergraphSpec.  A Hamiltonian is
     diagonalized once: the rescaling, the ground projector and the ideal
     state all come from that one ``eigh``.  Every group's test is built once
     here and serves every run.  The capped ideal state comes first, so a
     target over the cap is refused before the per-group work.
     """
+    kind = getattr(target, "kind", None)
     if kind == "hypergraph":
         ideal = build_state(target)
         forms = all_adaptive_forms(target)
@@ -533,5 +535,5 @@ def prepare(kind: str, target) -> PreparedTarget:
         sums = all_stabilizer_decompositions(target)
         fidelity = partial(overlap, reference=ideal)
     else:
-        raise ValueError(f"unknown target kind {kind!r}")
+        raise ValueError(f"unknown target kind {kind!r} ({type(target).__name__})")
     return PreparedTarget(PROTOCOL_FOR_KIND[kind], ideal, ParityTest(*sums), fidelity)

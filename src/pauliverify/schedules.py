@@ -86,11 +86,7 @@ def quantity(value, mode: str, **extra) -> dict:
 
 
 def _int_nth_root(value: int, n: int) -> int:
-    """floor(value ** (1/n)) by Newton iteration on integers."""
-    if value < 0:
-        raise ValueError("negative radicand")
-    if value == 0:
-        return 0
+    """floor(value ** (1/n)) of a positive integer, by Newton iteration on integers."""
     x = 1 << (-(-value.bit_length() // n))
     while True:
         y = ((n - 1) * x + value // x ** (n - 1)) // n
@@ -162,6 +158,8 @@ class ProtocolParams:
 
 def schedule_epsilon(protocol: str, n: int, k: int | None = None) -> Fraction:
     """The schedule's deviation parameter; the hypergraph one shrinks with k."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if protocol == "ground":
         return Fraction(1, 4 * n**2)
     if protocol == "circuit":
@@ -169,6 +167,8 @@ def schedule_epsilon(protocol: str, n: int, k: int | None = None) -> Fraction:
     if protocol == "hypergraph":
         if k is None:
             raise ValueError("the hypergraph epsilon needs k")
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         return 1 / (4 * n * _nth_root_fraction(k**2, 7))
     raise ValueError(f"unknown protocol {protocol!r}")
 

@@ -17,7 +17,7 @@ functions return the expected pass probability from dense expectations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from functools import cached_property
 
 import numpy as np
@@ -37,24 +37,14 @@ from .states import (
 )
 
 
-@dataclass(frozen=True)
-class TermDraw:
-    index: int
-    bases: str
-    sign: int
-
-
-def draw_pauli_term(pauli_sum: PauliSum, rng: np.random.Generator) -> TermDraw:
+def draw_pauli_term(pauli_sum: PauliSum, rng: np.random.Generator) -> int:
     """Sample one term index from the |coefficient|/l1 distribution."""
     i = int(np.searchsorted(pauli_sum.cum, rng.random(), side="right"))
-    if i >= len(pauli_sum.terms):
-        i = len(pauli_sum.terms) - 1
-    t = pauli_sum.terms[i]
-    return TermDraw(i, t.axes, t.sign)
+    return min(i, len(pauli_sum.terms) - 1)
 
 
 def parity_passes(record: MeasurementRecord, sign: int) -> bool:
-    return record.outcome_product() == sign
+    return math.prod(record.outcomes) == sign
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +164,8 @@ class ParityTest:
         self.basis_id = np.array(
             [basis_id.setdefault(t.key, len(basis_id)) for t in terms], dtype=np.int64
         )
-        self.distinct_bases = tuple(PauliString(self.n, x, z).axes for x, z in basis_id)
-        self.layout = StackLayout.of(self.n, self.distinct_bases)
+        bases = [PauliString(self.n, x, z).axes for x, z in basis_id]
+        self.layout = StackLayout.of(self.n, bases)
         # the groups' term CDFs, stacked
         self.term_cum, self.term_width = stack_segments([s.cum for s in sums])
         self.term_count = np.array([len(s.terms) for s in sums], dtype=np.int64)
@@ -184,9 +174,10 @@ class ParityTest:
     def trial(
         self, source, register: int, rng: np.random.Generator, group: int = 0
     ) -> tuple[bool, int]:
-        draw = draw_pauli_term(self.sums[group], rng)
-        record = source.measure(register, draw.bases, rng)
-        return parity_passes(record, draw.sign), int(self.term_offset[group]) + draw.index
+        index = draw_pauli_term(self.sums[group], rng)
+        term = self.sums[group].terms[index]
+        record = source.measure(register, term.axes, rng)
+        return parity_passes(record, term.sign), int(self.term_offset[group]) + index
 
     def sample(
         self, state: DenseState, u: np.ndarray, n_trials: int
@@ -214,7 +205,7 @@ class ParityTest:
         )
 
     def branch_label(self, term: int) -> str:
-        basis = self.distinct_bases[self.basis_id[term]]
+        basis = self.layout.bases[self.basis_id[term]]
         return f"{'+' if self.signs[term] > 0 else '-'}{basis}"
 
     def branch_labels(self, group: int, terms: np.ndarray) -> list[str]:
@@ -241,14 +232,13 @@ class AdaptiveTest:
         if not forms:
             raise ValueError("an adaptive test needs at least one form")
         self.forms = forms
-        self.bases = tuple(f.bases() for f in forms)
-        self.layout = StackLayout.of(forms[0].n, self.bases)
+        self.layout = StackLayout.of(forms[0].n, [f.bases() for f in forms])
         self.group_l1 = (1.0,) * len(forms)
 
     def trial(
         self, source, register: int, rng: np.random.Generator, group: int = 0
     ) -> tuple[bool, int]:
-        record = source.measure(register, self.bases[group], rng)
+        record = source.measure(register, self.layout.bases[group], rng)
         return adaptive_predicate(record, self.forms[group])
 
     def sample(
@@ -299,7 +289,9 @@ def monte_carlo_pass_rate(
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
-    u = rng.random(kernel.variates * len(kernel.group_l1) * n_trials)
+    if len(kernel.group_l1) != 1:
+        raise ValueError(f"the kernel must have one group, got {len(kernel.group_l1)}")
+    u = rng.random(kernel.variates * n_trials)
     passes = int(np.count_nonzero(kernel.sample(state, u, n_trials)[0]))
     return passes / n_trials, passes
 

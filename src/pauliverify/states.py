@@ -351,22 +351,6 @@ class MeasurementRecord:
     """
 
     outcomes: tuple[int, ...]
-    bases: str
-
-    def outcome_product(self) -> int:
-        prod = 1
-        for m in self.outcomes:
-            prod *= m
-        return prod
-
-    def validate(self):
-        if len(self.outcomes) != len(self.bases):
-            raise ValueError("outcome/basis length mismatch")
-        for m, b in zip(self.outcomes, self.bases):
-            if m not in (1, -1):
-                raise ValueError("outcomes must be +-1")
-            if b == "I" and m != 1:
-                raise ValueError("unmeasured qubits must carry outcome +1")
 
 
 @dataclass(frozen=True)
@@ -543,7 +527,7 @@ def measure_in_bases(
     for t, q in enumerate(table.measured):
         bit = (k >> (n_meas - 1 - t)) & 1
         outcomes[q] = 1 - 2 * bit
-    return MeasurementRecord(tuple(outcomes), bases), float(table.probs[k])
+    return MeasurementRecord(tuple(outcomes)), float(table.probs[k])
 
 
 def stack_segments(segments) -> tuple[np.ndarray, int]:

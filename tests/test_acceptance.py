@@ -188,7 +188,7 @@ def test_criterion_4_completeness_at_desk_scale():
     """Honest provers: hypergraph accepts always; ground/circuit match binomials."""
     with criterion(4, "completeness at desk scale"):
         # hypergraph: 100 runs at n=4, k=500; every trial must pass
-        target = prepare("hypergraph", hypergraph(4, [(0, 1, 2), (1, 2, 3), (0, 3), (0, 1, 3)]))
+        target = prepare(hypergraph(4, [(0, 1, 2), (1, 2, 3), (0, 3), (0, 1, 3)]))
         params = desk_params("hypergraph", 4, k=500, m=3, epsilon=0.1)
         prover = honest_prover(target.ideal)
         for rep in target.runs(prover, params, run_seeds(MASTER_SEED + 3, 100)):
@@ -208,7 +208,7 @@ def test_criterion_4_completeness_at_desk_scale():
         honest_g = honest_prover(computational_state(1, 0))
         accepted = sum(
             rep.accepted
-            for rep in prepare("hamiltonian", ham).runs(
+            for rep in prepare(ham).runs(
                 honest_g, params_g, run_seeds(MASTER_SEED + 4, runs)
             )
         )
@@ -233,7 +233,7 @@ def test_criterion_4_completeness_at_desk_scale():
             assert tail <= hoeffding_tail(200, t_i) + 1e-12
         accepted_c = sum(
             rep.accepted
-            for rep in prepare("circuit", ccz).runs(
+            for rep in prepare(ccz).runs(
                 honest_prover(ideal), params_c, run_seeds(MASTER_SEED + 5, runs)
             )
         )
@@ -254,7 +254,7 @@ def test_criterion_5_soundness_behavior():
             bad_state, forms[0], stabilizer_dense(g, 0)
         ) == pytest.approx(0.0, abs=1e-12)
         params = desk_params("hypergraph", 4, k=100, m=2, epsilon=0.2)
-        for rep in prepare("hypergraph", g).runs(flipped, params, run_seeds(MASTER_SEED + 6, 100)):
+        for rep in prepare(g).runs(flipped, params, run_seeds(MASTER_SEED + 6, 100)):
             assert not rep.accepted
             assert rep.groups[0].passes == 0
 
@@ -271,7 +271,7 @@ def test_criterion_5_soundness_behavior():
         assert predicted_reject >= 0.99
         rejected = sum(
             not rep.accepted
-            for rep in prepare("hamiltonian", ham).runs(
+            for rep in prepare(ham).runs(
                 honest_prover(excited), params_g, run_seeds(MASTER_SEED + 7, 100)
             )
         )
@@ -282,7 +282,7 @@ def test_criterion_6_robustness_bound():
     """Deviated prover at eps' = 2*eps, k = 1000, n = 4 meets the stated bound."""
     with criterion(6, "robustness bound"):
         g = hypergraph(4, [(0, 1, 2), (1, 2, 3), (0, 3), (0, 1, 3)])
-        target = prepare("hypergraph", g)
+        target = prepare(g)
         forms, ideal = target.test.forms, target.ideal
         k = 1000
         eps = Fraction(1, 4 * 4) / Fraction(

@@ -297,7 +297,7 @@ def test_robustness_sweep_endpoint_and_bound(rng):
     g = hypergraph(3, [(0, 1, 2), (0, 2)])
     params = desk_params("hypergraph", 3, k=60, m=0, epsilon=0.05)
     pts = robustness_sweep(
-        prepare("hypergraph", g), maximally_mixed(3), [0.0, 0.02], params, runs=12, seed=5
+        prepare(g), maximally_mixed(3), [0.0, 0.02], params, runs=12, seed=5
     )
     assert pts[0].acceptance_rate == 1.0  # honest endpoint accepts always
     assert pts[0].per_group_ppass == pytest.approx((1.0, 1.0, 1.0))
@@ -317,7 +317,7 @@ def test_robustness_bound_validity_regime(rng):
     g = hypergraph(3, [(0, 1, 2), (0, 2)])
     params = desk_params("hypergraph", 3, k=400, m=0, epsilon=0.2)
     pts = robustness_sweep(
-        prepare("hypergraph", g), maximally_mixed(3), [0.05, 0.5], params, runs=20, seed=17
+        prepare(g), maximally_mixed(3), [0.05, 0.5], params, runs=20, seed=17
     )
     assert pts[0].bound_valid
     assert pts[0].bound > 0.99  # (eps - eps')^2 * k = 9, so 1 - 3e^-18
@@ -336,7 +336,7 @@ def test_robustness_sweep_refuses_a_run_count_before_drawing_a_seed(monkeypatch,
 
     monkeypatch.setattr(analysis, "run_seeds", no_seeds)
     params = desk_params("hypergraph", 2, k=5, m=0, epsilon=0.1)
-    target = prepare("hypergraph", hypergraph(2, [(0, 1)]))
+    target = prepare(hypergraph(2, [(0, 1)]))
     with pytest.raises(ValueError, match=message):
         robustness_sweep(target, maximally_mixed(2), [0.0], params, runs=runs, seed=1)
 
@@ -345,7 +345,7 @@ def test_robustness_sweep_is_deterministic():
     g = hypergraph(2, [(0, 1)])
     params = desk_params("hypergraph", 2, k=25, m=1, epsilon=0.1)
     args = ([0.0, 0.05, 0.1], params, 8, 99)
-    first = robustness_sweep(prepare("hypergraph", g), maximally_mixed(2), *args)
-    again = robustness_sweep(prepare("hypergraph", g), maximally_mixed(2), *args)
+    first = robustness_sweep(prepare(g), maximally_mixed(2), *args)
+    again = robustness_sweep(prepare(g), maximally_mixed(2), *args)
     assert [p.to_jsonable() for p in first] == [p.to_jsonable() for p in again]
     assert first[0].accepted == 8 and first[2].accepted < 8

@@ -106,17 +106,17 @@ def ground_case():
             PauliString.from_axes("IIX", 0.4),
         ),
     )
-    return prepare("hamiltonian", h), desk_params("ground", 3, k=60, m=3, epsilon=0.2)
+    return prepare(h), desk_params("ground", 3, k=60, m=3, epsilon=0.2)
 
 
 def circuit_case():
     c = circuit(3, [("CCZ", (0, 1, 2)), ("T", (0,)), ("H", (1,)), ("CNOT", (1, 2))])
-    return prepare("circuit", c), desk_params("circuit", 3, k=40, m=2, epsilon=0.2)
+    return prepare(c), desk_params("circuit", 3, k=40, m=2, epsilon=0.2)
 
 
 def hypergraph_case():
     g = hypergraph(4, [(0, 1, 2), (1, 2, 3), (0, 3)])
-    return prepare("hypergraph", g), desk_params("hypergraph", 4, k=40, m=2, epsilon=0.2)
+    return prepare(g), desk_params("hypergraph", 4, k=40, m=2, epsilon=0.2)
 
 
 @pytest.mark.parametrize("case", [ground_case, circuit_case, hypergraph_case])
@@ -135,7 +135,7 @@ def test_every_product_prover_gives_identical_runs_on_both_paths(case):
 
 
 def test_records_are_only_built_when_asked():
-    target = prepare("hypergraph", hypergraph(3, [(0, 1, 2)]))
+    target = prepare(hypergraph(3, [(0, 1, 2)]))
     params = desk_params("hypergraph", 3, k=10, m=0, epsilon=0.2)
     (rep,) = target.runs(honest_prover(target.ideal), params, [3])
     assert rep.trials is None
@@ -176,8 +176,8 @@ def small_targets(draw):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batched_trial_columns_render_the_rows_of_the_scalar_path(target, k, m, seed):
-    kind, spec = target
-    prepared = prepare(kind, spec)
+    _, spec = target
+    prepared = prepare(spec)
     params = desk_params(prepared.protocol, spec.n, k=k, m=m, epsilon=0.2)
     for prover in product_provers(prepared.ideal):
         (batched,) = prepared.runs(prover, params, [seed], True)
@@ -255,12 +255,13 @@ def test_adaptive_kernel_equals_scalar_trials(n, edge_bits, vertex, pure, seed):
     edges = [e for i, e in enumerate(candidates) if edge_bits >> i & 1]
     form = adaptive_form(hypergraph(n, edges), vertex % n)
     test = AdaptiveTest(form)
+    assert test.layout.bases == (form.bases(),)
 
     # the tables agree with the scalar predicate on every joint outcome
     passes, bits = (table[0] for table in test._outcome_tables)
     for idx in range(1 << n):
         outcomes = tuple(1 - 2 * ((idx >> (n - 1 - j)) & 1) for j in range(n))
-        assert adaptive_predicate(MeasurementRecord(outcomes, test.bases[0]), form) == (
+        assert adaptive_predicate(MeasurementRecord(outcomes), form) == (
             passes[idx],
             bits[idx],
         )
@@ -421,7 +422,7 @@ def test_deviated_circuit_runs_are_identical_on_both_paths():
         [("H", (0,)), ("T", (0,)), ("CNOT", (0, 1)), ("CCZ", (1, 2, 3)), ("T", (2,)),
          ("H", (3,)), ("CZ", (0, 3)), ("T", (1,))],
     )
-    target = prepare("circuit", c)
+    target = prepare(c)
     params = desk_params("circuit", 4, k=30, m=3, epsilon=0.2)
     seeds = run_seeds(99, 3)
     for eps_prime in (0.05, 0.3, 1.0):
@@ -483,8 +484,8 @@ def test_robustness_builds_each_table_once_and_never_contracts_a_mixture(
 @pytest.mark.parametrize("target", ["clifford_t.json", "triple.json"])
 def test_a_sweep_checks_each_basis_of_its_test_once(tmp_path, monkeypatch, target):
     # the ideal state and two mixtures share the one layout their test built
-    kind, spec = load_target(DATA / target)[:2]
-    bases = prepare(kind, spec).test.layout.bases
+    spec = load_target(DATA / target)[1]
+    bases = prepare(spec).test.layout.bases
     checked, measured_qubits = [], states._measured_qubits
 
     def counted(n, basis):
@@ -514,8 +515,8 @@ def test_a_sweep_checks_each_basis_of_its_test_once(tmp_path, monkeypatch, targe
     block=st.sampled_from([None, 1, 9, 40]),
 )
 def test_runs_of_one_call_equal_the_runs_made_one_by_one(target, k, m, master, n_runs, block):
-    kind, spec = target
-    prepared = prepare(kind, spec)
+    _, spec = target
+    prepared = prepare(spec)
     params = desk_params(prepared.protocol, spec.n, k=k, m=m, epsilon=0.2)
     seeds = run_seeds(master, n_runs)
     provers = product_provers(prepared.ideal)

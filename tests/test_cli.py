@@ -15,12 +15,16 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 from pauliverify.cli import build_parser, load_target, main
+from pauliverify.hypergraphs import stabilizer_dense
+from pauliverify.paulis import PauliString
 from pauliverify.protocol import (
     ENTANGLED_TOTAL_QUBIT_CAP,
     RUN_COUNT_CAP,
     check_run_sizes,
     prepare,
 )
+from pauliverify.single_copy import adaptive_test_exact_ppass
+from pauliverify.states import apply_pauli, maximally_mixed
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).resolve().parent.parent
@@ -655,6 +659,94 @@ def test_robustness_without_deviations_is_config_error(capsys):
 
 
 # ---------------------------------------------------------------------------
+# The state selectors, prover fields and refusals that no golden runs
+
+
+@pytest.mark.parametrize("target", ["triple.json", "ring3.json", "clifford_t.json"])
+@pytest.mark.parametrize("selector", ["maximally-mixed", "pauli"])
+def test_ppass_state_selector_is_the_library_state(capsys, target, selector):
+    spec = load_target(DATA / target)[1]
+    prepared = prepare(spec)
+    if selector == "maximally-mixed":
+        state = maximally_mixed(spec.n)
+    else:
+        axes = "ZX" + "I" * (spec.n - 2)
+        selector = f"pauli:{axes}"
+        state = apply_pauli(prepared.ideal, PauliString.from_axes(axes))
+    code, out, _ = run_cli(["ppass", "--target", str(DATA / target), "--state", selector], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    # cmd_ppass evaluates a hypergraph on the dense stabilizer, the others by group_ppass
+    if spec.kind == "hypergraph":
+        got = doc["p_pass_per_vertex"]
+        want = [
+            adaptive_test_exact_ppass(state, f, stabilizer_dense(spec, f.vertex))
+            for f in prepared.test.forms
+        ]
+    else:
+        got = [doc["p_pass"]] if spec.kind == "hamiltonian" else doc["p_pass_per_qubit"]
+        want = list(prepared.group_ppass(state))
+    assert [q["value"] for q in got] == want
+
+
+@pytest.mark.parametrize("kind", ["coherent_error", "classically_correlated"])
+def test_verify_prover_pauli_may_be_a_full_axis_string(tmp_path, capsys, kind):
+    reports = []
+    for pauli in ({"pauli": "IZI"}, {"pauli": "Z", "qubit": 1}):
+        config = _edited_config(tmp_path, prover={"kind": kind, **pauli})
+        code, out, _ = run_cli(["verify", "--config", str(config)], capsys)
+        assert code == 0
+        reports.append(json.loads(out)["report"])
+    assert reports[0] == reports[1]
+
+
+def test_ppass_deviation_above_one_is_config_error(capsys):
+    argv = ["ppass", "--target", str(DATA / "triple.json"), "--state", "deviated:1.5"]
+    code, out, err = run_cli(argv, capsys)
+    assert_config_error(code, out, err, "deviation must lie in [0, 1]")
+
+
+def test_verify_other_eta_is_config_error(tmp_path, capsys):
+    prover = {"kind": "iid_deviated", "epsilon_prime": 0.1, "eta": "dephased"}
+    config = _edited_config(tmp_path, prover=prover)
+    code, out, err = run_cli(["verify", "--config", str(config)], capsys)
+    assert_config_error(code, out, err, "only the maximally mixed eta is configurable here")
+
+
+def test_verify_unknown_params_mode_is_config_error(tmp_path, capsys):
+    config = _hyper_config(tmp_path, mode="fast")
+    code, out, err = run_cli(["verify", "--config", str(config)], capsys)
+    assert_config_error(code, out, err, "params.mode must be 'desk' or 'paper'")
+
+
+def test_iqp_margin_report_without_fidelity_is_config_error(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"report": {"target_fidelity": None}}))
+    code, out, err = run_cli(["iqp-margin", "--report", str(path)], capsys)
+    assert_config_error(code, out, err, "the report carries no target fidelity")
+
+
+def test_target_file_of_no_known_kind_is_config_error(tmp_path, capsys):
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps({"n_qubits": 2}))
+    code, out, err = run_cli(["inspect", str(path)], capsys)
+    assert_config_error(code, out, err, "not a hypergraph, circuit, or Hamiltonian file")
+
+
+@pytest.mark.parametrize("command", ["inspect", "ppass", "robustness"])
+def test_hamiltonian_of_one_level_is_config_error(tmp_path, capsys, command):
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps({"n_qubits": 2, "terms": [{"pauli": "II", "coeff": 1.0}]}))
+    argv = {
+        "inspect": ["inspect", str(path)],
+        "ppass": ["ppass", "--target", str(path)],
+        "robustness": ["robustness", "--target", str(path), "--eps-prime", "0", "-k", "5"],
+    }[command]
+    code, out, err = run_cli(argv, capsys)
+    assert_config_error(code, out, err, "spectrum is a single level; no gap exists")
+
+
+# ---------------------------------------------------------------------------
 # NaN, infinite and fractional inputs exit 1; no report carries NaN or Infinity
 
 
@@ -950,8 +1042,8 @@ def test_robustness_replays_and_predicts_from_scipy_stats_tails(target, eps_prim
             assert main(argv) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
         doc = json.loads(outs[0].read_text())
-        kind, spec, _ = load_target(path)
-    prepared = prepare(kind, spec)
+        spec = load_target(path)[1]
+    prepared = prepare(spec)
     thresholds = prepared.thresholds(Fraction(doc["params"]["epsilon"]))
     for point in doc["points"]:
         predicted = 1.0

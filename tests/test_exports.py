@@ -3,12 +3,16 @@
 Each name has one home: a package module binds a sibling's name only to use it.
 """
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
 
 import pauliverify
+from pauliverify.cli import load_target
+from pauliverify.protocol import prepare
+from pauliverify.schedules import PROTOCOL_FOR_KIND
 
 # The package's exports, by the module that defines them.
 EXPORTED = {
@@ -70,6 +74,40 @@ def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(ImportError):
         exec("from pauliverify import no_such_name", {})
     assert pauliverify.__version__ == "0.1.0"
+
+
+# ---------------------------------------------------------------------------
+# The kinds of target form one table: each spec type names its kind, which
+# picks its protocol in schedules.PROTOCOL_FOR_KIND
+
+DATA = Path(__file__).parent / "data"
+TARGET_FILES = sorted(p for p in DATA.glob("*.json") if not p.name.startswith("verify_"))
+
+
+def test_each_target_type_names_one_kind_of_the_protocol_table():
+    # the target types are the exported classes whose names end in Spec
+    types = [getattr(pauliverify, name) for _, name in NAMES if name.endswith("Spec")]
+    kinds = [cls.kind for cls in types]
+    assert sorted(kinds) == sorted(PROTOCOL_FOR_KIND)
+    # a class attribute, not a field: eq, hash and replace see only the data
+    for cls in types:
+        assert "kind" not in {f.name for f in dataclasses.fields(cls)}
+
+
+@pytest.mark.parametrize("path", TARGET_FILES, ids=[path.name for path in TARGET_FILES])
+def test_load_target_returns_the_target_s_own_kind_first(path):
+    # pvbench's tracer reads the kind as the first item of the result
+    kind, target, _ = load_target(path)
+    assert kind == target.kind
+
+
+def test_the_target_files_cover_every_kind():
+    assert {load_target(path)[0] for path in TARGET_FILES} == set(PROTOCOL_FOR_KIND)
+
+
+def test_prepare_refuses_an_object_of_no_known_kind():
+    with pytest.raises(ValueError, match=r"unknown target kind None \(object\)"):
+        prepare(object())
 
 
 SRC = Path(pauliverify.__file__).parent

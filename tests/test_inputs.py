@@ -15,17 +15,34 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pauliverify import circuits, protocol
+from pauliverify.analysis import hoeffding_calculator
 from pauliverify.circuits import circuit
 from pauliverify.cli import main
-from pauliverify.hypergraphs import hypergraph
-from pauliverify.paulis import PURE_QUBIT_CAP
-from pauliverify.protocol import prepare
+from pauliverify.hypergraphs import hypergraph, random_bms_instance
+from pauliverify.paulis import PURE_QUBIT_CAP, PauliString, PauliSum
+from pauliverify.protocol import (
+    classically_correlated_prover,
+    coherent_error_prover,
+    entangled_demo_prover,
+    iid_deviated_prover,
+    prepare,
+)
 from pauliverify.reporting import field, read_object
-from pauliverify.schedules import CapExceededError, desk_params
+from pauliverify.schedules import (
+    CapExceededError,
+    budget_report,
+    desk_params,
+    schedule_epsilon,
+    schedule_params,
+    supremacy_margin,
+)
+from pauliverify.single_copy import ParityTest, monte_carlo_pass_rate
+from pauliverify.states import computational_state, mixture
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pauliverify"
 DATA = Path(__file__).parent / "data"
@@ -279,6 +296,81 @@ def test_protocol_params_name_the_field_out_of_range(n, k, m, message):
         desk_params("hypergraph", n, k=k, m=m)
 
 
+_UP, _DOWN = computational_state(1, 0), computational_state(1, 1)
+_Z = PauliSum.of([PauliString.from_axes("Z")])
+
+# A NaN, an infinity or a size below 1 is refused with a ValueError; the
+# message names the value where the check spells one.
+LIBRARY_REFUSALS = [
+    ("mixture", lambda: mixture(_UP, _DOWN, math.nan), "mixture weight must lie in"),
+    ("iid_deviated_prover", lambda: iid_deviated_prover(_UP, math.nan, _DOWN), "epsilon_prime"),
+    ("entangled_demo_prover", lambda: entangled_demo_prover(_UP, _DOWN, math.nan), "weight"),
+    (
+        "classically_correlated_prover",
+        lambda: classically_correlated_prover([_UP, _DOWN], [math.nan, 0.5]),
+        "probability vector",
+    ),
+    ("supremacy_margin", lambda: supremacy_margin(math.nan, 0), "fidelity must lie"),
+    (
+        "random_bms_instance",
+        lambda: random_bms_instance(3, math.nan, np.random.default_rng(0)),
+        "edge probability",
+    ),
+    ("budget_report", lambda: budget_report(3, 1.0, math.nan), "l1 budget must be finite"),
+    (
+        "schedule_params",
+        lambda: schedule_params("ground", 3, l1_norm=math.inf),
+        "l1 norm must be finite and positive, got inf",
+    ),
+    ("desk_params-nan", lambda: desk_params("ground", 3, k=5, epsilon=math.nan), None),
+    ("desk_params-inf", lambda: desk_params("ground", 3, k=5, epsilon=math.inf), None),
+    (
+        "hoeffding_calculator-inf",
+        lambda: hoeffding_calculator(0.5, 10, math.inf),
+        "t must be finite and positive, got inf",
+    ),
+    (
+        "hoeffding_calculator-nan",
+        lambda: hoeffding_calculator(0.5, 10, math.nan),
+        "t must be finite and positive, got nan",
+    ),
+    (
+        "coherent_error_prover",
+        lambda: coherent_error_prover(computational_state(2, 0), PauliString(2, 0, 1, math.nan)),
+        "unit-coefficient Pauli",
+    ),
+    ("schedule_epsilon-ground", lambda: schedule_epsilon("ground", 0), "n must be at least 1"),
+    ("schedule_epsilon-circuit", lambda: schedule_epsilon("circuit", 0), "n must be at least 1"),
+    (
+        "schedule_epsilon-hypergraph-0",
+        lambda: schedule_epsilon("hypergraph", 3, 0),
+        "k must be at least 1, got 0",
+    ),
+    (
+        "schedule_epsilon-hypergraph-negative",
+        lambda: schedule_epsilon("hypergraph", 3, -3),
+        "k must be at least 1, got -3",
+    ),
+    (
+        "monte_carlo_pass_rate",
+        lambda: monte_carlo_pass_rate(
+            ParityTest(_Z, _Z), 10, np.random.default_rng(0), computational_state(1, 0)
+        ),
+        "the kernel must have one group, got 2",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [case[1:] for case in LIBRARY_REFUSALS],
+    ids=[case[0] for case in LIBRARY_REFUSALS],
+)
+def test_library_refuses_a_value_out_of_range(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # A target over the cap is refused before the per-group work
 
@@ -290,9 +382,9 @@ def test_prepare_builds_the_capped_state_before_the_groups(monkeypatch):
     monkeypatch.setattr(circuits, "all_stabilizer_decompositions", lambda c: calls.append(c.n))
     wide = PURE_QUBIT_CAP + 1
     with pytest.raises(CapExceededError):
-        prepare("hypergraph", hypergraph(wide, [(0, 1)]))
+        prepare(hypergraph(wide, [(0, 1)]))
     with pytest.raises(CapExceededError):
-        prepare("circuit", circuit(wide, [("H", (0,))]))
+        prepare(circuit(wide, [("H", (0,))]))
     assert calls == []
 
 

@@ -52,7 +52,7 @@ def minus_z_target():
     h = HamiltonianSpec(
         1, (PauliString.from_axes("Z", -1.0),), ground_energy=-1.0, gap_lower_bound=2.0
     )
-    return prepare("hamiltonian", h)
+    return prepare(h)
 
 
 def test_schedule_worked_values():
@@ -173,7 +173,7 @@ def test_ground_single_register_boundary_convention():
 
 
 def test_circuit_honest_clifford_always_accepts():
-    target = prepare("circuit", circuit(2, [("CZ", (0, 1))]))
+    target = prepare(circuit(2, [("CZ", (0, 1))]))
     params = desk_params("circuit", 2, k=30, m=2, epsilon=0.25)
     prover = honest_prover(target.ideal)
     for rep in target.runs(prover, params, run_seeds(5, 10)):
@@ -191,7 +191,7 @@ def test_circuit_protocol_needs_one_sum_of_width_n_per_qubit():
 
 
 def test_circuit_orthogonal_prover_rejected():
-    target = prepare("circuit", circuit(3, [("CCZ", (0, 1, 2))]))
+    target = prepare(circuit(3, [("CCZ", (0, 1, 2))]))
     params = desk_params("circuit", 3, k=100, m=0, epsilon=0.1)
     prover = coherent_error_prover(target.ideal, PauliString.from_axes("ZII"))
     for rep in target.runs(prover, params, run_seeds(17, 10)):
@@ -200,7 +200,7 @@ def test_circuit_orthogonal_prover_rejected():
 
 
 def test_hypergraph_honest_accepts_every_trial():
-    target = prepare("hypergraph", hypergraph(4, [(0, 1, 2), (1, 2, 3), (0, 3)]))
+    target = prepare(hypergraph(4, [(0, 1, 2), (1, 2, 3), (0, 3)]))
     params = desk_params("hypergraph", 4, k=50, m=3, epsilon=0.1)
     prover = honest_prover(target.ideal)
     for rep in target.runs(prover, params, run_seeds(23, 10)):
@@ -220,7 +220,7 @@ def test_hypergraph_honest_accepts_at_larger_widths(n):
         for c in combinations(range(n), size)
         if rng.random() < 0.3
     ]
-    target = prepare("hypergraph", hypergraph(n, edges))
+    target = prepare(hypergraph(n, edges))
     params = desk_params("hypergraph", n, k=20, m=1, epsilon=0.1)
     prover = honest_prover(target.ideal)
     for rep in target.runs(prover, params, run_seeds(n, 3)):
@@ -241,7 +241,7 @@ def test_pure_cap_boundary():
 
 
 def test_hypergraph_phase_flip_rejected_always():
-    target = prepare("hypergraph", hypergraph(3, [(0, 1, 2)]))
+    target = prepare(hypergraph(3, [(0, 1, 2)]))
     params = desk_params("hypergraph", 3, k=40, m=0, epsilon=0.3)
     prover = coherent_error_prover(target.ideal, PauliString.from_axes("ZII"))
     for rep in target.runs(prover, params, run_seeds(31, 10)):
@@ -265,7 +265,7 @@ def test_iid_deviated_per_test_rate_formula():
 def test_iid_group_rates_match_binomial_prediction():
     # pooled per-group pass counts across runs stay within 3 sigma of the
     # exact per-test rate predicted in closed form
-    target = prepare("hypergraph", hypergraph(3, [(0, 1, 2), (0, 2)]))
+    target = prepare(hypergraph(3, [(0, 1, 2), (0, 2)]))
     prover = iid_deviated_prover(target.ideal, 0.15, maximally_mixed(3))
     rho = prover.make_source(1, np.random.default_rng(0))
     params = desk_params("hypergraph", 3, k=400, m=0, epsilon=0.2)
@@ -282,7 +282,7 @@ def test_iid_group_rates_match_binomial_prediction():
 
 
 def test_classically_correlated_prover_mixes_runs():
-    target = prepare("hypergraph", hypergraph(3, [(0, 1, 2)]))
+    target = prepare(hypergraph(3, [(0, 1, 2)]))
     good = target.ideal
     bad = apply_pauli(good, PauliString.from_axes("ZII"))
     prover = classically_correlated_prover([good, bad], [0.5, 0.5])
@@ -306,7 +306,7 @@ def _counting_fidelity(target: PreparedTarget):
 def test_runs_evaluate_each_source_s_fidelity_once_per_call(monkeypatch):
     # every run is sampled in a block of its own, so only the call's cache can share
     monkeypatch.setattr(protocol, "BLOCK_TRIALS", 1)
-    hyper = prepare("hypergraph", hypergraph(3, [(0, 1, 2)]))
+    hyper = prepare(hypergraph(3, [(0, 1, 2)]))
     params = desk_params("hypergraph", 3, k=5, m=0, epsilon=0.2)
     target, asked = _counting_fidelity(hyper)
     reports = target.runs(honest_prover(hyper.ideal), params, run_seeds(3, 5))
@@ -326,7 +326,7 @@ def test_runs_evaluate_each_source_s_fidelity_once_per_call(monkeypatch):
 
 
 def test_entangled_demo_extreme_weights():
-    target = prepare("hypergraph", hypergraph(2, [(0, 1)]))
+    target = prepare(hypergraph(2, [(0, 1)]))
     good = target.ideal
     bad = apply_pauli(good, PauliString.from_axes("ZI"))
     params = desk_params("hypergraph", 2, k=2, m=1, epsilon=0.3)  # 6 registers = 12 qubits
@@ -338,7 +338,7 @@ def test_entangled_demo_extreme_weights():
 
 
 def test_entangled_demo_collapses_to_branches():
-    target = prepare("hypergraph", hypergraph(2, [(0, 1)]))
+    target = prepare(hypergraph(2, [(0, 1)]))
     good = target.ideal
     bad = apply_pauli(good, PauliString.from_axes("ZI"))
     params = desk_params("hypergraph", 2, k=2, m=1, epsilon=0.3)
@@ -367,7 +367,7 @@ def test_register_cap_boundary():
     over = desk_params("hypergraph", 3, k=at_cap.k + 1)
     with pytest.raises(ValueError, match="report-only"):
         check_executable(over)
-    target = prepare("hypergraph", hypergraph(3, [(0, 1, 2)]))
+    target = prepare(hypergraph(3, [(0, 1, 2)]))
     with pytest.raises(ValueError, match="report-only"):
         target.runs(honest_prover(target.ideal), over, [1])
 
@@ -376,7 +376,7 @@ def test_register_count_and_width_validation():
     params = desk_params("hypergraph", 2, k=5, m=0, epsilon=0.2)
     wrong_width = honest_prover(build_state(hypergraph(3, [(0, 1, 2)])))
     with pytest.raises(ValueError):
-        prepare("hypergraph", hypergraph(2, [(0, 1)])).runs(wrong_width, params, [1])
+        prepare(hypergraph(2, [(0, 1)])).runs(wrong_width, params, [1])
     with pytest.raises(ValueError):
         minus_z_target().runs(honest_prover(computational_state(1, 0)), params, [1])
 
@@ -393,7 +393,7 @@ TWO_QUBIT_TARGETS = {
 
 @pytest.mark.parametrize("kind", sorted(TWO_QUBIT_TARGETS))
 def test_runs_refuses_params_of_another_protocol_or_width_and_a_wider_prover(kind):
-    target = prepare(kind, TWO_QUBIT_TARGETS[kind])
+    target = prepare(TWO_QUBIT_TARGETS[kind])
     prover = honest_prover(target.ideal)
     params = desk_params(target.protocol, 2, k=5)
     (rep,) = target.runs(prover, params, [1])
@@ -409,7 +409,7 @@ def test_runs_refuses_params_of_another_protocol_or_width_and_a_wider_prover(kin
 
 @pytest.mark.parametrize("kind", sorted(TWO_QUBIT_TARGETS))
 def test_group_ppass_is_the_exact_ppass_of_the_target_s_test(kind):
-    target = prepare(kind, TWO_QUBIT_TARGETS[kind])
+    target = prepare(TWO_QUBIT_TARGETS[kind])
     flipped = apply_pauli(target.ideal, PauliString.from_axes("ZX", 1.0))
     for state in (target.ideal, flipped, computational_state(2, 3), maximally_mixed(2)):
         assert target.group_ppass(state) == target.test.exact_ppass(state)
@@ -417,7 +417,7 @@ def test_group_ppass_is_the_exact_ppass_of_the_target_s_test(kind):
 
 
 def test_replay_is_bit_identical():
-    target = prepare("hypergraph", hypergraph(3, [(0, 1, 2), (0, 2)]))
+    target = prepare(hypergraph(3, [(0, 1, 2), (0, 2)]))
     prover = iid_deviated_prover(target.ideal, 0.2, maximally_mixed(3))
     params = desk_params("hypergraph", 3, k=25, m=2, epsilon=0.15)
     (a,) = target.runs(prover, params, [777], record_trials=True)

@@ -100,9 +100,9 @@ def test_stabilizer_ppass_ideal_and_clifford(rng):
     for d in all_stabilizer_decompositions(cz):
         assert d.l1_norm == pytest.approx(1.0)
         assert parity_test_exact_ppass(psi2, d) == pytest.approx(1.0)
-        draw = draw_pauli_term(d, rng)
-        record, _ = measure_in_bases(psi2, draw.bases, rng)
-        assert parity_passes(record, draw.sign)
+        term = d.terms[draw_pauli_term(d, rng)]
+        record, _ = measure_in_bases(psi2, term.axes, rng)
+        assert parity_passes(record, term.sign)
 
 
 def test_stabilizer_ppass_phase_flipped():
@@ -224,9 +224,9 @@ def test_exact_ppass_stays_in_unit_interval(rng):
 
 
 def parity_trial(rho, pauli_sum, rng):
-    draw = draw_pauli_term(pauli_sum, rng)
-    record, _ = measure_in_bases(rho, draw.bases, rng)
-    return draw, record
+    term = pauli_sum.terms[draw_pauli_term(pauli_sum, rng)]
+    record, _ = measure_in_bases(rho, term.axes, rng)
+    return term, record
 
 
 def test_outcome_reproducible_from_seed():
@@ -256,7 +256,7 @@ def test_parity_test_renders_one_string_per_distinct_basis(monkeypatch):
         PauliString, "axes", property(lambda p: rendered.append(p.key) or axes.fget(p))
     )
     test = ParityTest(*sums)
-    assert test.distinct_bases == ("XZ", "ZZ")
+    assert test.layout.bases == ("XZ", "ZZ")
     assert test.basis_id.tolist() == [0, 1, 0]
     assert rendered == [(0b10, 0b01), (0, 0b11)]
     labels = [test.branch_label(0), test.branch_label(1), test.branch_label(2)]
@@ -266,6 +266,13 @@ def test_parity_test_renders_one_string_per_distinct_basis(monkeypatch):
 def test_monte_carlo_pass_rate_refuses_zero_trials(rng):
     with pytest.raises(ValueError, match="n_trials must be at least 1, got 0"):
         monte_carlo_pass_rate(ParityTest(minus_z_rescaled()), 0, rng, computational_state(1, 0))
+
+
+def test_monte_carlo_pass_rate_refuses_an_adaptive_kernel_of_more_than_one_group(rng):
+    # three groups' passes over one group's trial count would read as a rate up to 3
+    kernel = AdaptiveTest(*(adaptive_form(hypergraph(2, []), 0),) * 3)
+    with pytest.raises(ValueError, match="the kernel must have one group, got 3"):
+        monte_carlo_pass_rate(kernel, 10, rng, computational_state(2, 0))
 
 
 def test_parity_test_refuses_sums_of_different_widths():

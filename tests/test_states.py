@@ -157,7 +157,7 @@ def test_measure_uniform_two_qubit():
 def test_unmeasured_qubits_forced_plus_one(rng):
     for _ in range(20):
         rec, prob = measure_in_bases(three_qubit_triple_state(), "IZI", rng)
-        rec.validate()
+        assert len(rec.outcomes) == 3 and rec.outcomes[1] in (1, -1)
         assert rec.outcomes[0] == 1 and rec.outcomes[2] == 1
         assert prob == pytest.approx(0.5)
     # all-I bases: the single record has probability one
