@@ -187,7 +187,17 @@ def build_circuit_state(c: CircuitSpec) -> DenseState:
 def conjugate_through_circuit(c: CircuitSpec, qubit: int) -> PauliSum:
     """Push X on ``qubit`` through the gate list: the Pauli sum of U X_qubit U^dag."""
     terms = {PauliString.on_qubit(c.n, qubit, "X").key: 1.0}
+    support = qubit_mask(c.n, (qubit,))  # the qubits some kept term acts on
     for on, off, rule in c.rules:
+        if not on & support:
+            # every term meets the gate as the identity, whose one image is
+            # (0, 0) with factor 1.0, or 0.9999999999999998 for H
+            ((_, _, factor),) = rule[0, 0]
+            if factor != 1.0:
+                terms = {
+                    k: w for k, v in terms.items() if abs(w := 0.0 + v * factor) > DROP_THRESHOLD
+                }
+            continue
         nxt: dict[tuple[int, int], float] = {}
         for (xm, zm), coeff in terms.items():
             x_off, z_off = xm & off, zm & off
@@ -199,6 +209,9 @@ def conjugate_through_circuit(c: CircuitSpec, qubit: int) -> PauliSum:
             raise DecompositionIntractableError(
                 f"stabilizer for qubit {qubit} exceeded {TERM_CAP} Pauli terms"
             )
+        support = 0
+        for xm, zm in terms:
+            support |= xm | zm
     return PauliSum.of(
         sorted(
             (PauliString(c.n, x, z, v) for (x, z), v in terms.items()),

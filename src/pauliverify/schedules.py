@@ -232,13 +232,16 @@ def desk_params(
     A float epsilon is read decimally (Fraction("0.1") = 1/10), so thresholds
     stay exact rationals that match what the user typed.
     """
-    eps = epsilon if isinstance(epsilon, Fraction) else Fraction(str(epsilon))
+    if not isinstance(epsilon, Fraction):
+        if not math.isfinite(epsilon):
+            raise ValueError(f"epsilon must be a finite number, got {epsilon}")
+        epsilon = Fraction(str(epsilon))
     return ProtocolParams(
         protocol=protocol,
         n=n,
         k=k,
         m=m,
-        epsilon=eps,
+        epsilon=epsilon,
         mode="desk",
         notes=("desk-scale parameters: no soundness guarantee is claimed",),
     )

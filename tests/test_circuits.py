@@ -334,9 +334,14 @@ def push_through_with_masks_per_gate(c: CircuitSpec, qubit: int) -> list[PauliSt
     return sorted(strings, key=attrgetter("sort_key"))
 
 
-@pytest.mark.parametrize("n, n_gates", [(1, 10), (3, 30), (6, 60), (8, 80), (70, 300)])
+@pytest.mark.parametrize(
+    "n, n_gates",
+    [(1, 10), (3, 30), (6, 60), (8, 80), (70, 300), (256, 512), (1024, 1024)],
+)
 def test_push_through_with_lifted_masks_equals_masks_per_gate(n, n_gates):
-    # 70 qubits: the masks are Python ints wider than any machine word
+    # 70 qubits: the masks are Python ints wider than any machine word;
+    # 256 and 1024 qubits: wide and shallow, so most gates, H among them,
+    # miss a stabilizer's support
     rng = np.random.default_rng(n)
     c = random_circuit(n, n_gates, rng)
     full = (1 << n) - 1

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
+from pauliverify import cli
 from pauliverify.cli import build_parser, load_target, main
 from pauliverify.hypergraphs import stabilizer_dense
 from pauliverify.paulis import PauliString
@@ -876,7 +878,8 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 
-def _modules_after_main(argv, cwd, script=MODULES_AFTER_MAIN) -> set[str]:
+def _script_result(argv, cwd, script) -> dict:
+    """The last stdout line of ``script`` run on ``argv`` in a fresh interpreter, as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -885,7 +888,11 @@ def _modules_after_main(argv, cwd, script=MODULES_AFTER_MAIN) -> set[str]:
     )
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0, proc.stderr
-    return set(result["modules"])
+    return result
+
+
+def _modules_after_main(argv, cwd, script=MODULES_AFTER_MAIN) -> set[str]:
+    return set(_script_result(argv, cwd, script)["modules"])
 
 
 @pytest.mark.parametrize("target", ["clifford_t.json", "ring3.json"])
@@ -946,6 +953,80 @@ def test_importing_the_cli_loads_no_numpy(tmp_path):
 def test_arithmetic_subcommands_run_without_numpy(argv, tmp_path):
     modules = _modules_after_main([*argv, "--out", str(tmp_path / "out.json")], tmp_path)
     assert "numpy" not in modules
+    assert "ctypes" not in modules  # the heap policy is for the subcommands with arrays
+
+
+# ---------------------------------------------------------------------------
+# The CLI's heap policy: freed blocks stay for the next call, and no byte moves
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+def _ring_config(tmp_path, n: int = 8) -> Path:
+    """A ground verify config on an n-qubit XX/YY/ZZ ring with X fields."""
+    rng = np.random.default_rng(n)
+    terms = []
+    for i in range(n):
+        for axis in "XYZ":
+            letters = ["I"] * n
+            letters[i] = letters[(i + 1) % n] = axis
+            terms.append({"pauli": "".join(letters), "coeff": float(rng.uniform(0.5, 1.5))})
+        field_term = ["I"] * n
+        field_term[i] = "X"
+        terms.append({"pauli": "".join(field_term), "coeff": float(rng.uniform(0.1, 1.0))})
+    (tmp_path / "ring.json").write_text(json.dumps({"n_qubits": n, "terms": terms}))
+    config = {
+        "protocol": "ground",
+        "target": "ring.json",
+        "params": {"mode": "desk", "k": 20, "m": 1},
+        "seed": 5,
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    return tmp_path / "config.json"
+
+
+# A fresh interpreter: a long-lived one may have freed some larger block,
+# after which glibc raises its own thresholds, with or without the policy.
+SECOND_CALL_FAULTS = """
+import json, resource, sys
+from pauliverify import cli
+cli.main(sys.argv[1:])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+code = cli.main(sys.argv[1:])
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps({"code": code, "faults": faults}))
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_a_repeated_verify_reuses_the_freed_heap(tmp_path):
+    # without the policy, each call's 256x256 eigh faults about 1 000 pages back in
+    argv = ["verify", "--config", str(_ring_config(tmp_path)), "--out", str(tmp_path / "out.json")]
+    assert _script_result(argv, tmp_path, SECOND_CALL_FAULTS)["faults"] < 100
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize(
+    "cdll", [_no_c_library, lambda name: object()], ids=["cdll-fails", "no-mallopt"]
+)
+def test_verify_keeps_its_bytes_without_mallopt(cdll, monkeypatch, capsys):
+    looked_up = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: looked_up.append(name) or cdll(name))
+    cli._keep_freed_memory.cache_clear()
+    try:
+        code, out, _ = run_cli(["verify", "--config", str(DATA / "verify_hyper_honest.json")], capsys)
+    finally:
+        cli._keep_freed_memory.cache_clear()  # the next call sets the policy again
+    assert looked_up == [None]
+    assert (code, out) == (0, (GOLDEN / "verify_hyper_honest.json").read_text())
 
 
 # Same bytes under any BLAS thread count.  OpenBLAS reads its thread count when

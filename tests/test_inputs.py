@@ -322,8 +322,16 @@ LIBRARY_REFUSALS = [
         lambda: schedule_params("ground", 3, l1_norm=math.inf),
         "l1 norm must be finite and positive, got inf",
     ),
-    ("desk_params-nan", lambda: desk_params("ground", 3, k=5, epsilon=math.nan), None),
-    ("desk_params-inf", lambda: desk_params("ground", 3, k=5, epsilon=math.inf), None),
+    (
+        "desk_params-nan",
+        lambda: desk_params("ground", 3, k=5, epsilon=math.nan),
+        "epsilon must be a finite number, got nan",
+    ),
+    (
+        "desk_params-inf",
+        lambda: desk_params("ground", 3, k=5, epsilon=math.inf),
+        "epsilon must be a finite number, got inf",
+    ),
     (
         "hoeffding_calculator-inf",
         lambda: hoeffding_calculator(0.5, 10, math.inf),
