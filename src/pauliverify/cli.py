@@ -4,8 +4,8 @@ Every subcommand echoes its seed and emits canonical JSON, so identical
 invocations produce identical bytes.  Exit codes: 0 success, 1 config or
 validation error (machine-readable JSON on stderr), 2 dense-simulation cap
 exceeded.  Each subcommand imports the modules it uses when it runs, so
-``params`` and ``iqp-margin`` start without numpy.  The other subcommands
-first let glibc keep freed blocks in the heap (``_keep_freed_memory``).
+``params`` and ``iqp-margin`` start without numpy.  Loading a target first
+lets glibc keep freed blocks in the heap (``_keep_freed_memory``).
 """
 from __future__ import annotations
 
@@ -53,25 +53,30 @@ def _seed(seed: int | None) -> int:
 
 
 @cache
-def _keep_freed_memory() -> None:
+def _keep_freed_memory() -> bool:
     """Let glibc keep freed blocks of up to 32 MiB for reuse, once per process.
 
     By default glibc returns a freed multi-megabyte block to the kernel, so
     the next ``eigh`` workspace or 256x256 mixture faults the same pages back
     in.  A mmap threshold of 32 MiB serves such blocks from the heap, and a
     trim threshold of 64 MiB keeps the freed heap top.  No computed value
-    changes.  Where the C library has no ``mallopt`` (not glibc), nothing is set.
+    changes.  Where there is no C library to load (``CDLL(None)`` raises
+    ``OSError``, or ``TypeError`` on Windows) or it has no ``mallopt`` (not
+    glibc), nothing is set.  Returns whether both settings took.  Cached,
+    because a new lookup and two calls on every load made an 8-qubit
+    hypergraph ``verify`` 0.5-4% slower.
     """
     import ctypes
 
     try:
         mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
+    except (OSError, TypeError, AttributeError):
+        return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's malloc.h
-    mallopt(m_mmap_threshold, 32 << 20)
-    mallopt(m_trim_threshold, 64 << 20)
+    mmap_set = mallopt(m_mmap_threshold, 32 << 20) == 1
+    trim_set = mallopt(m_trim_threshold, 64 << 20) == 1
+    return mmap_set and trim_set
 
 
 def _emit(obj, out: str | None) -> None:
@@ -90,8 +95,10 @@ def load_target(path: str | Path):
     """Detect and load a hypergraph, Hamiltonian, or circuit JSON file.
 
     Returns (kind, target, z_layer), the kind being the loaded target's own.
-    Only the module of the kind found is imported.
+    Only the module of the kind found is imported.  Every target leads to
+    dense arrays, so this is where the CLI sets its heap policy.
     """
+    _keep_freed_memory()
     obj = read_object(path, "the target file")
     if "n_vertices" in obj:
         from .hypergraphs import load_hypergraph
@@ -566,8 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.func not in (cmd_params, cmd_iqp_margin):  # these two make no large arrays
-            _keep_freed_memory()
         return args.func(args)
     except CapExceededError as exc:
         code, kind, error = 2, "cap_exceeded", str(exc)

@@ -953,18 +953,11 @@ def test_importing_the_cli_loads_no_numpy(tmp_path):
 def test_arithmetic_subcommands_run_without_numpy(argv, tmp_path):
     modules = _modules_after_main([*argv, "--out", str(tmp_path / "out.json")], tmp_path)
     assert "numpy" not in modules
-    assert "ctypes" not in modules  # the heap policy is for the subcommands with arrays
+    assert "ctypes" not in modules  # the heap policy is set where a target is loaded
 
 
 # ---------------------------------------------------------------------------
 # The CLI's heap policy: freed blocks stay for the next call, and no byte moves
-
-
-def _has_mallopt() -> bool:
-    try:
-        return hasattr(ctypes.CDLL(None), "mallopt")
-    except OSError:
-        return False
 
 
 def _ring_config(tmp_path, n: int = 8) -> Path:
@@ -999,32 +992,38 @@ cli.main(sys.argv[1:])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 code = cli.main(sys.argv[1:])
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-print(json.dumps({"code": code, "faults": faults}))
+print(json.dumps({"code": code, "faults": faults, "applied": cli._keep_freed_memory()}))
 """
 
 
-@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+@pytest.mark.skipif("LD_PRELOAD" in os.environ, reason="a preloaded allocator ignores mallopt")
 def test_a_repeated_verify_reuses_the_freed_heap(tmp_path):
     # without the policy, each call's 256x256 eigh faults about 1 000 pages back in
     argv = ["verify", "--config", str(_ring_config(tmp_path)), "--out", str(tmp_path / "out.json")]
-    assert _script_result(argv, tmp_path, SECOND_CALL_FAULTS)["faults"] < 100
+    result = _script_result(argv, tmp_path, SECOND_CALL_FAULTS)
+    if not result["applied"]:  # no glibc, or a glibc that refuses a 32 MiB mmap threshold
+        pytest.skip("the C library did not take both mallopt settings")
+    assert result["faults"] < 100
 
 
 def _no_c_library(name):
     raise OSError("no C library")
 
 
+def _no_default_library(name):
+    raise TypeError("argument of type 'NoneType' is not iterable")  # CDLL(None) on Windows
+
+
 @pytest.mark.parametrize(
-    "cdll", [_no_c_library, lambda name: object()], ids=["cdll-fails", "no-mallopt"]
+    "cdll",
+    [_no_c_library, _no_default_library, lambda name: object()],
+    ids=["cdll-fails", "cdll-refuses-none", "no-mallopt"],
 )
 def test_verify_keeps_its_bytes_without_mallopt(cdll, monkeypatch, capsys):
     looked_up = []
     monkeypatch.setattr(ctypes, "CDLL", lambda name: looked_up.append(name) or cdll(name))
-    cli._keep_freed_memory.cache_clear()
-    try:
-        code, out, _ = run_cli(["verify", "--config", str(DATA / "verify_hyper_honest.json")], capsys)
-    finally:
-        cli._keep_freed_memory.cache_clear()  # the next call sets the policy again
+    monkeypatch.setattr(cli, "_keep_freed_memory", cli._keep_freed_memory.__wrapped__)
+    code, out, _ = run_cli(["verify", "--config", str(DATA / "verify_hyper_honest.json")], capsys)
     assert looked_up == [None]
     assert (code, out) == (0, (GOLDEN / "verify_hyper_honest.json").read_text())
 
