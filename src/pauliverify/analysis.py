@@ -219,8 +219,7 @@ def robustness_sweep(
         prover = iid_deviated_prover(prepared.ideal, eps_prime, eta)
         reports = prepared.runs(prover, params, run_seeds(point_seed, runs))
         accepted = sum(r.accepted for r in reports)
-        rho = prover.make_source(1, np.random.default_rng(0))
-        ppass = prepared.group_ppass(rho)
+        ppass = prepared.group_ppass(prover.state)
         predicted = 1.0
         for p, threshold in zip(ppass, thresholds):
             predicted *= tail(params.k, p, threshold)

@@ -11,14 +11,18 @@ floating-point noise.
 DenseState that every register carries, or a joint source over all
 registers.  One engine call makes all the runs of a verify call or of a
 robustness sweep point, one per seed.
-Each run keeps its own three generator streams (layout, prover, tests), so
-its bytes do not depend on the other runs of the call.  The runs whose
-source is the same DenseState share one block search: each run draws its
-own block of uniforms for all its groups, the blocks are laid end to end,
-and one call of the test's batched ``sample`` serves them all (see
-single_copy's run kernels).  Only the tiny entangled demo returns a joint
-source (total qubits capped at 12); each measurement conditions its joint
-state, so it runs the scalar ``trial`` loop, run by run.
+Each run keeps its own generator streams, the spawned children of its seed
+(layout, prover, tests), so its bytes do not depend on the other runs of
+the call.  The prover stream is built only for a prover that draws from it:
+a fixed-state prover (honest, iid_deviated, coherent_error) carries its
+state, and its runs build the layout and test streams alone, which are the
+same streams either way.  The runs whose source is the same DenseState
+share one block search: each run draws its own block of uniforms for all
+its groups, the blocks are laid end to end, and one call of the test's
+batched ``sample`` serves them all (see single_copy's run kernels).  Only
+the tiny entangled demo returns a joint source (total qubits capped at 12);
+each measurement conditions its joint state, so it runs the scalar
+``trial`` loop, run by run.
 """
 from __future__ import annotations
 
@@ -88,7 +92,7 @@ class EntangledRegisters:
         if psi.size != dim:
             raise ValueError("joint amplitude count mismatch")
         norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # NaN fails it too
             raise ValueError("joint state is not normalized")
         self.n = n
         self.n_registers = n_registers
@@ -131,16 +135,19 @@ class ProverModel:
     """How the registers are produced: the honest case or an adversary.
 
     ``make_source(n_registers, rng)`` returns the DenseState that every
-    register carries, or a joint source (EntangledRegisters).
+    register carries, or a joint source (EntangledRegisters).  A fixed-state
+    prover also carries that ``state``; the engine then reads it directly
+    and builds no prover stream.
     """
 
     kind: str
     make_source: Callable[[int, np.random.Generator], object]
+    state: DenseState | None = None
 
 
 def _fixed(kind: str, state: DenseState) -> ProverModel:
     """A prover whose every register carries ``state``."""
-    return ProverModel(kind, lambda n_registers, rng: state)
+    return ProverModel(kind, lambda n_registers, rng: state, state)
 
 
 def honest_prover(ideal: DenseState) -> ProverModel:
@@ -221,8 +228,7 @@ def entangled_demo_prover(
 # Verdicts
 
 
-@dataclass(frozen=True)
-class GroupResult:
+class GroupResult(NamedTuple):
     group: int
     passes: int
     trials: int
@@ -297,14 +303,17 @@ def choose_layout(n_registers: int, m: int, rng: np.random.Generator):
     return int(perm[m]), perm[m + 1 :]
 
 
-def _run_rngs(seed: int):
-    """The layout, prover and test generators of a run: SeedSequence(seed).spawn(3).
+# The spawn keys of a run's layout, prover and test streams.
+LAYOUT_STREAM, PROVER_STREAM, TEST_STREAM = 0, 1, 2
 
-    Each child is built from its spawn key, which skips hashing the parent's
-    pool, a pool that spawn never reads.
+
+def _run_rng(seed: int, stream: int) -> np.random.Generator:
+    """One generator of a run: child ``stream`` of SeedSequence(seed).spawn(3).
+
+    The child is built from its spawn key, which skips hashing the parent's
+    pool, a pool that spawn never reads, and builds no sibling.
     """
-    children = (np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(3))
-    return [np.random.default_rng(child) for child in children]
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
 def check_executable(params: ProtocolParams) -> None:
@@ -429,7 +438,8 @@ class PreparedTarget:
     ) -> tuple[VerdictReport, ...]:
         """The one protocol engine: one run per seed, each as that run would be made alone.
 
-        A run's layout and source come from its own generators.  Group i
+        A run's layout comes from its own generator, and so does its source
+        unless the prover carries a fixed ``state``.  Group i
         tests k registers with the test's i-th group and passes when its rate
         compares to its ``group_thresholds`` entry by ``COMPARISON``.  Runs
         whose source is the same DenseState are sampled together: each run
@@ -470,8 +480,11 @@ class PreparedTarget:
 
         held = 0  # trials pending
         for index, seed in enumerate(seeds):
-            rng_layout, rng_prover, rng_tests = _run_rngs(seed)
-            source = prover.make_source(n_reg, rng_prover)
+            rng_layout = _run_rng(seed, LAYOUT_STREAM)
+            source = prover.state
+            if source is None:
+                source = prover.make_source(n_reg, _run_rng(seed, PROVER_STREAM))
+            rng_tests = _run_rng(seed, TEST_STREAM)
             if source.n != params.n:
                 raise ValueError("prover register width does not match the protocol")
             target, rest = choose_layout(n_reg, params.m, rng_layout)

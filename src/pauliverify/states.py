@@ -4,7 +4,10 @@ States are immutable after construction.  ``pure_state`` and ``mixed_state``
 validate what a caller supplies; states built from validated ones (a pure
 state's density matrix, the maximally mixed state, a reduced density matrix,
 a convex mixture) are Hermitian, unit-trace and PSD by construction and skip
-the eigenvalue check.
+the eigenvalue check.  The maximally mixed state is written as zeros with
+1/dim on the diagonal, and a mixture with it adds weight/dim to the other
+part's diagonal instead of building the dense weight * I/dim; both are the
+bits of the dense arithmetic (see ``mixture``).
 
 Per-state measurement tables (outcome distributions over the measured
 qubits) are memoized on the instance, keyed by the basis string for a single
@@ -117,7 +120,7 @@ def pure_state(amplitudes, n: int | None = None) -> DenseState:
     if capped_dim(n, PURE_QUBIT_CAP, "pure state") != amps.size:
         raise ValueError("amplitude count is not 2**n")
     norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > PURE_NORM_TOL:
+    if not abs(norm - 1.0) <= PURE_NORM_TOL:  # NaN fails it too
         raise ValueError(f"state norm {norm} is not 1 within {PURE_NORM_TOL}")
     amps = amps.copy()
     amps.flags.writeable = False
@@ -132,11 +135,12 @@ def mixed_state(rho, n: int | None = None) -> DenseState:
         n = rho.shape[0].bit_length() - 1
     if capped_dim(n, DENSE_QUBIT_CAP, "density matrix") != rho.shape[0]:
         raise ValueError("matrix dimension is not 2**n")
-    if abs(np.trace(rho) - 1.0) > TRACE_TOL:
+    # each check is written so that NaN fails it
+    if not abs(np.trace(rho) - 1.0) <= TRACE_TOL:
         raise ValueError("trace is not 1 within tolerance")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+    if not np.max(np.abs(rho - rho.conj().T)) <= HERMITICITY_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if np.min(np.linalg.eigvalsh(rho)) < EIGENVALUE_FLOOR:
+    if not np.min(np.linalg.eigvalsh(rho)) >= EIGENVALUE_FLOOR:
         raise ValueError("density matrix has a negative eigenvalue")
     return _density(rho.copy(), n)
 
@@ -162,8 +166,11 @@ def computational_state(n: int, index: int) -> DenseState:
 
 
 def maximally_mixed(n: int) -> DenseState:
+    """I/dim: the bits of ``np.eye(dim, dtype=complex) / dim``, without a second array."""
     dim = capped_dim(n, DENSE_QUBIT_CAP, "density matrix")
-    return _density(np.eye(dim, dtype=complex) / dim, n, parts=())
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho.reshape(-1)[:: dim + 1] = 1.0 / dim
+    return _density(rho, n, parts=())
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> DenseState:
@@ -193,14 +200,23 @@ def mixture(state: DenseState, other: DenseState, weight: float) -> DenseState:
     """(1 - weight) * state + weight * other, as a density matrix.
 
     Both states must be valid (built by the constructors above), so the
-    convex mixture is one too and is not re-checked.
+    convex mixture is one too and is not re-checked.  A maximally mixed
+    ``other`` adds weight/dim to the diagonal, which is the bits of adding
+    ``weight * other.data``: off the diagonal that array holds +0.0, whose
+    only effect is to turn -0.0 into +0.0, as ``+= 0.0`` does, and on the
+    diagonal ``weight * 2**-n`` is ``weight / dim``, one rounding of the
+    same value.
     """
     if not 0.0 <= weight <= 1.0:
         raise ValueError("the mixture weight must lie in [0, 1]")
     if other.n != state.n:
         raise ValueError(f"cannot mix states on {state.n} and {other.n} qubits")
     rho = _scaled_density(state, 1.0 - weight)
-    rho += _scaled_density(other, weight)
+    if other._parts == ():
+        rho += 0.0
+        rho.reshape(-1)[:: state.dim + 1] += weight / state.dim
+    else:
+        rho += _scaled_density(other, weight)
     return _density(rho, state.n, parts=((1.0 - weight, state), (weight, other)))
 
 
@@ -253,7 +269,9 @@ def expectations(state: DenseState, terms) -> list[float]:
 
     A chunk of terms gathers its entries as one (terms, dim) array, with the
     same elementwise products as ``expectation``; summing each C-contiguous
-    row along its axis makes the same pairwise additions as the 1-d sum.
+    row along its axis makes the same pairwise additions as the 1-d sum.  A
+    density matrix's entries (i, i ^ x) are gathered from its flat view at
+    ``i * dim + (i ^ x)``, in the same (terms, dim) order.
     """
     terms = list(terms)
     for t in terms:
@@ -268,7 +286,8 @@ def expectations(state: DenseState, terms) -> list[float]:
         if state.is_pure:
             sums = np.sum(np.conj(state.data[idx ^ xmasks]) * signs * state.data, axis=1)
         else:
-            sums = np.sum(signs * state.data[idx, idx ^ xmasks], axis=1)
+            entries = state.data.reshape(-1).take(idx * state.dim + (idx ^ xmasks))
+            sums = np.sum(signs * entries, axis=1)
         values += [float((t.coeff * (1j) ** t.y_count * v).real) for t, v in zip(chunk, sums)]
     return values
 

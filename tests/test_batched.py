@@ -29,7 +29,8 @@ from pauliverify.protocol import (
     coherent_error_prover,
     honest_prover,
     iid_deviated_prover,
-    _run_rngs,
+    PROVER_STREAM,
+    _run_rng,
     prepare,
     run_seeds,
 )
@@ -523,7 +524,7 @@ def test_runs_of_one_call_equal_the_runs_made_one_by_one(target, k, m, master, n
     # the classically correlated prover fills some runs with each of its states
     correlated = provers[-1]
     assert correlated.kind == "classically_correlated"
-    assume(len({id(correlated.make_source(1, _run_rngs(s)[1])) for s in seeds}) == 2)
+    assume(len({id(correlated.make_source(1, _run_rng(s, PROVER_STREAM))) for s in seeds}) == 2)
     for prover in provers:
         # a small block splits the runs of a source over several sample calls
         with patch.object(protocol, "BLOCK_TRIALS", block or protocol.BLOCK_TRIALS):

@@ -26,6 +26,7 @@ from pauliverify.cli import main
 from pauliverify.hypergraphs import hypergraph, random_bms_instance
 from pauliverify.paulis import PURE_QUBIT_CAP, PauliString, PauliSum
 from pauliverify.protocol import (
+    EntangledRegisters,
     classically_correlated_prover,
     coherent_error_prover,
     entangled_demo_prover,
@@ -42,7 +43,7 @@ from pauliverify.schedules import (
     supremacy_margin,
 )
 from pauliverify.single_copy import ParityTest, monte_carlo_pass_rate
-from pauliverify.states import computational_state, mixture
+from pauliverify.states import computational_state, mixed_state, mixture, pure_state
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pauliverify"
 DATA = Path(__file__).parent / "data"
@@ -302,6 +303,14 @@ _Z = PauliSum.of([PauliString.from_axes("Z")])
 # A NaN, an infinity or a size below 1 is refused with a ValueError; the
 # message names the value where the check spells one.
 LIBRARY_REFUSALS = [
+    # a NaN entry fails each check as a comparison with NaN is false
+    ("pure_state-nan", lambda: pure_state([math.nan, 0.0]), "state norm nan is not 1"),
+    ("mixed_state-nan", lambda: mixed_state([[math.nan, 0.0], [0.0, 0.5]]), "trace is not 1"),
+    (
+        "EntangledRegisters-nan",
+        lambda: EntangledRegisters(1, 2, [math.nan, 0.0, 0.0, 0.0]),
+        "not normalized",
+    ),
     ("mixture", lambda: mixture(_UP, _DOWN, math.nan), "mixture weight must lie in"),
     ("iid_deviated_prover", lambda: iid_deviated_prover(_UP, math.nan, _DOWN), "epsilon_prime"),
     ("entangled_demo_prover", lambda: entangled_demo_prover(_UP, _DOWN, math.nan), "weight"),

@@ -22,12 +22,16 @@ from pauliverify.protocol import (
     entangled_demo_prover,
     honest_prover,
     iid_deviated_prover,
+    LAYOUT_STREAM,
+    PROVER_STREAM,
+    TEST_STREAM,
     PreparedTarget,
-    _run_rngs,
+    ProverModel,
+    _run_rng,
     prepare,
     run_seeds,
 )
-from pauliverify.reporting import trial_csv_lines
+from pauliverify.reporting import canonical_json, trial_csv_lines
 from pauliverify.schedules import (
     COMPARISON,
     CapExceededError,
@@ -119,8 +123,62 @@ def test_thresholds_are_exact_rationals():
 @pytest.mark.parametrize("seed", [0, 1, 2**63 - 2, *run_seeds(5, 5)])
 def test_run_streams_are_the_spawned_children_of_the_seed(seed):
     spawned = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(3)]
-    for built, want in zip(_run_rngs(seed), spawned, strict=True):
-        assert built.bit_generator.state == want.bit_generator.state
+    streams = (LAYOUT_STREAM, PROVER_STREAM, TEST_STREAM)
+    for stream, want in zip(streams, spawned, strict=True):
+        assert _run_rng(seed, stream).bit_generator.state == want.bit_generator.state
+
+
+def fixed_provers(ideal):
+    n = ideal.n
+    return [
+        honest_prover(ideal),
+        iid_deviated_prover(ideal, 0.2, maximally_mixed(n)),
+        coherent_error_prover(ideal, PauliString.from_axes("Z" + "I" * (n - 1))),
+    ]
+
+
+STREAM_TARGETS = [
+    hypergraph(3, [(0, 1, 2), (0, 2)]),
+    circuit(3, [("H", (0,)), ("T", (0,)), ("CNOT", (0, 1)), ("CCZ", (0, 1, 2))]),
+    HamiltonianSpec(2, (PauliString.from_axes("ZZ", 1.0), PauliString.from_axes("XI", 0.5))),
+]
+
+
+@pytest.mark.parametrize("spec", STREAM_TARGETS, ids=lambda spec: spec.kind)
+def test_a_fixed_prover_gives_the_bytes_of_its_make_source_alone(spec):
+    target = prepare(spec)
+    params = desk_params(target.protocol, spec.n, k=30, m=2, epsilon=0.2)
+    seeds = run_seeds(11, 4)
+    for prover in fixed_provers(target.ideal):
+        assert prover.state is not None
+        drawn = ProverModel(prover.kind, prover.make_source)  # builds every run's prover stream
+        fixed = target.runs(prover, params, seeds, True)
+        made = target.runs(drawn, params, seeds, True)
+        assert canonical_json(list(fixed)) == canonical_json(list(made))
+        assert trial_csv_lines([r.trials for r in fixed]) == trial_csv_lines(
+            [r.trials for r in made]
+        )
+
+
+def test_a_run_builds_the_prover_stream_only_for_a_prover_that_draws(monkeypatch):
+    target = prepare(STREAM_TARGETS[0])
+    params = desk_params("hypergraph", 3, k=20, m=1, epsilon=0.2)
+    seeds = run_seeds(3, 5)
+    good = target.ideal
+    bad = apply_pauli(good, PauliString.from_axes("ZII"))
+    correlated = classically_correlated_prover([good, bad], [0.5, 0.5])
+    built = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    for prover, per_run in [(p, 2) for p in fixed_provers(good)] + [(correlated, 3)]:
+        built.clear()
+        target.runs(prover, params, seeds)
+        assert len(built) == per_run * len(seeds), prover.kind
 
 
 def test_layout_uniform_target_chi_squared():

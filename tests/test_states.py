@@ -6,7 +6,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from pauliverify import states
 from pauliverify.paulis import PauliString, PauliSum
@@ -389,6 +389,34 @@ def test_mixture_has_the_bits_of_the_two_scaled_parts(first, second, weight):
     a, b = make[first](), make[second]()
     old = (1.0 - weight) * to_density(a).data + weight * to_density(b).data
     assert np.array_equal(mixture(a, b, weight).data.view(np.int64), old.view(np.int64))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_maximally_mixed_has_the_bits_of_the_dense_identity(n):
+    want = np.eye(2**n, dtype=complex) / 2**n
+    assert maximally_mixed(n).data.tobytes() == want.tobytes()
+
+
+# signed zeros in the amplitudes put -0.0 into the outer product
+_amplitude_parts = st.sampled_from([0.0, -0.0, 0.5, -0.5, -1e-300]) | st.floats(-1.0, 1.0)
+
+
+@given(
+    n=st.integers(1, 4),
+    data=st.data(),
+    weight=st.sampled_from([0.0, 5e-324, 1e-300, 0.02, 1.0]) | st.floats(0.0, 1.0),
+)
+def test_a_maximally_mixed_part_has_the_bits_of_the_dense_sum(n, data, weight):
+    dim = 1 << n
+    parts = data.draw(st.lists(_amplitude_parts, min_size=2 * dim, max_size=2 * dim))
+    amps = np.empty(dim, dtype=complex)
+    amps.real, amps.imag = parts[:dim], parts[dim:]
+    norm = np.linalg.norm(amps)
+    assume(norm > 1e-100)
+    psi = pure_state(amps / norm)
+    want = (1.0 - weight) * to_density(psi).data
+    want += weight * (np.eye(dim, dtype=complex) / dim)
+    assert mixture(psi, maximally_mixed(n), weight).data.tobytes() == want.tobytes()
 
 
 def test_mixture_checks_its_arguments(rng):
