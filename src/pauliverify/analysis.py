@@ -6,7 +6,11 @@ closed-form value.
 """
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -99,14 +103,50 @@ class TailBounds:
 
 
 def hoeffding_tail(k: int, t: float) -> float:
+    """exp(-2 t^2 k): the Hoeffding bound on a k-trial mean deviating by t."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if not math.isfinite(t):
+        raise ValueError(f"the deviation t must be finite, got {t}")
     return float(np.exp(-2.0 * float(t) ** 2 * k))
+
+
+@functools.cache
+def _binomial_kernels():
+    """(cdf, sf): scipy's compiled boost kernels behind binom.cdf and binom.sf.
+
+    Running scipy/special/__init__.py would also load scipy's array-API
+    layer (numpy.f2py, numpy.testing and some 66 scipy modules; about 0.26 s
+    and 25 MB), which the kernels never use.  So, while no other thread can
+    see sys.modules, an unexecuted stand-in holds the package's place there
+    as ``_ufuncs`` loads, and is removed after.  Otherwise, or if that fails,
+    the ordinary import runs.  Either path loads the one ``_ufuncs`` module,
+    so the kernels and their bits are the same, and a later ``import
+    scipy.special`` runs the package and reuses it.  The check reads
+    sys.modules: ``getattr(scipy, "special")`` would import the package.
+    """
+    if "scipy.special" not in sys.modules and threading.active_count() == 1:
+        try:
+            spec = importlib.util.find_spec("scipy.special")  # imports scipy, not scipy.special
+            sys.modules["scipy.special"] = importlib.util.module_from_spec(spec)
+            try:
+                from scipy.special._ufuncs import _binom_cdf, _binom_sf
+            finally:
+                del sys.modules["scipy.special"]
+            return _binom_cdf, _binom_sf
+        except ImportError:
+            pass
+    from scipy.special._ufuncs import _binom_cdf, _binom_sf
+
+    return _binom_cdf, _binom_sf
 
 
 def _binomial_tail(kernel, count: int, k: int, p: float, below: float, above: float) -> float:
     """``kernel`` at ``count`` behind the scalar branches of scipy.stats.binom.sf/cdf.
 
-    binom calls the same boost kernels, so the bits match, without importing
-    scipy.stats (about 45 MB) or paying its argument handling on every call.
+    binom calls the same boost kernels, which ``_binomial_kernels`` loads
+    without the scipy.special package, so the bits match, without importing
+    scipy.stats or paying its argument handling on every call.
     NaN for an invalid (k, p), ``below`` under the support, ``above`` at or
     past k, else the kernel clipped to [0, 1].
     """
@@ -124,10 +164,8 @@ def binomial_tail_ge(k: int, p: float, threshold: Fraction) -> float:
 
     Bit for bit ``scipy.stats.binom.sf(pass_cut(">=", threshold, k) - 1, k, p)``.
     """
-    from scipy.special._ufuncs import _binom_sf  # on first use: verify needs no scipy
-
     m = pass_cut(">=", threshold, k) - 1
-    return _binomial_tail(_binom_sf, m, k, p, below=1.0, above=0.0)
+    return _binomial_tail(_binomial_kernels()[1], m, k, p, below=1.0, above=0.0)
 
 
 def binomial_tail_le(k: int, p: float, threshold: Fraction) -> float:
@@ -135,10 +173,8 @@ def binomial_tail_le(k: int, p: float, threshold: Fraction) -> float:
 
     Bit for bit ``scipy.stats.binom.cdf(pass_cut("<=", threshold, k), k, p)``.
     """
-    from scipy.special._ufuncs import _binom_cdf  # on first use: verify needs no scipy
-
     m = pass_cut("<=", threshold, k)
-    return _binomial_tail(_binom_cdf, m, k, p, below=0.0, above=1.0)
+    return _binomial_tail(_binomial_kernels()[0], m, k, p, below=0.0, above=1.0)
 
 
 def hoeffding_calculator(p: float, k: int, t: float) -> TailBounds:

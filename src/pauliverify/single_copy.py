@@ -297,4 +297,6 @@ def monte_carlo_pass_rate(
 
 
 def binomial_sigma(p: float, n_trials: int) -> float:
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     return float(np.sqrt(max(p * (1.0 - p), 0.0) / n_trials))

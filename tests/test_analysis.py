@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,26 +221,109 @@ def _same_bits(got: float, want: float) -> bool:
 
 
 ORACLE_PS = [0.0, 5e-324, 0.3, 0.5, 1 - 2**-53, 1.0, 1 + 2**-52, -1e-300, math.nan]
+ORACLE_KS = [1, 2, 7, 50, 200, 500, 1000]
 
 
-@pytest.mark.parametrize("k", [1, 2, 7, 50, 200, 500, 1000])
+def _oracle_grid(k: int) -> list[tuple[Fraction, float]]:
+    """(threshold, p) pairs: each cut around the support, 1/(3k) either side, every ORACLE_PS."""
+    return [
+        (Fraction(j, k) + Fraction(d, 3 * k), p)
+        for j in sorted({-1, 0, 1, k // 2, k - 1, k, k + 1})
+        for d in (-1, 0, 1)
+        for p in ORACLE_PS
+    ]
+
+
+def _assert_scipy_stats_tails(k, threshold, p, got_ge, got_le):
+    m_ge, m_le = math.ceil(threshold * k), math.floor(threshold * k)
+    want_ge = float(stats.binom.sf(m_ge - 1, k, p))
+    want_le = float(stats.binom.cdf(m_le, k, p))
+    assert _same_bits(got_ge, want_ge), (k, threshold, p, got_ge, want_ge)
+    assert _same_bits(got_le, want_le), (k, threshold, p, got_le, want_le)
+
+
+@pytest.mark.parametrize("k", ORACLE_KS)
 def test_binomial_tails_equal_scipy_stats_bit_for_bit(k):
     # the tails call scipy.special's private boost kernels; scipy.stats.binom
     # is the public oracle, so a renamed or changed kernel fails here
-    thresholds = [
-        Fraction(j, k) + Fraction(d, 3 * k)
-        for j in sorted({-1, 0, 1, k // 2, k - 1, k, k + 1})
-        for d in (-1, 0, 1)
-    ]
-    for threshold in thresholds:
-        m_ge, m_le = math.ceil(threshold * k), math.floor(threshold * k)
-        for p in ORACLE_PS:
-            want_ge = float(stats.binom.sf(m_ge - 1, k, p))
-            want_le = float(stats.binom.cdf(m_le, k, p))
-            got_ge = binomial_tail_ge(k, p, threshold)
-            got_le = binomial_tail_le(k, p, threshold)
-            assert _same_bits(got_ge, want_ge), (threshold, p, got_ge, want_ge)
-            assert _same_bits(got_le, want_le), (threshold, p, got_le, want_le)
+    for threshold, p in _oracle_grid(k):
+        _assert_scipy_stats_tails(
+            k, threshold, p, binomial_tail_ge(k, p, threshold), binomial_tail_le(k, p, threshold)
+        )
+
+
+# This process imported scipy.stats, so the tails above took the kernels from
+# the loaded scipy.special package.  A fresh interpreter loads them without it.
+FRESH_TAILS = r"""
+import importlib.util, json, sys, threading
+from fractions import Fraction
+from pauliverify import analysis
+
+mode = sys.argv[1]
+tried = []
+if mode == "import_error":
+    module_from_spec = importlib.util.module_from_spec
+
+    def unimportable(spec):
+        tried.append(spec.name)
+        standin = module_from_spec(spec)
+        standin.__path__ = []  # no submodule is found under the stand-in
+        return standin
+
+    importlib.util.module_from_spec = unimportable
+release = threading.Event()
+worker = threading.Thread(target=release.wait)
+if mode == "second_thread":
+    worker.start()
+tails = [
+    [analysis.binomial_tail_ge(k, float.fromhex(p), Fraction(t)).hex(),
+     analysis.binomial_tail_le(k, float.fromhex(p), Fraction(t)).hex()]
+    for k, t, p in json.load(sys.stdin)
+]
+release.set()
+package = sys.modules.get("scipy.special")
+result = {
+    "tails": tails,
+    "tried": tried,
+    "ufuncs_loaded": "scipy.special._ufuncs" in sys.modules,
+    # the executed package defines gamma; the stand-in defines nothing
+    "package": None if package is None else hasattr(package, "gamma"),
+}
+import scipy.stats
+from scipy.special import _ufuncs
+
+cdf, sf = analysis._binomial_kernels()
+result["same_kernels"] = _ufuncs._binom_cdf is cdf and _ufuncs._binom_sf is sf
+result["binom_works"] = float(scipy.stats.binom.sf(2, 4, 0.5)) == 5 / 16
+print(json.dumps(result))
+"""
+SRC = Path(analysis.__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "mode, package",
+    # the fresh path leaves no scipy.special module; the ordinary import leaves
+    # the executed package, never the stand-in
+    [("fresh", None), ("import_error", True), ("second_thread", True)],
+)
+def test_binomial_tails_in_a_fresh_interpreter_equal_scipy_stats_bit_for_bit(mode, package):
+    cases = [(k, t, p) for k in ORACLE_KS for t, p in _oracle_grid(k)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_TAILS, mode],
+        input=json.dumps([[k, str(t), p.hex()] for k, t, p in cases]),
+        capture_output=True, text=True, env=env, check=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["tried"] == (["scipy.special"] if mode == "import_error" else [])
+    assert result["ufuncs_loaded"]
+    assert result["package"] is package
+    # a later import of scipy.stats works and holds the very kernels the tails use
+    assert result["same_kernels"] and result["binom_works"]
+    assert len(result["tails"]) == len(cases)
+    for (k, threshold, p), (got_ge, got_le) in zip(cases, result["tails"]):
+        _assert_scipy_stats_tails(k, threshold, p, float.fromhex(got_ge), float.fromhex(got_le))
 
 
 unit_floats = st.floats(0.0, 1.0, allow_nan=False)

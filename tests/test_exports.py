@@ -5,6 +5,7 @@ Each name has one home: a package module binds a sibling's name only to use it.
 import ast
 import dataclasses
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -176,3 +177,57 @@ def test_an_unread_private_name_is_found():
         "from .schedules import _used\n\nprint(_used, schedules._seen)\n",
     ]
     assert unread_private_names(sources) == ["_ceil", "_CAP"]
+
+
+# ---------------------------------------------------------------------------
+# scipy is a runtime dependency of the robustness tails only: the package
+# imports it in one function, and never scipy.stats
+
+def scipy_imports(source: str) -> list[tuple[str | None, str]]:
+    """(innermost enclosing function or None, module) of each scipy import in a source.
+
+    An import statement names its module; ``importlib`` takes it as a string
+    constant, so a string that is a dotted ``scipy`` name counts too.
+    """
+    tree = ast.parse(source)
+    owner = {}  # ast.walk is breadth first, so an inner function overrides an outer one
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(sub), node.name) for sub in ast.walk(node))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value] if re.fullmatch(r"scipy(\.\w+)*", node.value) else []
+        else:
+            continue
+        found += [(owner.get(id(node)), n) for n in names if n.split(".")[0] == "scipy"]
+    return found
+
+
+def test_the_package_imports_scipy_only_in_the_binomial_kernel_loader():
+    found = [
+        (path.stem, function, module)
+        for path in sorted(SRC.glob("*.py"))
+        for function, module in scipy_imports(path.read_text())
+    ]
+    assert {(stem, function) for stem, function, _ in found} == {("analysis", "_binomial_kernels")}
+    assert not [module for _, _, module in found if module.startswith("scipy.stats")]
+
+
+def test_a_scipy_import_is_found_with_its_function():
+    source = (
+        "import scipy\n"
+        "def f():\n"
+        "    from scipy.special._ufuncs import _binom_sf\n"
+        "    def g():\n"
+        "        importlib.import_module('scipy.stats')\n"
+        "    return 'scipy is large'\n"
+        "from .schedules import pass_cut\n"
+    )
+    assert set(scipy_imports(source)) == {
+        (None, "scipy"), ("f", "scipy.special._ufuncs"), ("g", "scipy.stats"),
+    }

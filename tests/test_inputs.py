@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pauliverify import circuits, protocol
-from pauliverify.analysis import hoeffding_calculator
+from pauliverify.analysis import hoeffding_calculator, hoeffding_tail
 from pauliverify.circuits import circuit
 from pauliverify.cli import main
 from pauliverify.hypergraphs import hypergraph, random_bms_instance
@@ -42,7 +42,7 @@ from pauliverify.schedules import (
     schedule_params,
     supremacy_margin,
 )
-from pauliverify.single_copy import ParityTest, monte_carlo_pass_rate
+from pauliverify.single_copy import ParityTest, binomial_sigma, monte_carlo_pass_rate
 from pauliverify.states import computational_state, mixed_state, mixture, pure_state
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pauliverify"
@@ -351,6 +351,11 @@ LIBRARY_REFUSALS = [
         lambda: hoeffding_calculator(0.5, 10, math.nan),
         "t must be finite and positive, got nan",
     ),
+    # a tail probability above 1 (1.0202 at k=-1), or exp of NaN
+    ("hoeffding_tail-k", lambda: hoeffding_tail(-1, 0.1), "k must be at least 1, got -1"),
+    ("hoeffding_tail-nan", lambda: hoeffding_tail(10, math.nan), "t must be finite, got nan"),
+    ("hoeffding_tail-inf", lambda: hoeffding_tail(10, -math.inf), "t must be finite, got -inf"),
+    ("binomial_sigma", lambda: binomial_sigma(0.5, 0), "n_trials must be at least 1, got 0"),
     (
         "coherent_error_prover",
         lambda: coherent_error_prover(computational_state(2, 0), PauliString(2, 0, 1, math.nan)),
