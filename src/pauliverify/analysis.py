@@ -55,10 +55,11 @@ class DistributionPair:
     q: np.ndarray
 
     def __post_init__(self):
+        # written so that a comparison with NaN fails each check
         for vec in (self.p, self.q):
-            if np.min(vec) < -1e-12:
+            if not np.min(vec) >= -1e-12:
                 raise ValueError("probabilities must be nonnegative")
-            if abs(float(np.sum(vec)) - 1.0) > 1e-9:
+            if not abs(float(np.sum(vec)) - 1.0) <= 1e-9:
                 raise ValueError("distribution does not sum to 1")
         if self.p.shape != self.q.shape:
             raise ValueError("distributions must share a sample space")

@@ -372,6 +372,8 @@ def cmd_ppass(args) -> int:
 def cmd_verify(args) -> int:
     from .protocol import prepare, run_seeds
 
+    if args.trials_csv == "":
+        raise ValueError("--trials-csv needs a file path, got an empty one")
     config_path = Path(args.config)
     cfg = read_object(config_path, "the config")
     params_cfg = field(cfg, "params", dict, {})
@@ -397,7 +399,7 @@ def cmd_verify(args) -> int:
 
     seeds = run_seeds(seed, runs) if runs > 1 else [seed]
     reports = prepared.runs(prover, params, seeds, record)
-    if args.trials_csv:
+    if record:
         lines = reporting.trial_csv_lines([rep.trials for rep in reports])
         reporting.write_trials_csv(args.trials_csv, lines)
 

@@ -16,13 +16,15 @@ Each run keeps its own generator streams, the spawned children of its seed
 the call.  The prover stream is built only for a prover that draws from it:
 a fixed-state prover (honest, iid_deviated, coherent_error) carries its
 state, and its runs build the layout and test streams alone, which are the
-same streams either way.  The runs whose source is the same DenseState
-share one block search: each run draws its own block of uniforms for all
-its groups, the blocks are laid end to end, and one call of the test's
-batched ``sample`` serves them all (see single_copy's run kernels).  Only
-the tiny entangled demo returns a joint source (total qubits capped at 12);
-each measurement conditions its joint state, so it runs the scalar
-``trial`` loop, run by run.
+same streams either way.  The engine makes one pass over the seeds that
+lays out each run and finds its source, grouping the runs by source.  Then
+each source's runs are sampled in blocks of whole runs of at most
+BLOCK_TRIALS trials: each run draws its own block of uniforms for all its
+groups, the blocks are laid end to end, and one call of the test's batched
+``sample`` serves them all (see single_copy's run kernels).  Only the tiny
+entangled demo returns a joint source (total qubits capped at 12); each
+measurement conditions its joint state, so it runs the scalar ``trial``
+loop, decided in that pass.
 """
 from __future__ import annotations
 
@@ -207,6 +209,8 @@ def entangled_demo_prover(
         raise ValueError("the demo superposition needs pure branch states")
     if not 0.0 <= weight <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
+    if bad.n != ideal.n:
+        raise ValueError(f"bad and the ideal state differ in width: {bad.n} and {ideal.n} qubits")
 
     def make(n_registers, rng):
         capped_dim(ideal.n * n_registers, ENTANGLED_TOTAL_QUBIT_CAP, "entangled demo path")
@@ -237,14 +241,7 @@ class GroupResult(NamedTuple):
     passed: bool
 
     def to_jsonable(self) -> dict:
-        return {
-            "group": self.group,
-            "passes": self.passes,
-            "trials": self.trials,
-            "threshold": self.threshold,
-            "comparison": self.comparison,
-            "passed": self.passed,
-        }
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -281,7 +278,7 @@ class VerdictReport:
     trials: TrialColumns | None = None
 
     def to_jsonable(self) -> dict:
-        out = {
+        return {
             "protocol": self.params.protocol,
             "accepted": self.accepted,
             "groups": [g.to_jsonable() for g in self.groups],
@@ -292,7 +289,6 @@ class VerdictReport:
             "params": self.params.to_jsonable(),
             "prover_kind": self.prover_kind,
         }
-        return out
 
 
 def choose_layout(n_registers: int, m: int, rng: np.random.Generator):
@@ -337,7 +333,6 @@ class _Run(NamedTuple):
     seed: int
     target: int
     groups: np.ndarray | None  # (groups, k) registers, kept for trial columns
-    rng_tests: np.random.Generator
 
 
 class _Verdicts:
@@ -439,15 +434,17 @@ class PreparedTarget:
         """The one protocol engine: one run per seed, each as that run would be made alone.
 
         A run's layout comes from its own generator, and so does its source
-        unless the prover carries a fixed ``state``.  Group i
-        tests k registers with the test's i-th group and passes when its rate
-        compares to its ``group_thresholds`` entry by ``COMPARISON``.  Runs
-        whose source is the same DenseState are sampled together: each run
-        draws its own block of uniforms from its own test stream, the blocks
-        are laid end to end, and one ``test.sample`` call serves them all, at
-        most BLOCK_TRIALS trials at a time.  The fidelity of such a source is
-        evaluated once.  A joint source (the entangled demo) runs the scalar
-        trial loop, because each measurement conditions its joint state; it
+        unless the prover carries a fixed ``state``.  Group i tests k
+        registers with the test's i-th group and passes when its rate
+        compares to its ``group_thresholds`` entry by ``COMPARISON``.  One
+        pass over the seeds lays out each run and groups the runs by source.
+        Then each DenseState source's fidelity is evaluated once, and its
+        runs are sampled in blocks of whole runs, at most BLOCK_TRIALS
+        trials each (a larger run is a block of its own): each run draws its
+        own uniforms from its own test stream, the blocks are laid end to
+        end, and one ``test.sample`` call serves them.  A joint source (the
+        entangled demo) is decided in the first pass by the scalar trial
+        loop, because each measurement conditions its joint state; it
         consumes the test stream in the same order.
         """
         if params.protocol != self.protocol or params.n != self.ideal.n:
@@ -459,60 +456,50 @@ class PreparedTarget:
         per_run = verdicts.shape[0] * params.k  # trials
         size = test.variates * per_run  # uniforms
         reports: list[VerdictReport | None] = [None] * len(seeds)
-        pending: dict[DenseState, list] = {}  # source -> its runs not yet sampled
-        fidelities: dict[DenseState, float | None] = {}
-
-        def sample_pending():
-            for source, runs in pending.items():
-                u = np.empty(size * len(runs))
-                for j, run in enumerate(runs):
-                    run.rng_tests.random(out=u[j * size : (j + 1) * size])
-                passed, branches = test.sample(source, u, params.k)
-                if source not in fidelities:
-                    fidelities[source] = None if fidelity is None else fidelity(source)
-                shape = (len(runs), *verdicts.shape)
-                decided = verdicts.decide(
-                    runs, passed.reshape(shape), branches.reshape(shape), fidelities[source]
-                )
-                for run, report in zip(runs, decided):
-                    reports[run.index] = report
-            pending.clear()
-
-        held = 0  # trials pending
+        by_source: dict[DenseState, list[_Run]] = {}
         for index, seed in enumerate(seeds):
-            rng_layout = _run_rng(seed, LAYOUT_STREAM)
             source = prover.state
             if source is None:
                 source = prover.make_source(n_reg, _run_rng(seed, PROVER_STREAM))
-            rng_tests = _run_rng(seed, TEST_STREAM)
             if source.n != params.n:
                 raise ValueError("prover register width does not match the protocol")
-            target, rest = choose_layout(n_reg, params.m, rng_layout)
+            target, rest = choose_layout(n_reg, params.m, _run_rng(seed, LAYOUT_STREAM))
             groups = rest.reshape(verdicts.shape)
-            if not isinstance(source, DenseState):
-                trials = [
-                    test.trial(source, int(reg), rng_tests, i)
-                    for i, registers in enumerate(groups)
-                    for reg in registers
-                ]
-                passed = np.array([ok for ok, _ in trials]).reshape(1, *groups.shape)
-                branches = np.array([branch for _, branch in trials]).reshape(passed.shape)
-                state = source.register_state(target)
-                (reports[index],) = verdicts.decide(
-                    [_Run(index, seed, target, groups, rng_tests)],
-                    passed,
-                    branches,
-                    None if fidelity is None else fidelity(state),
-                )
+            if isinstance(source, DenseState):
+                # the layout of a run is kept only for its trial columns
+                run = _Run(index, seed, target, groups if record_trials else None)
+                by_source.setdefault(source, []).append(run)
                 continue
-            if held and held + per_run > BLOCK_TRIALS:
-                sample_pending()
-                held = 0
-            # the layout of a run is kept only for its trial columns
-            run = _Run(index, seed, target, groups if record_trials else None, rng_tests)
-            pending.setdefault(source, []).append(run)
-            held += per_run
-        sample_pending()
+            rng_tests = _run_rng(seed, TEST_STREAM)
+            trials = [
+                test.trial(source, int(reg), rng_tests, i)
+                for i, registers in enumerate(groups)
+                for reg in registers
+            ]
+            passed = np.array([ok for ok, _ in trials]).reshape(1, *groups.shape)
+            branches = np.array([branch for _, branch in trials]).reshape(passed.shape)
+            state = source.register_state(target)
+            (reports[index],) = verdicts.decide(
+                [_Run(index, seed, target, groups)],
+                passed,
+                branches,
+                None if fidelity is None else fidelity(state),
+            )
+        block = max(1, BLOCK_TRIALS // per_run)  # whole runs
+        for source, runs in by_source.items():
+            source_fidelity = None if fidelity is None else fidelity(source)
+            for start in range(0, len(runs), block):
+                chunk = runs[start : start + block]
+                u = np.empty(size * len(chunk))
+                for j, run in enumerate(chunk):
+                    _run_rng(run.seed, TEST_STREAM).random(out=u[j * size : (j + 1) * size])
+                passed, branches = test.sample(source, u, params.k)
+                shape = (len(chunk), *verdicts.shape)
+                decided = verdicts.decide(
+                    chunk, passed.reshape(shape), branches.reshape(shape), source_fidelity
+                )
+                for run, report in zip(chunk, decided):
+                    reports[run.index] = report
         return tuple(reports)
 
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pauliverify import circuits, protocol
-from pauliverify.analysis import hoeffding_calculator, hoeffding_tail
+from pauliverify.analysis import DistributionPair, hoeffding_calculator, hoeffding_tail
 from pauliverify.circuits import circuit
 from pauliverify.cli import main
 from pauliverify.hypergraphs import hypergraph, random_bms_instance
@@ -279,6 +279,12 @@ def test_help_still_exits_0():
     assert exc.value.code == 0
 
 
+def test_verify_refuses_an_empty_trials_csv_path():
+    # an empty path would record every trial column and then write none
+    argv = ["verify", "--config", DATA / "verify_ring3.json", "--trials-csv", ""]
+    assert_refused(argv, "--trials-csv")
+
+
 # ---------------------------------------------------------------------------
 # Range checks live in the constructors, one message per field
 
@@ -314,6 +320,17 @@ LIBRARY_REFUSALS = [
     ("mixture", lambda: mixture(_UP, _DOWN, math.nan), "mixture weight must lie in"),
     ("iid_deviated_prover", lambda: iid_deviated_prover(_UP, math.nan, _DOWN), "epsilon_prime"),
     ("entangled_demo_prover", lambda: entangled_demo_prover(_UP, _DOWN, math.nan), "weight"),
+    (
+        # refused when the prover is built, not in numpy at the first run
+        "entangled_demo_prover-width",
+        lambda: entangled_demo_prover(computational_state(2, 0), computational_state(3, 0), 0.5),
+        "differ in width: 3 and 2 qubits",
+    ),
+    (
+        "DistributionPair-nan",
+        lambda: DistributionPair(np.array([math.nan, 1.0]), np.array([0.5, 0.5])),
+        "probabilities must be nonnegative",
+    ),
     (
         "classically_correlated_prover",
         lambda: classically_correlated_prover([_UP, _DOWN], [math.nan, 0.5]),

@@ -43,7 +43,7 @@ from pauliverify.schedules import (
     hypergraph_group_threshold,
     schedule_params,
 )
-from pauliverify.single_copy import adaptive_test_exact_ppass
+from pauliverify.single_copy import AdaptiveTest, adaptive_test_exact_ppass
 from pauliverify.states import (
     apply_pauli,
     computational_state,
@@ -362,7 +362,7 @@ def _counting_fidelity(target: PreparedTarget):
 
 
 def test_runs_evaluate_each_source_s_fidelity_once_per_call(monkeypatch):
-    # every run is sampled in a block of its own, so only the call's cache can share
+    # every run is sampled in a block of its own, so the blocks cannot share a fidelity
     monkeypatch.setattr(protocol, "BLOCK_TRIALS", 1)
     hyper = prepare(hypergraph(3, [(0, 1, 2)]))
     params = desk_params("hypergraph", 3, k=5, m=0, epsilon=0.2)
@@ -381,6 +381,30 @@ def test_runs_evaluate_each_source_s_fidelity_once_per_call(monkeypatch):
     params = desk_params("ground", 1, k=5, m=0, epsilon=0.2)
     target.runs(honest_prover(computational_state(1, 0)), params, run_seeds(7, 5))
     assert len(asked) == 1
+
+
+def test_runs_sample_each_source_in_blocks_of_whole_runs(monkeypatch):
+    target = prepare(hypergraph(3, [(0, 1, 2)]))
+    params = desk_params("hypergraph", 3, k=5, m=0, epsilon=0.2)
+    good = target.ideal
+    bad = apply_pauli(good, PauliString.from_axes("ZII"))
+    prover = classically_correlated_prover([good, bad], [0.5, 0.5])
+    seeds = run_seeds(41, 12)
+    drawn = [prover.make_source(1, _run_rng(s, PROVER_STREAM)) for s in seeds]
+    runs_of = [sum(state is source for state in drawn) for source in (good, bad)]
+    assert min(runs_of) > 0
+    monkeypatch.setattr(protocol, "BLOCK_TRIALS", 2 * 3 * params.k)  # two runs' trials
+    calls = []
+    sample = AdaptiveTest.sample
+
+    def spy(self, state, u, k):
+        calls.append(state)
+        return sample(self, state, u, k)
+
+    monkeypatch.setattr(AdaptiveTest, "sample", spy)
+    target.runs(prover, params, seeds)
+    # the runs of one source fill its blocks whatever the other source draws
+    assert len(calls) == sum(math.ceil(runs / 2) for runs in runs_of)
 
 
 def test_entangled_demo_extreme_weights():
