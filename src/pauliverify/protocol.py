@@ -19,12 +19,12 @@ state, and its runs build the layout and test streams alone, which are the
 same streams either way.  The engine makes one pass over the seeds that
 lays out each run and finds its source, grouping the runs by source.  Then
 each source's runs are sampled in blocks of whole runs of at most
-BLOCK_TRIALS trials: each run draws its own block of uniforms for all its
-groups, the blocks are laid end to end, and one call of the test's batched
-``sample`` serves them all (see single_copy's run kernels).  Only the tiny
-entangled demo returns a joint source (total qubits capped at 12); each
-measurement conditions its joint state, so it runs the scalar ``trial``
-loop, decided in that pass.
+BLOCK_TRIALS trials, one call of the test's batched ``sample`` per block,
+given each run's test stream.  Only the tiny entangled demo returns a joint
+source (total qubits capped at 12); each measurement conditions its joint
+state, so each of its runs is one call of the test's scalar ``trials``,
+decided in that pass.  This module draws no uniform of a test stream:
+single_copy's run kernels draw them all.
 """
 from __future__ import annotations
 
@@ -440,12 +440,11 @@ class PreparedTarget:
         pass over the seeds lays out each run and groups the runs by source.
         Then each DenseState source's fidelity is evaluated once, and its
         runs are sampled in blocks of whole runs, at most BLOCK_TRIALS
-        trials each (a larger run is a block of its own): each run draws its
-        own uniforms from its own test stream, the blocks are laid end to
-        end, and one ``test.sample`` call serves them.  A joint source (the
-        entangled demo) is decided in the first pass by the scalar trial
-        loop, because each measurement conditions its joint state; it
-        consumes the test stream in the same order.
+        trials each (a larger run is a block of its own), with one
+        ``test.sample`` call per block, given the block's test streams.  A
+        joint source (the entangled demo) is decided in the first pass by
+        one ``test.trials`` call, because each measurement conditions its
+        joint state; it consumes the test stream in the same order.
         """
         if params.protocol != self.protocol or params.n != self.ideal.n:
             raise ValueError(f"params are not for this {self.protocol} target")
@@ -453,8 +452,6 @@ class PreparedTarget:
         check_executable(params)
         n_reg = params.n_registers
         verdicts = _Verdicts(self, params, prover.kind, record_trials)
-        per_run = verdicts.shape[0] * params.k  # trials
-        size = test.variates * per_run  # uniforms
         reports: list[VerdictReport | None] = [None] * len(seeds)
         by_source: dict[DenseState, list[_Run]] = {}
         for index, seed in enumerate(seeds):
@@ -470,34 +467,18 @@ class PreparedTarget:
                 run = _Run(index, seed, target, groups if record_trials else None)
                 by_source.setdefault(source, []).append(run)
                 continue
-            rng_tests = _run_rng(seed, TEST_STREAM)
-            trials = [
-                test.trial(source, int(reg), rng_tests, i)
-                for i, registers in enumerate(groups)
-                for reg in registers
-            ]
-            passed = np.array([ok for ok, _ in trials]).reshape(1, *groups.shape)
-            branches = np.array([branch for _, branch in trials]).reshape(passed.shape)
-            state = source.register_state(target)
-            (reports[index],) = verdicts.decide(
-                [_Run(index, seed, target, groups)],
-                passed,
-                branches,
-                None if fidelity is None else fidelity(state),
-            )
-        block = max(1, BLOCK_TRIALS // per_run)  # whole runs
+            passed, branches = test.trials(source, groups, _run_rng(seed, TEST_STREAM))
+            run_fidelity = None if fidelity is None else fidelity(source.register_state(target))
+            run = _Run(index, seed, target, groups)
+            (reports[index],) = verdicts.decide([run], passed[None], branches[None], run_fidelity)
+        block = max(1, BLOCK_TRIALS // (verdicts.shape[0] * params.k))  # whole runs
         for source, runs in by_source.items():
             source_fidelity = None if fidelity is None else fidelity(source)
             for start in range(0, len(runs), block):
                 chunk = runs[start : start + block]
-                u = np.empty(size * len(chunk))
-                for j, run in enumerate(chunk):
-                    _run_rng(run.seed, TEST_STREAM).random(out=u[j * size : (j + 1) * size])
-                passed, branches = test.sample(source, u, params.k)
-                shape = (len(chunk), *verdicts.shape)
-                decided = verdicts.decide(
-                    chunk, passed.reshape(shape), branches.reshape(shape), source_fidelity
-                )
+                rngs = (_run_rng(run.seed, TEST_STREAM) for run in chunk)
+                passed, branches = test.sample(source, rngs, params.k)
+                decided = verdicts.decide(chunk, passed, branches, source_fidelity)
                 for run, report in zip(chunk, decided):
                     reports[run.index] = report
         return tuple(reports)

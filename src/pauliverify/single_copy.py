@@ -6,19 +6,22 @@ adaptive stabilizer test serves hypergraph states.  Each test measures every
 qubit of one register exactly once, in Pauli bases, and applies an exact
 integer pass predicate.
 
-Each test runs one of two ways.  ``ParityTest.trial`` and
-``AdaptiveTest.trial`` are the scalar path: one trial on one register of a
-source, built on draw_pauli_term, measure_in_bases, parity_passes and
+Each test runs one of two ways, and draws every uniform of a run's test
+stream itself.  ``ParityTest.trials`` and ``AdaptiveTest.trials`` are the
+scalar path: one run's trials on the registers of a source, one at a time,
+built on draw_pauli_term, measure_in_bases, parity_passes and
 adaptive_predicate.  It is the reference the batched path is checked
 against, and the path of the entangled demo, whose joint state changes with
-every measurement.  ``.sample`` is the batched path: k trials per group on
-one state, drawn through sample_stacked_outcomes.  The closed-form
-functions return the expected pass probability from dense expectations.
+every measurement.  ``.sample`` is the batched path: k trials per group of
+one or more runs on one state, drawn through sample_stacked_outcomes.  The
+closed-form functions return the expected pass probability from dense
+expectations.
 """
 from __future__ import annotations
 
 import math
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -114,18 +117,19 @@ def adaptive_test_exact_ppass(
 
 
 # ---------------------------------------------------------------------------
-# Run kernels: k trials of each group's test on one state
+# Run kernels: k trials of each group's test, for each run
 #
-# A kernel holds the tests of every group of a protocol run.  ``sample``
-# takes the uniforms of one or more runs on one state: each run's block of
-# ``variates * groups * k`` variates, drawn from that run's test stream in
-# the order the scalar path consumes them (group by group, trial by trial),
-# with the blocks of successive runs laid end to end.  rng.random(a)
-# followed by rng.random(b) equals rng.random(a + b), so the kernel's results
-# equal the scalar path's trial for trial.  ``trial`` is that scalar path:
-# the reference ``sample`` is checked against, and the path of sources that
-# change state between measurements.  ``sample`` returns flat arrays in the
-# same run-major, then group-major order.
+# A kernel holds the tests of every group of a protocol run, and it draws
+# every uniform of each run's test stream: ``variates`` per trial, group by
+# group and trial by trial.  ``trials`` is the scalar path: one run's
+# trials, drawn one at a time between the measurements of a source that may
+# change state; it is the reference ``sample`` is checked against.
+# ``sample`` takes one generator per run (lazily, so one is alive at a time)
+# and draws each run's ``variates * groups * k`` uniforms in one call;
+# rng.random(a) followed by rng.random(b) equals rng.random(a + b), so its
+# results equal the scalar path's trial for trial.  Both return (passed,
+# branches): ``trials`` in the shape of its registers, ``sample`` one
+# (groups, k) block per run.
 
 
 def _group_of_trial(n_groups: int, n_trials: int, total: int) -> np.ndarray:
@@ -171,25 +175,33 @@ class ParityTest:
         self.term_count = np.array([len(s.terms) for s in sums], dtype=np.int64)
         self.term_offset = np.cumsum(self.term_count) - self.term_count
 
-    def trial(
-        self, source, register: int, rng: np.random.Generator, group: int = 0
-    ) -> tuple[bool, int]:
-        index = draw_pauli_term(self.sums[group], rng)
-        term = self.sums[group].terms[index]
-        record = source.measure(register, term.axes, rng)
-        return parity_passes(record, term.sign), int(self.term_offset[group]) + index
+    def trials(
+        self, source, registers: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Pass flags and term indices of one run; [i, t] tests ``registers[i, t]``, group i."""
+        passed = np.empty(registers.shape, dtype=bool)
+        terms = np.empty(registers.shape, dtype=np.int64)
+        for (i, t), register in np.ndenumerate(registers):
+            index = draw_pauli_term(self.sums[i], rng)
+            term = self.sums[i].terms[index]
+            record = source.measure(int(register), term.axes, rng)
+            passed[i, t] = parity_passes(record, term.sign)
+            terms[i, t] = self.term_offset[i] + index
+        return passed, terms
 
     def sample(
-        self, state: DenseState, u: np.ndarray, n_trials: int
+        self, state: DenseState, rngs: Iterable[np.random.Generator], n_trials: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Pass flags and term indices of ``n_trials`` trials per group and run on ``state``."""
+        """Pass flags and term indices, (runs, groups, k), on ``state``; one generator a run."""
+        shape = (-1, len(self.sums), n_trials)
+        u = np.concatenate([g.random(self.variates * len(self.sums) * n_trials) for g in rngs])
         group = _group_of_trial(len(self.sums), n_trials, u.size // 2)
         local = search_segments(self.term_cum, self.term_width, group, u[0::2])
         term = self.term_offset[group] + np.minimum(local, self.term_count[group] - 1)
         idx = sample_stacked_outcomes(state, self.layout, self.basis_id[term], u[1::2])
         # the outcome product is -1 exactly when the index has odd popcount
         passed = ((np.bitwise_count(idx) & 1) == 1) == (self.signs[term] < 0)
-        return passed, term
+        return passed.reshape(shape), term.reshape(shape)
 
     def exact_ppass(self, rho: DenseState) -> tuple[float, ...]:
         """``parity_test_exact_ppass(rho, s)`` for each group's sum ``s``, bit for bit.
@@ -235,22 +247,29 @@ class AdaptiveTest:
         self.layout = StackLayout.of(forms[0].n, [f.bases() for f in forms])
         self.group_l1 = (1.0,) * len(forms)
 
-    def trial(
-        self, source, register: int, rng: np.random.Generator, group: int = 0
-    ) -> tuple[bool, int]:
-        record = source.measure(register, self.layout.bases[group], rng)
-        return adaptive_predicate(record, self.forms[group])
+    def trials(
+        self, source, registers: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Pass flags and projector bits of one run; [i, t] tests ``registers[i, t]``, group i."""
+        passed = np.empty(registers.shape, dtype=bool)
+        bits = np.empty(registers.shape, dtype=np.int64)
+        for (i, t), register in np.ndenumerate(registers):
+            record = source.measure(int(register), self.layout.bases[i], rng)
+            passed[i, t], bits[i, t] = adaptive_predicate(record, self.forms[i])
+        return passed, bits
 
     def sample(
-        self, state: DenseState, u: np.ndarray, n_trials: int
+        self, state: DenseState, rngs: Iterable[np.random.Generator], n_trials: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Pass flags and projector bits of ``n_trials`` trials per group and run on ``state``."""
+        """Pass flags and projector bits, (runs, groups, k), on ``state``; one generator a run."""
+        shape = (-1, len(self.forms), n_trials)
+        u = np.concatenate([g.random(self.variates * len(self.forms) * n_trials) for g in rngs])
         group = _group_of_trial(len(self.forms), n_trials, u.size)
         idx = sample_stacked_outcomes(state, self.layout, group, u)
         passes, bits = self._outcome_tables
         # one flat index into the (group, outcome) tables
         idx += group * passes.shape[1]
-        return passes.take(idx), bits.take(idx)
+        return passes.take(idx).reshape(shape), bits.take(idx).reshape(shape)
 
     def exact_ppass(self, rho: DenseState) -> tuple[float, ...]:
         """``adaptive_test_exact_ppass(rho, f)`` for each group's form ``f``."""
@@ -291,8 +310,7 @@ def monte_carlo_pass_rate(
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     if len(kernel.group_l1) != 1:
         raise ValueError(f"the kernel must have one group, got {len(kernel.group_l1)}")
-    u = rng.random(kernel.variates * n_trials)
-    passes = int(np.count_nonzero(kernel.sample(state, u, n_trials)[0]))
+    passes = int(np.count_nonzero(kernel.sample(state, [rng], n_trials)[0]))
     return passes / n_trials, passes
 
 

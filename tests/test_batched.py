@@ -206,11 +206,20 @@ def test_sample_outcome_indices_matches_measure_in_bases(rng):
 # Properties on random small targets
 
 
-def _scalar_trials(test, state, seed, n_trials):
+def _scalar_trials(test, state, seeds, n_groups, n_trials):
+    """Each run's scalar trials on ``state``, one run per seed, stacked."""
     source = TrialByTrial(state)
-    rng = np.random.default_rng(seed)
-    trials = [test.trial(source, 0, rng) for _ in range(n_trials)]
-    return [ok for ok, _ in trials], [branch for _, branch in trials]
+    registers = np.zeros((n_groups, n_trials), dtype=np.int64)
+    runs = [test.trials(source, registers, np.random.default_rng(seed)) for seed in seeds]
+    return np.stack([ok for ok, _ in runs]), np.stack([branch for _, branch in runs])
+
+
+def _assert_kernel_equals_scalar_trials(test, state, seeds, n_groups, n_trials):
+    passed, branches = test.sample(state, [np.random.default_rng(s) for s in seeds], n_trials)
+    ok, scalar_branches = _scalar_trials(test, state, seeds, n_groups, n_trials)
+    assert passed.shape == branches.shape == (len(seeds), n_groups, n_trials)
+    assert passed.tolist() == ok.tolist()
+    assert branches.tolist() == scalar_branches.tolist()
 
 
 def _state(n, seed, pure):
@@ -228,33 +237,34 @@ def _state(n, seed, pure):
         min_size=1,
         max_size=6,
     ),
+    n_groups=st.integers(1, 3),
     pure=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
 )
-def test_parity_kernel_equals_scalar_trials(n, terms, pure, seed):
+def test_parity_kernel_equals_scalar_trials(n, terms, n_groups, pure, seeds):
     merged = merge_pauli_terms(PauliString.from_axes(a[:n], c) for a, c in terms)
     if not merged:
         return
-    test = ParityTest(PauliSum.of(merged))
-    state = _state(n, seed, pure)
-    u = np.random.default_rng(seed).random(test.variates * 50)
-    passed, branches = test.sample(state, u, 50)
-    ok, scalar_branches = _scalar_trials(test, state, seed, 50)
-    assert passed.tolist() == ok
-    assert branches.tolist() == scalar_branches
+    # group i samples the sum of every term from the i-th on (or the last term)
+    sums = [PauliSum.of(merged[min(i, len(merged) - 1) :]) for i in range(n_groups)]
+    test = ParityTest(*sums)
+    state = _state(n, seeds[0], pure)
+    _assert_kernel_equals_scalar_trials(test, state, seeds, n_groups, 50)
 
 
 @given(
     n=st.integers(2, 5),
     edge_bits=st.integers(0, 2**20 - 1),
     vertex=st.integers(0, 4),
+    n_groups=st.integers(1, 3),
     pure=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
 )
-def test_adaptive_kernel_equals_scalar_trials(n, edge_bits, vertex, pure, seed):
+def test_adaptive_kernel_equals_scalar_trials(n, edge_bits, vertex, n_groups, pure, seeds):
     candidates = [e for size in (2, 3) for e in combinations(range(n), size)]
     edges = [e for i, e in enumerate(candidates) if edge_bits >> i & 1]
-    form = adaptive_form(hypergraph(n, edges), vertex % n)
+    spec = hypergraph(n, edges)
+    form = adaptive_form(spec, vertex % n)
     test = AdaptiveTest(form)
     assert test.layout.bases == (form.bases(),)
 
@@ -267,12 +277,10 @@ def test_adaptive_kernel_equals_scalar_trials(n, edge_bits, vertex, pure, seed):
             bits[idx],
         )
 
-    state = _state(n, seed, pure)
-    u = np.random.default_rng(seed).random(test.variates * 50)
-    passed, branches = test.sample(state, u, 50)
-    ok, scalar_branches = _scalar_trials(test, state, seed, 50)
-    assert passed.tolist() == ok
-    assert branches.tolist() == scalar_branches
+    # group i tests the (vertex + i)-th vertex
+    forms = [adaptive_form(spec, (vertex + i) % n) for i in range(n_groups)]
+    state = _state(n, seeds[0], pure)
+    _assert_kernel_equals_scalar_trials(AdaptiveTest(*forms), state, seeds, n_groups, 50)
 
 
 # ---------------------------------------------------------------------------

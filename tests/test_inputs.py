@@ -13,11 +13,12 @@ import json
 import math
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pauliverify import circuits, protocol
 from pauliverify.analysis import DistributionPair, hoeffding_calculator, hoeffding_tail
@@ -38,6 +39,7 @@ from pauliverify.schedules import (
     CapExceededError,
     budget_report,
     desk_params,
+    pass_cut,
     schedule_epsilon,
     schedule_params,
     supremacy_margin,
@@ -501,10 +503,12 @@ def test_loaders_read_input_only_through_field():
 
 # Widths stay at 10**4, so the width caps refuse before anything is allocated;
 # 10**4 runs of a valid config is a legitimate run of seconds, so run and
-# trial counts get 10**6, past RUN_COUNT_CAP and the register cap.
+# trial counts get 10**6, past RUN_COUNT_CAP and the register cap.  DELETE
+# removes the node, or the argument.
 LARGE = object()
+DELETE = object()
 COUNT_KEYS = {"k", "m", "runs", "trials"}
-VALUES = [None, math.nan, math.inf, -math.inf, -1, 0.5, "1", True, [1], {}, LARGE]
+VALUES = [None, math.nan, math.inf, -math.inf, -1, 0.5, "1", True, [1], {}, LARGE, DELETE]
 
 
 def _value(value, key):
@@ -523,12 +527,15 @@ def _paths(doc, prefix=()):
 
 def _mutated(doc, path, value):
     if not path:
-        return _value(value, None)
+        return {} if value is DELETE else _value(value, None)
     doc = copy.deepcopy(doc)
     node = doc
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = _value(value, path[-1])
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = _value(value, path[-1])
     return doc
 
 
@@ -536,13 +543,58 @@ def _no_constant(name):
     raise ValueError(f"{name} in output")
 
 
+# keys whose values are probabilities or fidelities, as numbers or quantities
+UNIT_KEYS = {"per_group_ppass", "p_pass", "p_pass_per_qubit", "p_pass_per_vertex"}
+RATE_KEYS = {"acceptance_rate", "predicted_acceptance"}
+
+
+def _number(value):
+    return value["value"] if isinstance(value, dict) else value
+
+
+def _nodes(doc):
+    """Every object in a JSON document."""
+    if isinstance(doc, dict):
+        yield doc
+    for child in doc.values() if isinstance(doc, dict) else doc if isinstance(doc, list) else ():
+        yield from _nodes(child)
+
+
+def check_report(doc):
+    """What a report of exit 0 must mean: rates, fidelities and verdicts that agree."""
+    for node in _nodes(doc):
+        for key in UNIT_KEYS & node.keys():
+            values = node[key] if isinstance(node[key], list) else [node[key]]
+            # rounding puts a probability a few ulps past 1
+            assert all(-1e-12 <= _number(v) <= 1 + 1e-12 for v in values), (key, node[key])
+        if node.get("target_fidelity") is not None:
+            assert -1e-12 <= node["target_fidelity"] <= 1 + 1e-12, node
+        for key in RATE_KEYS & node.keys():
+            assert 0 <= _number(node[key]) <= 1, (key, node[key])
+        if "bound" in node:  # negative when vacuous, by design
+            assert math.isfinite(_number(node["bound"])), node
+        if "groups" in node:  # one run's verdict
+            for g in node["groups"]:
+                assert 0 <= g["passes"] <= g["trials"], g
+                cut = pass_cut(g["comparison"], Fraction(g["threshold"]), g["trials"])
+                ok = g["passes"] <= cut if g["comparison"] == "<=" else g["passes"] >= cut
+                assert g["passed"] == ok, g
+            assert node["accepted"] == all(g["passed"] for g in node["groups"]), node
+        if "accepted_runs" in node:  # a verify call of several runs
+            assert node["acceptance_rate"] == node["accepted_runs"] / node["runs"], node
+        if "accepted" in node and "runs" in node:  # a robustness point
+            assert _number(node["acceptance_rate"]) == node["accepted"] / node["runs"], node
+
+
 def check_outcome(argv):
     code, out, err = run(argv)
     assert code in (0, 1, 2)
     if code:
         assert json.loads(err)["kind"] == ("cap_exceeded" if code == 2 else "config")
-    elif argv[0] != "selftest":  # selftest prints a text report
-        json.loads(out, parse_constant=_no_constant)
+        return
+    assert err == ""
+    if argv[0] != "selftest":  # selftest prints a text report
+        check_report(json.loads(out, parse_constant=_no_constant))
 
 
 def _json_cases(names):
@@ -570,8 +622,13 @@ def test_fuzzed_config_exits_cleanly(scratch, case, value):
     check_outcome(["verify", "--config", config])
 
 
+MINUS_Z = json.loads((DATA / "minus_z.json").read_text())
+
+
 @settings(max_examples=120)
 @given(case=_json_cases(TARGETS), value=st.sampled_from(VALUES))
+# a gap whose l1 norm 2/gap overflows, which no value of VALUES reaches
+@example(case=("minus_z.json", MINUS_Z, ("gap",)), value=1e-308)
 def test_fuzzed_target_exits_cleanly(scratch, case, value):
     name, doc, path = case
     target = scratch / name
@@ -581,6 +638,10 @@ def test_fuzzed_target_exits_cleanly(scratch, case, value):
     check_outcome(["verify", "--config", config])
     check_outcome(["ppass", "--target", target, "--state", "deviated:0.1"])
     check_outcome(["inspect", target])
+    check_outcome(
+        ["robustness", "--target", target, "--eps-prime", "0,0.1", "-k", "4", "--runs", "2",
+         "--seed", "1"]
+    )
 
 
 REPORT = json.loads((GOLDEN / "verify_hyper_honest.json").read_text())
@@ -626,6 +687,8 @@ def test_fuzzed_argument_exits_cleanly(case, value):
     command, index = case
     argv = [command]
     for i, (option, arg) in enumerate(BASE_ARGS[command]):
+        if i == index and value is DELETE:
+            continue
         text = _as_argument(value, option) if i == index else str(arg)
         argv.extend([f"{option}={text}"] if option else [text])
     check_outcome(argv)

@@ -397,9 +397,9 @@ def test_runs_sample_each_source_in_blocks_of_whole_runs(monkeypatch):
     calls = []
     sample = AdaptiveTest.sample
 
-    def spy(self, state, u, k):
+    def spy(self, state, rngs, k):
         calls.append(state)
-        return sample(self, state, u, k)
+        return sample(self, state, rngs, k)
 
     monkeypatch.setattr(AdaptiveTest, "sample", spy)
     target.runs(prover, params, seeds)
@@ -440,6 +440,46 @@ def test_entangled_cap_checked_before_the_joint_state_is_built():
     prover = entangled_demo_prover(good, apply_pauli(good, PauliString.from_axes("ZII")), 0.5)
     with pytest.raises(CapExceededError):
         prover.make_source(5, np.random.default_rng(0))  # 15 qubits
+
+
+class PerRegisterStates:
+    """A test-only joint source that puts a chosen state on each register."""
+
+    def __init__(self, states):
+        self.states = states
+        self.n = states[0].n
+
+    def measure(self, register, bases, rng):
+        record, _ = protocol.measure_in_bases(self.states[register], bases, rng)
+        return record
+
+    def register_state(self, register):
+        return self.states[register]
+
+
+def test_layout_against_a_register_dependent_prover():
+    # Z0 fails every group-0 test of the edge graph state and passes every
+    # group-1 test; group 0 needs 3 of 3 passes, so a run accepts exactly
+    # when neither bad register (0 or 1) lands among group 0's 3 of 9
+    target = prepare(hypergraph(2, [(0, 1)]))
+    params = desk_params("hypergraph", 2, k=3, m=2, epsilon=Fraction(1, 10))
+    assert params.n_registers == 9
+    bad = apply_pauli(target.ideal, PauliString.from_axes("ZI"))
+    source = PerRegisterStates([bad, bad] + [target.ideal] * 7)
+    prover = ProverModel("register_dependent", lambda n_reg, rng: source)
+    runs = 4000
+    reports = target.runs(prover, params, run_seeds(2024, runs))
+    accepted = np.array([rep.accepted for rep in reports])
+    bad_target = np.array([rep.target_fidelity < 0.5 for rep in reports])
+    for observed, exact in (
+        (accepted, Fraction(5, 12)),
+        (bad_target, Fraction(2, 9)),
+        (accepted & ~bad_target, Fraction(5, 18)),
+    ):
+        sigma = math.sqrt(exact * (1 - exact) / runs)
+        assert abs(observed.mean() - exact) <= 4 * sigma, (observed.mean(), exact)
+    counts = np.bincount([rep.target_register for rep in reports], minlength=9)
+    assert stats.chisquare(counts).pvalue > 1e-3
 
 
 def test_register_cap_boundary():
@@ -524,15 +564,14 @@ def test_run_seeds_deterministic():
 class ExactPassCount:
     """A run kernel stub: every group passes exactly ``passes`` of its k trials."""
 
-    variates = 1
-
     def __init__(self, group_l1: tuple[float, ...], passes: int):
         self.group_l1 = group_l1
         self.passes = passes
 
-    def sample(self, state, u, n_trials):
+    def sample(self, state, rngs, n_trials):
+        shape = (len(list(rngs)), len(self.group_l1), n_trials)
         flags = np.arange(n_trials) < self.passes
-        return np.tile(flags, u.size // n_trials), np.zeros(u.size, dtype=np.int64)
+        return np.broadcast_to(flags, shape), np.zeros(shape, dtype=np.int64)
 
 
 @given(
