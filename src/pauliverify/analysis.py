@@ -259,7 +259,8 @@ def robustness_sweep(
         ppass = prepared.group_ppass(prover.state)
         predicted = 1.0
         for p, threshold in zip(ppass, thresholds):
-            predicted *= tail(params.k, p, threshold)
+            # a rate one rounding past [0, 1] is a rate at its end, not NaN
+            predicted *= tail(params.k, min(max(p, 0.0), 1.0), threshold)
         points.append(
             SweepPoint(
                 eps_prime=eps_prime,

@@ -35,7 +35,7 @@ from .paulis import (
 )
 from .reporting import field, read_object
 from .schedules import budget_report
-from .states import DenseState, apply_on_axes, plus_state, pure_state
+from .states import HADAMARD, S_DAGGER, DenseState, apply_on_axes, plus_state, pure_state
 
 # The most Pauli terms a pushed-through stabilizer may hold.
 TERM_CAP = 1 << 18
@@ -45,11 +45,10 @@ class DecompositionIntractableError(ValueError):
     """The pushed-through stabilizer exceeded TERM_CAP Pauli terms."""
 
 
-_SQ2 = 1.0 / math.sqrt(2.0)
 GATE_MATRICES = {
-    "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
+    "H": HADAMARD,
     "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "SDG": np.array([[1, 0], [0, -1j]], dtype=complex),
+    "SDG": S_DAGGER,
     "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
     "X": PAULI_MATRICES["X"],
     "Y": PAULI_MATRICES["Y"],

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -199,11 +197,11 @@ def params_from_config(
         return schedule_params(protocol, n, l1_norm=l1_norm, k=field(cfg, "k", int, None))
     if mode != "desk":
         raise ValueError("params.mode must be 'desk' or 'paper'")
-    params = desk_params(protocol, n, k=field(cfg, "k", int), m=field(cfg, "m", int, 0))
+    k, m = field(cfg, "k", int), field(cfg, "m", int, 0)
     eps = field(cfg, "epsilon", float, None)
-    # the schedule epsilon divides by a power of k, so it waits for the k check
-    eps = schedule_epsilon(protocol, n, params.k) if eps is None else Fraction(str(eps))
-    return replace(params, epsilon=eps)
+    if eps is None:
+        eps = schedule_epsilon(protocol, n, k)
+    return desk_params(protocol, n, k=k, m=m, epsilon=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +241,7 @@ def _inspect_hypergraph(g: HypergraphSpec, z_layer) -> dict:
     alpha_ever_one = False
     for v in range(g.n):
         form = adaptive_form(g, v)
+        alpha_ever_one |= form.flips_sign
         entry = {
             "vertex": v,
             "z_neighbors": list(form.z_neighbors),
@@ -252,7 +251,6 @@ def _inspect_hypergraph(g: HypergraphSpec, z_layer) -> dict:
         if len(form.projector_support) <= 4:
             branches = []
             for a, alpha, residual in form.branch_table():
-                alpha_ever_one |= bool(alpha)
                 branches.append(
                     {
                         "a": "".join(str(b) for b in a),

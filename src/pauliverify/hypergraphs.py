@@ -15,7 +15,7 @@ vertex turns into the sign (-1)**a of that vertex).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
@@ -143,19 +143,15 @@ class AdaptiveStabilizerForm:
     z_neighbors: tuple[int, ...]
     cz_groups: tuple[tuple[int, ...], ...]
     projector_support: tuple[int, ...]
-    _branches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def branch_for_bits(self, key: int) -> tuple[int, tuple[int, ...]]:
         """Branch sign exponent and sorted residual Z-vertices for packed projector bits.
 
         ``key`` packs one bit per ``projector_support`` vertex, the first
-        vertex's bit most significant.  The memo serves ``branch_table``,
-        which reads every branch on each hypergraph ``group_ppass``; the
-        batched engine reads ``outcome_tables`` instead.
+        vertex's bit most significant.  A pure function of the form and the
+        key: ``branch_table`` lists it, and the batched engine reads
+        ``outcome_tables`` instead.
         """
-        hit = self._branches.get(key)
-        if hit is not None:
-            return hit
         support = self.projector_support
         width = len(support)
         if not 0 <= key < 1 << width:
@@ -176,10 +172,20 @@ class AdaptiveStabilizerForm:
                     alpha ^= bits[v]
                 else:
                     residual.append(v)
-        result = (alpha, tuple(sorted(residual)))
-        if len(self._branches) < (1 << 20):
-            self._branches[key] = result
-        return result
+        return alpha, tuple(sorted(residual))
+
+    @property
+    def flips_sign(self) -> bool:
+        """Whether some branch has alpha = 1, without listing the 2**width branches.
+
+        Over GF(2), alpha sums x_v for each 2-edge neighbor v in the support
+        and the product of a group's bits for each group whose carrier is in
+        the support (its projectors fire the Z, the carrier's bit reads it).
+        Distinct edges give distinct monomials, so alpha is 1 on some branch
+        exactly when one of these terms exists.
+        """
+        carriers = (grp[-1] for grp in self.cz_groups)
+        return not set(self.projector_support).isdisjoint([*self.z_neighbors, *carriers])
 
     def bases(self) -> str:
         """Measurement bases of the test: X on the vertex, Z everywhere else."""

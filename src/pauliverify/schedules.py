@@ -318,7 +318,8 @@ class MarginReport:
 
 def supremacy_margin(fidelity: float, sampler_error: float) -> MarginReport:
     """Total l1 bound 2*sqrt(1-F) + sampler_error against the 1/192 line."""
-    if not 0.0 <= fidelity <= 1.0:
+    # a computed overlap, such as a report's target_fidelity, rounds up to 1e-12 past 1
+    if not 0.0 <= fidelity <= 1.0 + 1e-12:
         raise ValueError("fidelity must lie in [0, 1]")
     if not 0.0 <= sampler_error < math.inf:
         raise ValueError(

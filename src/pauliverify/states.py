@@ -45,9 +45,9 @@ lies, which qubits it measures and which rows are finished together is a
   rotated tensors, one per rotated qubit.  A prefix shared with the previous
   basis is not rotated again; each rotation is the same call on the same
   input as the scalar path's, so the arrays are equal bit for bit;
-* a mixture mixes its parts' normalized rows in one elementwise pass, which
-  is the scalar path's arithmetic entry by entry; a maximally mixed part
-  gives the layout's uniform rows directly, without a stack of its own;
+* a mixture mixes its parts' finished stacks, each memoized on its part, in
+  one elementwise pass, which is the scalar path's arithmetic entry by entry;
+  the maximally mixed state's rows are uniform, which finishing leaves as is;
 * rows with the same number of measured qubits are finished together as
   one contiguous 2-D block, whose row-wise sum and cumsum give the same bits
   as the 1-D calls on each row.
@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -83,10 +83,10 @@ TRACE_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 
-_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-_SDG = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+S_DAGGER = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
 # Rotation that maps the measured eigenbasis onto the computational basis.
-BASIS_ROTATIONS = {"X": _H, "Y": _H @ _SDG, "Z": None, "I": None}
+BASIS_ROTATIONS = {"X": HADAMARD, "Y": HADAMARD @ S_DAGGER, "Z": None, "I": None}
 
 # The most entries one state's memo holds (scalar tables and stacks alike).
 MEMO_LIMIT = 8192
@@ -623,13 +623,6 @@ class StackLayout:
             blocks.append((at, starts[at, None] + np.arange(1 << m)))
         return cls(n, bases, measured, segments, 1 << int(counts.max()), tuple(blocks))
 
-    @cached_property
-    def uniform_rows(self) -> np.ndarray:
-        """The maximally mixed state's rows, 2**-m each; they are already normalized."""
-        rows = np.concatenate([np.full(1 << len(m), 2.0 ** -len(m)) for m in self.measured])
-        rows.flags.writeable = False
-        return rows
-
 
 @dataclass(frozen=True)
 class _TableStack:
@@ -665,22 +658,19 @@ def _pure_rows(state: DenseState, layout: StackLayout, rows: np.ndarray):
             rows[layout.segments[i]] = _marginal(full, layout.measured[i])
 
 
-def _normalized_rows(state: DenseState, layout: StackLayout) -> np.ndarray:
-    """A mixture part's normalized rows; a maximally mixed part needs no stack of its own."""
-    if state._parts == ():
-        return layout.uniform_rows
-    return _table_stack(state, layout).probs
-
-
 def _born_rows(state: DenseState, layout: StackLayout) -> np.ndarray:
-    """Raw Born rows of the layout's bases on ``state``, laid end to end at its segments."""
+    """Raw Born rows of the layout's bases on ``state``, laid end to end at its segments.
+
+    The cases are ``_measurement_table``'s: a mixture mixes its parts'
+    finished rows, and the maximally mixed state's rows are uniform.
+    """
     if state._parts:
         (w0, s0), (w1, s1) = state._parts
-        rows = w0 * _normalized_rows(s0, layout)
-        rows += w1 * _normalized_rows(s1, layout)
+        rows = w0 * _table_stack(s0, layout).probs
+        rows += w1 * _table_stack(s1, layout).probs
         return rows
     if state._parts == ():
-        return layout.uniform_rows
+        return np.concatenate([np.full(1 << len(m), 2.0 ** -len(m)) for m in layout.measured])
     rows = np.empty(layout.segments[-1].stop)
     if state.is_pure:
         _pure_rows(state, layout, rows)

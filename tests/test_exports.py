@@ -231,3 +231,46 @@ def test_a_scipy_import_is_found_with_its_function():
     assert set(scipy_imports(source)) == {
         (None, "scipy"), ("f", "scipy.special._ufuncs"), ("g", "scipy.stats"),
     }
+
+
+# ---------------------------------------------------------------------------
+# One memo rule: the package's one mutable field default is the state memo
+# that ``states._remember`` bounds; a frozen spec type keeps no hidden memo
+
+def default_factory_uses(source: str) -> list[str]:
+    """``Class.name`` of each field built by a ``default_factory=`` call, else its line."""
+    tree = ast.parse(source)
+    fields = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    fields[id(node.value)] = ", ".join(f"{cls.name}.{t.id}" for t in targets)
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and any(k.arg == "default_factory" for k in node.keywords)
+    ]
+    calls.sort(key=lambda node: node.lineno)
+    return [fields.get(id(node), f"line {node.lineno}") for node in calls]
+
+
+def test_the_one_field_default_factory_is_the_bounded_state_memo():
+    found = [
+        f"{path.stem}:{where}"
+        for path in sorted(SRC.glob("*.py"))
+        for where in default_factory_uses(path.read_text())
+    ]
+    assert found == ["states:DenseState._cache"]
+
+
+def test_a_default_factory_is_found_with_its_field():
+    source = (
+        "@dataclass(frozen=True)\n"
+        "class Form:\n"
+        "    n: int\n"
+        "    _memo: dict = field(default_factory=dict, compare=False)\n"
+        "make(default_factory=list)\n"
+    )
+    assert default_factory_uses(source) == ["Form._memo", "line 5"]

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pauliverify.hypergraphs import (
     adaptive_form,
@@ -264,6 +264,28 @@ def test_outcome_tables_follow_branch_for_bits_on_every_outcome(n, edge_bits, ve
                 mask |= bit_for_qubit(n, v)
             assert row_bits[idx] == key and key < 1 << width
             assert row_passes[idx] == (((idx & mask).bit_count() + alpha) % 2 == 0)
+
+
+@st.composite
+def _hub_hypergraphs(draw):
+    """Up to 12 vertices; triples (0, a, b) put any a of 1..n-2 in vertex 0's support."""
+    n = draw(st.integers(3, 12))
+    support = draw(st.permutations(range(1, n - 1)))[: draw(st.integers(0, n - 2))]
+    hub = [(0, a, draw(st.integers(a + 1, n - 1))) for a in sorted(support)]
+    others = [e for size in (2, 3) for e in combinations(range(n), size) if e not in hub]
+    return hypergraph(n, hub + draw(st.lists(st.sampled_from(others), max_size=6, unique=True)))
+
+
+@settings(max_examples=60)
+@given(g=_hub_hypergraphs())
+# vertex 0's support [1, 2, 4, 6, 8] is too wide for inspect to list; 2 is also a carrier
+@example(g=hypergraph(10, [(0, 1, 2), (0, 2, 3), (0, 4, 5), (0, 6, 7), (0, 8, 9)]))
+# twelve disjoint triples: no carrier is a projector, so no branch flips
+@example(g=hypergraph(25, [(0, 2 * i + 1, 2 * i + 2) for i in range(12)]))
+def test_flips_sign_is_whether_some_branch_has_alpha_one(g):
+    for v in range(g.n):
+        form = adaptive_form(g, v)
+        assert form.flips_sign == any(alpha for _, alpha, _ in form.branch_table())
 
 
 def test_outcome_tables_refuse_forms_of_different_widths():

@@ -229,6 +229,51 @@ def test_a_rescaling_that_overflows_is_config_error(tmp_path, command):
     assert caught == []
 
 
+def test_a_pass_rate_one_rounding_past_1_still_predicts_acceptance(tmp_path):
+    # the eps'=0.1 mixture's pass rate is 1.0000000000000002, whose binomial tail
+    # was NaN: exit 1, "Out of range float values are not JSON compliant: nan"
+    ring3 = json.loads((DATA / "ring3.json").read_text())
+    target = tmp_path / "ring3.json"
+    target.write_text(json.dumps(_edited(ring3, ground_energy=-1e20)))
+    argv = ["robustness", "--target", target, "--eps-prime", "0,0.1", "-k", "4", "--runs", "2",
+            "--seed", "1"]
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out, parse_constant=_no_constant)
+    check_report(doc)
+    point = doc["points"][1]
+    assert point["per_group_ppass"][0]["value"] == 1.0000000000000002  # reported as computed
+    assert point["predicted_acceptance"]["value"] == 0.0
+
+
+def test_iqp_margin_reads_the_fidelity_of_a_verify_report(tmp_path):
+    # a one-run ring3 report's target_fidelity rounds to 1.0000000000000009,
+    # which iqp-margin refused as outside [0, 1]
+    report = tmp_path / "report.json"
+    assert run(["verify", "--config", DATA / "verify_ring3.json", "--out", report])[0] == 0
+    check_report(json.loads(report.read_text()))
+    code, out, err = run(["iqp-margin", "--report", report])
+    assert (code, err) == (0, "")
+    doc = json.loads(out, parse_constant=_no_constant)
+    check_report(doc)
+    assert doc["margin"]["fidelity"] == 1.0000000000000009
+    assert doc["margin"]["state_term"]["value"] == 0.0
+    assert_refused(["iqp-margin", "--fidelity", "1.000001"], "fidelity must lie in [0, 1]")
+
+
+def test_inspect_finds_a_sign_flip_on_a_support_too_wide_to_list(tmp_path):
+    # vertex 0's support [1, 2, 4, 6, 8] lists no branches, and its flips went unseen
+    target = tmp_path / "wide.json"
+    edges = [[0, 1, 2], [0, 2, 3], [0, 4, 5], [0, 6, 7], [0, 8, 9]]
+    target.write_text(json.dumps({"n_vertices": 10, "edges": edges}))
+    code, out, err = run(["inspect", target])
+    assert (code, err) == (0, "")
+    doc = json.loads(out, parse_constant=_no_constant)
+    check_report(doc)
+    assert "branches" not in doc["stabilizers"][0]
+    assert doc["alpha_ever_one"] is True
+
+
 def _report(**fields) -> dict:
     doc = json.loads((GOLDEN / "verify_hyper_honest.json").read_text())
     doc["report"].update(fields)
@@ -504,11 +549,15 @@ def test_loaders_read_input_only_through_field():
 # Widths stay at 10**4, so the width caps refuse before anything is allocated;
 # 10**4 runs of a valid config is a legitimate run of seconds, so run and
 # trial counts get 10**6, past RUN_COUNT_CAP and the register cap.  DELETE
-# removes the node, or the argument.
+# removes the node, or the argument.  The last three VALUES are valid but
+# extreme numbers, which pass the typing rule and reach the arithmetic.
 LARGE = object()
 DELETE = object()
 COUNT_KEYS = {"k", "m", "runs", "trials"}
-VALUES = [None, math.nan, math.inf, -math.inf, -1, 0.5, "1", True, [1], {}, LARGE, DELETE]
+VALUES = [
+    None, math.nan, math.inf, -math.inf, -1, 0.5, "1", True, [1], {}, LARGE, DELETE,
+    1e300, -1e20, 1e-300,
+]
 
 
 def _value(value, key):
