@@ -2,7 +2,9 @@
 
 Every reported number carries its computation mode ("exact", "monte_carlo",
 or "bound") so downstream consumers never mistake a sampled rate for a
-closed-form value.
+closed-form value.  The robustness sweep's measured acceptance counts the
+runs whose every group clears its cut, from the prepared target's
+``pass_counts``; it builds no verdict report.
 """
 from __future__ import annotations
 
@@ -20,7 +22,9 @@ import numpy as np
 from .hypergraphs import HypergraphSpec, build_state
 from .paulis import PauliString, qubit_mask
 from .states import DenseState, apply_pauli, outcome_distribution, overlap, to_density
-from .protocol import PreparedTarget, check_run_sizes, iid_deviated_prover, run_seeds
+from .protocol import (
+    PreparedTarget, check_epsilon_prime, check_run_sizes, iid_deviated_prover, run_seeds
+)
 from .schedules import ProtocolParams, pass_cut, quantity
 from .single_copy import binomial_sigma
 
@@ -242,21 +246,25 @@ def robustness_sweep(
 ) -> list[SweepPoint]:
     """Measured acceptance of i.i.d.-deviated provers against the acceptance bound.
 
-    Each point derives its own seed chain from ``seed``.  The bound is stated
-    for hypergraph targets; for the others it reuses that functional form
-    over their groups and is labeled "extrapolated".
+    Each point derives its own seed chain from ``seed``.  Every eps' is
+    checked before the first point is sampled.  The bound is stated for
+    hypergraph targets; for the others it reuses that functional form over
+    their groups and is labeled "extrapolated".
     """
     check_run_sizes(runs)
+    eps_primes = [float(eps_prime) for eps_prime in eps_primes]
+    for eps_prime in eps_primes:
+        check_epsilon_prime(eps_prime)
     thresholds = prepared.thresholds(params.epsilon)
+    cuts = prepared.pass_cuts(params)
     tail = binomial_tail_le if prepared.comparison == "<=" else binomial_tail_ge
     label = "stated" if prepared.protocol == "hypergraph" else "extrapolated"
     points = []
     for eps_prime, point_seed in zip(eps_primes, run_seeds(seed, len(eps_primes))):
-        eps_prime = float(eps_prime)
-        prover = iid_deviated_prover(prepared.ideal, eps_prime, eta)
-        reports = prepared.runs(prover, params, run_seeds(point_seed, runs))
-        accepted = sum(r.accepted for r in reports)
-        ppass = prepared.group_ppass(prover.state)
+        state = iid_deviated_prover(prepared.ideal, eps_prime, eta).state
+        counts = prepared.pass_counts(state, params, run_seeds(point_seed, runs))
+        accepted = int(np.count_nonzero(prepared.groups_pass(counts, cuts).all(axis=1)))
+        ppass = prepared.group_ppass(state)
         predicted = 1.0
         for p, threshold in zip(ppass, thresholds):
             # a rate one rounding past [0, 1] is a rate at its end, not NaN

@@ -129,11 +129,10 @@ class Gate:
 
     def rule_on(self, n: int) -> dict:
         """The gate's rule with keys and images moved onto ``n``-qubit masks."""
-        arity = len(self.qubits)
-        lift = [  # local mask -> register mask
-            qubit_mask(n, (q for t, q in enumerate(self.qubits) if m & bit_for_qubit(arity, t)))
-            for m in range(1 << arity)
-        ]
+        lift = [0]  # local mask -> register mask; the first qubit is the local top bit
+        for q in self.qubits:
+            bit = bit_for_qubit(n, q)
+            lift = [mask | b for mask in lift for b in (0, bit)]
         rule = rz_conjugation(self.angle) if self.name == "RZ" else gate_table(self.name)
         return {
             (lift[x], lift[z]): [(lift[gx], lift[gz], f) for (gx, gz), f in images]

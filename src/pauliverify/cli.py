@@ -581,3 +581,6 @@ def main(argv=None) -> int:
     sys.stderr.write(reporting.canonical_json({"error": error, "kind": kind}))
     return code
 
+
+if __name__ == "__main__":
+    sys.exit(main())

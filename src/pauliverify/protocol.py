@@ -9,22 +9,24 @@ floating-point noise.
 ``prepare(target)`` builds a target's tests once, and its
 ``PreparedTarget.runs`` is the engine.  A prover's source is either the one
 DenseState that every register carries, or a joint source over all
-registers.  One engine call makes all the runs of a verify call or of a
-robustness sweep point, one per seed.
-Each run keeps its own generator streams, the spawned children of its seed
-(layout, prover, tests), so its bytes do not depend on the other runs of
-the call.  The prover stream is built only for a prover that draws from it:
-a fixed-state prover (honest, iid_deviated, coherent_error) carries its
-state, and its runs build the layout and test streams alone, which are the
-same streams either way.  The engine makes one pass over the seeds that
-lays out each run and finds its source, grouping the runs by source.  Then
-each source's runs are sampled in blocks of whole runs of at most
-BLOCK_TRIALS trials, one call of the test's batched ``sample`` per block,
-given each run's test stream.  Only the tiny entangled demo returns a joint
-source (total qubits capped at 12); each measurement conditions its joint
-state, so each of its runs is one call of the test's scalar ``trials``,
-decided in that pass.  This module draws no uniform of a test stream:
-single_copy's run kernels draw them all.
+registers.  One engine call makes all the runs of a verify call, one per
+seed.  Each run keeps its own generator streams, the spawned children of
+its seed (layout, prover, tests), so its bytes do not depend on the other
+runs of the call.  The prover stream is built only for a prover that draws
+from it: a fixed-state prover (honest, iid_deviated, coherent_error)
+carries its state, and its runs build the layout and test streams alone,
+which are the same streams either way.  The engine makes one pass over the
+seeds that lays out each run and finds its source, grouping the runs by
+source.  Then each source's runs are sampled in blocks of whole runs of at
+most BLOCK_TRIALS trials, one call of the test's batched ``sample`` per
+block, given each run's test stream.  Only the tiny entangled demo returns
+a joint source (total qubits capped at 12); each measurement conditions its
+joint state, so each of its runs is one call of the test's scalar
+``trials``, decided in that pass.  A robustness sweep point reads only how
+many runs pass: ``PreparedTarget.pass_counts`` samples a fixed state's runs
+with the engine's block loop and builds their test streams alone, because
+a fixed-state run's pass counts do not depend on its layout.  This module
+draws no uniform of a test stream: single_copy's run kernels draw them all.
 """
 from __future__ import annotations
 
@@ -156,12 +158,17 @@ def honest_prover(ideal: DenseState) -> ProverModel:
     return _fixed("honest", ideal)
 
 
+def check_epsilon_prime(epsilon_prime: float) -> None:
+    """Refuse a deviation weight outside [0, 1]; NaN fails the check too."""
+    if not 0.0 <= epsilon_prime <= 1.0:
+        raise ValueError("epsilon_prime must lie in [0, 1]")
+
+
 def iid_deviated_prover(
     ideal: DenseState, epsilon_prime: float, eta: DenseState
 ) -> ProverModel:
     """Every register carries (1 - eps') ideal + eps' eta; at eps' = 0, the ideal itself."""
-    if not 0.0 <= epsilon_prime <= 1.0:
-        raise ValueError("epsilon_prime must lie in [0, 1]")
+    check_epsilon_prime(epsilon_prime)
     if eta.n != ideal.n:
         raise ValueError("eta and the ideal state differ in width")
     state = mixture(ideal, eta, epsilon_prime) if epsilon_prime > 0.0 else ideal
@@ -344,8 +351,8 @@ class _Verdicts:
     def __init__(self, target: PreparedTarget, params, prover_kind, record_trials):
         thresholds = target.thresholds(params.epsilon)
         self.shape = (len(thresholds), params.k)
-        self.comparison = target.comparison
-        self.cuts = np.array([pass_cut(self.comparison, t, params.k) for t in thresholds])
+        self.comparison, self.groups_pass = target.comparison, target.groups_pass
+        self.cuts = target.pass_cuts(params)
         self.thresholds = [f"{t.numerator}/{t.denominator}" for t in thresholds]
         self.params, self.prover_kind = params, prover_kind
         self.labels = target.test.branch_labels if record_trials else None
@@ -353,7 +360,7 @@ class _Verdicts:
     def decide(self, runs: list[_Run], passed, branches, fidelity) -> list[VerdictReport]:
         """The reports of ``runs`` on one source, from (runs, groups, k) arrays."""
         counts = np.count_nonzero(passed, axis=-1)
-        ok = counts <= self.cuts if self.comparison == "<=" else counts >= self.cuts
+        ok = self.groups_pass(counts, self.cuts)
         k, comparison = self.params.k, self.comparison
         reports = []
         for j, (run, run_counts, run_ok) in enumerate(zip(runs, counts.tolist(), ok.tolist())):
@@ -396,8 +403,9 @@ class PreparedTarget:
     ``test`` holds every group's single-copy test; group i passes at rate
     1/2 + <g_i>/(2 * group_l1[i]), the adaptive test being the unit-norm
     case.  ``runs(prover, params, seeds, record_trials)`` is the protocol
-    engine, and ``group_ppass(state)`` is each group's exact pass probability
-    on ``state``.
+    engine, ``pass_counts(state, params, seeds)`` the group pass counts of
+    its runs on one state, and ``group_ppass(state)`` each group's exact
+    pass probability on ``state``.
     """
 
     protocol: str
@@ -424,6 +432,52 @@ class PreparedTarget:
     def group_ppass(self, state: DenseState) -> tuple[float, ...]:
         return self.test.exact_ppass(state)
 
+    def pass_cuts(self, params: ProtocolParams) -> np.ndarray:
+        """Each group's ``pass_cut``: the whole pass count its k trials compare with."""
+        return np.array(
+            [pass_cut(self.comparison, t, params.k) for t in self.thresholds(params.epsilon)]
+        )
+
+    def groups_pass(self, counts: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+        """Whether each group's whole pass count compares to its cut by ``COMPARISON``."""
+        return counts <= cuts if self.comparison == "<=" else counts >= cuts
+
+    def _check_runs(self, params: ProtocolParams) -> None:
+        """Refuse params for another target, or a run over the register cap."""
+        if params.protocol != self.protocol or params.n != self.ideal.n:
+            raise ValueError(f"params are not for this {self.protocol} target")
+        check_executable(params)
+
+    def _blocks(self, state: DenseState, seeds: Sequence[int], k: int):
+        """Sample runs on ``state`` in blocks of whole runs; yields (start, passed, branches).
+
+        One ``test.sample`` call per block of at most BLOCK_TRIALS trials (a
+        larger run is a block of its own); ``start`` indexes its first seed.
+        """
+        block = max(1, BLOCK_TRIALS // (len(self.group_l1) * k))  # whole runs
+        for start in range(0, len(seeds), block):
+            rngs = (_run_rng(seed, TEST_STREAM) for seed in seeds[start : start + block])
+            passed, branches = self.test.sample(state, rngs, k)
+            yield start, passed, branches
+
+    def pass_counts(
+        self, state: DenseState, params: ProtocolParams, seeds: Sequence[int]
+    ) -> np.ndarray:
+        """The (runs, groups) pass counts of one run per seed, ``state`` in every register.
+
+        The counts are those of ``runs`` with a prover that carries
+        ``state``, refused in the same cases: a fixed-state run's counts
+        read only its test stream, not its layout.  So this draws no layout
+        or prover stream, evaluates no fidelity and builds no report.
+        """
+        self._check_runs(params)
+        if state.n != params.n:
+            raise ValueError("prover register width does not match the protocol")
+        counts = np.empty((len(seeds), len(self.group_l1)), dtype=np.int64)
+        for start, passed, _ in self._blocks(state, seeds, params.k):
+            counts[start : start + len(passed)] = np.count_nonzero(passed, axis=-1)
+        return counts
+
     def runs(
         self,
         prover: ProverModel,
@@ -439,17 +493,14 @@ class PreparedTarget:
         compares to its ``group_thresholds`` entry by ``COMPARISON``.  One
         pass over the seeds lays out each run and groups the runs by source.
         Then each DenseState source's fidelity is evaluated once, and its
-        runs are sampled in blocks of whole runs, at most BLOCK_TRIALS
-        trials each (a larger run is a block of its own), with one
-        ``test.sample`` call per block, given the block's test streams.  A
-        joint source (the entangled demo) is decided in the first pass by
-        one ``test.trials`` call, because each measurement conditions its
-        joint state; it consumes the test stream in the same order.
+        runs are sampled by ``_blocks``, the loop ``pass_counts`` samples
+        with.  A joint source (the entangled demo) is decided in the first
+        pass by one ``test.trials`` call, because each measurement
+        conditions its joint state; it consumes the test stream in the same
+        order.
         """
-        if params.protocol != self.protocol or params.n != self.ideal.n:
-            raise ValueError(f"params are not for this {self.protocol} target")
+        self._check_runs(params)
         test, fidelity = self.test, self.fidelity
-        check_executable(params)
         n_reg = params.n_registers
         verdicts = _Verdicts(self, params, prover.kind, record_trials)
         reports: list[VerdictReport | None] = [None] * len(seeds)
@@ -471,13 +522,10 @@ class PreparedTarget:
             run_fidelity = None if fidelity is None else fidelity(source.register_state(target))
             run = _Run(index, seed, target, groups)
             (reports[index],) = verdicts.decide([run], passed[None], branches[None], run_fidelity)
-        block = max(1, BLOCK_TRIALS // (verdicts.shape[0] * params.k))  # whole runs
         for source, runs in by_source.items():
             source_fidelity = None if fidelity is None else fidelity(source)
-            for start in range(0, len(runs), block):
-                chunk = runs[start : start + block]
-                rngs = (_run_rng(run.seed, TEST_STREAM) for run in chunk)
-                passed, branches = test.sample(source, rngs, params.k)
+            for start, passed, branches in self._blocks(source, [r.seed for r in runs], params.k):
+                chunk = runs[start : start + len(passed)]
                 decided = verdicts.decide(chunk, passed, branches, source_fidelity)
                 for run, report in zip(chunk, decided):
                     reports[run.index] = report

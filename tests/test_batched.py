@@ -7,7 +7,8 @@ demands identical results, not statistically close ones.
 """
 import json
 import tracemalloc
-from itertools import combinations
+from dataclasses import replace
+from itertools import combinations, groupby
 from pathlib import Path
 from unittest.mock import patch
 
@@ -24,6 +25,7 @@ from pauliverify.hamiltonians import HamiltonianSpec
 from pauliverify.hypergraphs import adaptive_form, hypergraph
 from pauliverify.paulis import PauliString, PauliSum, merge_pauli_terms
 from pauliverify.protocol import (
+    PreparedTarget,
     ProverModel,
     classically_correlated_prover,
     coherent_error_prover,
@@ -541,6 +543,76 @@ def test_runs_of_one_call_equal_the_runs_made_one_by_one(target, k, m, master, n
             alone = prepared.runs(prover, params, [seed], True)[0]
             assert report.to_jsonable() == alone.to_jsonable()
             assert_same_trials(report, alone)
+
+
+@settings(max_examples=40)
+@given(
+    target=small_targets(),
+    k=st.integers(1, 8),
+    n_runs=st.integers(1, 3),
+    master=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([1, 9, 40, None]),
+)
+def test_pass_counts_are_the_group_passes_of_the_runs(target, k, n_runs, master, block):
+    # a block of 1 trial holds one run; the default block holds all of them
+    _, spec = target
+    prepared = prepare(spec)
+    params = desk_params(prepared.protocol, spec.n, k=k, m=1, epsilon=0.2)
+    seeds = run_seeds(master, n_runs)
+    for prover in product_provers(prepared.ideal)[:3]:
+        assert prover.state is not None
+        with patch.object(protocol, "BLOCK_TRIALS", block or protocol.BLOCK_TRIALS):
+            counts = prepared.pass_counts(prover.state, params, seeds)
+            reports = prepared.runs(prover, params, seeds)
+        assert counts.shape == (n_runs, len(prepared.group_l1))
+        assert counts.tolist() == [[g.passes for g in r.groups] for r in reports]
+
+
+def test_pass_counts_of_a_run_over_the_block_equal_its_group_passes():
+    # 3 groups of 6000 trials: one run is more than BLOCK_TRIALS, a block of its own
+    prepared, _ = circuit_case()
+    params = desk_params("circuit", 3, k=6000, m=0, epsilon=0.2)
+    assert len(prepared.group_l1) * params.k > protocol.BLOCK_TRIALS
+    seeds = run_seeds(8, 2)
+    prover = iid_deviated_prover(prepared.ideal, 0.1, maximally_mixed(3))
+    counts = prepared.pass_counts(prover.state, params, seeds)
+    reports = prepared.runs(prover, params, seeds)
+    assert counts.tolist() == [[g.passes for g in r.groups] for r in reports]
+
+
+def test_robustness_reads_only_the_test_streams_of_its_runs(monkeypatch, tmp_path):
+    # P points of R runs, in blocks of 2 runs: the sweep's whole work ledger
+    spec = load_target(DATA / "clifford_t.json")[1]
+    groups, k, points, runs = len(prepare(spec).group_l1), 10, 3, 5
+    monkeypatch.setattr(protocol, "BLOCK_TRIALS", 2 * groups * k)
+    streams, layouts, fidelities, engine_calls, samples = [], [], [], [], []
+    run_rng, layout, runs_method = protocol._run_rng, protocol.choose_layout, PreparedTarget.runs
+    sample, prepare_target = ParityTest.sample, protocol.prepare
+
+    def counted_prepare(target):
+        prepared = prepare_target(target)
+        fidelity = prepared.fidelity
+        return replace(prepared, fidelity=lambda s: fidelities.append(s) or fidelity(s))
+
+    monkeypatch.setattr(
+        protocol, "_run_rng", lambda seed, stream: streams.append(stream) or run_rng(seed, stream)
+    )
+    monkeypatch.setattr(protocol, "choose_layout", lambda *a: layouts.append(a) or layout(*a))
+    monkeypatch.setattr(protocol, "prepare", counted_prepare)
+    monkeypatch.setattr(
+        PreparedTarget, "runs", lambda *a, **kw: engine_calls.append(a) or runs_method(*a, **kw)
+    )
+    monkeypatch.setattr(ParityTest, "sample", lambda *a: samples.append(a) or sample(*a))
+    argv = [
+        "robustness", "--target", str(DATA / "clifford_t.json"), "--eps-prime", "0,0.05,0.2",
+        "-k", str(k), "--runs", str(runs), "--seed", "5", "--out", str(tmp_path / "out.json"),
+    ]
+    assert main(argv) == 0
+    assert streams == [protocol.TEST_STREAM] * (points * runs)
+    assert layouts == fidelities == engine_calls == []
+    # each point's calls sample its own state; the held arguments keep each id unique
+    per_point = [len(list(calls)) for _, calls in groupby(samples, key=lambda a: id(a[1]))]
+    assert per_point == [-(-runs // 2)] * points
 
 
 def test_a_sweep_point_makes_one_term_search_and_one_outcome_search(monkeypatch, tmp_path):

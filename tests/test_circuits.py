@@ -25,7 +25,9 @@ from pauliverify.circuits import (
     rz_matrix,
 )
 from pauliverify.hamiltonians import load_hamiltonian, rescale
-from pauliverify.paulis import DROP_THRESHOLD, PauliString, decompose_in_pauli_basis, qubit_mask
+from pauliverify.paulis import (
+    DROP_THRESHOLD, PauliString, bit_for_qubit, decompose_in_pauli_basis, qubit_mask
+)
 from pauliverify.states import apply_on_axes, plus_state, random_pure_state, to_density
 
 from conftest import dense_from_axes, SINGLE
@@ -315,6 +317,36 @@ def test_build_circuit_state_equals_the_tensordot_loop_bit_for_bit(rng):
             psi = tensordot_then_moveaxis(gate.matrix(), psi, gate.qubits)
         got = build_circuit_state(c).data
         assert np.array_equal(int_view(got), int_view(psi.reshape(-1)))
+
+
+def rule_lifted_by_qubit_mask(gate: Gate, n: int) -> dict:
+    """Gate.rule_on as it read when each local mask was lifted with qubit_mask."""
+    arity = len(gate.qubits)
+    lift = [
+        qubit_mask(n, (q for t, q in enumerate(gate.qubits) if m & bit_for_qubit(arity, t)))
+        for m in range(1 << arity)
+    ]
+    rule = rz_conjugation(gate.angle) if gate.name == "RZ" else gate_table(gate.name)
+    return {
+        (lift[x], lift[z]): [(lift[gx], lift[gz], f) for (gx, gz), f in images]
+        for (x, z), images in rule.items()
+    }
+
+
+@pytest.mark.parametrize("n", [3, 8, 70, 2048])
+def test_lifted_rules_equal_the_qubit_mask_lift(n):
+    rng = np.random.default_rng(n)
+    for name, arity in sorted(GATE_ARITY.items()):
+        for _ in range(3):
+            qubits = tuple(rng.choice(n, size=arity, replace=False).tolist())
+            angle = float(rng.uniform(-2 * np.pi, 2 * np.pi)) if name == "RZ" else None
+            gate = Gate(name, qubits, angle)
+            got, want = gate.rule_on(n), rule_lifted_by_qubit_mask(gate, n)
+            assert list(got) == list(want)
+            for key, images in got.items():
+                assert [(x, z, f.hex()) for x, z, f in images] == [
+                    (x, z, f.hex()) for x, z, f in want[key]
+                ]
 
 
 def push_through_with_masks_per_gate(c: CircuitSpec, qubit: int) -> list[PauliString]:

@@ -660,6 +660,23 @@ def test_robustness_without_deviations_is_config_error(capsys):
     assert_config_error(code, out, err, "eps-prime needs at least one deviation")
 
 
+def test_robustness_refuses_every_deviation_before_the_first_point(capsys, monkeypatch):
+    from pauliverify.single_copy import AdaptiveTest
+
+    sampled = []
+    monkeypatch.setattr(AdaptiveTest, "sample", lambda *args: sampled.append(args))
+    code, out, err = run_cli(
+        [
+            "robustness", "--target", str(DATA / "triple.json"),
+            "--eps-prime", "0,1.5", "-k", "5", "--runs", "2", "--seed", "1",
+        ],
+        capsys,
+    )
+    assert_config_error(code, out, err, "epsilon_prime must lie in [0, 1]")
+    assert json.loads(err) == {"error": "epsilon_prime must lie in [0, 1]", "kind": "config"}
+    assert sampled == []
+
+
 # ---------------------------------------------------------------------------
 # The state selectors, prover fields and refusals that no golden runs
 
@@ -893,6 +910,25 @@ def _script_result(argv, cwd, script) -> dict:
 
 def _modules_after_main(argv, cwd, script=MODULES_AFTER_MAIN) -> set[str]:
     return set(_script_result(argv, cwd, script)["modules"])
+
+
+def _run_module(module, argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, env=env, cwd=ROOT
+    )
+
+
+def test_the_cli_module_runs_as_the_package_does():
+    argv = ["params", "--protocol", "ground", "--n", "2", "--l1", "1"]
+    via_cli, via_package = _run_module("pauliverify.cli", argv), _run_module("pauliverify", argv)
+    assert via_cli.returncode == via_package.returncode == 0
+    assert via_cli.stdout and via_cli.stdout == via_package.stdout
+    bad = _run_module("pauliverify.cli", ["params", "--protocol", "nope", "--n", "2"])
+    assert bad.returncode == 1 and bad.stdout == b""
+    assert json.loads(bad.stderr)["kind"] == "config"
+    assert "invalid choice: 'nope'" in json.loads(bad.stderr)["error"]
 
 
 @pytest.mark.parametrize("target", ["clifford_t.json", "ring3.json"])

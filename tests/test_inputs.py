@@ -353,6 +353,17 @@ def test_protocol_params_name_the_field_out_of_range(n, k, m, message):
 _UP, _DOWN = computational_state(1, 0), computational_state(1, 1)
 _Z = PauliSum.of([PauliString.from_axes("Z")])
 
+
+def _unsampled_pass_counts(state, params):
+    """``pass_counts`` of a one-qubit circuit target whose test may not sample."""
+    prepared = prepare(circuit(1, [("T", (0,))]))
+
+    def sample(*args):
+        raise AssertionError("sampled before the refusal")
+
+    prepared.test.sample = sample
+    return prepared.pass_counts(state, params, [1, 2])
+
 # A NaN, an infinity or a size below 1 is refused with a ValueError; the
 # message names the value where the check spells one.
 LIBRARY_REFUSALS = [
@@ -436,6 +447,23 @@ LIBRARY_REFUSALS = [
         "schedule_epsilon-hypergraph-negative",
         lambda: schedule_epsilon("hypergraph", 3, -3),
         "k must be at least 1, got -3",
+    ),
+    (
+        "pass_counts-protocol",
+        lambda: _unsampled_pass_counts(_UP, desk_params("ground", 1, k=5)),
+        "params are not for this circuit target",
+    ),
+    (
+        "pass_counts-width",
+        lambda: _unsampled_pass_counts(computational_state(2, 0), desk_params("circuit", 1, k=5)),
+        "prover register width does not match the protocol",
+    ),
+    (
+        "pass_counts-register-cap",
+        lambda: _unsampled_pass_counts(
+            _UP, desk_params("circuit", 1, k=protocol.EXECUTABLE_REGISTER_CAP)
+        ),
+        "report-only",
     ),
     (
         "monte_carlo_pass_rate",
