@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypergraphs import HypergraphSpec, build_state
+from .hypergraphs import HypergraphSpec, build_state, z_layer_on
 from .paulis import PauliString, qubit_mask
 from .states import DenseState, apply_pauli, outcome_distribution, overlap, to_density
 from .protocol import (
@@ -46,9 +46,9 @@ def iqp_output_distribution(
     g: HypergraphSpec, z_layer: Sequence[int] = ()
 ) -> np.ndarray:
     """X-basis distribution of the hypergraph state with a local-Z layer."""
+    zmask = qubit_mask(g.n, z_layer_on(g.n, z_layer))
     state = build_state(g)
-    if z_layer:
-        zmask = qubit_mask(g.n, z_layer)
+    if zmask:
         state = apply_pauli(state, PauliString(g.n, 0, zmask, 1.0))
     return x_basis_distribution(state)
 

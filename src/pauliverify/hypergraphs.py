@@ -301,11 +301,18 @@ def load_hypergraph(source: str | Path | dict) -> tuple[HypergraphSpec, tuple[in
     obj = reporting.read_object(source, "the hypergraph")
     edges = reporting.field(obj, "edges", list[list[int]])
     g = hypergraph(reporting.field(obj, "n_vertices", int), edges)
-    z_layer = tuple(sorted(reporting.field(obj, "z_layer", list[int], ())))
-    for v in z_layer:
-        if not 0 <= v < g.n:
+    return g, z_layer_on(g.n, reporting.field(obj, "z_layer", list[int], ()))
+
+
+def z_layer_on(n: int, vertices) -> tuple[int, ...]:
+    """The sorted vertices of a local-Z layer; Z*Z = I, so a repeated vertex is refused."""
+    z_layer = tuple(sorted(vertices))
+    for i, v in enumerate(z_layer):
+        if not 0 <= v < n:
             raise ValueError(f"z-layer vertex {v} out of range")
-    return g, z_layer
+        if i and z_layer[i - 1] == v:
+            raise ValueError(f"z-layer vertex {v} is repeated")
+    return z_layer
 
 
 def hypergraph_to_jsonable(g: HypergraphSpec, z_layer: tuple[int, ...] = ()) -> dict:

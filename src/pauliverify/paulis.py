@@ -185,6 +185,9 @@ def merge_pauli_terms(terms: Iterable[PauliString]) -> list[PauliString]:
         acc[t.key] = acc.get(t.key, 0.0) + t.coeff
     if n is None:
         raise ValueError("no terms to merge")
+    for (x, z), c in acc.items():
+        if math.isnan(c):  # inf - inf; abs(c) > DROP_THRESHOLD would drop it as if 0
+            raise ValueError(f"the coefficients of {PauliString(n, x, z).axes} sum to nan")
     kept = [
         PauliString(n, x, z, c) for (x, z), c in acc.items() if abs(c) > DROP_THRESHOLD
     ]

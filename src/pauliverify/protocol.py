@@ -188,7 +188,8 @@ def classically_correlated_prover(
     """One shared random draw per run selects which state fills every register.
 
     This is the simplest non-i.i.d.-across-runs adversary: registers within a
-    run are perfectly classically correlated through the shared draw.
+    run are perfectly classically correlated through the shared draw.  The
+    states must share one width, so that no draw decides whether a run fails.
     """
     states = list(states)
     w = np.asarray(weights, dtype=float)
@@ -196,6 +197,9 @@ def classically_correlated_prover(
         raise ValueError("need one weight per state")
     if not np.all(w >= 0) or not abs(w.sum() - 1.0) <= 1e-9:
         raise ValueError("weights must be a probability vector")
+    for state in states:
+        if state.n != states[0].n:
+            raise ValueError(f"the states differ in width: {states[0].n} and {state.n} qubits")
     cum = np.cumsum(w)
 
     def make(n_registers, rng):

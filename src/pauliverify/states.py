@@ -9,17 +9,24 @@ the eigenvalue check.  The maximally mixed state is written as zeros with
 part's diagonal instead of building the dense weight * I/dim; both are the
 bits of the dense arithmetic (see ``mixture``).
 
-Per-state measurement tables (outcome distributions over the measured
-qubits) are memoized on the instance, keyed by the basis string for a single
-table and by the layout's basis tuple for a stack, which makes repeated
-sampling of the same state in the same bases cheap.  How a table's raw Born
-row is built follows from how the state was built:
+Born tables (outcome distributions over the measured qubits) have one
+builder, ``_table_stack``: the tables of a tuple of bases are one stack,
+memoized on the state under that tuple, so repeated sampling of the same
+state in the same bases is cheap.  The scalar path (``measure_in_bases``,
+``outcome_distribution``) reads its basis's one-basis stack.  How
+``_born_rows`` builds a stack's raw rows follows from how the state was built:
 
-* a pure state's row rotates the amplitudes into the computational basis
-  and squares them;
-* the maximally mixed state's row is uniform, 2**-m over m measured qubits;
-* a convex mixture's row is the same mixture of its two components'
-  normalized rows, because Born probabilities are linear in rho;
+* a pure state's distinct bases are walked in the sorted order of their
+  rotated letters ((qubit, letter), ...), keeping only the current path of
+  rotated tensors, one per rotated qubit, so a prefix shared with the
+  previous basis is not rotated again.  Each rotation is the same call on
+  the same input whatever the other bases are, so a row is the row of the
+  basis's own one-basis stack bit for bit;
+* the maximally mixed state's rows are uniform, 2**-m over m measured
+  qubits, which finishing leaves as is;
+* a convex mixture's rows are the same mixture of its two components'
+  finished rows, each stack memoized on its part, in one elementwise pass,
+  because Born probabilities are linear in rho;
 * any other density matrix (a caller-supplied one, a random mixed state, a
   reduced density matrix) is contracted qubit by qubit: each qubit's row and
   column axes are merged into its Born weights (traced out for I, the
@@ -34,31 +41,20 @@ from a cache keyed by (ndim, axes), so a call pays for neither function's
 argument handling, and the bits are theirs.
 
 ``_finish_rows`` then clips every row at 0, normalizes it and sums it into
-its CDF.  ``_measurement_table`` builds one basis at a time and is the scalar
-reference.  A group of bases sampled together is built as one stack, its
-rows laid end to end by ``_born_rows``, with the same bits.  Where each row
-lies, which qubits it measures and which rows are finished together is a
-``StackLayout``, which a test works out once for all the states it samples:
-
-* a pure state's distinct bases are walked in the sorted order of their
-  rotated letters ((qubit, letter), ...), keeping only the current path of
-  rotated tensors, one per rotated qubit.  A prefix shared with the previous
-  basis is not rotated again; each rotation is the same call on the same
-  input as the scalar path's, so the arrays are equal bit for bit;
-* a mixture mixes its parts' finished stacks, each memoized on its part, in
-  one elementwise pass, which is the scalar path's arithmetic entry by entry;
-  the maximally mixed state's rows are uniform, which finishing leaves as is;
-* rows with the same number of measured qubits are finished together as
-  one contiguous 2-D block, whose row-wise sum and cumsum give the same bits
-  as the 1-D calls on each row.
+its CDF.  Rows with the same number of measured qubits are finished together
+as one contiguous 2-D block, whose row-wise sum and cumsum give the same bits
+as the 1-D calls on each row alone, so a row finished in a block of many is
+the row finished alone.  Where each row lies, which qubits it measures and
+which rows are finished together is a ``StackLayout``, which a test works out
+once for all the states it samples; a stack carries its layout.
 
 The stack lays the CDFs out as ``stack_segments`` does, so one vectorized
 search serves a whole run.  The search is branch-free: a position moves by
 its step times the comparison, not through ``np.where``, which mispredicts
 on the random mask that the comparisons of random variates make.
-A state's memo holds only these tables and stacks.  Every entry goes
-through ``_remember``: a memo that would grow past MEMO_LIMIT entries starts
-over, so long-lived states stay bounded.
+A state's memo holds only these stacks.  Every entry goes through
+``_remember``: a memo that would grow past MEMO_LIMIT entries starts over,
+so long-lived states stay bounded.
 """
 from __future__ import annotations
 
@@ -88,7 +84,7 @@ S_DAGGER = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
 # Rotation that maps the measured eigenbasis onto the computational basis.
 BASIS_ROTATIONS = {"X": HADAMARD, "Y": HADAMARD @ S_DAGGER, "Z": None, "I": None}
 
-# The most entries one state's memo holds (scalar tables and stacks alike).
+# The most stacks one state's memo holds.
 MEMO_LIMIT = 8192
 
 
@@ -372,14 +368,6 @@ class MeasurementRecord:
     outcomes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class _MeasurementTable:
-    measured: tuple[int, ...]
-    probs: np.ndarray
-    cum: np.ndarray
-    last_sampleable: int
-
-
 def _rotated_letters(bases: str) -> tuple[tuple[int, str], ...]:
     """(qubit, letter) of every X or Y letter, in qubit order."""
     return tuple((j, b) for j, b in enumerate(bases) if BASIS_ROTATIONS[b] is not None)
@@ -430,12 +418,6 @@ def _measured_qubits(n: int, bases: str) -> tuple[int, ...]:
         if b not in "IXYZ":
             raise ValueError(f"unknown measurement basis {b!r}")
     return tuple(j for j, b in enumerate(bases) if b != "I")
-
-
-def _marginal(full: np.ndarray, measured: tuple[int, ...]) -> np.ndarray:
-    """Squared rotated amplitudes summed over the unmeasured qubits, flattened."""
-    unmeasured = tuple(j for j in range(full.ndim) if j not in measured)
-    return (full.sum(axis=unmeasured) if unmeasured else full).reshape(-1)
 
 
 # Coherence weights of the rotated letters.  Outcome s of a qubit measured
@@ -496,57 +478,6 @@ def _finish_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cum = np.cumsum(probs, axis=1)
     last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)
     return probs, cum, last
-
-
-def _measurement_table(state: DenseState, bases: str) -> _MeasurementTable:
-    cached = state._cache.get(bases)
-    if cached is not None:
-        return cached
-    measured = _measured_qubits(state.n, bases)
-    if state.is_pure:
-        psi = rotate_to_computational(state.data.reshape([2] * state.n), bases)
-        probs = _marginal(np.abs(psi) ** 2, measured)
-    elif state._parts is None:
-        probs = _density_outcome_probs(state.data, bases)
-    elif state._parts:
-        (w0, s0), (w1, s1) = state._parts
-        probs = w0 * _measurement_table(s0, bases).probs
-        probs += w1 * _measurement_table(s1, bases).probs
-    else:
-        probs = np.full(1 << len(measured), 2.0 ** -len(measured))
-    probs, cum, last = _finish_rows(probs.reshape(1, -1))
-    return _remember(state, bases, _MeasurementTable(measured, probs[0], cum[0], int(last[0])))
-
-
-def outcome_distribution(state: DenseState, bases: str) -> np.ndarray:
-    """Exact joint outcome distribution over the measured (non-I) qubits.
-
-    Index bit order follows qubit order: the first measured qubit is the most
-    significant bit, and bit 0 encodes outcome +1, bit 1 outcome -1.
-    """
-    return _measurement_table(state, bases).probs.copy()
-
-
-def measure_in_bases(
-    state: DenseState, bases: str, rng: np.random.Generator
-) -> tuple[MeasurementRecord, float]:
-    """Sample one joint outcome record from the Born distribution.
-
-    Measured qubits are rotated into the computational basis (X via Hadamard,
-    Y via the Y-eigenbasis rotation, Z directly) and a single joint bitstring
-    is drawn; I qubits are not conditioned on and report +1.
-    """
-    table = _measurement_table(state, bases)
-    u = rng.random()
-    k = int(np.searchsorted(table.cum, u, side="right"))
-    if k > table.last_sampleable:
-        k = table.last_sampleable
-    n_meas = len(table.measured)
-    outcomes = [1] * state.n
-    for t, q in enumerate(table.measured):
-        bit = (k >> (n_meas - 1 - t)) & 1
-        outcomes[q] = 1 - 2 * bit
-    return MeasurementRecord(tuple(outcomes)), float(table.probs[k])
 
 
 def stack_segments(segments) -> tuple[np.ndarray, int]:
@@ -628,6 +559,7 @@ class StackLayout:
 class _TableStack:
     """The Born tables of a layout's bases on one state."""
 
+    layout: StackLayout
     probs: np.ndarray  # normalized rows laid end to end, at the layout's segments
     cum: np.ndarray  # CDFs laid out as stack_segments lays them out, rows of layout.width
     last_sampleable: np.ndarray  # per basis
@@ -638,7 +570,7 @@ def _pure_rows(state: DenseState, layout: StackLayout, rows: np.ndarray):
 
     Bases that rotate the same letters share one rotated tensor, and the
     sorted walk keeps one tensor per rotated qubit of the current path, so a
-    shared prefix is rotated once.
+    shared prefix is rotated once.  A sum over no axes copies the tensor.
     """
     by_letters: dict[tuple, list[int]] = {}
     for i, b in enumerate(layout.bases):
@@ -655,14 +587,17 @@ def _pure_rows(state: DenseState, layout: StackLayout, rows: np.ndarray):
             path.append((j, b))
         full = np.abs(tensors[-1]) ** 2
         for i in by_letters[letters]:
-            rows[layout.segments[i]] = _marginal(full, layout.measured[i])
+            unmeasured = tuple(j for j in range(state.n) if j not in layout.measured[i])
+            rows[layout.segments[i]] = full.sum(axis=unmeasured).reshape(-1)
 
 
 def _born_rows(state: DenseState, layout: StackLayout) -> np.ndarray:
     """Raw Born rows of the layout's bases on ``state``, laid end to end at its segments.
 
-    The cases are ``_measurement_table``'s: a mixture mixes its parts'
-    finished rows, and the maximally mixed state's rows are uniform.
+    The one place, besides ``mixture``, that reads how a state was built: a
+    mixture mixes its parts' finished rows, the maximally mixed state's rows
+    are uniform, and a pure state or any other density matrix is built from
+    its data.
     """
     if state._parts:
         (w0, s0), (w1, s1) = state._parts
@@ -692,7 +627,51 @@ def _table_stack(state: DenseState, layout: StackLayout) -> _TableStack:
     # rows with the same measured count are finished as one block
     for at, block in layout.blocks:
         probs[block], cum[at, : block.shape[1]], last[at] = _finish_rows(rows[block])
-    return _remember(state, layout.bases, _TableStack(probs, cum.reshape(-1), last))
+    return _remember(state, layout.bases, _TableStack(layout, probs, cum.reshape(-1), last))
+
+
+def _basis_table(state: DenseState, bases: str) -> _TableStack:
+    """The one-basis stack of ``bases`` on ``state``, the scalar path's table.
+
+    The memo is read under ``(bases,)`` first, so a hit builds no layout.
+    """
+    cached = state._cache.get((bases,))
+    if cached is not None:
+        return cached
+    return _table_stack(state, StackLayout.of(state.n, (bases,)))
+
+
+def outcome_distribution(state: DenseState, bases: str) -> np.ndarray:
+    """Exact joint outcome distribution over the measured (non-I) qubits.
+
+    Index bit order follows qubit order: the first measured qubit is the most
+    significant bit, and bit 0 encodes outcome +1, bit 1 outcome -1.
+    """
+    return _basis_table(state, bases).probs.copy()
+
+
+def measure_in_bases(
+    state: DenseState, bases: str, rng: np.random.Generator
+) -> tuple[MeasurementRecord, float]:
+    """Sample one joint outcome record from the Born distribution.
+
+    Measured qubits are rotated into the computational basis (X via Hadamard,
+    Y via the Y-eigenbasis rotation, Z directly) and a single joint bitstring
+    is drawn; I qubits are not conditioned on and report +1.  The one-basis
+    stack's CDF is one row with no padding, so ``searchsorted`` reads it whole.
+    """
+    table = _basis_table(state, bases)
+    measured, last = table.layout.measured[0], int(table.last_sampleable[0])
+    u = rng.random()
+    k = int(np.searchsorted(table.cum, u, side="right"))
+    if k > last:
+        k = last
+    n_meas = len(measured)
+    outcomes = [1] * state.n
+    for t, q in enumerate(measured):
+        bit = (k >> (n_meas - 1 - t)) & 1
+        outcomes[q] = 1 - 2 * bit
+    return MeasurementRecord(tuple(outcomes)), float(table.probs[k])
 
 
 def sample_stacked_outcomes(
@@ -700,9 +679,10 @@ def sample_stacked_outcomes(
 ) -> np.ndarray:
     """Batched twin of measure_in_bases: trial t measures layout.bases[which[t]] with u[t].
 
-    Returns one outcome index per trial.  Its Born tables equal the scalar
-    ones bit for bit, and it uses the same inverse-CDF search and clamp to the
-    last sampleable outcome, so the index for ``u[t]`` is the one
+    Returns one outcome index per trial.  Row i of its stack equals the
+    one-basis stack of ``layout.bases[i]``, which measure_in_bases reads, bit
+    for bit, and it uses the same inverse-CDF search and clamp to the last
+    sampleable outcome, so the index for ``u[t]`` is the one
     measure_in_bases draws from the same variate.  Index bits follow
     outcome_distribution (first measured qubit most significant, bit 1 for
     the -1 outcome).  The tables of the layout's bases on ``state`` are built

@@ -409,20 +409,24 @@ def test_stacked_outcomes_equal_per_basis_sampling_with_the_clamp(kind, n, zeros
     layout = StackLayout.of(n, bases)
     stack = states._table_stack(state, layout)
     rows = stack.cum.reshape(len(bases), layout.width)
+    # the one-basis stacks, the scalar path's tables, are built on a twin with
+    # its own memo, so none of them is the stack above
+    twin = stacked_state(kind, n, zeros, np.random.default_rng(seed))
     start = 0  # the normalized rows lie end to end
     for b, basis in enumerate(bases):
-        table = states._measurement_table(state, basis)
+        table = states._basis_table(twin, basis)
         size = table.cum.size
+        last = table.last_sampleable[0]
         assert rows[b, :size].tobytes() == table.cum.tobytes()
         assert stack.probs[start : start + size].tobytes() == table.probs.tobytes()
-        assert stack.last_sampleable[b] == table.last_sampleable
+        assert stack.last_sampleable[b] == last
         assert np.all(rows[b, size:] == np.inf)
         start += size
         u = np.concatenate([table.cum, [np.nextafter(table.cum[-1], 2.0)], rng.random(30)])
         u = u[u < 1.0]
         got = sample_stacked_outcomes(state, layout, np.full(u.size, b), u)
         np.testing.assert_array_equal(
-            got, np.minimum(np.searchsorted(table.cum, u, side="right"), table.last_sampleable)
+            got, np.minimum(np.searchsorted(table.cum, u, side="right"), last)
         )
     assert start == stack.probs.size
 

@@ -21,11 +21,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pauliverify import circuits, protocol
-from pauliverify.analysis import DistributionPair, hoeffding_calculator, hoeffding_tail
+from pauliverify.analysis import (
+    DistributionPair,
+    hoeffding_calculator,
+    hoeffding_tail,
+    iqp_output_distribution,
+)
 from pauliverify.circuits import circuit
 from pauliverify.cli import main
 from pauliverify.hypergraphs import hypergraph, random_bms_instance
-from pauliverify.paulis import PURE_QUBIT_CAP, PauliString, PauliSum
+from pauliverify.paulis import PURE_QUBIT_CAP, PauliString, PauliSum, merge_pauli_terms
 from pauliverify.protocol import (
     EntangledRegisters,
     classically_correlated_prover,
@@ -176,6 +181,24 @@ MALFORMED_TARGETS = [
     # misleading messages
     (_term(coeff=math.nan), "coeff must be a finite number, got NaN"),
     (_edited(Z_TARGET, gap=math.nan), "gap must be a finite number, got NaN"),
+    # Z*Z = I, yet a repeated z-layer vertex was echoed and applied once
+    (_edited(TRIPLE, z_layer=[1, 1, 2]), "z-layer vertex 1 is repeated"),
+    # ZI/gap is inf - inf + 2 = NaN, which the merge dropped as if it were 0: exit 0
+    (
+        _edited(
+            Z_TARGET,
+            n_qubits=2,
+            terms=[
+                {"pauli": "ZI", "coeff": 1e308},
+                {"pauli": "ZI", "coeff": -1e308},
+                {"pauli": "ZI", "coeff": 1.0},
+                {"pauli": "XX", "coeff": 0.5},
+            ],
+            ground_energy=-1.2,
+            gap=0.5,
+        ),
+        "the coefficients of ZI sum to nan",
+    ),
 ]
 
 
@@ -393,6 +416,26 @@ LIBRARY_REFUSALS = [
         "classically_correlated_prover",
         lambda: classically_correlated_prover([_UP, _DOWN], [math.nan, 0.5]),
         "probability vector",
+    ),
+    (
+        # refused when the prover is built, not at whichever run draws the 2-qubit state
+        "classically_correlated_prover-width",
+        lambda: classically_correlated_prover(
+            [computational_state(3, 0), computational_state(2, 0)], [0.999999, 1e-6]
+        ),
+        "differ in width: 3 and 2 qubits",
+    ),
+    (
+        "iqp_output_distribution-z_layer",
+        lambda: iqp_output_distribution(hypergraph(3, [(0, 1)]), (1, 1)),
+        "z-layer vertex 1 is repeated",
+    ),
+    (
+        "merge_pauli_terms-nan",
+        lambda: merge_pauli_terms(
+            [PauliString.from_axes("ZI", math.inf), PauliString.from_axes("ZI", -math.inf)]
+        ),
+        "the coefficients of ZI sum to nan",
     ),
     ("supremacy_margin", lambda: supremacy_margin(math.nan, 0), "fidelity must lie"),
     (

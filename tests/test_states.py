@@ -34,7 +34,6 @@ from pauliverify.states import (
     sample_stacked_outcomes,
     to_density,
 )
-from pauliverify.states import _measurement_table
 
 from conftest import I2, dense_from_axes, kron_chain, random_hermitian
 
@@ -442,10 +441,10 @@ def test_maximally_mixed_table_is_the_kernel_table_bit_for_bit(n):
     twin = kernel_twin(eta)
     for letters in itertools.product("IXYZ", repeat=n):
         bases = "".join(letters)
-        got, want = _measurement_table(eta, bases), _measurement_table(twin, bases)
+        got, want = states._basis_table(eta, bases), states._basis_table(twin, bases)
         np.testing.assert_array_equal(got.probs, want.probs)
         np.testing.assert_array_equal(got.cum, want.cum)
-        assert got.last_sampleable == want.last_sampleable
+        assert got.last_sampleable[0] == want.last_sampleable[0]
 
 
 UNIFORM_BLOCK = np.random.default_rng(4096).random(4096)
@@ -468,7 +467,8 @@ def test_mixture_table_is_the_kernel_table_within_1e_15(data, n, weight, other, 
     }[other](n)
     rho = mixture(psi, eta, weight)
     bases = data.draw(st.text("IXYZ", min_size=n, max_size=n))
-    got, want = _measurement_table(rho, bases), _measurement_table(kernel_twin(rho), bases)
+    got = states._basis_table(rho, bases)
+    want = states._basis_table(kernel_twin(rho), bases)
     assert np.max(np.abs(got.probs - want.probs)) <= 1e-15
     assert np.max(np.abs(got.cum - want.cum)) <= 1e-15
     np.testing.assert_array_equal(
@@ -481,7 +481,7 @@ def test_mixture_tables_reuse_their_components_tables(rng):
     psi, eta = random_pure_state(3, rng), maximally_mixed(3)
     for weight in (0.1, 0.2):
         outcome_distribution(mixture(psi, eta, weight), "XIY")
-    assert list(psi._cache) == ["XIY"] and list(eta._cache) == ["XIY"]
+    assert list(psi._cache) == [("XIY",)] and list(eta._cache) == [("XIY",)]
 
 
 def test_overlap_of_a_mixture_is_its_dense_form_for_each_reference(rng):
@@ -556,7 +556,7 @@ def test_stacked_pure_tables_hold_one_rotated_tensor_per_qubit_of_the_path():
 
 
 def test_cumsum_is_spelled_only_in_the_row_finisher():
-    # the scalar table and the stack finish their rows in one function
+    # every stack, the scalar path's one-basis stacks too, finishes its rows in one function
     tree = ast.parse(Path(states.__file__).read_text())
     lines = [
         node.lineno
@@ -565,6 +565,26 @@ def test_cumsum_is_spelled_only_in_the_row_finisher():
     ]
     finisher = next(f for f in tree.body if getattr(f, "name", None) == "_finish_rows")
     assert lines and all(finisher.lineno <= line <= finisher.end_lineno for line in lines), lines
+
+
+def test_only_the_row_builder_reads_how_a_state_was_built():
+    # one Born-table builder: the scalar path samples a one-basis stack, so no
+    # second builder dispatches on the state's parts or calls the row kernels
+    watched = {"_parts", "_density_outcome_probs", "_pure_rows"}
+    users = {name: set() for name in watched}
+    for path in sorted(Path(states.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = f"{path.stem}.{getattr(top, 'name', None)}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "_parts":
+                    users["_parts"].add(owner)
+                elif isinstance(node, ast.Call) and ast.unparse(node.func) in watched:
+                    users[ast.unparse(node.func)].add(owner)
+    assert users == {
+        "_parts": {"states.mixture", "states._born_rows"},
+        "_density_outcome_probs": {"states._born_rows"},
+        "_pure_rows": {"states._born_rows"},
+    }
 
 
 # ---------------------------------------------------------------------------
