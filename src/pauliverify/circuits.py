@@ -149,6 +149,8 @@ class CircuitSpec:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"a circuit needs at least one qubit, got {self.n}")
         for gate in self.gates:
             if min(gate.qubits, default=0) < 0 or max(gate.qubits, default=0) >= self.n:
                 raise ValueError(f"gate {gate} leaves the register")

@@ -430,6 +430,11 @@ def cmd_iqp_margin(args) -> int:
     if args.report is not None:
         rep = read_object(args.report, "the report")
         fidelity = field(field(rep, "report", dict, rep), "target_fidelity", float, None)
+        if fidelity is None and "reports" in rep:
+            raise ValueError(
+                "a multi-run verify report carries one target fidelity per run, "
+                "under reports; give the one to use with --fidelity"
+            )
         if fidelity is None:
             raise ValueError("the report carries no target fidelity")
     margin = supremacy_margin(fidelity, args.sampler_error)

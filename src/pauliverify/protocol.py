@@ -22,11 +22,14 @@ most BLOCK_TRIALS trials, one call of the test's batched ``sample`` per
 block, given each run's test stream.  Only the tiny entangled demo returns
 a joint source (total qubits capped at 12); each measurement conditions its
 joint state, so each of its runs is one call of the test's scalar
-``trials``, decided in that pass.  A robustness sweep point reads only how
-many runs pass: ``PreparedTarget.pass_counts`` samples a fixed state's runs
-with the engine's block loop and builds their test streams alone, because
-a fixed-state run's pass counts do not depend on its layout.  This module
-draws no uniform of a test stream: single_copy's run kernels draw them all.
+``trials``, made in that first pass.  Every run's group pass counts fill
+one (runs, groups) array per call; the verdict rule is applied to it once,
+and every report is rendered from it in seed order.  A robustness sweep
+point reads only that array: ``PreparedTarget.pass_counts`` samples a fixed
+state's runs with the engine's block loop and builds their test streams
+alone, because a fixed-state run's pass counts do not depend on its layout.
+This module draws no uniform of a test stream: single_copy's run kernels
+draw them all.
 """
 from __future__ import annotations
 
@@ -337,59 +340,6 @@ def check_executable(params: ProtocolParams) -> None:
         )
 
 
-class _Run(NamedTuple):
-    """One run of an engine call, between its layout and its verdict."""
-
-    index: int  # among the call's seeds
-    seed: int
-    target: int
-    groups: np.ndarray | None  # (groups, k) registers, kept for trial columns
-
-
-class _Verdicts:
-    """What the verdicts of one engine call share, worked out once per call.
-
-    Each group's whole pass count is compared with its ``pass_cut``.
-    """
-
-    def __init__(self, target: PreparedTarget, params, prover_kind, record_trials):
-        thresholds = target.thresholds(params.epsilon)
-        self.shape = (len(thresholds), params.k)
-        self.comparison, self.groups_pass = target.comparison, target.groups_pass
-        self.cuts = target.pass_cuts(params)
-        self.thresholds = [f"{t.numerator}/{t.denominator}" for t in thresholds]
-        self.params, self.prover_kind = params, prover_kind
-        self.labels = target.test.branch_labels if record_trials else None
-
-    def decide(self, runs: list[_Run], passed, branches, fidelity) -> list[VerdictReport]:
-        """The reports of ``runs`` on one source, from (runs, groups, k) arrays."""
-        counts = np.count_nonzero(passed, axis=-1)
-        ok = self.groups_pass(counts, self.cuts)
-        k, comparison = self.params.k, self.comparison
-        reports = []
-        for j, (run, run_counts, run_ok) in enumerate(zip(runs, counts.tolist(), ok.tolist())):
-            results = tuple(
-                GroupResult(i, c, k, threshold, comparison, o)
-                for i, (c, threshold, o) in enumerate(zip(run_counts, self.thresholds, run_ok))
-            )
-            trials = None
-            if self.labels is not None:
-                trials = TrialColumns(run.groups, branches[j], passed[j], self.labels)
-            reports.append(
-                VerdictReport(
-                    accepted=all(run_ok),
-                    groups=results,
-                    target_register=run.target,
-                    target_fidelity=fidelity,
-                    seed=run.seed,
-                    params=self.params,
-                    prover_kind=self.prover_kind,
-                    trials=trials,
-                )
-            )
-        return reports
-
-
 def run_seeds(master_seed: int, n_runs: int) -> list[int]:
     """Per-run seeds derived reproducibly from one master seed."""
     rng = np.random.default_rng(master_seed)
@@ -496,19 +446,25 @@ class PreparedTarget:
         registers with the test's i-th group and passes when its rate
         compares to its ``group_thresholds`` entry by ``COMPARISON``.  One
         pass over the seeds lays out each run and groups the runs by source.
-        Then each DenseState source's fidelity is evaluated once, and its
-        runs are sampled by ``_blocks``, the loop ``pass_counts`` samples
-        with.  A joint source (the entangled demo) is decided in the first
-        pass by one ``test.trials`` call, because each measurement
-        conditions its joint state; it consumes the test stream in the same
-        order.
+        A joint source (the entangled demo) is sampled in that pass by one
+        ``test.trials`` call, because each measurement conditions its joint
+        state; it consumes the test stream in the same order.  Then each
+        DenseState source's fidelity is evaluated once, and its runs are
+        sampled by ``_blocks``, the loop ``pass_counts`` samples with.  The
+        passes of every run fill one (runs, groups) count array, which
+        ``groups_pass`` decides once; the reports are rendered from it.
         """
         self._check_runs(params)
-        test, fidelity = self.test, self.fidelity
+        test, fidelity, k = self.test, self.fidelity, params.k
         n_reg = params.n_registers
-        verdicts = _Verdicts(self, params, prover.kind, record_trials)
-        reports: list[VerdictReport | None] = [None] * len(seeds)
-        by_source: dict[DenseState, list[_Run]] = {}
+        thresholds = self.thresholds(params.epsilon)
+        labels = test.branch_labels if record_trials else None
+        counts = np.empty((len(seeds), len(thresholds)), dtype=np.int64)
+        targets: list[int] = []
+        fidelities: list[float | None] = [None] * len(seeds)
+        # a DenseState run keeps its layout here until its columns are sampled
+        trials: list = [None] * len(seeds)
+        by_source: dict[DenseState, list[int]] = {}
         for index, seed in enumerate(seeds):
             source = prover.state
             if source is None:
@@ -516,23 +472,52 @@ class PreparedTarget:
             if source.n != params.n:
                 raise ValueError("prover register width does not match the protocol")
             target, rest = choose_layout(n_reg, params.m, _run_rng(seed, LAYOUT_STREAM))
-            groups = rest.reshape(verdicts.shape)
+            groups = rest.reshape(len(thresholds), k)
+            targets.append(target)
             if isinstance(source, DenseState):
-                # the layout of a run is kept only for its trial columns
-                run = _Run(index, seed, target, groups if record_trials else None)
-                by_source.setdefault(source, []).append(run)
+                by_source.setdefault(source, []).append(index)
+                if record_trials:
+                    trials[index] = groups
                 continue
             passed, branches = test.trials(source, groups, _run_rng(seed, TEST_STREAM))
-            run_fidelity = None if fidelity is None else fidelity(source.register_state(target))
-            run = _Run(index, seed, target, groups)
-            (reports[index],) = verdicts.decide([run], passed[None], branches[None], run_fidelity)
-        for source, runs in by_source.items():
+            counts[index] = np.count_nonzero(passed, axis=-1)
+            if fidelity is not None:
+                fidelities[index] = fidelity(source.register_state(target))
+            if record_trials:
+                trials[index] = TrialColumns(groups, branches, passed, labels)
+        for source, indices in by_source.items():
             source_fidelity = None if fidelity is None else fidelity(source)
-            for start, passed, branches in self._blocks(source, [r.seed for r in runs], params.k):
-                chunk = runs[start : start + len(passed)]
-                decided = verdicts.decide(chunk, passed, branches, source_fidelity)
-                for run, report in zip(chunk, decided):
-                    reports[run.index] = report
+            for index in indices:
+                fidelities[index] = source_fidelity
+            for start, passed, branches in self._blocks(source, [seeds[i] for i in indices], k):
+                block = indices[start : start + len(passed)]
+                counts[block] = np.count_nonzero(passed, axis=-1)
+                if record_trials:
+                    for index, run_passed, run_branches in zip(block, passed, branches):
+                        layout = trials[index]
+                        trials[index] = TrialColumns(layout, run_branches, run_passed, labels)
+        ok = self.groups_pass(counts, self.pass_cuts(params))
+        spelled = [f"{t.numerator}/{t.denominator}" for t in thresholds]
+        comparison = self.comparison
+        reports = []
+        rows = zip(seeds, targets, fidelities, trials, counts.tolist(), ok.tolist())
+        for seed, target, run_fidelity, columns, run_counts, run_ok in rows:
+            results = tuple(
+                GroupResult(i, c, k, threshold, comparison, o)
+                for i, (c, threshold, o) in enumerate(zip(run_counts, spelled, run_ok))
+            )
+            reports.append(
+                VerdictReport(
+                    accepted=all(run_ok),
+                    groups=results,
+                    target_register=target,
+                    target_fidelity=run_fidelity,
+                    seed=seed,
+                    params=params,
+                    prover_kind=prover.kind,
+                    trials=columns,
+                )
+            )
         return tuple(reports)
 
 

@@ -199,6 +199,8 @@ MALFORMED_TARGETS = [
         ),
         "the coefficients of ZI sum to nan",
     ),
+    # inspect, ppass, verify and robustness each failed later, with three other messages
+    (_edited(ONE_H, n_qubits=0, gates=[]), "a circuit needs at least one qubit, got 0"),
 ]
 
 
@@ -311,6 +313,15 @@ def _report(**fields) -> dict:
         (_report(target_fidelity={}), "target_fidelity must be a number, got {}"),
         (_report(target_fidelity=True), "target_fidelity must be a number, got true"),
         ({"report": 5}, "report must be a JSON object, got 5"),
+        # a multi-run report holds one fidelity per run, not none at all
+        (
+            json.loads((GOLDEN / "verify_clifford_t_runs3.json").read_text()),
+            "a multi-run verify report carries one target fidelity per run",
+        ),
+        (
+            json.loads((GOLDEN / "robustness_triple.json").read_text()),
+            "the report carries no target fidelity",
+        ),
     ],
 )
 def test_malformed_iqp_margin_report_is_config_error(tmp_path, report, needle):

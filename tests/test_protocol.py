@@ -407,6 +407,46 @@ def test_runs_sample_each_source_in_blocks_of_whole_runs(monkeypatch):
     assert len(calls) == sum(math.ceil(runs / 2) for runs in runs_of)
 
 
+def test_runs_decide_every_run_of_a_call_with_one_verdict_pass(monkeypatch):
+    target = prepare(hypergraph(3, [(0, 1, 2)]))
+    params = desk_params("hypergraph", 3, k=5, m=1, epsilon=0.2)
+    good = target.ideal
+    bad = apply_pauli(good, PauliString.from_axes("ZII"))
+    mixed = classically_correlated_prover([good, bad], [0.5, 0.5])
+    seeds = run_seeds(41, 12)
+    drawn = [mixed.make_source(1, _run_rng(s, PROVER_STREAM)) for s in seeds]
+    # the two sources interleave over the seeds
+    assert sum(a is not b for a, b in zip(drawn, drawn[1:])) >= 2
+    monkeypatch.setattr(protocol, "BLOCK_TRIALS", 2 * 3 * params.k)  # two runs' trials
+    decided = []
+    groups_pass = PreparedTarget.groups_pass
+
+    def spy(self, counts, cuts):
+        decided.append(counts.shape)
+        return groups_pass(self, counts, cuts)
+
+    monkeypatch.setattr(PreparedTarget, "groups_pass", spy)
+    for prover in (honest_prover(good), mixed):
+        decided.clear()
+        reports = target.runs(prover, params, seeds, record_trials=True)
+        assert decided == [(len(seeds), 3)]  # six blocks, one decision
+    assert [rep.seed for rep in reports] == seeds
+    for source in (good, bad):
+        runs = [i for i, state in enumerate(drawn) if state is source]
+        counts = target.pass_counts(source, params, [seeds[i] for i in runs])
+        assert counts.shape[0] > 0
+        for i, row in zip(runs, counts.tolist()):
+            rep = reports[i]
+            assert [g.passes for g in rep.groups] == row
+            assert np.count_nonzero(rep.trials.passed, axis=1).tolist() == row
+            assert rep.accepted == all(g.passed for g in rep.groups)
+            layout_rng = _run_rng(seeds[i], LAYOUT_STREAM)
+            register, rest = choose_layout(params.n_registers, params.m, layout_rng)
+            assert rep.target_register == register
+            assert rep.trials.registers.tolist() == rest.reshape(3, params.k).tolist()
+    assert {rep.accepted for rep in reports} == {True, False}
+
+
 def test_entangled_demo_extreme_weights():
     target = prepare(hypergraph(2, [(0, 1)]))
     good = target.ideal

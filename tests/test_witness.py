@@ -14,17 +14,27 @@ The states include the ideal under Z on every qubit, which flips every
 hypergraph stabilizer (every p_v is 0).  Some cases are equalities (a
 one-vertex hypergraph under Z; the ground bound of a two-level Hamiltonian
 such as -Z, where H' = I - Pi0), so the checks allow 1e-12 of rounding.
+
+Completeness is checked at the paper schedule's own k, with no sampling:
+the honest prover's groups are independent binomials, so its acceptance
+probability is a product of exact binomial tails, which Hoeffding bounds.
 """
+import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from pauliverify.analysis import binomial_tail_ge, binomial_tail_le
 from pauliverify.circuits import circuit
+from pauliverify.cli import load_target
 from pauliverify.hamiltonians import HamiltonianSpec
 from pauliverify.hypergraphs import hypergraph
 from pauliverify.paulis import PauliString
 from pauliverify.protocol import prepare
+from pauliverify.schedules import schedule_params
 from pauliverify.states import (
     apply_pauli,
     mixture,
@@ -33,6 +43,8 @@ from pauliverify.states import (
 )
 
 SLACK = 1e-12
+DATA = Path(__file__).parent / "data"
+TARGETS = sorted(p.name for p in DATA.glob("*.json") if not p.name.startswith("verify_"))
 ONE_QUBIT = ("H", "S", "SDG", "T", "X", "Y", "Z")
 
 
@@ -116,3 +128,19 @@ def test_circuit_pass_rates_bound_the_infidelity(target, data):
 def test_ground_pass_rate_bounds_the_infidelity(target, data):
     prepared, (p,), infidelity = _rates(target, data)
     assert infidelity <= prepared.l1_norm * (2.0 * p - 1.0) + SLACK
+
+
+@pytest.mark.parametrize("name", TARGETS)
+def test_honest_acceptance_at_the_paper_k_meets_the_hoeffding_floor(name):
+    _, target, _ = load_target(DATA / name)
+    prepared = prepare(target)
+    params = schedule_params(prepared.protocol, target.n, l1_norm=prepared.l1_norm)
+    k, below = params.k, prepared.comparison == "<="
+    thresholds = prepared.thresholds(params.epsilon)
+    accept, floor = 1.0, 1.0
+    for p, threshold in zip(prepared.group_ppass(prepared.ideal), thresholds):
+        margin = float(threshold) - p if below else p - float(threshold)
+        assert margin > 0.0  # the honest rate lies on the passing side of its threshold
+        accept *= (binomial_tail_le if below else binomial_tail_ge)(k, p, threshold)
+        floor -= math.exp(-2.0 * margin**2 * k)
+    assert accept >= floor
