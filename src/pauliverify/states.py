@@ -4,10 +4,14 @@ States are immutable after construction.  ``pure_state`` and ``mixed_state``
 validate what a caller supplies; states built from validated ones (a pure
 state's density matrix, the maximally mixed state, a reduced density matrix,
 a convex mixture) are Hermitian, unit-trace and PSD by construction and skip
-the eigenvalue check.  The maximally mixed state is written as zeros with
-1/dim on the diagonal, and a mixture with it adds weight/dim to the other
-part's diagonal instead of building the dense weight * I/dim; both are the
-bits of the dense arithmetic (see ``mixture``).
+the eigenvalue check.  The maximally mixed state and a convex mixture are
+held as their parts, with no matrix.  Their ``data`` is built on first read,
+by the dense arithmetic (``_parts_density``), and kept read-only.  Born
+tables, ``expectations`` and ``masked_pauli_expectation`` read them from
+their parts instead: the tables as the same mixture of the parts' tables,
+the entries ``rho[i, i ^ x]`` by the matrix's own elementwise steps
+(``_bands``), so those entries are the matrix's bits and no 2**n x 2**n
+array is built.
 
 Born tables (outcome distributions over the measured qubits) have one
 builder, ``_table_stack``: the tables of a tuple of bases are one stack,
@@ -90,19 +94,34 @@ MEMO_LIMIT = 8192
 
 @dataclass(frozen=True, eq=False)
 class DenseState:
-    """An n-qubit state: amplitude vector (pure) or density matrix (mixed)."""
+    """An n-qubit state: amplitude vector (pure) or density matrix (mixed).
+
+    A state held as parts (a convex mixture, the maximally mixed state) is
+    built with no array; ``data`` builds its density matrix on first read
+    and keeps it, read-only.
+    """
 
     n: int
-    data: np.ndarray
+    _data: np.ndarray | None
     _cache: dict = field(default_factory=dict, repr=False)
-    # How a density matrix was built, when its tables follow from that:
+    # How a density matrix was built, when its entries follow from that:
     # ((weight, component), (weight, component)) for a convex mixture and ()
-    # for the maximally mixed state.  None means its tables come from rho.
+    # for the maximally mixed state.  None means it is its ``_data``.
     _parts: tuple | None = field(default=None, repr=False)
 
     @property
+    def data(self) -> np.ndarray:
+        """The amplitude vector or the density matrix; read-only."""
+        if self._data is None:
+            rho = _parts_density(self)
+            rho.flags.writeable = False
+            object.__setattr__(self, "_data", rho)
+        return self._data
+
+    @property
     def is_pure(self) -> bool:
-        return self.data.ndim == 1
+        # a state held as parts is mixed, and its matrix may not be built yet
+        return self._data is not None and self._data.ndim == 1
 
     @property
     def dim(self) -> int:
@@ -141,13 +160,13 @@ def mixed_state(rho, n: int | None = None) -> DenseState:
     return _density(rho.copy(), n)
 
 
-def _density(rho: np.ndarray, n: int, parts: tuple | None = None) -> DenseState:
+def _density(rho: np.ndarray, n: int) -> DenseState:
     """Wrap a density matrix that is valid by construction, without re-checking it.
 
     Callers sized ``rho`` through ``capped_dim``; the cap is not checked again.
     """
     rho.flags.writeable = False
-    return DenseState(n, rho, _parts=parts)
+    return DenseState(n, rho)
 
 
 def plus_state(n: int) -> DenseState:
@@ -162,11 +181,9 @@ def computational_state(n: int, index: int) -> DenseState:
 
 
 def maximally_mixed(n: int) -> DenseState:
-    """I/dim: the bits of ``np.eye(dim, dtype=complex) / dim``, without a second array."""
-    dim = capped_dim(n, DENSE_QUBIT_CAP, "density matrix")
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho.reshape(-1)[:: dim + 1] = 1.0 / dim
-    return _density(rho, n, parts=())
+    """I/dim, held as no parts; ``data`` has the bits of ``np.eye(dim, dtype=complex) / dim``."""
+    capped_dim(n, DENSE_QUBIT_CAP, "density matrix")
+    return DenseState(n, None, _parts=())
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> DenseState:
@@ -193,37 +210,91 @@ def to_density(state: DenseState) -> DenseState:
 
 
 def mixture(state: DenseState, other: DenseState, weight: float) -> DenseState:
-    """(1 - weight) * state + weight * other, as a density matrix.
+    """(1 - weight) * state + weight * other, held as its two parts.
 
     Both states must be valid (built by the constructors above), so the
-    convex mixture is one too and is not re-checked.  A maximally mixed
-    ``other`` adds weight/dim to the diagonal, which is the bits of adding
-    ``weight * other.data``: off the diagonal that array holds +0.0, whose
-    only effect is to turn -0.0 into +0.0, as ``+= 0.0`` does, and on the
-    diagonal ``weight * 2**-n`` is ``weight / dim``, one rounding of the
-    same value.
+    convex mixture is one too and is not re-checked.  The density-matrix cap
+    is checked here, before anything is built; the matrix itself is built
+    only when ``data`` is first read (``_parts_density``).
     """
     if not 0.0 <= weight <= 1.0:
         raise ValueError("the mixture weight must lie in [0, 1]")
     if other.n != state.n:
         raise ValueError(f"cannot mix states on {state.n} and {other.n} qubits")
-    rho = _scaled_density(state, 1.0 - weight)
-    if other._parts == ():
+    capped_dim(state.n, DENSE_QUBIT_CAP, "density matrix")
+    return DenseState(state.n, None, _parts=((1.0 - weight, state), (weight, other)))
+
+
+def _parts_density(state: DenseState) -> np.ndarray:
+    """The density matrix of a state held as parts, in one fresh array.
+
+    The maximally mixed state is zeros with 1/dim on the diagonal, the bits
+    of ``np.eye(dim, dtype=complex) / dim``.  A mixture is its first part
+    scaled, plus its second part scaled, in place.  A maximally mixed second
+    part adds weight/dim to the diagonal instead, which is the bits of adding
+    ``weight * other.data``: off the diagonal that array holds +0.0, whose
+    only effect is to turn -0.0 into +0.0, as ``+= 0.0`` does, and on the
+    diagonal ``weight * 2**-n`` is ``weight / dim``, one rounding of the same
+    value.
+    """
+    dim = state.dim
+    if state._parts == ():
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho.reshape(-1)[:: dim + 1] = 1.0 / dim
+        return rho
+    (w0, s0), (w1, s1) = state._parts
+    rho = _scaled_density(s0, w0)
+    if s1._parts == ():
         rho += 0.0
-        rho.reshape(-1)[:: state.dim + 1] += weight / state.dim
+        rho.reshape(-1)[:: dim + 1] += w1 / dim
     else:
-        rho += _scaled_density(other, weight)
-    return _density(rho, state.n, parts=((1.0 - weight, state), (weight, other)))
+        rho += _scaled_density(s1, w1)
+    return rho
 
 
 def _scaled_density(state: DenseState, scale: float) -> np.ndarray:
     """``scale * to_density(state).data``, bit for bit, built in one fresh array."""
     if not state.is_pure:
         return np.multiply(scale, state.data)
-    capped_dim(state.n, DENSE_QUBIT_CAP, "density matrix")
     rho = np.outer(state.data, state.data.conj())
     rho *= scale
     return rho
+
+
+def _bands(state: DenseState, rows: np.ndarray, x) -> np.ndarray:
+    """``state.data[rows, rows ^ x]`` of a density matrix, bit for bit; ``rows``, ``x`` broadcast.
+
+    A state held as parts reads these entries from its parts, entry by
+    entry by ``_parts_density``'s steps: a pure part's ``psi[i] *
+    conj(psi)[i ^ x]`` (``np.outer``'s elementwise product) scaled in place,
+    a mixed part's entries scaled, ``+= 0.0`` and ``+= weight/dim`` where
+    ``x == 0`` for a maximally mixed second part, and 1/dim where ``x == 0``
+    for the maximally mixed state itself.  So it builds no 2**n x 2**n array.
+    """
+    if state._parts is None:
+        return state.data[rows, rows ^ x]
+    if state._parts == ():
+        band = np.zeros(np.broadcast_shapes(np.shape(rows), np.shape(x)), dtype=complex)
+        np.copyto(band, 1.0 / state.dim, where=x == 0)
+        return band
+    (w0, s0), (w1, s1) = state._parts
+    band = _scaled_band(s0, w0, rows, x)
+    if s1._parts == ():
+        band += 0.0
+        np.add(band, w1 / state.dim, out=band, where=x == 0)
+    else:
+        band += _scaled_band(s1, w1, rows, x)
+    return band
+
+
+def _scaled_band(state: DenseState, scale: float, rows: np.ndarray, x) -> np.ndarray:
+    """``_scaled_density(state, scale)[rows, rows ^ x]``, bit for bit, by the same steps."""
+    if not state.is_pure:
+        band = _bands(state, rows, x)
+        return np.multiply(scale, band, out=band)
+    band = state.data[rows] * state.data.conj()[rows ^ x]
+    band *= scale
+    return band
 
 
 def _check_width(state: DenseState, n: int):
@@ -266,8 +337,8 @@ def expectations(state: DenseState, terms) -> list[float]:
     A chunk of terms gathers its entries as one (terms, dim) array, with the
     same elementwise products as ``expectation``; summing each C-contiguous
     row along its axis makes the same pairwise additions as the 1-d sum.  A
-    density matrix's entries (i, i ^ x) are gathered from its flat view at
-    ``i * dim + (i ^ x)``, in the same (terms, dim) order.
+    density matrix's entries (i, i ^ x) come from ``_bands``, in the same
+    (terms, dim) order.
     """
     terms = list(terms)
     for t in terms:
@@ -282,8 +353,7 @@ def expectations(state: DenseState, terms) -> list[float]:
         if state.is_pure:
             sums = np.sum(np.conj(state.data[idx ^ xmasks]) * signs * state.data, axis=1)
         else:
-            entries = state.data.reshape(-1).take(idx * state.dim + (idx ^ xmasks))
-            sums = np.sum(signs * entries, axis=1)
+            sums = np.sum(signs * _bands(state, idx, xmasks), axis=1)
         values += [float((t.coeff * (1j) ** t.y_count * v).real) for t, v in zip(chunk, sums)]
     return values
 
@@ -310,7 +380,7 @@ def masked_pauli_expectation(
             np.conj(state.data[idx[keep] ^ p.xmask]) * signs[keep] * state.data[keep]
         )
     else:
-        val = np.sum(signs[keep] * state.data[idx[keep], idx[keep] ^ p.xmask])
+        val = np.sum(signs[keep] * _bands(state, idx[keep], p.xmask))
     val = p.coeff * (1j) ** p.y_count * val
     return float(val.real)
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from pauliverify.analysis import (
     trace_distance_fidelity_bounds,
     x_basis_distribution,
 )
+from pauliverify.circuits import circuit
 from pauliverify.hypergraphs import build_state, hypergraph
 from pauliverify.paulis import PauliString
 from pauliverify.protocol import RUN_COUNT_CAP, prepare
@@ -427,6 +429,31 @@ def test_robustness_sweep_refuses_a_run_count_before_drawing_a_seed(monkeypatch,
     target = prepare(hypergraph(2, [(0, 1)]))
     with pytest.raises(ValueError, match=message):
         robustness_sweep(target, maximally_mixed(2), [0.0], params, runs=runs, seed=1)
+
+
+def test_a_robustness_sweep_builds_no_density_matrix():
+    # one 8-qubit density matrix is 1 MiB; a sweep point's mixture is read from
+    # its parts (Born tables and expectation bands), so no point builds one
+    n = 8
+    gates = (
+        [("H", (q,)) for q in range(n)]
+        + [("T", (q,)) for q in range(n)]
+        + [("CNOT", (q, q + 1)) for q in range(n - 1)]
+    )
+    target = prepare(circuit(n, gates))
+    params = desk_params("circuit", n, k=20, m=0, epsilon=0.05)
+    # the ideal's Born tables and the lazily imported tail kernels come first
+    robustness_sweep(target, maximally_mixed(n), [0.0], params, runs=2, seed=3)
+    tracemalloc.start()
+    try:
+        points = robustness_sweep(
+            target, maximally_mixed(n), [0.01, 0.05, 0.1], params, runs=2, seed=3
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 3
+    assert peak < 1 << 20, peak
 
 
 def test_robustness_sweep_is_deterministic():

@@ -40,6 +40,7 @@ from pauliverify.hypergraphs import (
 )
 from pauliverify.paulis import INSPECT_QUBIT_CAP
 from pauliverify.protocol import EntangledRegisters
+from pauliverify.states import mixture
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pauliverify"
 MIB = 1 << 20
@@ -134,6 +135,7 @@ ALLOCATORS = {
         OVER_DENSE, np.random.default_rng(0)
     ),
     "maximally_mixed": lambda: maximally_mixed(OVER_DENSE),
+    "mixture": lambda: mixture(plus_state(OVER_DENSE), plus_state(OVER_DENSE), 0.5),
     "to_density": lambda: to_density(plus_state(OVER_DENSE)),
     "partial_trace": lambda: partial_trace(
         plus_state(OVER_DENSE), tuple(range(OVER_DENSE))

@@ -6,12 +6,13 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from pauliverify import states
-from pauliverify.paulis import PauliString, PauliSum
+from pauliverify.hypergraphs import all_adaptive_forms, hypergraph
+from pauliverify.paulis import PauliString, PauliSum, bit_for_qubit
 from pauliverify.schedules import CapExceededError
-from pauliverify.single_copy import parity_test_exact_ppass
+from pauliverify.single_copy import AdaptiveTest, ParityTest, parity_test_exact_ppass
 from pauliverify.states import (
     DenseState,
     StackLayout,
@@ -396,6 +397,20 @@ def test_maximally_mixed_has_the_bits_of_the_dense_identity(n):
     assert maximally_mixed(n).data.tobytes() == want.tobytes()
 
 
+def test_maximally_mixed_builds_its_matrix_only_when_read():
+    tracemalloc.start()
+    try:
+        eta = maximally_mixed(8)
+        held = tracemalloc.get_traced_memory()[1]
+        rho = eta.data
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held < 4096 and read >= 1 << 20
+    assert eta.data is rho and rho.tobytes() == (np.eye(256, dtype=complex) / 256).tobytes()
+    assert not rho.flags.writeable
+
+
 # signed zeros in the amplitudes put -0.0 into the outer product
 _amplitude_parts = st.sampled_from([0.0, -0.0, 0.5, -0.5, -1e-300]) | st.floats(-1.0, 1.0)
 
@@ -416,6 +431,103 @@ def test_a_maximally_mixed_part_has_the_bits_of_the_dense_sum(n, data, weight):
     want = (1.0 - weight) * to_density(psi).data
     want += weight * (np.eye(dim, dtype=complex) / dim)
     assert mixture(psi, maximally_mixed(n), weight).data.tobytes() == want.tobytes()
+
+
+# The eager mixture build, kept here as the reference for a mixture held as
+# its parts: a part scaled into one fresh array (``np.outer`` for a pure
+# part), then the other added in place, with a maximally mixed part added as
+# ``+= 0.0`` and ``+= weight/dim`` on the diagonal.
+def oracle_scaled_density(data: np.ndarray, scale: float) -> np.ndarray:
+    if data.ndim == 2:
+        return np.multiply(scale, data)
+    rho = np.outer(data, data.conj())
+    rho *= scale
+    return rho
+
+
+def oracle_maximally_mixed(dim: int) -> np.ndarray:
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho.reshape(-1)[:: dim + 1] = 1.0 / dim
+    return rho
+
+
+def oracle_mixture(first: np.ndarray, other, weight: float) -> np.ndarray:
+    """``other`` is an amplitude vector, a density matrix or "I/dim"."""
+    rho = oracle_scaled_density(first, 1.0 - weight)
+    dim = rho.shape[0]
+    if isinstance(other, str):
+        rho += 0.0
+        rho.reshape(-1)[:: dim + 1] += weight / dim
+    else:
+        rho += oracle_scaled_density(other, weight)
+    return rho
+
+
+def state_and_oracle(kind: str, n: int, weight: float, rng):
+    """A state held as parts and its eagerly built density matrix."""
+    psi = random_pure_state(n, rng)
+    if kind == "maximally mixed":
+        return maximally_mixed(n), oracle_maximally_mixed(1 << n)
+    if kind == "pure + maximally mixed":
+        return mixture(psi, maximally_mixed(n), weight), oracle_mixture(psi.data, "I", weight)
+    if kind == "pure + pure":
+        other = random_pure_state(n, rng)
+        return mixture(psi, other, weight), oracle_mixture(psi.data, other.data, weight)
+    if kind == "pure + random mixed":
+        other = random_mixed_state(n, rng)
+        return mixture(psi, other, weight), oracle_mixture(psi.data, other.data, weight)
+    # a mixture of a mixture, as either part
+    inner = mixture(psi, maximally_mixed(n), 0.3)
+    inner_rho = oracle_mixture(psi.data, "I", 0.3)
+    other = random_pure_state(n, rng)
+    if kind == "mixture + pure":
+        return mixture(inner, other, weight), oracle_mixture(inner_rho, other.data, weight)
+    return mixture(other, inner, weight), oracle_mixture(other.data, inner_rho, weight)
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@given(
+    n=st.integers(1, 6),
+    kind=st.sampled_from([
+        "maximally mixed", "pure + maximally mixed", "pure + pure",
+        "pure + random mixed", "mixture + pure", "pure + mixture",
+    ]),
+    weight=st.sampled_from([0.0, 1.0, 1e-300, 0.5]) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=8, kind="pure + maximally mixed", weight=0.05, seed=8)
+def test_a_state_held_as_parts_reads_the_bits_of_its_eager_matrix(n, kind, weight, seed):
+    rng = np.random.default_rng(seed)
+    state, rho = state_and_oracle(kind, n, weight, rng)
+    twin = DenseState(n, rho)
+    dim = 1 << n
+    terms = [
+        PauliString(n, int(x), int(z), float(c))
+        for x, z, c in zip(
+            rng.integers(0, dim, 30), rng.integers(0, dim, 30), rng.uniform(-2, 2, 30)
+        )
+    ]
+    assert hexes(expectations(state, terms)) == hexes(expectations(twin, terms))
+    for term in terms:
+        # fix random bits of random qubits off the term's X/Y axes
+        free = [q for q in range(n) if not term.xmask & bit_for_qubit(n, q)]
+        fixed = {q: int(rng.integers(2)) for q in free if rng.random() < 0.5}
+        got = masked_pauli_expectation(state, term, fixed)
+        assert got.hex() == masked_pauli_expectation(twin, term, fixed).hex()
+    parity = ParityTest(PauliSum.of(terms[:10]), PauliSum.of(terms[10:]))
+    assert hexes(parity.exact_ppass(state)) == hexes(parity.exact_ppass(twin))
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+    adaptive = AdaptiveTest(*all_adaptive_forms(hypergraph(n, edges)))
+    assert hexes(adaptive.exact_ppass(state)) == hexes(adaptive.exact_ppass(twin))
+    # none of these reads built the matrix
+    assert state._data is None
+    reference = random_pure_state(n, rng)
+    assert overlap(state, reference).hex() == overlap(twin, reference).hex()
+    assert state.data.tobytes() == rho.tobytes()
+    assert not state.data.flags.writeable
 
 
 def test_mixture_checks_its_arguments(rng):
@@ -569,7 +681,8 @@ def test_cumsum_is_spelled_only_in_the_row_finisher():
 
 def test_only_the_row_builder_reads_how_a_state_was_built():
     # one Born-table builder: the scalar path samples a one-basis stack, so no
-    # second builder dispatches on the state's parts or calls the row kernels
+    # second builder dispatches on the state's parts or calls the row kernels;
+    # besides it, only the lazy matrix build and the band reader read the parts
     watched = {"_parts", "_density_outcome_probs", "_pure_rows"}
     users = {name: set() for name in watched}
     for path in sorted(Path(states.__file__).parent.glob("*.py")):
@@ -581,7 +694,7 @@ def test_only_the_row_builder_reads_how_a_state_was_built():
                 elif isinstance(node, ast.Call) and ast.unparse(node.func) in watched:
                     users[ast.unparse(node.func)].add(owner)
     assert users == {
-        "_parts": {"states.mixture", "states._born_rows"},
+        "_parts": {"states._parts_density", "states._bands", "states._born_rows"},
         "_density_outcome_probs": {"states._born_rows"},
         "_pure_rows": {"states._born_rows"},
     }
