@@ -144,6 +144,12 @@ class AdaptiveStabilizerForm:
     cz_groups: tuple[tuple[int, ...], ...]
     projector_support: tuple[int, ...]
 
+    def __post_init__(self):
+        if not 0 <= self.vertex < self.n:
+            raise ValueError(f"vertex {self.vertex} out of range")
+        if self.vertex in self.projector_support:  # P_a would fix the bit its X flips
+            raise ValueError(f"vertex {self.vertex} lies in its own projector support")
+
     def branch_for_bits(self, key: int) -> tuple[int, tuple[int, ...]]:
         """Branch sign exponent and sorted residual Z-vertices for packed projector bits.
 
@@ -218,8 +224,6 @@ class AdaptiveStabilizerForm:
 
 def adaptive_form(g: HypergraphSpec, vertex: int) -> AdaptiveStabilizerForm:
     """Purely combinatorial branch data; works at any register width."""
-    if not 0 <= vertex < g.n:
-        raise ValueError(f"vertex {vertex} out of range")
     z_neighbors = []
     groups = []
     for e in g.edges:

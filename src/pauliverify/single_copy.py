@@ -32,7 +32,6 @@ from .states import (
     MeasurementRecord,
     StackLayout,
     expectations,
-    masked_pauli_expectation,
     projector_overlap,
     sample_stacked_outcomes,
     search_segments,
@@ -96,22 +95,30 @@ def adaptive_test_exact_ppass(
 ) -> float:
     """(1 + <g_i>)/2, summed branch by branch: (Tr[rho P_a] + Tr[rho P_a S_a])/2 over all a.
 
+    The branch sum is one ``expectations`` call: branch ``a``'s identity term
+    and its signed ``X_v Z_residual`` term are each summed over the row
+    ``free | ones(a)``, the indices P_a keeps (``free`` has every
+    projector-support bit 0, ``ones(a)`` sets the bits ``a`` fixes).  The
+    halves are added in ``branch_table`` order.
+
     ``g_dense``, the stabilizer as a dense matrix, switches to its overlap.
     ``AdaptiveTest.exact_ppass`` passes none, so every hypergraph
     ``group_ppass`` (each robustness point's ``per_group_ppass``) is the branch sum.
     """
     if g_dense is not None:
         return 0.5 * (1.0 + projector_overlap(rho, g_dense))
-    total = 0.0
+    n, support = form.n, form.projector_support
+    free = np.flatnonzero((np.arange(rho.dim) & qubit_mask(n, support)) == 0)
+    xmask = bit_for_qubit(n, form.vertex)
+    terms, rows = [], []
     for a, alpha, residual in form.branch_table():
-        fixed = {v: bit for v, bit in zip(form.projector_support, a)}
-        proj = masked_pauli_expectation(
-            rho, PauliString.identity(form.n), fixed_bits=fixed
-        )
-        xmask = bit_for_qubit(form.n, form.vertex)
-        zmask = qubit_mask(form.n, residual)
-        string = PauliString(form.n, xmask, zmask, -1.0 if alpha else 1.0)
-        signed = masked_pauli_expectation(rho, string, fixed_bits=fixed)
+        signed = PauliString(n, xmask, qubit_mask(n, residual), -1.0 if alpha else 1.0)
+        terms += [PauliString.identity(n), signed]
+        row = free | qubit_mask(n, (v for v, bit in zip(support, a) if bit))
+        rows += [row, row]
+    values = expectations(rho, terms, np.array(rows))
+    total = 0.0
+    for proj, signed in zip(values[::2], values[1::2]):
         total += 0.5 * (proj + signed)
     return total
 

@@ -7,11 +7,13 @@ a convex mixture) are Hermitian, unit-trace and PSD by construction and skip
 the eigenvalue check.  The maximally mixed state and a convex mixture are
 held as their parts, with no matrix.  Their ``data`` is built on first read,
 by the dense arithmetic (``_parts_density``), and kept read-only.  Born
-tables, ``expectations`` and ``masked_pauli_expectation`` read them from
-their parts instead: the tables as the same mixture of the parts' tables,
-the entries ``rho[i, i ^ x]`` by the matrix's own elementwise steps
-(``_bands``), so those entries are the matrix's bits and no 2**n x 2**n
-array is built.
+tables and ``expectations`` read them from their parts instead: the
+tables as the same mixture of the parts' tables, the entries ``rho[i, i ^
+x]`` by the matrix's own elementwise steps (``_bands``), so those entries
+are the matrix's bits and no 2**n x 2**n array is built.
+
+``expectations`` is the one Pauli-expectation reader: each term is summed
+over all basis indices or over its own row of them (those a projector keeps).
 
 Born tables (outcome distributions over the measured qubits) have one
 builder, ``_table_stack``: the tables of a tuple of bases are one stack,
@@ -73,7 +75,6 @@ from .paulis import (
     PURE_QUBIT_CAP,
     PauliString,
     parity_bits,
-    qubit_mask,
     sign_vector,
 )
 from .schedules import capped_dim
@@ -322,8 +323,8 @@ def apply_pauli(state: DenseState, p: PauliString) -> DenseState:
 
 
 def expectation(state: DenseState, p: PauliString) -> float:
-    """coeff * Tr[rho tau]: ``masked_pauli_expectation`` with no qubit fixed."""
-    return masked_pauli_expectation(state, p, {})
+    """coeff * Tr[rho tau]: ``expectations`` of the one term."""
+    return expectations(state, [p])[0]
 
 
 # The most entries one gather of ``expectations`` holds; terms are gathered
@@ -331,58 +332,39 @@ def expectation(state: DenseState, p: PauliString) -> float:
 GATHER_ENTRIES = 1 << 16
 
 
-def expectations(state: DenseState, terms) -> list[float]:
-    """``expectation(state, t)`` for each Pauli string ``t`` of ``terms``, bit for bit.
+def expectations(state: DenseState, terms, rows=None) -> list[float]:
+    """coeff * sum_r (-1)**|r & z| rho[r, r ^ x] for each term, r over the term's row of ``rows``.
 
-    A chunk of terms gathers its entries as one (terms, dim) array, with the
-    same elementwise products as ``expectation``; summing each C-contiguous
-    row along its axis makes the same pairwise additions as the 1-d sum.  A
-    density matrix's entries (i, i ^ x) come from ``_bands``, in the same
-    (terms, dim) order.
+    ``rows`` is a (terms, m) int64 array of ascending basis indices, one row
+    per term; ``None`` is all 2**n indices, which gives Tr[rho tau].  A row
+    that keeps the indices with some bits fixed, for a term whose X/Y letters
+    avoid those bits, gives Tr[rho P tau], P the projector onto those bits.
+    A pure state's entries are ``conj(psi[r ^ x]) * psi[r]``, a density
+    matrix's come from ``_bands``.  A chunk of terms under GATHER_ENTRIES is
+    gathered as one (terms, m) array by the same elementwise steps; summing
+    a C-contiguous row along its axis makes the same pairwise additions as
+    the 1-d sum of that row alone, so each value has the bits of its own
+    1-d sum over its own row, in any chunk.
     """
     terms = list(terms)
     for t in terms:
         _check_width(state, t.n)
-    idx = np.arange(state.dim, dtype=np.int64)
-    step = max(1, GATHER_ENTRIES // state.dim)
+    if rows is not None and np.shape(rows)[:1] != (len(terms),):
+        raise ValueError(f"rows must hold one row per term, got shape {np.shape(rows)}")
+    every = np.arange(state.dim, dtype=np.int64)
+    step = max(1, GATHER_ENTRIES // (state.dim if rows is None else rows.shape[1]))
     values = []
     for lo in range(0, len(terms), step):
         chunk = terms[lo : lo + step]
+        idx = every if rows is None else rows[lo : lo + step]
         xmasks, zmasks = np.array([t.key for t in chunk], dtype=np.int64).T[:, :, None]
         signs = 1 - 2 * parity_bits(idx, zmasks)
         if state.is_pure:
-            sums = np.sum(np.conj(state.data[idx ^ xmasks]) * signs * state.data, axis=1)
+            sums = np.sum(np.conj(state.data[idx ^ xmasks]) * signs * state.data[idx], axis=1)
         else:
             sums = np.sum(signs * _bands(state, idx, xmasks), axis=1)
         values += [float((t.coeff * (1j) ** t.y_count * v).real) for t, v in zip(chunk, sums)]
     return values
-
-
-def masked_pauli_expectation(
-    state: DenseState, p: PauliString, fixed_bits: dict[int, int]
-) -> float:
-    """Tr[rho P_proj tau] where P_proj fixes computational bits of some qubits.
-
-    ``fixed_bits`` maps qubit -> required bit value; the Pauli ``p`` must act
-    as I or Z on those qubits (the projector and the string must commute
-    qubitwise), which all callers in this package guarantee.
-    """
-    _check_width(state, p.n)
-    idx = np.arange(state.dim, dtype=np.int64)
-    sel_mask = qubit_mask(state.n, fixed_bits)
-    if p.xmask & sel_mask:
-        raise ValueError("projector clashes with an X/Y axis")
-    sel_val = qubit_mask(state.n, (q for q, b in fixed_bits.items() if b))
-    keep = (idx & sel_mask) == sel_val
-    signs = sign_vector(state.dim, p.zmask)
-    if state.is_pure:
-        val = np.sum(
-            np.conj(state.data[idx[keep] ^ p.xmask]) * signs[keep] * state.data[keep]
-        )
-    else:
-        val = np.sum(signs[keep] * _bands(state, idx[keep], p.xmask))
-    val = p.coeff * (1j) ** p.y_count * val
-    return float(val.real)
 
 
 def _remember(state: DenseState, key, value):

@@ -232,6 +232,12 @@ def test_iqp_margin_golden_and_report_input(tmp_path, capsys):
     assert code == 1
 
 
+HYPER6_ROBUSTNESS = [
+    "robustness", "--target", "tests/data/hyper6.json",
+    "--eps-prime", "0,0.02,0.1", "-k", "40", "--runs", "8", "--seed", "5",
+]
+
+
 def test_robustness_golden(capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     code, out, _ = run_cli(
@@ -243,6 +249,14 @@ def test_robustness_golden(capsys, monkeypatch):
     )
     assert code == 0
     assert out == (GOLDEN / "robustness_triple.json").read_text()
+
+
+def test_robustness_hyper6_golden(capsys, monkeypatch):
+    # four of hyper6's forms have four branches each, summed at every mixture point
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run_cli(HYPER6_ROBUSTNESS, capsys)
+    assert code == 0
+    assert out == (GOLDEN / "robustness_hyper6.json").read_text()
 
 
 def test_robustness_circuit_golden(capsys, monkeypatch):
@@ -1079,6 +1093,7 @@ BLAS_THREAD_GOLDENS = {
         "robustness", "--target", "tests/data/clifford_t.json",
         "--eps-prime", "0,0.05", "-k", "20", "--runs", "4", "--seed", "3",
     ],
+    "robustness_hyper6": HYPER6_ROBUSTNESS,
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pauliverify.hypergraphs import (
+    AdaptiveStabilizerForm,
     adaptive_form,
     bit_for_qubit,
     build_state,
@@ -128,6 +129,19 @@ def test_adaptive_form_worked_example():
     # branch a=0: accept on x alone; branch a=1: accept on x*z(vertex 2)
     assert form.branch_for_bits(0) == (0, ())
     assert form.branch_for_bits(1) == (0, (2,))
+
+
+def test_a_form_refuses_a_vertex_out_of_range_or_in_its_projector_support():
+    with pytest.raises(ValueError, match="vertex 3 out of range"):
+        adaptive_form(hypergraph(3, [(0, 1)]), 3)
+    with pytest.raises(ValueError, match="vertex -1 out of range"):
+        AdaptiveStabilizerForm(3, -1, (), (), ())
+    # the projector would fix the bit that the tested X flips
+    with pytest.raises(ValueError, match="vertex 0 lies in its own projector support"):
+        AdaptiveStabilizerForm(3, 0, (), ((0, 2),), (0,))
+    assert AdaptiveStabilizerForm(3, 0, (), ((1, 2),), (1,)) == adaptive_form(
+        hypergraph(3, [(0, 1, 2)]), 0
+    )
 
 
 def test_adaptive_form_graph_state_needs_no_branches():

@@ -1,16 +1,24 @@
 from itertools import combinations
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from pauliverify import states
+from pauliverify import single_copy, states
 
 from pauliverify.circuits import all_stabilizer_decompositions, build_circuit_state, circuit
 from pauliverify.hamiltonians import HamiltonianSpec, rescale
-from pauliverify.hypergraphs import adaptive_form, build_state, hypergraph, stabilizer_dense
-from pauliverify.paulis import PauliString, PauliSum
+from pauliverify.hypergraphs import (
+    adaptive_form,
+    all_adaptive_forms,
+    build_state,
+    hypergraph,
+    load_hypergraph,
+    stabilizer_dense,
+)
+from pauliverify.paulis import PauliString, PauliSum, bit_for_qubit, qubit_mask, sign_vector
 from pauliverify.single_copy import (
     AdaptiveTest,
     ParityTest,
@@ -189,6 +197,104 @@ def test_adaptive_branch_sum_equals_trace_form(n, edge_bits, pure, seed):
         via_trace = 0.5 * (1.0 + projector_overlap(rho, stabilizer_dense(g, v)))
         via_branches = adaptive_test_exact_ppass(rho, adaptive_form(g, v))
         assert via_branches == pytest.approx(via_trace, abs=1e-10)
+
+
+def masked_expectation_oracle(state, p, fixed_bits):
+    """Tr[rho P tau], P fixing ``fixed_bits`` (qubit -> bit), as one 1-d sum over the kept indices."""
+    idx = np.arange(state.dim, dtype=np.int64)
+    sel_mask = qubit_mask(state.n, fixed_bits)
+    assert not p.xmask & sel_mask
+    sel_val = qubit_mask(state.n, (q for q, b in fixed_bits.items() if b))
+    keep = (idx & sel_mask) == sel_val
+    signs = sign_vector(state.dim, p.zmask)
+    if state.is_pure:
+        val = np.sum(np.conj(state.data[idx[keep] ^ p.xmask]) * signs[keep] * state.data[keep])
+    else:
+        val = np.sum(signs[keep] * states._bands(state, idx[keep], p.xmask))
+    return float((p.coeff * (1j) ** p.y_count * val).real)
+
+
+def branch_sum_oracle(rho, form):
+    """The adaptive pass probability, two masked sums per branch, added in branch_table order."""
+    total = 0.0
+    for a, alpha, residual in form.branch_table():
+        fixed = dict(zip(form.projector_support, a))
+        proj = masked_expectation_oracle(rho, PauliString.identity(form.n), fixed)
+        xmask = bit_for_qubit(form.n, form.vertex)
+        string = PauliString(form.n, xmask, qubit_mask(form.n, residual), -1.0 if alpha else 1.0)
+        signed = masked_expectation_oracle(rho, string, fixed)
+        total += 0.5 * (proj + signed)
+    return total
+
+
+@st.composite
+def wide_support_hypergraphs(draw):
+    """2 to 8 vertices, pair and triple edges; hub triples (0, a, b) put each a in vertex 0's support."""
+    n = draw(st.integers(2, 8))
+    support = draw(st.permutations(range(1, n - 1)))[: draw(st.integers(0, n - 2))]
+    hub = [(0, a, draw(st.integers(a + 1, n - 1))) for a in sorted(support)]
+    others = [e for size in (2, 3) for e in combinations(range(n), size) if e not in hub]
+    return hypergraph(n, hub + draw(st.lists(st.sampled_from(others), max_size=8, unique=True)))
+
+
+@given(
+    g=wide_support_hypergraphs(),
+    kind=st.sampled_from(
+        ["ideal", "flipped", "pure", "mixed", "mixture", "maximally_mixed"]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+# vertex 0's support is (1, 2, 3, 5), and 3 is also a carrier
+@example(
+    g=hypergraph(8, [(0, 1, 3), (0, 2, 4), (0, 3, 6), (0, 5, 7), (1, 2), (4, 6, 7)]),
+    kind="mixture",
+    seed=3,
+)
+def test_the_branch_sum_has_the_bits_of_two_masked_sums_per_branch(g, kind, seed):
+    rng = np.random.default_rng(seed)
+    n = g.n
+    ideal = build_state(g)
+    flip = PauliString(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)))
+    state = {
+        "ideal": lambda: ideal,
+        "flipped": lambda: apply_pauli(ideal, flip),
+        "pure": lambda: random_pure_state(n, rng),
+        "mixed": lambda: random_mixed_state(n, rng),
+        "mixture": lambda: mixture(ideal, random_mixed_state(n, rng), float(rng.random())),
+        "maximally_mixed": lambda: maximally_mixed(n),
+    }[kind]()
+    for form in all_adaptive_forms(g):
+        want = branch_sum_oracle(state, form).hex()
+        assert adaptive_test_exact_ppass(state, form).hex() == want
+
+
+def test_each_form_is_one_gather_and_each_parity_chunk_one_pass(monkeypatch):
+    """The work ledger: ``expectations`` calls per form, and gathers per chunk of terms."""
+    g, _ = load_hypergraph(Path(__file__).parent / "data" / "hyper6.json")
+    forms = all_adaptive_forms(g)
+    gathers, passes = [], []
+    real_expectations, real_parity_bits = single_copy.expectations, states.parity_bits
+    monkeypatch.setattr(
+        single_copy, "expectations", lambda *a, **kw: gathers.append(1) or real_expectations(*a, **kw)
+    )
+    monkeypatch.setattr(
+        states, "parity_bits", lambda *a: passes.append(1) or real_parity_bits(*a)
+    )
+    state = mixture(build_state(g), maximally_mixed(g.n), 0.1)
+    AdaptiveTest(*forms).exact_ppass(state)
+    # hyper6 has 6 forms and 19 branches: 38 branch terms in 6 gathers
+    assert sum(1 << len(f.projector_support) for f in forms) == 19
+    assert (len(gathers), len(passes)) == (6, 6)
+
+    gathers.clear()
+    passes.clear()
+    sums = [PauliSum.of([PauliString.from_axes(a) for a in axes]) for axes in (
+        ["XXIIII", "ZIZIII", "IYIYII"], ["ZZZZZZ", "XIIIIX"], ["IIXZII"],
+    )]
+    monkeypatch.setattr(states, "GATHER_ENTRIES", 4 << g.n)
+    ParityTest(*sums).exact_ppass(state)
+    # one call of six terms, gathered in chunks of four
+    assert (len(gathers), len(passes)) == (1, 2)
 
 
 def test_adaptive_monte_carlo_matches_exact(rng):

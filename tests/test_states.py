@@ -20,7 +20,6 @@ from pauliverify.states import (
     computational_state,
     expectation,
     expectations,
-    masked_pauli_expectation,
     maximally_mixed,
     measure_in_bases,
     mixed_state,
@@ -130,16 +129,27 @@ def test_expectation_unit_coeff_in_unit_interval(rng):
         assert -1.0 - 1e-10 <= val <= 1.0 + 1e-10
 
 
+def fixed_bit_rows(n: int, fixed: dict[int, int]) -> np.ndarray:
+    """One row: the ascending indices whose bits read ``fixed`` (qubit -> bit)."""
+    idx = np.arange(1 << n)
+    keep = np.ones(idx.shape, dtype=bool)
+    for q, b in fixed.items():
+        keep &= (idx >> (n - 1 - q)) & 1 == b
+    return idx[keep][None]
+
+
 def test_masked_expectation_oracle(rng):
     rho = random_mixed_state(3, rng)
     # X on qubit 0, projector |1><1| on qubit 1, Z on qubit 2
-    got = masked_pauli_expectation(
-        rho, PauliString.from_axes("XIZ"), fixed_bits={1: 1}
-    )
+    (got,) = expectations(rho, [PauliString.from_axes("XIZ")], rows=fixed_bit_rows(3, {1: 1}))
     want = np.trace(rho.data @ dense_from_axes("X1Z")).real
     assert got == pytest.approx(want, abs=1e-12)
-    with pytest.raises(ValueError):
-        masked_pauli_expectation(rho, PauliString.from_axes("XIZ"), fixed_bits={0: 1})
+
+
+def test_rows_hold_one_row_per_term(rng):
+    rho = random_mixed_state(2, rng)
+    with pytest.raises(ValueError, match="one row per term"):
+        expectations(rho, [PauliString.from_axes("XI")] * 2, rows=fixed_bit_rows(2, {1: 0}))
 
 
 def test_measure_z_eigenstate_deterministic(rng):
@@ -515,8 +525,9 @@ def test_a_state_held_as_parts_reads_the_bits_of_its_eager_matrix(n, kind, weigh
         # fix random bits of random qubits off the term's X/Y axes
         free = [q for q in range(n) if not term.xmask & bit_for_qubit(n, q)]
         fixed = {q: int(rng.integers(2)) for q in free if rng.random() < 0.5}
-        got = masked_pauli_expectation(state, term, fixed)
-        assert got.hex() == masked_pauli_expectation(twin, term, fixed).hex()
+        rows = fixed_bit_rows(n, fixed)
+        got = expectations(state, [term], rows=rows)
+        assert hexes(got) == hexes(expectations(twin, [term], rows=rows))
     parity = ParityTest(PauliSum.of(terms[:10]), PauliSum.of(terms[10:]))
     assert hexes(parity.exact_ppass(state)) == hexes(parity.exact_ppass(twin))
     edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
