@@ -3,9 +3,10 @@
 Every subcommand echoes its seed and emits canonical JSON, so identical
 invocations produce identical bytes.  Exit codes: 0 success, 1 config or
 validation error (machine-readable JSON on stderr), 2 dense-simulation cap
-exceeded.  Each subcommand imports the modules it uses when it runs, so
-``params`` and ``iqp-margin`` start without numpy.  Loading a target first
-lets glibc keep freed blocks in the heap (``_keep_freed_memory``).
+exceeded.  An output path whose directory is missing is refused first.
+Each subcommand imports the modules it uses when it runs, so ``params`` and
+``iqp-margin`` start without numpy.  Loading a target first lets glibc keep
+freed blocks in the heap (``_keep_freed_memory``).
 """
 from __future__ import annotations
 
@@ -75,6 +76,13 @@ def _keep_freed_memory() -> bool:
     mmap_set = mallopt(m_mmap_threshold, 32 << 20) == 1
     trim_set = mallopt(m_trim_threshold, 64 << 20) == 1
     return mmap_set and trim_set
+
+
+def _check_output_dirs(args) -> None:
+    """Refuse an output path whose directory is missing before any work is done."""
+    for path in (getattr(args, "out", None), getattr(args, "trials_csv", None)):
+        if path and not Path(path).parent.is_dir():
+            raise ValueError(f"cannot write {path}: {Path(path).parent} is not a directory")
 
 
 def _emit(obj, out: str | None) -> None:
@@ -578,6 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_output_dirs(args)
         return args.func(args)
     except CapExceededError as exc:
         code, kind, error = 2, "cap_exceeded", str(exc)

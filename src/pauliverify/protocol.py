@@ -291,7 +291,30 @@ class VerdictReport:
     prover_kind: str
     trials: TrialColumns | None = None
 
-    def to_jsonable(self) -> dict:
+    def slots(self) -> tuple[tuple, list]:
+        """(shared, values): what every report of one engine call shares, and this run's own.
+
+        The values are accepted, target_register, target_fidelity, seed and
+        each group's passes and passed; ``to_jsonable(values)`` writes others
+        in their place.  ``reporting`` writes the reports of one call from one template.
+        """
+        constants = [(g.group, g.trials, g.threshold, g.comparison) for g in self.groups]
+        shared = (self.params, self.prover_kind, constants)
+        values = [self.accepted, self.target_register, self.target_fidelity, self.seed]
+        for g in self.groups:
+            values += (g.passes, g.passed)
+        return shared, values
+
+    def to_jsonable(self, values: list | None = None) -> dict:
+        if values is not None:
+            doc = self.to_jsonable()
+            accepted, register, fidelity, seed, *flat = values
+            doc.update(
+                accepted=accepted, target_register=register, target_fidelity=fidelity, seed=seed
+            )
+            for group, passes, passed in zip(doc["groups"], flat[::2], flat[1::2]):
+                group.update(passes=passes, passed=passed)
+            return doc
         return {
             "protocol": self.params.protocol,
             "accepted": self.accepted,

@@ -12,8 +12,12 @@ the one writer of every report, manifest and error message.  It walks the
 value once and appends string pieces: keys sorted, a two-space indent, ASCII
 escapes (``json.encoder.encode_basestring_ascii``), ints and floats by repr,
 NaN and Infinity refused with ValueError.  Package values are expanded as
-they are met, so a list of reports is rendered one report at a time.  Nothing
-time- or path-dependent is ever written.
+they are met, so a list of reports is rendered one report at a time.  A list
+of two or more verdict reports of one engine call is filled from a template
+of its first report: only the slots ``VerdictReport.slots`` names are written
+per report, by the same scalar rules.  A report whose shared fields differ
+from the first one's, and every other value, takes the generic path, which
+stays the reference.  Nothing time- or path-dependent is ever written.
 """
 from __future__ import annotations
 
@@ -152,12 +156,73 @@ def _write_list(items, nl: str, out: list[str]) -> None:
         return
     inner = nl + "  "
     sep = "[" + inner
+    fill = _report_template(items[0], inner) if len(items) > 1 else None
     for item in items:
-        piece = [sep]
-        _write(item, inner, piece)
-        out.append("".join(piece))
+        text = fill and fill(item)
+        if text is None:
+            piece = [sep]
+            _write(item, inner, piece)
+            out.append("".join(piece))
+        else:
+            out += (sep, text)
         sep = "," + inner
     out.append(nl + "]")
+
+
+_SCALAR_TEXT = {
+    bool: ("false", "true").__getitem__,
+    int: _int_text,
+    float: _float_text,
+    type(None): lambda _: "null",
+}
+
+
+def _report_template(first, inner: str):
+    """A filler of the text of each report that shares ``first``'s fields, or None.
+
+    ``first`` (a protocol.VerdictReport) is written once at indent ``inner``
+    with a unique sentinel string in each of its ``slots``, and the text is
+    cut at the sentinels.  The filler joins the cuts with the text of a
+    report's slot values, or gives None for a value the template does not
+    fit: another type, other shared fields, or a slot value that is not a
+    bool, int, float or None.
+    """
+    if not hasattr(first, "slots"):
+        return None
+    shared, values = first.slots()
+    piece: list[str] = []
+    _write(first.to_jsonable([f"\x00{i}\x00" for i in range(len(values))]), inner, piece)
+    head, *rest = "".join(piece).split('"\\u0000')  # each slot's sentinel, as escaped
+    cuts, in_text_order = [head], []
+    for part in rest:
+        slot, found, tail = part.partition('\\u0000"')
+        if not (found and slot.isdigit()):
+            return None
+        in_text_order.append(int(slot))
+        cuts.append(tail)
+    if sorted(in_text_order) != list(range(len(values))):
+        return None
+    body = [None] * (2 * len(cuts) - 1)  # the cuts, with a place for each slot's text
+    body[::2] = cuts
+    kind = type(first)
+
+    def fill(report) -> str | None:
+        if type(report) is not kind:
+            return None
+        own, values = report.slots()
+        if own != shared:
+            return None
+        try:
+            texts = [_SCALAR_TEXT[type(v)](v) for v in values]
+        except KeyError:
+            return None
+        # one join sizes the text once; a % format grows its buffer, which
+        # raised the peak RSS of a process that writes many reports
+        filled = body.copy()
+        filled[1::2] = [texts[i] for i in in_text_order]
+        return "".join(filled)
+
+    return fill
 
 
 def _write_other(obj, nl: str, out: list[str]) -> None:
@@ -194,23 +259,24 @@ def trial_csv_lines(trials: Iterable) -> list[str]:
 
     Item r of ``trials`` holds run r's trial columns (protocol.TrialColumns).
     Each column is converted to Python values at once, labels come from the
-    test's lookup, and the trial indices of a run size k are spelled once.
+    test's lookup, pass flags are read as 0/1, and the trial indices of a
+    run size k are spelled once per call, each with its trailing comma.
     """
     lines: list[str] = []
     names: dict[int, list[str]] = {}
     for run, columns in enumerate(trials):
         k = columns.passed.shape[1]
         if k not in names:
-            names[k] = [str(t) for t in range(k)]
-        rows = zip(columns.registers.tolist(), columns.branches, columns.passed.tolist())
+            names[k] = [f"{t}," for t in range(k)]
+        flags = columns.passed.astype("u1").tolist()
+        rows = zip(columns.registers.tolist(), columns.branches, flags)
         for group, (registers, branches, passed) in enumerate(rows):
             prefix = f"{run},{group},"
-            lines.extend(
-                f"{prefix}{t},{register},{label},{ok:d}"
-                for t, register, label, ok in zip(
-                    names[k], registers, columns.labels(group, branches), passed
-                )
-            )
+            labels = columns.labels(group, branches)
+            lines += [
+                f"{prefix}{t}{register},{label},{ok}"
+                for t, register, label, ok in zip(names[k], registers, labels, passed)
+            ]
     return lines
 
 

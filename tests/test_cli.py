@@ -617,7 +617,14 @@ def test_parity_verify_golden_and_trials_csv(name, tmp_path, capsys):
 # Trial CSVs of the other label and source paths: adaptive "a=" labels (one of
 # them empty, for an isolated vertex) with failed trials, and the scalar trial
 # loop of an entangled prover.
-TRIALS_CSV_GOLDENS = [("verify_hyper6_deviated", 2), ("verify_cnot_t2_entangled", 3)]
+# verify_triple_correlated's classically correlated prover fills both values of
+# every varying report field: accepted and rejected runs, passed and failed
+# groups, and fidelities of 0.0 and 0.9999999999999996.
+TRIALS_CSV_GOLDENS = [
+    ("verify_hyper6_deviated", 2),
+    ("verify_cnot_t2_entangled", 3),
+    ("verify_triple_correlated", 12),
+]
 
 
 @pytest.mark.parametrize("name, runs", TRIALS_CSV_GOLDENS)
@@ -689,6 +696,43 @@ def test_robustness_refuses_every_deviation_before_the_first_point(capsys, monke
     assert_config_error(code, out, err, "epsilon_prime must lie in [0, 1]")
     assert json.loads(err) == {"error": "epsilon_prime must lie in [0, 1]", "kind": "config"}
     assert sampled == []
+
+
+@pytest.mark.parametrize(
+    "outputs",
+    [["--out", "missing/report.json"], ["--trials-csv", "missing/trials.csv"]],
+    ids=["out", "trials-csv"],
+)
+def test_verify_refuses_a_missing_output_directory_before_loading(
+    outputs, tmp_path, capsys, monkeypatch
+):
+    prepared = []
+    monkeypatch.setattr("pauliverify.protocol.prepare", lambda *args: prepared.append(args))
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "--config", str(DATA / "verify_ring3.json"), "--runs", "3"]
+    csv_path = tmp_path / "trials.csv"
+    if outputs[0] == "--out":
+        argv += ["--trials-csv", str(csv_path)]
+    code, out, err = run_cli([*argv, *outputs], capsys)
+    assert_config_error(code, out, err, f"cannot write {outputs[1]}: missing is not a directory")
+    assert prepared == []
+    assert not csv_path.exists()
+
+
+def test_robustness_refuses_a_missing_output_directory_before_loading(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "load_target", lambda *args: pytest.fail("target loaded"))
+    (tmp_path / "file").write_text("")
+    out_path = tmp_path / "file" / "robustness.json"
+    code, out, err = run_cli(
+        [
+            "robustness", "--target", str(DATA / "triple.json"), "--eps-prime", "0",
+            "-k", "5", "--runs", "2", "--seed", "1", "--out", str(out_path),
+        ],
+        capsys,
+    )
+    assert_config_error(code, out, err, f"{tmp_path / 'file'} is not a directory")
 
 
 # ---------------------------------------------------------------------------
