@@ -51,10 +51,7 @@ _EXPORTS = {
         "coherent_error_prover", "entangled_demo_prover", "honest_prover",
         "iid_deviated_prover", "prepare", "run_seeds",
     ),
-    "analysis": (
-        "DistributionPair", "hoeffding_calculator", "l1_distance", "robustness_sweep",
-        "trace_distance_fidelity_bounds", "x_basis_distribution",
-    ),
+    "analysis": ("robustness_sweep",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,10 +1,10 @@
-"""Quantitative post-processing: distances, margins, tails, robustness.
+"""The robustness sweep and the exact binomial tails it reads.
 
 Every reported number carries its computation mode ("exact", "monte_carlo",
 or "bound") so downstream consumers never mistake a sampled rate for a
-closed-form value.  The robustness sweep's measured acceptance counts the
-runs whose every group clears its cut, from the prepared target's
-``pass_counts``; it builds no verdict report.
+closed-form value.  A point's predicted acceptance is a product of exact
+binomial tails; its measured acceptance counts the runs whose every group
+clears its cut, from the prepared target's ``pass_counts``, with no report.
 """
 from __future__ import annotations
 
@@ -19,9 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypergraphs import HypergraphSpec, build_state, z_layer_on
-from .paulis import PauliString, qubit_mask
-from .states import DenseState, apply_pauli, outcome_distribution, overlap, to_density
+from .states import DenseState
 from .protocol import (
     PreparedTarget, check_epsilon_prime, check_run_sizes, iid_deviated_prover, run_seeds
 )
@@ -30,81 +28,7 @@ from .single_copy import binomial_sigma
 
 
 # ---------------------------------------------------------------------------
-# Output distributions and l1 distances
-
-
-def x_basis_distribution(state: DenseState) -> np.ndarray:
-    """Exact Born probabilities of measuring every qubit in the X basis.
-
-    Index bit 1 on a qubit means the -1 outcome, matching the computational
-    label after the Hadamard rotation.
-    """
-    return outcome_distribution(state, "X" * state.n)
-
-
-def iqp_output_distribution(
-    g: HypergraphSpec, z_layer: Sequence[int] = ()
-) -> np.ndarray:
-    """X-basis distribution of the hypergraph state with a local-Z layer."""
-    zmask = qubit_mask(g.n, z_layer_on(g.n, z_layer))
-    state = build_state(g)
-    if zmask:
-        state = apply_pauli(state, PauliString(g.n, 0, zmask, 1.0))
-    return x_basis_distribution(state)
-
-
-@dataclass(frozen=True)
-class DistributionPair:
-    p: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        # written so that a comparison with NaN fails each check
-        for vec in (self.p, self.q):
-            if not np.min(vec) >= -1e-12:
-                raise ValueError("probabilities must be nonnegative")
-            if not abs(float(np.sum(vec)) - 1.0) <= 1e-9:
-                raise ValueError("distribution does not sum to 1")
-        if self.p.shape != self.q.shape:
-            raise ValueError("distributions must share a sample space")
-
-
-def l1_distance(pair: DistributionPair) -> float:
-    """Total l1 difference; twice the total-variation distance, in [0, 2]."""
-    return float(np.sum(np.abs(pair.p - pair.q)))
-
-
-# ---------------------------------------------------------------------------
-# Fidelity / trace-distance bounds
-
-
-@dataclass(frozen=True)
-class StateBounds:
-    fidelity: float
-    trace_distance: float
-    povm_l1_bound: float  # any POVM's outcome l1 error is at most this
-
-
-def trace_distance_fidelity_bounds(rho: DenseState, ideal: DenseState) -> StateBounds:
-    """Exact trace distance to a pure reference plus the sqrt(1-F) chain."""
-    if not ideal.is_pure:
-        raise ValueError("the reference state must be pure")
-    fidelity = overlap(rho, ideal)
-    diff = to_density(rho).data - to_density(ideal).data
-    trace_distance = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-    if trace_distance > np.sqrt(max(1.0 - fidelity, 0.0)) + 1e-9:
-        raise AssertionError("trace distance exceeded sqrt(1 - fidelity)")
-    return StateBounds(fidelity, trace_distance, 2.0 * trace_distance)
-
-
-# ---------------------------------------------------------------------------
 # Tail bounds
-
-
-@dataclass(frozen=True)
-class TailBounds:
-    hoeffding: float  # exp(-2 t^2 k)
-    exact: float  # P[K/k >= p + t] for K ~ Binomial(k, p)
 
 
 def hoeffding_tail(k: int, t: float) -> float:
@@ -180,16 +104,6 @@ def binomial_tail_le(k: int, p: float, threshold: Fraction) -> float:
     """
     m = pass_cut("<=", threshold, k)
     return _binomial_tail(_binomial_kernels()[0], m, k, p, below=0.0, above=1.0)
-
-
-def hoeffding_calculator(p: float, k: int, t: float) -> TailBounds:
-    """One-sided upward deviation bound and its exact binomial companion."""
-    if k < 1 or not 0.0 <= p <= 1.0:
-        raise ValueError(f"need k >= 1 and p in [0, 1], got k={k}, p={p}")
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"the deviation t must be finite and positive, got {t}")
-    thr = Fraction(p) + Fraction(t)
-    return TailBounds(hoeffding=hoeffding_tail(k, t), exact=binomial_tail_ge(k, p, thr))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .schedules import (
     ProtocolParams,
     capped_dim,
     desk_params,
+    l1_budget,
     minimal_k_for_sampling_hardness,
     quantity,
     schedule_epsilon,
@@ -79,9 +80,12 @@ def _keep_freed_memory() -> bool:
 
 
 def _check_output_dirs(args) -> None:
-    """Refuse an output path whose directory is missing before any work is done."""
-    for path in (getattr(args, "out", None), getattr(args, "trials_csv", None)):
-        if path and not Path(path).parent.is_dir():
+    """Refuse an empty output path, or one whose directory is missing, before any work."""
+    for dest in ("out", "trials_csv"):
+        path = getattr(args, dest, None)
+        if path == "":
+            raise ValueError(f"--{dest.replace('_', '-')} needs a file path, got an empty one")
+        if path is not None and not Path(path).parent.is_dir():
             raise ValueError(f"cannot write {path}: {Path(path).parent} is not a directory")
 
 
@@ -327,12 +331,14 @@ def cmd_inspect(args) -> int:
 
     kind, target, z_layer = load_target(args.target)
     capped_dim(target.n, INSPECT_QUBIT_CAP, f"{kind} inspection")
+    # checked for every kind, though only the Pauli-sum kinds report it
+    budget = l1_budget(target.n, args.budget)
     if kind == "hypergraph":
         out = _inspect_hypergraph(target, z_layer)
     elif kind == "hamiltonian":
-        out = _inspect_hamiltonian(target, args.budget)
+        out = _inspect_hamiltonian(target, budget)
     else:
-        out = _inspect_circuit(target, args.budget)
+        out = _inspect_circuit(target, budget)
     out["target"] = str(args.target)
     _emit(out, args.out)
     return 0
@@ -378,8 +384,6 @@ def cmd_ppass(args) -> int:
 def cmd_verify(args) -> int:
     from .protocol import prepare, run_seeds
 
-    if args.trials_csv == "":
-        raise ValueError("--trials-csv needs a file path, got an empty one")
     config_path = Path(args.config)
     cfg = read_object(config_path, "the config")
     params_cfg = field(cfg, "params", dict, {})

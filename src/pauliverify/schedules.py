@@ -51,18 +51,21 @@ def capped_dim(n: int, cap: int, what: str) -> int:
     return 1 << n
 
 
+def l1_budget(n: int, budget: float | None) -> float:
+    """The l1 budget on ``n`` qubits: ``budget``, or 10 * n**3 when it is None."""
+    if budget is not None and not 0.0 <= float(budget) < math.inf:
+        raise ValueError(f"the l1 budget must be finite and non-negative, got {budget}")
+    return 10.0 * n**3 if budget is None else float(budget)
+
+
 def budget_report(n: int, l1: float, budget: float | None) -> dict:
     """The sampling condition of a Pauli sum on ``n`` qubits with l1 norm ``l1``.
 
-    Both Pauli-sum protocols report it.  The l1 budget defaults to 10 * n**3
-    and never blocks execution.  The term distribution is always
-    materialized and its l1 norm known exactly, so those two flags hold.
+    Both Pauli-sum protocols report it.  The l1 budget (``l1_budget``) never
+    blocks execution.  The term distribution is always materialized and its
+    l1 norm known exactly, so those two flags hold.
     """
-    if budget is None:
-        budget = 10.0 * n**3
-    elif not 0.0 <= float(budget) < math.inf:
-        raise ValueError(f"the l1 budget must be finite and non-negative, got {budget}")
-    budget = float(budget)
+    budget = l1_budget(n, budget)
     return {
         "n_qubits": n,
         "budget_value": budget,
@@ -318,8 +321,8 @@ class MarginReport:
 
 def supremacy_margin(fidelity: float, sampler_error: float) -> MarginReport:
     """Total l1 bound 2*sqrt(1-F) + sampler_error against the 1/192 line."""
-    # a computed overlap, such as a report's target_fidelity, rounds up to 1e-12 past 1
-    if not 0.0 <= fidelity <= 1.0 + 1e-12:
+    # a computed overlap, such as a report's target_fidelity, rounds up to 1e-12 outside [0, 1]
+    if not -1e-12 <= fidelity <= 1.0 + 1e-12:
         raise ValueError("fidelity must lie in [0, 1]")
     if not 0.0 <= sampler_error < math.inf:
         raise ValueError(

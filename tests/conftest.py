@@ -40,6 +40,15 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+def trace_distance(rho, sigma) -> float:
+    """Oracle trace distance: half the summed |eigenvalues| of the dense rho - sigma."""
+
+    def density(state) -> np.ndarray:
+        return np.outer(state.data, state.data.conj()) if state.is_pure else state.data
+
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(density(rho) - density(sigma)))))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

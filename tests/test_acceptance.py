@@ -16,14 +16,10 @@ import numpy as np
 import pytest
 
 from pauliverify.analysis import (
-    DistributionPair,
     acceptance_bound,
     binomial_tail_ge,
     binomial_tail_le,
     hoeffding_tail,
-    l1_distance,
-    trace_distance_fidelity_bounds,
-    x_basis_distribution,
 )
 from pauliverify.circuits import all_stabilizer_decompositions, build_circuit_state, circuit
 from pauliverify.hamiltonians import HamiltonianSpec, rescale
@@ -60,13 +56,14 @@ from pauliverify.states import (
     maximally_mixed,
     measure_in_bases,
     outcome_distribution,
+    overlap,
     mixed_state,
     pure_state,
     random_mixed_state,
     to_density,
 )
 
-from conftest import dense_from_axes
+from conftest import dense_from_axes, trace_distance
 
 GOLDEN = Path(__file__).parent / "golden"
 MASTER_SEED = 20250810
@@ -330,19 +327,19 @@ def test_criterion_7_supremacy_margin_arithmetic():
             st = build_state(g)
             lam = 0.05
             rho = mixed_state((1 - lam) * to_density(st).data + lam * np.eye(1 << n) / (1 << n))
-            p = x_basis_distribution(st)
-            p_prime = x_basis_distribution(rho)
+            p = outcome_distribution(st, "X" * n)
+            p_prime = outcome_distribution(rho, "X" * n)
             q = p_prime.copy()
             shift = min(0.002, float(q[0]) / 2)
             q[0] -= shift
             q[1] += shift  # a slightly wrong classical sampler
-            lhs = l1_distance(DistributionPair(p, q))
-            mid = l1_distance(DistributionPair(p, p_prime))
-            rhs = l1_distance(DistributionPair(p_prime, q))
+            lhs = float(np.sum(np.abs(p - q)))
+            mid = float(np.sum(np.abs(p - p_prime)))
+            rhs = float(np.sum(np.abs(p_prime - q)))
             assert lhs <= mid + rhs + 1e-9
-            bounds = trace_distance_fidelity_bounds(rho, st)
-            assert mid <= 2 * bounds.trace_distance + 1e-9
-            assert 2 * bounds.trace_distance <= 2 * np.sqrt(1 - bounds.fidelity) + 1e-9
+            distance = trace_distance(rho, st)
+            assert mid <= 2 * distance + 1e-9
+            assert 2 * distance <= 2 * np.sqrt(1 - overlap(rho, st)) + 1e-9
 
 
 def test_criterion_8_parameter_calculator_golden():

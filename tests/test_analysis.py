@@ -14,17 +14,11 @@ from scipy import stats
 
 from pauliverify import analysis
 from pauliverify.analysis import (
-    DistributionPair,
     acceptance_bound,
     binomial_tail_ge,
     binomial_tail_le,
-    hoeffding_calculator,
     hoeffding_tail,
-    iqp_output_distribution,
-    l1_distance,
     robustness_sweep,
-    trace_distance_fidelity_bounds,
-    x_basis_distribution,
 )
 from pauliverify.circuits import circuit
 from pauliverify.hypergraphs import build_state, hypergraph
@@ -43,20 +37,22 @@ from pauliverify.states import (
     computational_state,
     maximally_mixed,
     mixed_state,
+    outcome_distribution,
+    overlap,
     plus_state,
     pure_state,
     random_mixed_state,
     to_density,
 )
 
-from conftest import kron_chain
+from conftest import kron_chain, trace_distance
 
 
 H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 def test_x_basis_plus_state_is_point_mass():
-    probs = x_basis_distribution(plus_state(3))
+    probs = outcome_distribution(plus_state(3), "XXX")
     want = np.zeros(8)
     want[0] = 1.0
     assert np.allclose(probs, want, atol=1e-12)
@@ -66,19 +62,19 @@ def test_x_basis_triple_state_matches_amplitudes():
     g = hypergraph(3, [(0, 1, 2)])
     st = build_state(g)
     rotated = kron_chain(H2, H2, H2) @ st.data
-    assert np.allclose(x_basis_distribution(st), np.abs(rotated) ** 2, atol=1e-12)
+    assert np.allclose(outcome_distribution(st, "XXX"), np.abs(rotated) ** 2, atol=1e-12)
 
 
 def test_x_basis_maximally_mixed_is_uniform():
-    probs = x_basis_distribution(maximally_mixed(3))
+    probs = outcome_distribution(maximally_mixed(3), "XXX")
     assert np.allclose(probs, 1 / 8)
 
 
 def test_iqp_distribution_with_z_layer():
     g = hypergraph(3, [(0, 1, 2)])
-    base = iqp_output_distribution(g)
-    flipped = iqp_output_distribution(g, z_layer=(0,))
+    base = outcome_distribution(build_state(g), "XXX")
     st = apply_pauli(build_state(g), PauliString.from_axes("ZII"))
+    flipped = outcome_distribution(st, "XXX")
     want = np.abs(kron_chain(H2, H2, H2) @ st.data) ** 2
     assert np.allclose(flipped, want, atol=1e-12)
     assert not np.allclose(base, flipped)
@@ -87,36 +83,28 @@ def test_iqp_distribution_with_z_layer():
     assert flipped[0b100] == pytest.approx(9 / 16)
 
 
-def test_l1_distance_extremes():
-    same = DistributionPair(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-    assert l1_distance(same) == 0.0
-    disjoint = DistributionPair(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert l1_distance(disjoint) == 2.0
-    with pytest.raises(ValueError):
-        DistributionPair(np.array([0.7, 0.2]), np.array([0.5, 0.5]))
-
-
 def test_depolarized_l1_chain(rng):
     g = hypergraph(3, [(0, 1, 2), (0, 1)])
     st = build_state(g)
     lam = 0.3
     rho = mixed_state((1 - lam) * to_density(st).data + lam * np.eye(8) / 8)
-    p = x_basis_distribution(st)
-    q = x_basis_distribution(rho)
-    bounds = trace_distance_fidelity_bounds(rho, st)
-    l1 = l1_distance(DistributionPair(p, q))
-    assert l1 <= 2 * bounds.trace_distance + 1e-9
-    assert 2 * bounds.trace_distance <= 2 * np.sqrt(lam) + 1e-9
+    p = outcome_distribution(st, "XXX")
+    q = outcome_distribution(rho, "XXX")
+    distance = trace_distance(rho, st)
+    l1 = float(np.sum(np.abs(p - q)))
+    assert l1 <= 2 * distance + 1e-9
+    assert 2 * distance <= 2 * np.sqrt(lam) + 1e-9
 
 
 def test_trace_distance_extremes(rng):
+    # the oracle the inequality tests lean on: 0 for a state against itself,
+    # 1 for orthogonal states, with fidelity 1 and 0
     st = plus_state(2)
-    b = trace_distance_fidelity_bounds(st, st)
-    assert (b.fidelity, b.trace_distance, b.povm_l1_bound) == pytest.approx((1, 0, 0), abs=1e-9)
-    orth = computational_state(2, 0)
-    minus = pure_state(np.array([1, -1]) / np.sqrt(2))
-    b = trace_distance_fidelity_bounds(computational_state(1, 1), pure_state(np.array([1.0, 0])))
-    assert (b.fidelity, b.trace_distance, b.povm_l1_bound) == pytest.approx((0, 1, 2), abs=1e-9)
+    assert (overlap(st, st), trace_distance(st, st)) == pytest.approx((1, 0), abs=1e-9)
+    one, zero = computational_state(1, 1), pure_state(np.array([1.0, 0]))
+    assert (overlap(one, zero), trace_distance(one, zero)) == pytest.approx((0, 1), abs=1e-9)
+    mixed = maximally_mixed(1)
+    assert trace_distance(mixed, zero) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_deviated_state_trace_distance_bound(rng):
@@ -125,8 +113,7 @@ def test_deviated_state_trace_distance_bound(rng):
     for eps_prime in [0.1, 0.25, 0.6]:
         eta = random_mixed_state(3, rng)
         rho = mixed_state((1 - eps_prime) * to_density(st).data + eps_prime * eta.data)
-        b = trace_distance_fidelity_bounds(rho, st)
-        assert b.trace_distance <= np.sqrt(eps_prime) + 1e-9
+        assert trace_distance(rho, st) <= np.sqrt(eps_prime) + 1e-9
 
 
 def test_povm_l1_never_exceeds_trace_norm(rng):
@@ -134,11 +121,8 @@ def test_povm_l1_never_exceeds_trace_norm(rng):
     st = build_state(g)
     for _ in range(10):
         rho = random_mixed_state(3, rng)
-        b = trace_distance_fidelity_bounds(rho, st)
-        l1 = l1_distance(
-            DistributionPair(x_basis_distribution(st), x_basis_distribution(rho))
-        )
-        assert 0.5 * l1 <= b.trace_distance + 1e-9
+        p, q = outcome_distribution(st, "XXX"), outcome_distribution(rho, "XXX")
+        assert 0.5 * float(np.sum(np.abs(p - q))) <= trace_distance(rho, st) + 1e-9
 
 
 def test_margin_reference_instance():
@@ -188,19 +172,8 @@ def test_hoeffding_values_and_exact_dominance(rng):
     for p in [0.1, 0.5, 0.62]:
         for k in [10, 100, 400]:
             for t in [0.05, 0.1, 0.2]:
-                tb = hoeffding_calculator(p, k, t)
-                assert tb.exact <= tb.hoeffding + 1e-12
-
-
-def test_hoeffding_calculator_refuses_a_run_size_below_one():
-    with pytest.raises(ValueError, match="need k >= 1"):
-        hoeffding_calculator(0.5, -3, 0.1)
-
-
-@pytest.mark.parametrize("p", [1.5, -0.1, math.nan])
-def test_hoeffding_calculator_refuses_a_probability_outside_the_unit_interval(p):
-    with pytest.raises(ValueError, match=r"p in \[0, 1\]"):
-        hoeffding_calculator(p, 10, 0.1)
+                exact = binomial_tail_ge(k, p, Fraction(p) + Fraction(t))
+                assert exact <= hoeffding_tail(k, t) + 1e-12
 
 
 def test_ground_schedule_reproduces_target_tail():

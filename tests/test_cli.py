@@ -834,7 +834,7 @@ def test_verify_nan_p_bad_is_config_error(tmp_path, capsys):
     assert_config_error(code, out, err, "p_bad must be a finite number, got NaN")
 
 
-@pytest.mark.parametrize("target", ["ring3.json", "clifford_t.json"])
+@pytest.mark.parametrize("target", ["ring3.json", "clifford_t.json", "triple.json"])
 @pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
 def test_inspect_budget_that_is_not_finite_and_non_negative_is_config_error(
     capsys, target, budget

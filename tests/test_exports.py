@@ -53,10 +53,7 @@ EXPORTED = {
         "coherent_error_prover", "entangled_demo_prover", "honest_prover",
         "iid_deviated_prover", "prepare", "run_seeds",
     ],
-    "analysis": [
-        "DistributionPair", "hoeffding_calculator", "l1_distance", "robustness_sweep",
-        "trace_distance_fidelity_bounds", "x_basis_distribution",
-    ],
+    "analysis": ["robustness_sweep"],
 }
 NAMES = [(module, name) for module, names in EXPORTED.items() for name in names]
 
