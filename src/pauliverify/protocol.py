@@ -425,17 +425,18 @@ class PreparedTarget:
             raise ValueError(f"params are not for this {self.protocol} target")
         check_executable(params)
 
-    def _blocks(self, state: DenseState, seeds: Sequence[int], k: int):
+    def _blocks(self, state: DenseState, seeds: Sequence[int], k: int, branches: bool):
         """Sample runs on ``state`` in blocks of whole runs; yields (start, passed, branches).
 
         One ``test.sample`` call per block of at most BLOCK_TRIALS trials (a
         larger run is a block of its own); ``start`` indexes its first seed.
+        ``branches`` tells the test whether the branches are read.
         """
         block = max(1, BLOCK_TRIALS // (len(self.group_l1) * k))  # whole runs
         for start in range(0, len(seeds), block):
             rngs = (_run_rng(seed, TEST_STREAM) for seed in seeds[start : start + block])
-            passed, branches = self.test.sample(state, rngs, k)
-            yield start, passed, branches
+            passed, read = self.test.sample(state, rngs, k, branches=branches)
+            yield start, passed, read
 
     def pass_counts(
         self, state: DenseState, params: ProtocolParams, seeds: Sequence[int]
@@ -451,7 +452,7 @@ class PreparedTarget:
         if state.n != params.n:
             raise ValueError("prover register width does not match the protocol")
         counts = np.empty((len(seeds), len(self.group_l1)), dtype=np.int64)
-        for start, passed, _ in self._blocks(state, seeds, params.k):
+        for start, passed, _ in self._blocks(state, seeds, params.k, False):
             counts[start : start + len(passed)] = np.count_nonzero(passed, axis=-1)
         return counts
 
@@ -512,7 +513,8 @@ class PreparedTarget:
             source_fidelity = None if fidelity is None else fidelity(source)
             for index in indices:
                 fidelities[index] = source_fidelity
-            for start, passed, branches in self._blocks(source, [seeds[i] for i in indices], k):
+            blocks = self._blocks(source, [seeds[i] for i in indices], k, record_trials)
+            for start, passed, branches in blocks:
                 block = indices[start : start + len(passed)]
                 counts[block] = np.count_nonzero(passed, axis=-1)
                 if record_trials:

@@ -13,9 +13,9 @@ built on draw_pauli_term, measure_in_bases, parity_passes and
 adaptive_predicate.  It is the reference the batched path is checked
 against, and the path of the entangled demo, whose joint state changes with
 every measurement.  ``.sample`` is the batched path: k trials per group of
-one or more runs on one state, drawn through sample_stacked_outcomes.  The
-closed-form functions return the expected pass probability from dense
-expectations.
+one or more runs on one state, drawn through sample_stacked_outcomes (the
+parity test) or sample_stacked_values (the adaptive test).  The closed-form
+functions return the expected pass probability from dense expectations.
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ from .states import (
     expectations,
     projector_overlap,
     sample_stacked_outcomes,
+    sample_stacked_values,
     search_segments,
     stack_segments,
 )
@@ -197,9 +198,17 @@ class ParityTest:
         return passed, terms
 
     def sample(
-        self, state: DenseState, rngs: Iterable[np.random.Generator], n_trials: int
+        self,
+        state: DenseState,
+        rngs: Iterable[np.random.Generator],
+        n_trials: int,
+        branches: bool = True,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Pass flags and term indices, (runs, groups, k), on ``state``; one generator a run."""
+        """Pass flags and term indices, (runs, groups, k), on ``state``; one generator a run.
+
+        ``branches`` is ignored: the outcome parity flips between most
+        neighbouring outcomes, so its intervals would be about the outcomes.
+        """
         shape = (-1, len(self.sums), n_trials)
         u = np.concatenate([g.random(self.variates * len(self.sums) * n_trials) for g in rngs])
         group = _group_of_trial(len(self.sums), n_trials, u.size // 2)
@@ -242,7 +251,7 @@ class AdaptiveTest:
     A trial measures X on the tested vertex and Z everywhere else, then
     applies the branch rule the observed projector bits ``a`` choose.  It uses
     one variate, and its branch is ``a``.  ``sample`` reads the pass flag and
-    ``a`` of every joint outcome off the forms' outcome tables, built once.
+    ``a`` of each outcome it draws from the forms' outcome tables, built once.
     """
 
     variates = 1
@@ -266,17 +275,27 @@ class AdaptiveTest:
         return passed, bits
 
     def sample(
-        self, state: DenseState, rngs: Iterable[np.random.Generator], n_trials: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Pass flags and projector bits, (runs, groups, k), on ``state``; one generator a run."""
+        self,
+        state: DenseState,
+        rngs: Iterable[np.random.Generator],
+        n_trials: int,
+        branches: bool = True,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Pass flags and projector bits, (runs, groups, k), on ``state``; one generator a run.
+
+        A trial reads the pass flag of the outcome it draws, or ``pass | a <<
+        1`` when ``branches`` are read, off the intervals of that value
+        (``sample_stacked_values``): a few per group near the target, not
+        2**n outcomes.  The bits are None when ``branches`` is false.
+        """
         shape = (-1, len(self.forms), n_trials)
         u = np.concatenate([g.random(self.variates * len(self.forms) * n_trials) for g in rngs])
         group = _group_of_trial(len(self.forms), n_trials, u.size)
-        idx = sample_stacked_outcomes(state, self.layout, group, u)
-        passes, bits = self._outcome_tables
-        # one flat index into the (group, outcome) tables
-        idx += group * passes.shape[1]
-        return passes.take(idx).reshape(shape), bits.take(idx).reshape(shape)
+        values = self._read_values[branches]
+        read = sample_stacked_values(state, self.layout, values, (self, branches), group, u)
+        if not branches:
+            return read.reshape(shape), None
+        return ((read & 1) == 1).reshape(shape), (read >> 1).reshape(shape)
 
     def exact_ppass(self, rho: DenseState) -> tuple[float, ...]:
         """``adaptive_test_exact_ppass(rho, f)`` for each group's form ``f``."""
@@ -286,6 +305,12 @@ class AdaptiveTest:
     def _outcome_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Every form's outcome tables, one row per group."""
         return outcome_tables(self.forms)
+
+    @cached_property
+    def _read_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each group's value of every outcome: its pass flag, then ``pass | a << 1``."""
+        passes, bits = self._outcome_tables
+        return passes, passes | bits << 1
 
     def branch_label(self, group: int, a: int) -> str:
         width = len(self.forms[group].projector_support)
@@ -317,7 +342,7 @@ def monte_carlo_pass_rate(
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     if len(kernel.group_l1) != 1:
         raise ValueError(f"the kernel must have one group, got {len(kernel.group_l1)}")
-    passes = int(np.count_nonzero(kernel.sample(state, [rng], n_trials)[0]))
+    passes = int(np.count_nonzero(kernel.sample(state, [rng], n_trials, branches=False)[0]))
     return passes / n_trials, passes
 
 

@@ -58,9 +58,16 @@ The stack lays the CDFs out as ``stack_segments`` does, so one vectorized
 search serves a whole run.  The search is branch-free: a position moves by
 its step times the comparison, not through ``np.where``, which mispredicts
 on the random mask that the comparisons of random variates make.
-A state's memo holds only these stacks.  Every entry goes through
-``_remember``: a memo that would grow past MEMO_LIMIT entries starts over,
-so long-lived states stay bounded.
+The adaptive test reads only a value per outcome (its pass flag, with its
+branch bits when trials are recorded), so it searches ``sample_stacked_values``'
+intervals of that value over the outcomes a search can draw, built from the
+finished stack alone, by the same comparisons on the same doubles.  The
+parity test's value, the outcome parity, flips between most neighbouring
+outcomes, so it searches the outcomes themselves.
+
+A state's memo holds these stacks and interval tables.  Every entry goes
+through ``_remember``: a memo that would grow past MEMO_LIMIT entries starts
+over, so long-lived states stay bounded.
 """
 from __future__ import annotations
 
@@ -89,7 +96,7 @@ S_DAGGER = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
 # Rotation that maps the measured eigenbasis onto the computational basis.
 BASIS_ROTATIONS = {"X": HADAMARD, "Y": HADAMARD @ S_DAGGER, "Z": None, "I": None}
 
-# The most stacks one state's memo holds.
+# The most stacks and interval tables one state's memo holds.
 MEMO_LIMIT = 8192
 
 
@@ -743,3 +750,68 @@ def sample_stacked_outcomes(
     stack = _table_stack(state, layout)
     k = search_segments(stack.cum, layout.width, which, u)
     return np.minimum(k, stack.last_sampleable[which])
+
+
+@dataclass(frozen=True)
+class _IntervalTable:
+    """A stack's drawable outcomes, runs of one read value merged, row by row."""
+
+    bounds: np.ndarray  # cum at each interval's last outcome, rows laid out as by stack_segments
+    width: int
+    last: np.ndarray  # per row, the index of its last interval
+    values: np.ndarray  # the read value of each interval, where its bound lies
+
+
+def _interval_table(stack: _TableStack, values: np.ndarray) -> _IntervalTable:
+    """The intervals of ``values[row, outcome]`` over the outcomes a search of ``stack`` can draw.
+
+    Outcome j of a row can be drawn when cum[j] > cum[j - 1] (cum[-1] = 0)
+    and j <= last_sampleable; last_sampleable itself always can.  A run of
+    drawable outcomes that read one value is one interval, bounded by cum at
+    its last outcome.  A row's first interval is found by ``searchsorted``
+    over the sorted row ids.
+    """
+    n_rows, width = len(stack.last_sampleable), stack.layout.width
+    cum = stack.cum.reshape(n_rows, width)
+    outcome, last = np.arange(width), stack.last_sampleable[:, None]
+    drawable = cum > np.concatenate([np.zeros((n_rows, 1)), cum[:, :-1]], axis=1)
+    at = np.flatnonzero(drawable & (outcome <= last) | (outcome == last))
+    row, read = at // width, values.take(at)
+    # an interval ends where the next drawable outcome lies in another row or reads another value
+    ends = np.append((row[1:] != row[:-1]) | (read[1:] != read[:-1]), True)
+    at, row, read = at[ends], row[ends], read[ends]
+    first = np.searchsorted(row, np.arange(n_rows))
+    count = np.diff(first, append=row.size)
+    table_width = 1 << int(count.max() - 1).bit_length()
+    place = np.arange(row.size) + (row * table_width - first.take(row))
+    bounds = np.full(n_rows * table_width, np.inf)
+    bounds[place] = stack.cum.take(at)
+    table_values = np.zeros(n_rows * table_width, dtype=read.dtype)
+    table_values[place] = read
+    return _IntervalTable(bounds, table_width, count - 1, table_values)
+
+
+def sample_stacked_values(
+    state: DenseState, layout: StackLayout, values: np.ndarray, key, which, u
+) -> np.ndarray:
+    """``values[which[t], k]`` for the index k that sample_stacked_outcomes returns for u[t].
+
+    ``values`` is a C-contiguous (bases, layout.width) array, one value per
+    outcome of each of the layout's rows, and ``key`` names it: the intervals
+    of the layout's stack on ``state`` are memoized on the state under
+    (layout.bases, key), so two value tables on the same bases never share
+    one.  Trial t is searched among the intervals of its row by the ``<=``
+    comparisons of sample_stacked_outcomes on the same doubles, and clamped
+    to the row's last interval as that clamps to the last sampleable
+    outcome, so it reads the value of that outcome.
+    """
+    memo = (layout.bases, key)
+    table = state._cache.get(memo)
+    if table is None:
+        table = _remember(state, memo, _interval_table(_table_stack(state, layout), values))
+    if table.width == 1:  # one interval a row: every search of a row is clamped to it
+        return table.values.take(which)
+    i = search_segments(table.bounds, table.width, which, u)
+    np.minimum(i, table.last[which], out=i)
+    i += which * table.width
+    return table.values.take(i)

@@ -282,7 +282,151 @@ def test_adaptive_kernel_equals_scalar_trials(n, edge_bits, vertex, n_groups, pu
     # group i tests the (vertex + i)-th vertex
     forms = [adaptive_form(spec, (vertex + i) % n) for i in range(n_groups)]
     state = _state(n, seeds[0], pure)
-    _assert_kernel_equals_scalar_trials(AdaptiveTest(*forms), state, seeds, n_groups, 50)
+    test = AdaptiveTest(*forms)
+    _assert_kernel_equals_scalar_trials(test, state, seeds, n_groups, 50)
+    # a test that reads no branches gives the same pass flags
+    passed, bits = test.sample(state, [np.random.default_rng(s) for s in seeds], 50, False)
+    ok, _ = _scalar_trials(test, state, seeds, n_groups, 50)
+    assert bits is None and passed.dtype == bool and passed.tolist() == ok.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Interval tables: the adaptive test searches what it reads, not 2**n outcomes
+
+
+def _interval_reads(test, state, branches, which, u):
+    """Pass flags and projector bits read off the interval table of ``test`` on ``state``."""
+    values = test._read_values[branches]
+    read = states.sample_stacked_values(state, test.layout, values, (test, branches), which, u)
+    return (read, None) if not branches else ((read & 1) == 1, read >> 1)
+
+
+def _outcome_reads(test, state, which, u):
+    """Pass flags and projector bits of the outcomes sample_stacked_outcomes draws."""
+    idx = sample_stacked_outcomes(state, test.layout, which, u)
+    passes, bits = test._outcome_tables
+    return passes[which, idx], bits[which, idx]
+
+
+def _boundary_uniforms(state, test):
+    """Per row: 0, every CDF entry below +inf, the double below each, and 1 - 2**-53."""
+    stack = states._table_stack(state, test.layout)
+    cum = stack.cum.reshape(len(test.forms), -1)
+    which, u = [], []
+    for row, entries in enumerate(cum):
+        entries = entries[np.isfinite(entries)]
+        row_u = np.concatenate([[0.0, 1.0 - 2.0**-53], entries, np.nextafter(entries, 0.0)])
+        which.append(np.full(row_u.size, row))
+        u.append(row_u)
+    return np.concatenate(which), np.concatenate(u)
+
+
+def _interval_case_state(kind, ideal, qubit, weight, rng):
+    n = ideal.n
+    if kind == "ideal":
+        return ideal
+    if kind in ("X", "Y", "Z"):
+        return apply_pauli(ideal, PauliString.on_qubit(n, qubit, kind))
+    if kind == "mixture_of_errors":
+        flipped = apply_pauli(ideal, PauliString.on_qubit(n, qubit, "Z"))
+        return mixture(ideal, flipped, weight)
+    if kind == "deviated":
+        return mixture(ideal, maximally_mixed(n), weight)
+    if kind == "maximally_mixed":
+        return maximally_mixed(n)
+    if kind == "random_pure":
+        return random_pure_state(n, rng)
+    return random_mixed_state(n, rng, rank=2)
+
+
+INTERVAL_STATE_KINDS = [
+    "ideal", "X", "Y", "Z", "mixture_of_errors", "deviated", "maximally_mixed",
+    "random_pure", "random_mixed",
+]
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(2, 8),
+    kind=st.sampled_from(INTERVAL_STATE_KINDS),
+    data=st.data(),
+    weight=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interval_reads_equal_the_outcome_reads_bit_for_bit(n, kind, data, weight, seed):
+    candidates = [e for size in (2, 3) for e in combinations(range(n), size)]
+    edges = data.draw(st.lists(st.sampled_from(candidates), max_size=8, unique=True))
+    spec = hypergraph(n, edges)
+    test = AdaptiveTest(*(adaptive_form(spec, v) for v in range(n)))
+    ideal = prepare(spec).ideal
+    qubit = data.draw(st.integers(0, n - 1))
+    state = _interval_case_state(kind, ideal, qubit, weight, np.random.default_rng(seed))
+    which, u = _boundary_uniforms(state, test)
+    want_passed, want_bits = _outcome_reads(test, state, which, u)
+    passed, none = _interval_reads(test, state, False, which, u)
+    assert none is None and passed.tobytes() == want_passed.tobytes()
+    passed, bits = _interval_reads(test, state, True, which, u)
+    assert passed.tobytes() == want_passed.tobytes()
+    assert bits.tobytes() == want_bits.tobytes()
+    # an outcome of zero probability bounds no interval: before a row's last
+    # interval (which holds the last sampleable outcome), every bound lies
+    # above the one before it, and the first above 0
+    for branches in (False, True):
+        table = state._cache[test.layout.bases, (test, branches)]
+        for row, last in zip(table.bounds.reshape(n, -1), table.last):
+            assert np.all(np.diff(row[:last], prepend=0.0) > 0.0)
+
+
+def test_interval_reads_clamp_rows_whose_cdf_ends_below_one():
+    # a uniform at or above a row's last CDF entry counts every interval of
+    # the row, and reads the last one, as the outcome search reads the last
+    # sampleable outcome
+    spec = hypergraph(4, [(0, 1, 2), (1, 2, 3), (0, 3)])
+    test = AdaptiveTest(*(adaptive_form(spec, v) for v in range(4)))
+    clamped = 0
+    for seed in range(10):
+        state = random_pure_state(4, np.random.default_rng(seed))
+        stack = states._table_stack(state, test.layout)
+        ends = stack.cum.reshape(4, -1)[np.arange(4), stack.last_sampleable]
+        which = np.flatnonzero(ends < 1.0)
+        u = np.full(which.size, 1.0 - 2.0**-53)
+        assert np.all(u >= ends[which])
+        want_passed, want_bits = _outcome_reads(test, state, which, u)
+        passed, bits = _interval_reads(test, state, True, which, u)
+        assert passed.tolist() == want_passed.tolist() and bits.tolist() == want_bits.tolist()
+        clamped += which.size
+    assert clamped >= 5
+
+
+def test_an_ideal_hypergraph_state_reads_one_interval_per_row():
+    # the ideal state passes on every outcome it can give, so each row's
+    # outcomes of zero probability leave no interval of their own
+    target = prepare(hypergraph(4, [(0, 1, 2), (1, 2, 3), (0, 3)]))
+    test = target.test
+    table = states._interval_table(
+        states._table_stack(target.ideal, test.layout), test._read_values[False]
+    )
+    assert table.width == 1 and table.last.tolist() == [0] * 4
+    assert table.values.tolist() == [True] * 4
+
+
+def test_interval_tables_are_memoized_per_test_and_read_mode():
+    # two hypergraphs of one width share their bases strings, but not their
+    # pass flags: a table memoized under the bases alone would read the first
+    # test's flags for the second
+    first = AdaptiveTest(*(adaptive_form(hypergraph(3, [(0, 1, 2)]), v) for v in range(3)))
+    second = AdaptiveTest(*(adaptive_form(hypergraph(3, [(0, 1)]), v) for v in range(3)))
+    assert first.layout.bases == second.layout.bases
+    state = random_pure_state(3, np.random.default_rng(5))
+    which = np.repeat(np.arange(3), 200)
+    u = np.random.default_rng(6).random(which.size)
+    for test in (first, second, first):
+        want_passed, want_bits = _outcome_reads(test, state, which, u)
+        for branches in (False, True):
+            passed, bits = _interval_reads(test, state, branches, which, u)
+            assert passed.tolist() == want_passed.tolist()
+            assert branches is False or bits.tolist() == want_bits.tolist()
+    assert not np.array_equal(*(_outcome_reads(t, state, which, u)[0] for t in (first, second)))
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +750,9 @@ def test_robustness_reads_only_the_test_streams_of_its_runs(monkeypatch, tmp_pat
     monkeypatch.setattr(
         PreparedTarget, "runs", lambda *a, **kw: engine_calls.append(a) or runs_method(*a, **kw)
     )
-    monkeypatch.setattr(ParityTest, "sample", lambda *a: samples.append(a) or sample(*a))
+    monkeypatch.setattr(
+        ParityTest, "sample", lambda *a, **kw: samples.append(a) or sample(*a, **kw)
+    )
     argv = [
         "robustness", "--target", str(DATA / "clifford_t.json"), "--eps-prime", "0,0.05,0.2",
         "-k", str(k), "--runs", str(runs), "--seed", "5", "--out", str(tmp_path / "out.json"),

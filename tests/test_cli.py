@@ -632,6 +632,27 @@ def test_verify_golden_and_trials_csv(name, runs, tmp_path, capsys):
     check_verify_golden(name, runs, tmp_path, capsys)
 
 
+HYPERGRAPH_VERIFY_CONFIGS = sorted(
+    path.name
+    for path in DATA.glob("verify_*.json")
+    if json.loads(path.read_text())["protocol"] == "hypergraph"
+)
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("config", HYPERGRAPH_VERIFY_CONFIGS)
+def test_hypergraph_reports_do_not_depend_on_recording_trials(config, runs, tmp_path):
+    # a run that records its trials reads the branch bits too, off another
+    # interval table than a run that reads only the pass flags
+    reports = []
+    for extra in ([], ["--trials-csv", str(tmp_path / "trials.csv")]):
+        out = tmp_path / f"report{len(extra)}.json"
+        argv = ["verify", "--config", str(DATA / config), "--runs", str(runs), "--out", str(out)]
+        assert main(argv + extra) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("args, golden", PARITY_TARGET_GOLDENS)
 def test_parity_target_golden(args, golden, capsys, monkeypatch):
     monkeypatch.chdir(DATA)

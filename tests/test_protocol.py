@@ -397,9 +397,9 @@ def test_runs_sample_each_source_in_blocks_of_whole_runs(monkeypatch):
     calls = []
     sample = AdaptiveTest.sample
 
-    def spy(self, state, rngs, k):
+    def spy(self, state, rngs, k, **kw):
         calls.append(state)
-        return sample(self, state, rngs, k)
+        return sample(self, state, rngs, k, **kw)
 
     monkeypatch.setattr(AdaptiveTest, "sample", spy)
     target.runs(prover, params, seeds)
@@ -608,7 +608,7 @@ class ExactPassCount:
         self.group_l1 = group_l1
         self.passes = passes
 
-    def sample(self, state, rngs, n_trials):
+    def sample(self, state, rngs, n_trials, branches=True):
         shape = (len(list(rngs)), len(self.group_l1), n_trials)
         flags = np.arange(n_trials) < self.passes
         return np.broadcast_to(flags, shape), np.zeros(shape, dtype=np.int64)
